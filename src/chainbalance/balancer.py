@@ -33,13 +33,17 @@ class SessionRecord:
 
 @dataclass
 class LogicalPacket:
-    """Payload-less stand-in for a packet: endpoints, size, arrival time."""
+    """Payload-less stand-in for a packet: endpoints, size, arrival time.
+
+    `key` is the session's canonical key when the caller already has it;
+    left at None, `map_packet` computes it.
+    """
 
     src: Endpoint
     dst: Endpoint
     bytes: int
     timestamp: float
-    tag: int | None = None
+    key: object = None
 
 
 class Balancer:
@@ -77,7 +81,9 @@ class Balancer:
         stored chain, even one that is draining; anything else is mapped
         through the current bucket vector and recorded.
         """
-        key = canonical_key(packet.src, packet.dst)
+        key = packet.key
+        if key is None:
+            key = canonical_key(packet.src, packet.dst)
         now = packet.timestamp
         with self._lock:
             record = self.table.get(key)

@@ -12,6 +12,15 @@ this through the slave, which maps them with its own copy of the bucket
 vector; the master observes them coming back and corrects its session table
 if the two sides ever diverged.
 
+Switches hold no state: a frame's path through them depends only on where
+it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
+walks are compiled once, by following the switches' `TagRouter` rules with
+`route()`, into a memoised table, so each frame costs one event per stateful
+hop instead of one per link. The link latency is still added once per link
+crossed, in order, so timestamps keep their float bits. Among events with the
+same timestamp, a frame's arrival at a stateful node is ordered by when it
+left the previous stateful node.
+
 The event loop is single threaded; all randomness lives in the traffic
 generator, so a (scenario, seed) pair always produces the same run.
 """
@@ -21,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .balancer import LogicalPacket
 from .control import (
@@ -276,20 +286,35 @@ class NfInstance:
 
 
 class SwitchNode:
-    """OpenFlow-style switch: forwards purely on (ingress port, outer tag)."""
+    """OpenFlow-style switch: forwards purely on (ingress port, outer tag).
 
-    def __init__(self, name, router: TagRouter, sim):
+    It never handles frames itself; `NetSim` compiles walks through its rules.
+    """
+
+    def __init__(self, name, router: TagRouter):
         self.name = name
         self.router = router
+
+
+class Unroutable:
+    """End of a walk that no switch rule matches: the frame drops at that switch."""
+
+    def __init__(self, sim, switch: str, reason: str):
         self.sim = sim
+        self.switch = switch
+        self.reason = reason
 
     def handle(self, frame: Frame, port: int, now: float):
-        try:
-            out_port, frame = route(self.router, port, frame)
-        except NoRoute as exc:
-            self.sim.drop(frame, f"no_route: {exc}", self.name, now)
-            return
-        self.sim.transmit(self.name, out_port, frame)
+        self.sim.drop(frame, self.reason, self.switch, now)
+
+
+class Walk(NamedTuple):
+    """A compiled path from a stateful node's egress port through the switches."""
+
+    target: object  # the next stateful node, or an Unroutable
+    port: int | None  # the target's ingress port; None for an Unroutable
+    tags: tuple[int, ...]  # the tag stack on arrival
+    hops: int  # links crossed
 
 
 class HostNode:
@@ -341,7 +366,7 @@ class BalancerNode:
                     self.sim.note_reconcile(frame, record.assigned, chain, now)
                 balancer.reconcile(frame.key, chain, now)
         else:
-            packet = LogicalPacket(frame.src, frame.dst, frame.size, now)
+            packet = LogicalPacket(frame.src, frame.dst, frame.size, now, key=frame.key)
             chain = balancer.map_packet(packet)
             self.sim.note_mapped(self, frame, chain, now)
             push_tag(frame, chain.forward_tag if self.is_master else chain.reverse_tag)
@@ -379,6 +404,8 @@ class RunResult:
     vectors_equal: bool
     message_trace: list
     last_packet_on: dict[ChainId, float]
+    scheduled_events: int  # EventLoop.schedule calls, control plane included
+    packets: int  # frames injected
 
     @property
     def leftover_bytes(self) -> int:
@@ -397,6 +424,7 @@ class NetSim:
         self.loop = EventLoop()
         self.nodes: dict[str, object] = {}
         self.links: dict[tuple[str, int], tuple[str, int]] = {}
+        self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {}
         self.latency = scenario.link_latency
 
         pairs = scenario.all_pairs()
@@ -412,6 +440,7 @@ class NetSim:
         self.sessions: dict[int, SessionTrace] = {}
         self.last_packet_on: dict[ChainId, float] = {}
         self.injected_bytes = 0
+        self.injected_packets = 0
         self.delivered_bytes = 0
         self.dropped_bytes = 0
         self.divergences = 0
@@ -448,8 +477,8 @@ class NetSim:
 
         self.nodes["client"] = HostNode("client", self)
         self.nodes["server"] = HostNode("server", self)
-        self.nodes["es1"] = SwitchNode("es1", es1, self)
-        self.nodes["es2"] = SwitchNode("es2", es2, self)
+        self.nodes["es1"] = SwitchNode("es1", es1)
+        self.nodes["es2"] = SwitchNode("es2", es2)
         self.nodes["lb1"] = BalancerNode("lb1", self.master_agent, self, is_master=True)
         self.nodes["lb2"] = BalancerNode("lb2", self.slave_agent, self, is_master=False)
 
@@ -467,7 +496,7 @@ class NetSim:
             cs.add(3, None, 4, "push", chain.forward_tag)
             cs.add(4, chain.reverse_tag, 3, "pop")
             cs_name, nf_name = f"cs{i}", f"nf{i}"
-            self.nodes[cs_name] = SwitchNode(cs_name, cs, self)
+            self.nodes[cs_name] = SwitchNode(cs_name, cs)
             self.nodes[nf_name] = NfInstance(
                 nf_name, chain, self,
                 mode=s.nf_mode, capacity=s.nf_capacity, queue_limit=s.nf_queue_limit,
@@ -487,15 +516,39 @@ class NetSim:
     # -- data plane plumbing
 
     def transmit(self, node: str, port: int, frame: Frame):
-        dst, dst_port = self.links[(node, port)]
-        target = self.nodes[dst]
-        self.loop.schedule(self.loop.now + self.latency, self._arrive, target, frame, dst_port)
+        """Send a frame out of a stateful node; one event at the next stateful node."""
+        key = (node, port, tuple(frame.tags))
+        walk = self.walks.get(key)
+        if walk is None:
+            walk = self.walks[key] = self.compile_walk(*key)
+        target, in_port, tags, hops = walk
+        frame.tags[:] = tags
+        # one addition per link, as one event per link made, so that
+        # timestamps keep their float bits (never hops * latency)
+        at = self.loop.now
+        for _ in range(hops):
+            at += self.latency
+        self.loop.schedule(at, target.handle, frame, in_port, at)
 
-    def _arrive(self, target, frame, port):
-        target.handle(frame, port, self.loop.now)
+    def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
+        """Follow the switch rules from a stateful node's egress port."""
+        probe = Frame(None, None, 0, -1, False, list(tags))
+        hops = 0
+        while True:
+            node, port = self.links[(node, port)]
+            hops += 1
+            reached = self.nodes[node]
+            if not isinstance(reached, SwitchNode):
+                return Walk(reached, port, tuple(probe.tags), hops)
+            try:
+                port, probe = route(reached.router, port, probe)
+            except NoRoute as exc:
+                return Walk(Unroutable(self, node, f"no_route: {exc}"), None,
+                            tuple(probe.tags), hops)
 
     def inject(self, frame: Frame):
         self.injected_bytes += frame.size
+        self.injected_packets += 1
         origin = "server" if frame.reverse else "client"
         self.transmit(origin, 1, frame)
 
@@ -754,6 +807,8 @@ class NetSim:
             vectors_equal=self.vectors_equal,
             message_trace=list(self.transport.trace),
             last_packet_on=dict(self.last_packet_on),
+            scheduled_events=self.loop._seq,
+            packets=self.injected_packets,
         )
 
 

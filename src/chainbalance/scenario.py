@@ -72,6 +72,18 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _positive(mapping, key, default, where) -> float:
+    """A period or latency: a number greater than zero, or the default."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(
+            f"field {key!r} must be a number, got {type(value).__name__}", location=where
+        )
+    if not value > 0:  # also rejects NaN
+        raise ValidationError(f"field {key!r} must be positive, got {value}", location=where)
+    return float(value)
+
+
 def _parse_pair(obj, where) -> ChainId:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValidationError(f"tag pair must be a 2-item list, got {obj!r}", location=where)
@@ -173,8 +185,8 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         seed=int(obj.get("seed", 1)),
         hash_seed=hash_seed,
         bucket_count=bucket_count,
-        session_timeout=float(obj.get("session_timeout", 6.0)),
-        window_length=float(obj.get("window", 5.0)),
+        session_timeout=_positive(obj, "session_timeout", 6.0, name),
+        window_length=_positive(obj, "window", 5.0, name),
         chains=tuple(chains),
         traffic=traffic,
         actions=tuple(actions),
@@ -182,9 +194,9 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         nf_capacity=nf_capacity,
         nf_queue_limit=int(nf.get("queue_limit", 0)),
         horizon=horizon,
-        link_latency=float(obj.get("link_latency", 0.001)),
-        control_latency=float(obj.get("control_latency", 0.001)),
-        poll_interval=float(obj.get("poll_interval", 0.25)),
+        link_latency=_positive(obj, "link_latency", 0.001, name),
+        control_latency=_positive(obj, "control_latency", 0.001, name),
+        poll_interval=_positive(obj, "poll_interval", 0.25, name),
     )
 
 

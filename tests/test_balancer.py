@@ -39,6 +39,22 @@ def test_fresh_key_creates_record():
     assert b.table[key].last_timestamp == 1.0
 
 
+def test_precomputed_key_skips_canonical_key(monkeypatch):
+    b = make_balancer()
+    pkt = packet(5000, t=1.0)
+    expected = b.map_packet(pkt)
+    key = canonical_key(pkt.src, pkt.dst)
+
+    def fail(*args):
+        raise AssertionError("canonical_key recomputed")
+
+    monkeypatch.setattr("chainbalance.balancer.canonical_key", fail)
+    pkt.key = key
+    pkt.timestamp = 2.0
+    assert b.map_packet(pkt) == expected
+    assert b.table[key].last_timestamp == 2.0
+
+
 def test_no_vector_raises():
     b = Balancer("master", PARAMS)
     with pytest.raises(NoLiveChains):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainbalance
 from chainbalance import cli
 from chainbalance.errors import ValidationError
 from chainbalance.hashing import ChainId
@@ -135,3 +140,27 @@ def test_csv_header_format(tmp_path):
     assert lines[0] == "time_s,chain_fwd_tag,bytes"
     fields = lines[1].split(",")
     assert len(fields) == 3 and fields[1] == "2"
+
+
+@pytest.mark.parametrize(
+    "field", ["window", "session_timeout", "poll_interval", "link_latency", "control_latency"]
+)
+@pytest.mark.parametrize("value", ["0", "-1.0"])
+def test_run_rejects_non_positive_period(tmp_path, capsys, field, value):
+    # window: 0 used to hang the run; a negative timeout made it unclean
+    scn = write(tmp_path, MINIMAL + f"{field}: {value}\n")
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_runs_cli():
+    src = str(Path(chainbalance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainbalance", "--help"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0
+    assert "replicate" in proc.stdout

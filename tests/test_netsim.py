@@ -1,13 +1,15 @@
 import pytest
 
-from chainbalance import netsim
+from chainbalance import cli, netsim
 from chainbalance.errors import EmptyTagStack, NeverConverged, NoRoute
 from chainbalance.hashing import ChainId, Endpoint
 from chainbalance.netsim import (
     EventLoop,
     Frame,
     NfInstance,
+    SwitchNode,
     TagRouter,
+    Unroutable,
     ThroughputSeries,
     measure_convergence,
     measure_drain,
@@ -340,3 +342,107 @@ def test_stats_polls_conserve_mapped_bytes():
         n for e in result.events if e["event"] == "stats" for _, n in e["bytes"]
     )
     assert polled == result.injected_bytes
+
+
+# -- compiled switch walks
+
+
+def hop_by_hop(sim, node, port, tags):
+    """Reference walk: one link and one route() call at a time, as a frame
+    crossing the switches would see it."""
+    f = frame(tags)
+    hops = 0
+    while True:
+        node, port = sim.links[(node, port)]
+        hops += 1
+        switch = sim.nodes[node]
+        if not isinstance(switch, SwitchNode):
+            return switch, port, tuple(f.tags), hops, None
+        try:
+            port, f = route(switch.router, port, f)
+        except NoRoute as exc:
+            return node, None, tuple(f.tags), hops, f"no_route: {exc}"
+
+
+def walk_keys(sim):
+    """Every (stateful node, egress port, tag stack) a frame can leave by,
+    including tags no rule knows."""
+    tags = [()] + [(t,) for c in sim.chain_by_forward.values()
+                   for t in (c.forward_tag, c.reverse_tag)] + [(99,)]
+    return {
+        (node, port, t)
+        for (node, port) in sim.links
+        if not isinstance(sim.nodes[node], SwitchNode)
+        for t in tags
+    }
+
+
+def test_compiled_walks_match_hop_by_hop_route():
+    scenario = small_scenario(chains=(C1,), actions=(Action(at=1.0, op="add", pair=C2),))
+    sim = netsim.NetSim(scenario)
+    sim.run()
+    keys = walk_keys(sim)
+    assert sim.walks and set(sim.walks) <= keys  # the run compiled only these
+    for key in keys:
+        walk = sim.compile_walk(*key)
+        target, port, tags, hops, reason = hop_by_hop(sim, *key)
+        if reason is None:
+            assert (walk.target, walk.port) == (target, port), key
+        else:
+            assert isinstance(walk.target, Unroutable), key
+            assert (walk.target.switch, walk.target.reason) == (target, reason), key
+        assert (walk.tags, walk.hops) == (tags, hops), key
+        if key in sim.walks:
+            assert sim.walks[key] == walk
+
+
+def test_forward_walks_reach_every_stateful_hop():
+    sim = netsim.NetSim(small_scenario())
+    lb1, lb2 = sim.nodes["lb1"], sim.nodes["lb2"]
+    nf1, server = sim.nodes["nf1"], sim.nodes["server"]
+    assert sim.compile_walk("client", 1, ()) == (lb1, 1, (), 2)
+    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (nf1, 1, (), 3)
+    assert sim.compile_walk("nf1", 2, ()) == (lb2, 1, (C1.forward_tag,), 3)
+    assert sim.compile_walk("lb2", 1, ()) == (server, 1, (), 2)
+
+
+def test_unknown_tag_from_master_drops_at_edge_switch():
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+    stray = frame(tags=[99])
+    sent_at = 0.3
+
+    def send():
+        sim.injected_bytes += stray.size  # what inject() books for a new frame
+        sim.transmit("lb1", 1, stray)
+
+    drops = []
+    book_drop = sim.drop
+
+    def drop(f, reason, where, now):
+        drops.append((f, reason, where, now))
+        book_drop(f, reason, where, now)
+
+    sim.drop = drop
+    sim.loop.schedule(sent_at, send)
+    result = sim.run()
+    assert len(drops) == 1
+    dropped, reason, where, dropped_at = drops[0]
+    assert dropped is stray
+    assert (reason, where) == ("no_route: no rule for ingress 4, tag 99", "es1")
+    # the latency of each link crossed, added in order: the same float bits
+    # as one event per link
+    expected = sent_at
+    for _ in range(sim.compile_walk("lb1", 1, (99,)).hops):
+        expected += 0.0013
+    assert dropped_at == expected
+    assert [e["reason"] for e in result.anomalies] == [reason]
+    assert result.dropped_bytes == stray.size
+    assert result.leftover_bytes == 0
+
+
+def test_static_1_event_count_gate():
+    # one event per stateful hop (5 per packet) plus the control plane;
+    # per-link scheduling took 228,864. Tighten this when the count drops.
+    result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
+    assert result.packets == 20_800
+    assert result.scheduled_events == 104_064
