@@ -3,14 +3,14 @@
 A balancer answers one question per packet: which chain carries this
 session? Known active sessions keep their stored chain no matter what
 happened to the bucket vector in between; everything else is a single
-array read at hash(key) mod L. Re-shuffles replace the vector wholesale,
-so affinity decisions and rebalancing never race on shared structures
-beyond the swap itself.
+array read at hash(key) mod L. Re-shuffles replace the vector wholesale:
+a replacement is built aside and installed with one assignment. A balancer
+is driven from one thread (the simulator's event loop, or the caller) and
+takes no locks.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import rebalance
@@ -49,9 +49,8 @@ class LogicalPacket:
 class Balancer:
     """Session-aware mapper shared by the master and slave roles.
 
-    Packet mapping and session-table access run under one lock; building a
-    replacement bucket vector happens outside it and only the final swap
-    synchronizes with the mapping path.
+    Not thread-safe: packet mapping, session-table access and vector swaps
+    must all come from one thread.
     """
 
     def __init__(
@@ -70,7 +69,6 @@ class Balancer:
         self.draining: set[ChainId] = set()
         self.counters: dict[ChainId, int] = {}
         self.window_start = 0.0
-        self._lock = threading.Lock()
 
     # -- traffic path ------------------------------------------------------
 
@@ -85,17 +83,16 @@ class Balancer:
         if key is None:
             key = canonical_key(packet.src, packet.dst)
         now = packet.timestamp
-        with self._lock:
-            record = self.table.get(key)
-            if record is not None and record.last_timestamp + self.session_timeout > now:
-                record.last_timestamp = now
-                chain = record.assigned
-            else:
-                if self.buckets is None:
-                    raise NoLiveChains("no bucket vector installed")
-                chain = self.buckets.lookup(key)
-                self.table[key] = SessionRecord(now, chain)
-            self.counters[chain] = self.counters.get(chain, 0) + packet.bytes
+        record = self.table.get(key)
+        if record is not None and record.last_timestamp + self.session_timeout > now:
+            record.last_timestamp = now
+            chain = record.assigned
+        else:
+            if self.buckets is None:
+                raise NoLiveChains("no bucket vector installed")
+            chain = self.buckets.lookup(key)
+            self.table[key] = SessionRecord(now, chain)
+        self.counters[chain] = self.counters.get(chain, 0) + packet.bytes
         return chain
 
     def reconcile(self, key, observed: ChainId, now: float):
@@ -108,13 +105,12 @@ class Balancer:
         """
         if self.role != MASTER:
             raise ValueError("reconcile is a master-side operation")
-        with self._lock:
-            record = self.table.get(key)
-            if record is None:
-                self.table[key] = SessionRecord(now, observed)
-            else:
-                record.assigned = observed
-                record.last_timestamp = now
+        record = self.table.get(key)
+        if record is None:
+            self.table[key] = SessionRecord(now, observed)
+        else:
+            record.assigned = observed
+            record.last_timestamp = now
 
     # -- vector management -------------------------------------------------
 
@@ -124,15 +120,13 @@ class Balancer:
 
     def install(self, vector: BucketVector, drain: ChainId | None = None):
         """Swap in a prebuilt vector; optionally mark one chain as draining."""
-        with self._lock:
-            live = set(vector.chains())
-            self.draining -= live
-            if drain is not None:
-                self.draining.add(drain)
-            self.buckets = vector
+        self.draining.difference_update(vector.chains())
+        if drain is not None:
+            self.draining.add(drain)
+        self.buckets = vector
 
     def apply_allocation(self, alloc, generation: int):
-        """Build and atomically swap in a new bucket vector."""
+        """Build and swap in a new bucket vector."""
         self.install(self.stage_allocation(alloc, generation))
 
     def begin_drain(self, victim: ChainId, alloc=None, generation: int | None = None):
@@ -172,33 +166,30 @@ class Balancer:
 
     def path_active(self, chain: ChainId, now: float) -> bool:
         """True while any session assigned to this chain is still active."""
-        with self._lock:
-            return any(
-                record.assigned == chain
-                and record.last_timestamp + self.session_timeout > now
-                for record in self.table.values()
-            )
+        return any(
+            record.assigned == chain
+            and record.last_timestamp + self.session_timeout > now
+            for record in self.table.values()
+        )
 
     def snapshot_window(self, now: float) -> TrafficWindow:
         """Return the bytes counted since the last snapshot and start anew."""
-        with self._lock:
-            window = TrafficWindow(now - self.window_start, dict(self.counters))
-            self.counters = {}
-            if self.buckets is not None:
-                for chain in self.buckets.chains():
-                    self.counters[chain] = 0
-                    window.bytes.setdefault(chain, 0)
-            self.window_start = now
+        window = TrafficWindow(now - self.window_start, dict(self.counters))
+        self.counters = {}
+        if self.buckets is not None:
+            for chain in self.buckets.chains():
+                self.counters[chain] = 0
+                window.bytes.setdefault(chain, 0)
+        self.window_start = now
         return window
 
     def expire_sessions(self, now: float) -> int:
         """Drop timed-out table entries; mapping behavior is unaffected."""
-        with self._lock:
-            dead = [
-                key
-                for key, record in self.table.items()
-                if record.last_timestamp + self.session_timeout <= now
-            ]
-            for key in dead:
-                del self.table[key]
+        dead = [
+            key
+            for key, record in self.table.items()
+            if record.last_timestamp + self.session_timeout <= now
+        ]
+        for key in dead:
+            del self.table[key]
         return len(dead)

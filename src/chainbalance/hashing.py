@@ -8,13 +8,22 @@ Primitives:
     canonical_key — order the two endpoints of a flow into one key
     hash_key      — FNV-1a over the key bytes, finished with a 64-bit mixer
     build_buckets — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
-    lookup        — slots[hash_key(k) mod L]
+    lookup        — table[index[hash_key(k) mod L]]
+
+Vector layout: `table` holds the live chains sorted by forward tag, `tally`
+their slot counts, and `index` one small int per slot pointing into `table`
+(bytes up to 256 chains, array('H') beyond). Chains, counts and equality
+therefore cost O(chains), never O(L). The shuffle order depends only on
+(seed XOR generation, L), so it is computed once per generation and shared
+by every vector built for it, on the master and the slave alike.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import AllocationMismatch
 
@@ -120,46 +129,60 @@ def hash_key(key: SessionKey) -> int:
     return _fmix64(h)
 
 
-class SplitMix64:
-    """Tiny deterministic generator driving the bucket shuffle."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
-
-
 @dataclass(frozen=True)
 class BucketVector:
-    """Immutable array of chain ids; replaced wholesale, never mutated."""
+    """Immutable bucket vector; replaced wholesale, never mutated.
 
-    slots: tuple[ChainId, ...]
+    Slot k belongs to table[index[k]]. Equality compares the table (one
+    ChainId comparison per chain), the index (in C), seed and generation.
+    """
+
+    table: tuple[ChainId, ...]
+    index: bytes | array = field(hash=False)
+    tally: tuple[int, ...] = field(compare=False)
     seed: int
     generation: int
 
     def __len__(self):
-        return len(self.slots)
+        return len(self.index)
+
+    @property
+    def slots(self) -> tuple[ChainId, ...]:
+        """The chain id of every slot, in slot order."""
+        return tuple(map(self.table.__getitem__, self.index))
 
     def lookup(self, key: SessionKey) -> ChainId:
-        return self.slots[hash_key(key) % len(self.slots)]
+        index = self.index
+        return self.table[index[hash_key(key) % len(index)]]
 
     def chains(self) -> tuple[ChainId, ...]:
         """Distinct chains present, ordered by forward tag."""
-        return tuple(sorted(set(self.slots)))
+        return self.table
 
     def counts(self) -> dict[ChainId, int]:
         """Slot count per chain, ordered by forward tag."""
-        out: dict[ChainId, int] = {}
-        for c in sorted(set(self.slots)):
-            out[c] = 0
-        for c in self.slots:
-            out[c] += 1
-        return out
+        return dict(zip(self.table, self.tally))
+
+
+@lru_cache(maxsize=2)
+def _shuffle_order(state: int, length: int) -> array:
+    """Slot k of the shuffled vector takes pre-shuffle slot order[k].
+
+    Runs the Fisher-Yates swaps of `build_buckets` over slot positions, with
+    SplitMix64 inlined. The master and the slave build each generation's
+    vector from the same (seed XOR generation, L), so the cache lets the
+    second build reuse the first one's order. Every caller gets the same
+    array: read it, never mutate it.
+    """
+    mask = MASK64
+    order = list(range(length))
+    for i in range(length - 1, 0, -1):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        j = (z ^ (z >> 31)) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return array("I", order)
 
 
 def build_buckets(
@@ -185,16 +208,22 @@ def build_buckets(
     if len(set(ids)) != len(ids):
         raise AllocationMismatch("duplicate chain in allocation")
 
-    slots: list[ChainId] = []
+    # slots are filled in allocation order, each holding its chain's position
+    # in the sorted table; zero-count chains take no slot and no table entry
+    table = tuple(sorted(chain for chain, count in alloc if count))
+    position = {chain: i for i, chain in enumerate(table)}
+    tally = [0] * len(table)
+    filled: list[int] = []
     for chain, count in alloc:
-        slots.extend([chain] * count)
+        if count:
+            i = position[chain]
+            tally[i] = count
+            filled.extend([i] * count)
 
-    rng = SplitMix64(params.seed ^ (generation & MASK64))
-    for i in range(len(slots) - 1, 0, -1):
-        j = rng.next() % (i + 1)
-        slots[i], slots[j] = slots[j], slots[i]
-
-    return BucketVector(tuple(slots), params.seed, generation)
+    order = _shuffle_order((params.seed ^ generation) & MASK64, params.bucket_count)
+    gathered = map(filled.__getitem__, order)
+    index = bytes(gathered) if len(table) <= 256 else array("H", gathered)
+    return BucketVector(table, index, tuple(tally), params.seed, generation)
 
 
 def lookup(vector: BucketVector, key: SessionKey) -> ChainId:

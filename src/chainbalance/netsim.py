@@ -262,7 +262,7 @@ class NfInstance:
 
     def handle(self, frame: Frame, port: int, now: float):
         if frame.tags:
-            self.sim.violation("tagged packet reached an NF", frame, now)
+            self.sim.violation("tagged packet reached an NF", frame.session_id, now)
         out_port = 2 if port == 1 else 1
         if self.mode == "passthrough":
             self._forward(frame, out_port, now)
@@ -326,7 +326,7 @@ class HostNode:
 
     def handle(self, frame: Frame, port: int, now: float):
         if frame.tags:
-            self.sim.violation("tagged packet delivered to a host", frame, now)
+            self.sim.violation("tagged packet delivered to a host", frame.session_id, now)
         self.sim.delivered(frame, now)
 
 
@@ -566,10 +566,11 @@ class NetSim:
         if kind == "anomaly":
             self.anomalies.append(record)
 
-    def violation(self, what: str, frame: Frame, now: float):
+    def violation(self, what: str, session_id: int, now: float):
+        """Record an invariant violation; session -1 means no session."""
         record = {
             "t": round(now, 6), "event": "anomaly", "reason": what,
-            "session": frame.session_id,
+            "session": session_id,
         }
         self.events.append(record)
         self.anomalies.append(record)
@@ -610,7 +611,7 @@ class NetSim:
                     first_seen=now, master_chain=None, slave_chain=chain
                 )
         if chain in self.reclaims and now > self.reclaims[chain]:
-            self.violation(f"session mapped to reclaimed chain {chain}", frame, now)
+            self.violation(f"session mapped to reclaimed chain {chain}", frame.session_id, now)
 
     def note_reconcile(self, frame: Frame, old: ChainId, new: ChainId, now: float):
         trace = self.sessions.get(frame.session_id)
@@ -629,7 +630,7 @@ class NetSim:
         if trace is not None:
             trace.nf_chains.add(chain)
         if chain in self.reclaims and now > self.reclaims[chain]:
-            self.violation(f"packet crossed reclaimed chain {chain}", frame, now)
+            self.violation(f"packet crossed reclaimed chain {chain}", frame.session_id, now)
 
     def _on_commit(self, generation, alloc, drain):
         record = {
@@ -738,8 +739,7 @@ class NetSim:
         now = self.loop.now
         ok = reply.payload.get("ok", False)
         if not ok:
-            self.violation(f"action {action.op} failed: {reply.payload.get('error')}",
-                           Frame(None, None, 0, -1, False), now)
+            self.violation(f"action {action.op} failed: {reply.payload.get('error')}", -1, now)
             return
         master_v = self.master_agent.balancer.buckets
         slave_v = self.slave_agent.balancer.buckets

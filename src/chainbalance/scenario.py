@@ -12,6 +12,7 @@ from pathlib import Path
 
 import yaml
 
+from .control import DEFAULT_BARRIER_TIMEOUT
 from .errors import ParseError, ValidationError
 from .hashing import ChainId
 from .traffic import TrafficProfile
@@ -180,6 +181,15 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
                 f"action time {action.at} outside [0, horizon)", location=f"{name}.actions[{i}]"
             )
 
+    control_latency = _positive(obj, "control_latency", 0.001, name)
+    if 2 * control_latency >= DEFAULT_BARRIER_TIMEOUT:
+        # the prepare round trip would never beat the master's barrier timer
+        raise ValidationError(
+            f"field 'control_latency' must be below {DEFAULT_BARRIER_TIMEOUT / 2} s "
+            f"(half the barrier timeout), got {control_latency}",
+            location=name,
+        )
+
     return Scenario(
         name=name,
         seed=int(obj.get("seed", 1)),
@@ -195,7 +205,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         nf_queue_limit=int(nf.get("queue_limit", 0)),
         horizon=horizon,
         link_latency=_positive(obj, "link_latency", 0.001, name),
-        control_latency=_positive(obj, "control_latency", 0.001, name),
+        control_latency=control_latency,
         poll_interval=_positive(obj, "poll_interval", 0.25, name),
     )
 

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from chainbalance.balancer import Balancer, LogicalPacket
+from chainbalance.control import alloc_from_wire, alloc_to_wire
 from chainbalance.errors import NoLiveChains, UnknownChain
 from chainbalance.hashing import ChainId, Endpoint, HashParams, canonical_key
 
@@ -281,3 +283,31 @@ def test_master_slave_agreement_static():
         fwd = packet(sport, t=1.0)
         rev = packet(sport, t=1.001, reverse=True)
         assert master.map_packet(fwd) == slave.map_packet(rev)
+
+
+def test_vector_reads_cost_chain_comparisons_not_slot_comparisons(monkeypatch):
+    # work counter, not wall time: with L=65536 installed, the commit path's
+    # vector reads make O(chains) ChainId hash/eq calls; a slot scan makes 65536+
+    params = HashParams(seed=5, bucket_count=65536)
+    alloc = [(C1, 20000), (C2, 25536), (C3, 20000)]
+    master, slave = Balancer("master", params), Balancer("slave", params)
+    master_v = master.stage_allocation(alloc, generation=1)
+    slave_v = slave.stage_allocation(alloc_from_wire(alloc_to_wire(alloc)), generation=1)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ChainId, "__hash__", counted("hash", ChainId.__hash__))
+    monkeypatch.setattr(ChainId, "__eq__", counted("eq", ChainId.__eq__))
+    master.install(master_v)
+    slave.install(slave_v)
+    for b in (master, slave):
+        b.snapshot_window(1.0)
+        b.current_profile()
+    assert master.buckets == slave.buckets
+    assert calls["eq"] > 0 and calls["hash"] > 0
+    assert calls["hash"] + calls["eq"] <= 1000

@@ -154,6 +154,20 @@ def test_run_rejects_non_positive_period(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0.5", "0.75"])
+def test_run_rejects_control_latency_at_barrier_timeout(tmp_path, capsys, value):
+    # a prepare round trip of 2 x latency >= the barrier timeout always aborts
+    scn = write(tmp_path, MINIMAL + f"control_latency: {value}\n")
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert "control_latency" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_accepts_control_latency_below_half_barrier_timeout(tmp_path):
+    scn = parse_scenario(write(tmp_path, MINIMAL + "control_latency: 0.49\n"))
+    assert scn.control_latency == 0.49
+
+
 def test_module_entry_point_runs_cli():
     src = str(Path(chainbalance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

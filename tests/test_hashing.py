@@ -1,7 +1,12 @@
+import dataclasses
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainbalance.control import alloc_from_wire, alloc_to_wire
 from chainbalance.errors import AllocationMismatch
 from chainbalance.hashing import (
     ChainId,
@@ -185,3 +190,84 @@ def test_counts_and_chains():
     vector = build_buckets([(C2, 4), (C1, 6)], params, generation=0)
     assert vector.counts() == {C1: 6, C2: 4}
     assert vector.chains() == (C1, C2)
+
+
+# -- properties of the compact vector against a slot-by-slot scan
+
+
+@st.composite
+def allocations(draw, max_chains=12, max_length=4096):
+    """(alloc, L): distinct chains in any order, some possibly at zero slots."""
+    length = draw(st.integers(1, max_length))
+    tags = draw(st.lists(st.integers(1, 2046), min_size=1, max_size=max_chains, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, length), min_size=len(tags) - 1,
+                                max_size=len(tags) - 1)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [length])]
+    return [(ChainId(2 * t, 2 * t + 1), n) for t, n in zip(tags, counts)], length
+
+
+seeds = st.integers(0, 0xFFFF_FFFF_FFFF_FFFF)
+generations = st.integers(0, 2**32)
+
+
+def expanded(alloc):
+    return [chain for chain, count in alloc for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(allocations(), seeds, generations)
+def test_build_matches_reference_shuffle_property(case, seed, generation):
+    alloc, length = case
+    vector = build_buckets(alloc, HashParams(seed, length), generation)
+    assert list(vector.slots) == reference_shuffle(expanded(alloc), seed, generation)
+    assert len(vector) == length
+
+
+@settings(deadline=None, max_examples=60)
+@given(allocations(), seeds, generations)
+def test_chains_and_counts_match_slot_scan(case, seed, generation):
+    alloc, length = case
+    vector = build_buckets(alloc, HashParams(seed, length), generation)
+    present = sorted(set(vector.slots))
+    assert vector.chains() == tuple(present)
+    assert list(vector.counts().items()) == [(c, vector.slots.count(c)) for c in present]
+
+
+@settings(deadline=None, max_examples=60)
+@given(allocations(), seeds, generations, st.data())
+def test_vector_equality_is_by_value(case, seed, generation, data):
+    alloc, length = case
+    params = HashParams(seed, length)
+    vector = build_buckets(alloc, params, generation)
+    # the slave's chains are equal but distinct objects, decoded off the wire
+    copy = build_buckets(alloc_from_wire(alloc_to_wire(alloc)), params, generation)
+    assert copy.chains()[0] is not vector.chains()[0]
+    assert copy == vector and not copy != vector
+    assert build_buckets(alloc, params, generation + 1) != vector
+    if len(vector.chains()) > 1:
+        slot = data.draw(st.integers(0, length - 1))
+        index = bytearray(vector.index)
+        index[slot] = (index[slot] + 1) % len(vector.chains())
+        changed = dataclasses.replace(vector, index=bytes(index))
+        assert changed != vector
+        assert sum(a != b for a, b in zip(changed.slots, vector.slots)) == 1
+
+
+def test_build_with_300_chains_matches_reference():
+    chains = [ChainId(2 + 2 * i, 3 + 2 * i) for i in range(300)]
+    rng = random.Random(300)
+    # every tenth chain gets no slot: 270 live chains, more than a byte indexes
+    counts = [0 if i % 10 == 0 else rng.randrange(1, 20) for i in range(300)]
+    counts[1] += 4096 - sum(counts)
+    alloc = list(zip(chains, counts))
+    rng.shuffle(alloc)
+    params = HashParams(seed=99, bucket_count=4096)
+    vector = build_buckets(alloc, params, generation=7)
+    assert list(vector.slots) == reference_shuffle(expanded(alloc), 99, 7)
+    live = sorted(c for c, n in alloc if n)
+    assert len(live) == 270 and vector.chains() == tuple(live)
+    assert vector.counts() == {c: n for c, n in sorted(alloc) if n}
+    assert build_buckets(alloc_from_wire(alloc_to_wire(alloc)), params, 7) == vector
+    index = array("H", vector.index)
+    index[0] = (index[0] + 1) % len(live)
+    assert dataclasses.replace(vector, index=index) != vector

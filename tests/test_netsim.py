@@ -138,7 +138,7 @@ class _StubSim:
     def drop(self, f, reason, where, now):
         self.drops.append((now, reason))
 
-    def violation(self, what, f, now):
+    def violation(self, what, session_id, now):
         raise AssertionError(what)
 
 
@@ -438,6 +438,16 @@ def test_unknown_tag_from_master_drops_at_edge_switch():
     assert [e["reason"] for e in result.anomalies] == [reason]
     assert result.dropped_bytes == stray.size
     assert result.leftover_bytes == 0
+
+
+def test_failed_action_records_sessionless_anomaly():
+    scenario = small_scenario(chains=(C1,), actions=(Action(at=1.0, op="remove", pair=C1),),
+                              horizon=3.0)
+    result = netsim.run(scenario)
+    failures = [e for e in result.anomalies if e["reason"].startswith("action remove failed")]
+    assert len(failures) == 1
+    assert list(failures[0]) == ["t", "event", "reason", "session"]
+    assert failures[0]["event"] == "anomaly" and failures[0]["session"] == -1
 
 
 def test_static_1_event_count_gate():

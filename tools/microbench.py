@@ -1,0 +1,105 @@
+"""Per-call micro-timings of the balancer and bucket-vector layers.
+
+    python3 tools/microbench.py [--src DIR] [--repeat N]
+
+Prints one JSON object of best-of-N timings:
+
+- ``map_packet_hit_us`` / ``map_packet_miss_us``: one ``Balancer.map_packet``
+  call for a session already in the table / a new session (L=1024). The
+  packets carry their canonical key, as the simulator's balancer nodes pass it.
+- ``build_buckets_ms[L]``: one ``build_buckets`` call for a 3-chain allocation
+  at a generation not built before, and ``build_buckets_again_ms[L]`` for a
+  second build of the same generation, as the slave does after the master.
+
+``--src`` imports chainbalance from another checkout's ``src`` directory, so
+two versions can be timed by the same script on the same host. Wall-clock
+figures are noisy; compare runs made back to back, never gate on them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import itertools
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seconds(fn):
+    """Wall time of one call of fn()."""
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding chainbalance")
+    parser.add_argument("--repeat", type=int, default=7, help="timed repetitions per figure")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from chainbalance.balancer import Balancer, LogicalPacket
+    from chainbalance.hashing import ChainId, Endpoint, HashParams, build_buckets, canonical_key
+
+    chains = [ChainId(2, 3), ChainId(4, 5), ChainId(6, 7)]
+    server = Endpoint.parse("10.9.9.9", 80)
+    calls = 20_000
+    packets = []
+    for i in range(calls):
+        client = Endpoint(bytes((10, 0, i >> 8 & 0xFF, i & 0xFF)), 1024 + i % 60_000)
+        packets.append(LogicalPacket(client, server, 100, 1.0, canonical_key(client, server)))
+
+    def balancer():
+        params = HashParams(seed=7, bucket_count=1024)
+        b = Balancer("master", params, session_timeout=60.0)
+        b.apply_allocation([(chains[0], 342), (chains[1], 341), (chains[2], 341)], 0)
+        return b
+
+    warm = balancer()
+    for p in packets:
+        warm.map_packet(p)
+
+    def hits():
+        for p in packets:
+            warm.map_packet(p)
+
+    fresh = []
+
+    def misses():
+        b = fresh.pop()
+        for p in packets:
+            b.map_packet(p)
+
+    hit_s = min(seconds(hits) for _ in range(args.repeat))
+    fresh.extend(balancer() for _ in range(args.repeat))
+    miss_s = min(seconds(misses) for _ in range(args.repeat))
+
+    out = {
+        "python": sys.version.split()[0],
+        "map_packet_hit_us": round(1e6 * hit_s / calls, 3),
+        "map_packet_miss_us": round(1e6 * miss_s / calls, 3),
+        "build_buckets_ms": {},
+        "build_buckets_again_ms": {},
+    }
+    generation = itertools.count(1)
+    for length in (1024, 65536):
+        params = HashParams(seed=11, bucket_count=length)
+        third = length // 3
+        alloc = [(chains[0], third), (chains[1], length - 2 * third), (chains[2], third)]
+        first, again = [], []
+        for _ in range(args.repeat):
+            build = functools.partial(build_buckets, alloc, params, next(generation))
+            first.append(seconds(build))
+            again.append(seconds(build))
+        out["build_buckets_ms"][length] = round(1e3 * min(first), 3)
+        out["build_buckets_again_ms"][length] = round(1e3 * min(again), 3)
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
