@@ -1,7 +1,8 @@
 """Connection-affine load balancing for horizontally scaled NF chains."""
 
 from .balancer import Balancer, LogicalPacket
-from .control import ClusterConfig, InstantTransport, ManagementSystem, MasterAgent, SlaveAgent
+from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
+from .engine import EventLoop
 from .hashing import BucketVector, ChainId, Endpoint, HashParams, SessionKey, canonical_key
 from .rebalance import TrafficWindow, WeightProfile
 
@@ -11,14 +12,15 @@ __all__ = [
     "ChainId",
     "ClusterConfig",
     "Endpoint",
+    "EventLoop",
     "HashParams",
-    "InstantTransport",
     "LogicalPacket",
     "ManagementSystem",
     "MasterAgent",
     "SessionKey",
     "SlaveAgent",
     "TrafficWindow",
+    "Transport",
     "WeightProfile",
     "canonical_key",
 ]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rebalance
-from .errors import NoLiveChains, UnknownChain
+from .errors import NoLiveChains
 from .hashing import BucketVector, ChainId, Endpoint, HashParams, build_buckets, canonical_key
 from .rebalance import TrafficWindow, WeightProfile
 
@@ -128,26 +127,6 @@ class Balancer:
     def apply_allocation(self, alloc, generation: int):
         """Build and swap in a new bucket vector."""
         self.install(self.stage_allocation(alloc, generation))
-
-    def begin_drain(self, victim: ChainId, alloc=None, generation: int | None = None):
-        """Stop assigning new sessions to victim; old ones keep using it.
-
-        When no coordinated allocation is supplied, the replacement vector
-        is computed locally from the current slot proportions and the bytes
-        seen so far in the current window.
-        """
-        if self.buckets is None or victim not in self.buckets.chains():
-            raise UnknownChain(f"chain {victim} is not live")
-        if generation is None:
-            generation = self.buckets.generation + 1
-        if alloc is None:
-            profile = self.current_profile()
-            window = TrafficWindow(
-                0.0, {c: max(self.counters.get(c, 0), 1) for c in profile.probs}
-            )
-            survivors = rebalance.remove_chain(profile, window, victim)
-            alloc = rebalance.allocate_buckets(survivors, self.params.bucket_count)
-        self.install(self.stage_allocation(alloc, generation), drain=victim)
 
     def current_profile(self) -> WeightProfile:
         """Probabilities currently encoded in the bucket vector."""

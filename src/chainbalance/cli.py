@@ -20,6 +20,13 @@ from .netsim import RunResult, measure_convergence, measure_drain
 from .scenario import Scenario, parse_scenario
 
 REPLICATE_SEEDS = (1, 2, 3, 4, 5)
+# acceptance thresholds, shared by `_aggregate` and the acceptance tests
+CRITERIA = {
+    "share_deviation": 0.02,  # |mean share - 1/N|: static balance, drain survivors
+    "convergence_s": 7.0,  # warm-up: every live chain inside the band
+    "drain_s": 7.0,  # cool-down: the removed chain carries no more bytes
+    "wall_s": 30.0,  # one desk-scale run, wall clock
+}
 STEADY_INTERVAL = (5.0, 14.0)  # covers the bulk of a static desk-scale run
 SCENARIO_ORDER = (
     "static-1",
@@ -204,7 +211,7 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
     if name.startswith("static"):
         target = 1.0 / n_chains
         summary["balance_ok"] = all(
-            abs(share - target) <= 0.02 for share in mean_steady.values()
+            abs(share - target) <= CRITERIA["share_deviation"] for share in mean_steady.values()
         )
     if name.startswith("warmup") or name.startswith("combined-add"):
         convs = [
@@ -213,7 +220,9 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
             for tr in r["transitions"]
         ]
         summary["convergence_s"] = convs
-        summary["convergence_ok"] = all(c is not None and c <= 7.0 for c in convs)
+        summary["convergence_ok"] = all(
+            c is not None and c <= CRITERIA["convergence_s"] for c in convs
+        )
     if name.startswith("cooldown") or name.startswith("combined-remove"):
         drains = [
             tr.get("drained_after_s")
@@ -222,7 +231,7 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
             if tr["kind"] == "remove"
         ]
         summary["drain_s"] = drains
-        summary["drain_ok"] = all(d is not None and d <= 7.0 for d in drains)
+        summary["drain_ok"] = all(d is not None and d <= CRITERIA["drain_s"] for d in drains)
         summary["reclaim_ok"] = all(
             tr.get("reclaim_within_timeout", False)
             for r in reports
@@ -240,7 +249,7 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
             tags = shares_list[0].keys()
             for tag in tags:
                 mean = sum(s[tag] for s in shares_list) / len(shares_list)
-                if abs(mean - 1.0 / len(tags)) > 0.02:
+                if abs(mean - 1.0 / len(tags)) > CRITERIA["share_deviation"]:
                     survivor_even = False
         summary["survivors_even_ok"] = survivor_even
     return summary

@@ -9,10 +9,12 @@ mapping traffic with it (commit). A prepare that times out is rolled back
 and the previous generation stays in force.
 
 Messages travel over a reliable in-order transport as length-prefixed JSON;
-see ``encode_message`` for the wire layout. The in-process transport used by
-tests delivers synchronously, so MS calls return their results directly; the
-simulator swaps in a latency-delayed transport and the same state machines
-run event-driven.
+see ``encode_message`` for the wire layout. The transport delivers each
+message a fixed latency later on an ``EventLoop``, which also runs the
+master's barrier timers, so the whole control plane is event-driven: MS
+calls return nothing and report through their ``on_done`` callback once the
+loop has run. A latency of 0 delivers at the current time, after what is
+already queued there.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass, field
 
 from . import rebalance
 from .balancer import Balancer
+from .engine import EventLoop
 from .errors import (
-    BarrierTimeout,
     ChainBalanceError,
-    ConfigMismatch,
     DuplicateTags,
     LastChain,
     SlaveUnreachable,
@@ -52,15 +53,6 @@ KIND_ACK = "ack"
 PHASE_PREPARE = "prepare"
 PHASE_COMMIT = "commit"
 PHASE_ABORT = "abort"
-
-_ERROR_TYPES = {
-    "DuplicateTags": DuplicateTags,
-    "UnknownChain": UnknownChain,
-    "LastChain": LastChain,
-    "ConfigMismatch": ConfigMismatch,
-    "SlaveUnreachable": SlaveUnreachable,
-    "BarrierTimeout": BarrierTimeout,
-}
 
 
 # -- wire format -------------------------------------------------------------
@@ -139,9 +131,15 @@ def window_from_wire(obj) -> TrafficWindow:
 
 
 class Transport:
-    """Reliable in-order delivery between named control endpoints."""
+    """Reliable in-order delivery between named control endpoints.
 
-    def __init__(self):
+    Every message round-trips the wire codec and reaches its endpoint
+    `latency` seconds later through the event loop.
+    """
+
+    def __init__(self, loop: EventLoop, latency: float):
+        self.loop = loop
+        self.latency = latency
         self.nodes: dict[str, object] = {}
         self.trace: list[tuple] = []
 
@@ -149,43 +147,11 @@ class Transport:
         self.nodes[name] = node
 
     def send(self, src: str, dst: str, msg: ControlMessage):
-        raise NotImplementedError
-
-    def _record(self, src, dst, msg):
-        self.trace.append((src, dst, msg.kind, msg.req_id, msg.reply_to))
-
-
-class InstantTransport(Transport):
-    """Synchronous delivery; every message still round-trips the wire codec."""
-
-    def send(self, src, dst, msg):
         if dst not in self.nodes:
             raise SlaveUnreachable(f"no endpoint named {dst!r}")
-        self._record(src, dst, msg)
-        decoded, rest = decode_message(encode_message(msg))
-        assert not rest
-        self.nodes[dst].deliver(decoded)
-
-
-class ManualScheduler:
-    """Timeout scheduler for direct library use; fires only when told to."""
-
-    def __init__(self):
-        self.pending: list[list] = []
-
-    def call_later(self, delay: float, fn):
-        entry = [delay, fn, False]
-        self.pending.append(entry)
-        return entry
-
-    def cancel(self, entry):
-        entry[2] = True
-
-    def fire_all(self):
-        due, self.pending = self.pending, []
-        for _, fn, cancelled in due:
-            if not cancelled:
-                fn()
+        self.trace.append((src, dst, msg.kind, msg.req_id, msg.reply_to))
+        decoded, _ = decode_message(encode_message(msg))
+        self.loop.schedule(self.loop.now + self.latency, self.nodes[dst].deliver, decoded)
 
 
 # -- configuration -----------------------------------------------------------
@@ -319,8 +285,12 @@ class SlaveAgent(_Endpoint):
 
     def _on_handshake(self, msg):
         cfg = ClusterConfig.from_wire(msg.payload["config"])
-        if self.config is not None and self.config != cfg:
-            self.ack(msg, ok=False, error="ConfigMismatch")
+        if self.config is not None:
+            # a repeat with the same config changes nothing
+            if self.config == cfg:
+                self.ack(msg, generation=self.committed[-1])
+            else:
+                self.ack(msg, ok=False, error="ConfigMismatch")
             return
         self.config = cfg
         self.balancer = Balancer("slave", cfg.hash_params(), cfg.session_timeout)
@@ -376,21 +346,13 @@ class MasterAgent(_Endpoint):
     """Master balancer control plane: owns allocation decisions.
 
     Requests from the MS are serialized through a FIFO so that window
-    snapshots and generation numbers are well ordered. Calls toward the
-    slave behave synchronously: each op waits for the slave's reply (or a
-    timeout) before advancing.
+    snapshots and generation numbers are well ordered: an op starts only
+    when the previous one has its slave reply, or has hit the barrier
+    timeout, which runs on the transport's event loop.
     """
 
-    def __init__(
-        self,
-        name: str,
-        transport: Transport,
-        scheduler=None,
-        barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    ):
+    def __init__(self, name: str, transport: Transport):
         super().__init__(name, transport)
-        self.scheduler = scheduler if scheduler is not None else ManualScheduler()
-        self.barrier_timeout = barrier_timeout
         self.balancer: Balancer | None = None
         self.config: ClusterConfig | None = None
         self.slave_name: str | None = None
@@ -427,17 +389,22 @@ class MasterAgent(_Endpoint):
         except ValueError as exc:
             self.ack(msg, ok=False, error=f"ConfigMismatch: {exc}")
             return
+        if self.config is not None and self.config != cfg:
+            self.ack(msg, ok=False, error="ConfigMismatch")
+            return
         self.slave_name = msg.payload["slave"]
 
         def _slave_done(reply):
             if not reply.payload["ok"]:
                 self.ack(msg, ok=False, error=reply.payload["error"])
                 return
-            self.config = cfg
-            self.balancer = Balancer("master", cfg.hash_params(), cfg.session_timeout)
-            self.balancer.apply_allocation(cfg.initial_allocation(), generation=0)
-            self.committed = [0]
-            self.ack(msg, generation=0)
+            # a repeat with the same config keeps the balancer as it is
+            if self.config is None:
+                self.config = cfg
+                self.balancer = Balancer("master", cfg.hash_params(), cfg.session_timeout)
+                self.balancer.apply_allocation(cfg.initial_allocation(), generation=0)
+                self.committed = [0]
+            self.ack(msg, generation=self.committed[-1])
 
         try:
             self.request(
@@ -522,8 +489,8 @@ class MasterAgent(_Endpoint):
             "alloc": alloc_to_wire(alloc),
             "drain": chain_to_wire(drain) if drain else None,
         }
-        op.timer = self.scheduler.call_later(
-            self.barrier_timeout, lambda: self._on_barrier_timeout(op)
+        op.timer = self.transport.loop.call_later(
+            DEFAULT_BARRIER_TIMEOUT, lambda: self._on_barrier_timeout(op)
         )
         self.request(
             self.slave_name,
@@ -535,7 +502,7 @@ class MasterAgent(_Endpoint):
     def _on_prepared(self, op, reply):
         if op is not self._current:
             return  # timed out and rolled back before the ack arrived
-        self.scheduler.cancel(op.timer)
+        self.transport.loop.cancel(op.timer)
         if not reply.payload["ok"]:
             self._finish(op, ok=False, error=reply.payload["error"])
             return
@@ -595,9 +562,12 @@ class MasterAgent(_Endpoint):
 class ManagementSystem(_Endpoint):
     """Scenario-facing orchestrator; one per master/slave pair.
 
-    With a synchronous transport every method returns its result; with a
-    delayed transport the optional callback fires on completion instead and
-    the method returns None.
+    Every method returns None; its result reaches `on_done` once the event
+    loop has delivered the replies. Operations report their ack message,
+    whose payload carries `ok`, and on failure an `error` that starts with
+    the error's name (for example ``"DuplicateTags: ..."``). Errors in the
+    caller's own arguments raise at once: an invalid config, or a chain that
+    was never announced.
     """
 
     def __init__(self, name: str, transport: Transport, master: str, slave: str):
@@ -606,92 +576,66 @@ class ManagementSystem(_Endpoint):
         self.slave = slave
         self.known: set[ChainId] = set()
 
-    def _call(self, dst, kind, payload, on_done):
-        outcome = {}
+    def handshake(self, cfg: ClusterConfig, on_done):
+        """Configure both balancers and build their generation-0 vectors.
 
-        def _done(reply):
-            outcome["reply"] = reply
-            if on_done is not None:
-                on_done(reply)
-
-        self.request(dst, kind, payload, _done)
-        return outcome.get("reply")
-
-    @staticmethod
-    def _check_ack(reply):
-        if reply is None:
-            return None
-        if reply.kind == KIND_ACK and not reply.payload["ok"]:
-            text = reply.payload["error"]
-            name = text.split(":", 1)[0]
-            raise _ERROR_TYPES.get(name, ChainBalanceError)(text)
-        return reply
-
-    def handshake(self, cfg: ClusterConfig, on_done=None):
-        """Configure both balancers and build their generation-0 vectors."""
+        Repeating it with the same config changes nothing and acks the
+        current generation; a different config is refused.
+        """
         cfg.validate()
         self.known |= set(cfg.chains)
-        reply = self._call(
+        self.request(
             self.master,
             KIND_HANDSHAKE,
             {"config": cfg.to_wire(), "slave": self.slave},
             on_done,
         )
-        return self._check_ack(reply)
 
-    def add_chain(self, pair: ChainId, now: float, on_done=None):
+    def add_chain(self, pair: ChainId, now: float, on_done):
         """Bring a new chain into rotation at probability 1/(N+1)."""
         self.known.add(pair)
-        reply = self._call(
-            self.master,
-            KIND_ADD_CHAIN,
-            {"pair": chain_to_wire(pair), "now": now},
-            on_done,
+        self.request(
+            self.master, KIND_ADD_CHAIN, {"pair": chain_to_wire(pair), "now": now}, on_done
         )
-        return self._check_ack(reply)
 
-    def remove_chain(self, pair: ChainId, now: float, on_done=None):
+    def remove_chain(self, pair: ChainId, now: float, on_done):
         """Start the cool-down for a chain; poll path_active to reclaim it."""
         if pair not in self.known:
             raise UnknownChain(f"chain {pair} was never announced")
-        reply = self._call(
-            self.master,
-            KIND_REMOVE_CHAIN,
-            {"pair": chain_to_wire(pair), "now": now},
-            on_done,
+        self.request(
+            self.master, KIND_REMOVE_CHAIN, {"pair": chain_to_wire(pair), "now": now}, on_done
         )
-        return self._check_ack(reply)
 
-    def request_rebalance(self, now: float, on_done=None):
+    def request_rebalance(self, now: float, on_done):
         """Ask the master to re-even the split using the latest window."""
-        reply = self._call(self.master, KIND_REBALANCE, {"now": now}, on_done)
-        return self._check_ack(reply)
+        self.request(self.master, KIND_REBALANCE, {"now": now}, on_done)
 
-    def poll_stats(self, now: float, on_done=None) -> TrafficWindow | None:
-        """Merged per-chain byte counts from both balancers since last poll."""
-        done = None
-        if on_done is not None:
-            done = lambda reply: on_done(window_from_wire(reply.payload["window"]))
-        reply = self._call(self.master, KIND_STATS_REQUEST, {"now": now}, done)
-        if reply is None:
-            return None
-        self._check_ack(reply)
-        return window_from_wire(reply.payload["window"])
+    def poll_stats(self, now: float, on_done):
+        """Merged per-chain byte counts from both balancers since last poll.
 
-    def poll_path_active(self, pair: ChainId, now: float, on_done=None) -> bool | None:
-        """OR of both balancers' views of whether the pair still has sessions."""
+        `on_done` receives the merged TrafficWindow.
+        """
+        self.request(
+            self.master,
+            KIND_STATS_REQUEST,
+            {"now": now},
+            lambda reply: on_done(window_from_wire(reply.payload["window"])),
+        )
+
+    def poll_path_active(self, pair: ChainId, now: float, on_done):
+        """OR of both balancers' views of whether the pair still has sessions.
+
+        `on_done` receives one bool, after both balancers have answered.
+        """
         if pair not in self.known:
             raise UnknownChain(f"chain {pair} was never announced")
         payload = {"pair": chain_to_wire(pair), "now": now}
-        state = {}
+        answers = []
 
         def _collect(reply):
-            state.setdefault("answers", []).append(reply.payload["active"])
-            if len(state["answers"]) == 2:
-                state["result"] = any(state["answers"])
-                if on_done is not None:
-                    on_done(state["result"])
+            answers.append(reply.payload["active"])
+            if len(answers) == 2:
+                on_done(any(answers))
 
         self.request(self.master, KIND_PATH_ACTIVE_REQUEST, payload, _collect)
         self.request(self.slave, KIND_PATH_ACTIVE_REQUEST, payload, _collect)
-        return state.get("result")

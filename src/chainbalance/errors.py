@@ -37,16 +37,8 @@ class SlaveUnreachable(ChainBalanceError):
     """Control channel to the slave balancer is not available."""
 
 
-class ConfigMismatch(ChainBalanceError):
-    """Master and slave disagree on the cluster configuration."""
-
-
 class DuplicateTags(ChainBalanceError):
     """A tag of the new chain is already in use."""
-
-
-class BarrierTimeout(ChainBalanceError):
-    """The slave did not acknowledge an allocation in time; rolled back."""
 
 
 class EmptyTagStack(ChainBalanceError):

@@ -225,7 +225,3 @@ def build_buckets(
     index = bytes(gathered) if len(table) <= 256 else array("H", gathered)
     return BucketVector(table, index, tuple(tally), params.seed, generation)
 
-
-def lookup(vector: BucketVector, key: SessionKey) -> ChainId:
-    """Chain serving this session under the given vector."""
-    return vector.lookup(key)

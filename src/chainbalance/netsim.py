@@ -21,81 +21,23 @@ crossed, in order, so timestamps keep their float bits. Among events with the
 same timestamp, a frame's arrival at a stateful node is ordered by when it
 left the previous stateful node.
 
-The event loop is single threaded; all randomness lives in the traffic
+The event loop (`engine.EventLoop`) is single threaded; all randomness lives in the traffic
 generator, so a (scenario, seed) pair always produces the same run.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .balancer import LogicalPacket
-from .control import (
-    ClusterConfig,
-    ManagementSystem,
-    MasterAgent,
-    SlaveAgent,
-    Transport,
-    decode_message,
-    encode_message,
-)
-from .errors import EmptyTagStack, NeverConverged, NoRoute, SlaveUnreachable
+from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
+from .engine import EventLoop
+from .errors import EmptyTagStack, NeverConverged, NoRoute
 from .hashing import ChainId, Endpoint, canonical_key
 from .scenario import Scenario
 from .traffic import generate_traffic
-
-# -- event loop ---------------------------------------------------------------
-
-
-class EventLoop:
-    """Time-ordered callback queue; doubles as the control-plane scheduler."""
-
-    def __init__(self):
-        self.now = 0.0
-        self._heap = []
-        self._seq = 0
-
-    def schedule(self, at: float, fn, *args):
-        entry = [at, self._seq, fn, args, False]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def call_later(self, delay: float, fn):
-        return self.schedule(self.now + delay, fn)
-
-    def cancel(self, entry):
-        entry[4] = True
-
-    def run(self, until: float | None = None):
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            at, _, fn, args, cancelled = heapq.heappop(self._heap)
-            if cancelled:
-                continue
-            self.now = max(self.now, at)
-            fn(*args)
-
-
-class LatencyTransport(Transport):
-    """Control messages delivered through the event loop after a fixed delay."""
-
-    def __init__(self, loop: EventLoop, latency: float):
-        super().__init__()
-        self.loop = loop
-        self.latency = latency
-
-    def send(self, src, dst, msg):
-        if dst not in self.nodes:
-            raise SlaveUnreachable(f"no endpoint named {dst!r}")
-        self._record(src, dst, msg)
-        decoded, _ = decode_message(encode_message(msg))
-        self.loop.schedule(self.loop.now + self.latency, self.nodes[dst].deliver, decoded)
-
 
 # -- packets and tag handling ---------------------------------------------------
 
@@ -453,9 +395,9 @@ class NetSim:
 
     def _build_control(self):
         s = self.scenario
-        self.transport = LatencyTransport(self.loop, s.control_latency)
+        self.transport = Transport(self.loop, s.control_latency)
         self.slave_agent = SlaveAgent("slave", self.transport)
-        self.master_agent = MasterAgent("master", self.transport, scheduler=self.loop)
+        self.master_agent = MasterAgent("master", self.transport)
         self.ms = ManagementSystem("ms", self.transport, "master", "slave")
         self.master_agent.on_commit = self._on_commit
 

@@ -5,6 +5,7 @@ per criterion. The simulation-backed criteria share a run cache, so the
 whole suite costs about two dozen desk-scale runs (a few minutes).
 """
 
+import hashlib
 import math
 import random
 import time
@@ -13,9 +14,15 @@ import pytest
 
 from chainbalance import netsim
 from chainbalance.balancer import LogicalPacket
-from chainbalance.cli import bundled_scenario, build_report, write_outputs
-from chainbalance.control import InstantTransport, ManagementSystem, MasterAgent, SlaveAgent
-from chainbalance.control import ClusterConfig
+from chainbalance.cli import CRITERIA, bundled_scenario, build_report, write_outputs
+from chainbalance.control import (
+    ClusterConfig,
+    ManagementSystem,
+    MasterAgent,
+    SlaveAgent,
+    Transport,
+)
+from chainbalance.engine import EventLoop
 from chainbalance.hashing import ChainId, Endpoint, canonical_key
 from chainbalance.netsim import measure_convergence
 from chainbalance.rebalance import (
@@ -63,12 +70,14 @@ def test_criterion_1_static_balance():
             per_chain.setdefault(tag, []).append(share)
     means = {tag: sum(v) / len(v) for tag, v in per_chain.items()}
     max_dev = max(abs(m - 1 / 3) for m in means.values())
-    ok = max_dev <= 0.02 and slowest < 30.0
+    limit, wall = CRITERIA["share_deviation"], CRITERIA["wall_s"]
+    ok = max_dev <= limit and slowest < wall
     verdict(
         1, "static balance",
         ok,
         f"mean shares {({t: round(m, 4) for t, m in means.items()})}, "
-        f"max deviation {max_dev:.4f} (limit 0.02), slowest run {slowest:.1f}s (limit 30s)",
+        f"max deviation {max_dev:.4f} (limit {limit}), "
+        f"slowest run {slowest:.1f}s (limit {wall:g}s)",
     )
 
 
@@ -87,8 +96,12 @@ def test_criterion_2_warmup_convergence():
             )
             worst = max(worst, seconds)
             details.append(f"{name}/s{seed}={seconds:.2f}")
-    ok = worst <= 7.0
-    verdict(2, "warm-up convergence", ok, f"worst {worst:.2f}s (limit 7s); {', '.join(details)}")
+    limit = CRITERIA["convergence_s"]
+    ok = worst <= limit
+    verdict(
+        2, "warm-up convergence", ok,
+        f"worst {worst:.2f}s (limit {limit:g}s); {', '.join(details)}",
+    )
 
 
 def test_criterion_3_new_session_split():
@@ -138,12 +151,13 @@ def test_criterion_4_cooldown_drain():
         for means in survivor_means.values()
         for mean in means.values()
     )
-    ok = worst_drain <= 7.0 and even_dev <= 0.02 and reclaim_ok
+    drain_limit, share_limit = CRITERIA["drain_s"], CRITERIA["share_deviation"]
+    ok = worst_drain <= drain_limit and even_dev <= share_limit and reclaim_ok
     verdict(
         4, "cool-down drain",
         ok,
-        f"worst drain {worst_drain:.2f}s (limit 7s), survivor deviation {even_dev:.4f} "
-        f"(limit 0.02), reclaim within timeout: {reclaim_ok}",
+        f"worst drain {worst_drain:.2f}s (limit {drain_limit:g}s), survivor deviation "
+        f"{even_dev:.4f} (limit {share_limit}), reclaim within timeout: {reclaim_ok}",
     )
 
 
@@ -225,19 +239,28 @@ class _AffinityHarness:
     SERVER = Endpoint.parse("10.99.0.1", 80)
 
     def __init__(self):
-        self.transport = InstantTransport()
+        self.loop = EventLoop()
+        self.transport = Transport(self.loop, 0.0)
         self.slave = SlaveAgent("slave", self.transport)
         self.master = MasterAgent("master", self.transport)
         self.ms = ManagementSystem("ms", self.transport, "master", "slave")
-        self.ms.handshake(
+        self.call(
+            self.ms.handshake,
             ClusterConfig(
                 hash_seed=5,
                 bucket_count=1024,
                 session_timeout=6.0,
                 window_length=5.0,
                 chains=(ChainId(2, 3), ChainId(4, 5)),
-            )
+            ),
         )
+
+    def call(self, method, *args, **kwargs):
+        """Run one management-system operation to completion; it must succeed."""
+        replies = []
+        method(*args, on_done=replies.append, **kwargs)
+        self.loop.run()
+        assert [r.payload["ok"] for r in replies] == [True], replies
 
     def endpoints(self, i):
         client = Endpoint(bytes([10, 1, (i >> 8) & 0xFF, i & 0xFF]), 1024 + (i % 60000))
@@ -290,11 +313,11 @@ def test_criterion_6_affinity_property_suite():
             op, pair = ops[op_idx]
             op_idx += 1
             if op == "add":
-                h.ms.add_chain(pair, now=t)
+                h.call(h.ms.add_chain, pair, now=t)
             elif op == "remove":
-                h.ms.remove_chain(pair, now=t)
+                h.call(h.ms.remove_chain, pair, now=t)
             else:
-                h.ms.request_rebalance(now=t)
+                h.call(h.ms.request_rebalance, now=t)
             flush_stash(t + 0.001)
         if i in reversed_ids:
             stash.append((i, h.map_reverse(i, t)))
@@ -360,6 +383,34 @@ def test_criterion_7_determinism(tmp_path):
         f"{len(commit_flags)} commits across {len(RUN_CACHE)} cached runs: "
         f"{vectors_ok and all(commit_flags)}",
     )
+
+
+# sha256 of the three outputs of two bundled runs. A refactor must leave them
+# as they are; a change that moves any byte is a behaviour change and
+# re-pins them.
+PINNED_DIGESTS = {
+    ("warmup-1to2", 1): {
+        "series.csv": "b994ccd5e60590f7251a546d4f95877ac84843f7df1133f09deb47ea8a83a55b",
+        "events.jsonl": "1577a306dac11139b00346cf3a694f5ce3dbf07e7f3f550f9655ce2de75b767d",
+        "report.json": "a09e27a1ddee3048535b93d684f5af5ab7af1769e699baf2360223b48afb6992",
+    },
+    ("cooldown-3to2", 1): {
+        "series.csv": "bbaa118bd598c342339daf496cac9d04780232dc85998c9665a4ca00457274cb",
+        "events.jsonl": "aeec0ee092d0b176049b494e70b8387a6012b7dfe9ab3160667d76c28d4be930",
+        "report.json": "4cb30d82aad09576868e6e55ccef95d5fd2e9fd24926c82e01dcdb71f74db5d0",
+    },
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, name, seed):
+    result, _ = get_run(name, seed)
+    write_outputs(result, tmp_path, band=0.10)
+    digests = {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in PINNED_DIGESTS[(name, seed)]
+    }
+    assert digests == PINNED_DIGESTS[(name, seed)]
 
 
 def test_criterion_8_bucket_allocation():

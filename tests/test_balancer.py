@@ -5,7 +5,7 @@ import pytest
 
 from chainbalance.balancer import Balancer, LogicalPacket
 from chainbalance.control import alloc_from_wire, alloc_to_wire
-from chainbalance.errors import NoLiveChains, UnknownChain
+from chainbalance.errors import NoLiveChains
 from chainbalance.hashing import ChainId, Endpoint, HashParams, canonical_key
 
 C1 = ChainId(2, 3)
@@ -15,13 +15,23 @@ C3 = ChainId(6, 7)
 PARAMS = HashParams(seed=1234, bucket_count=256)
 
 
-def make_balancer(chains=(C1, C2), role="master", timeout=6.0):
-    b = Balancer(role, PARAMS, session_timeout=timeout)
+def even_alloc(chains):
     per = PARAMS.bucket_count // len(chains)
     counts = [per] * len(chains)
     counts[0] += PARAMS.bucket_count - sum(counts)
-    b.apply_allocation(list(zip(chains, counts)), generation=0)
+    return list(zip(chains, counts))
+
+
+def make_balancer(chains=(C1, C2), role="master", timeout=6.0):
+    b = Balancer(role, PARAMS, session_timeout=timeout)
+    b.apply_allocation(even_alloc(chains), generation=0)
     return b
+
+
+def drain(b, victim):
+    """Install the next generation without victim, marking victim draining."""
+    survivors = [c for c in b.buckets.chains() if c != victim]
+    b.install(b.stage_allocation(even_alloc(survivors), b.generation + 1), drain=victim)
 
 
 def packet(sport, t, size=100, dport=80, reverse=False):
@@ -99,7 +109,7 @@ def test_draining_session_keeps_chain():
         chain = b.map_packet(packet(sport, t=0.0))
         victims.setdefault(chain, sport)
     sport_on_c1 = victims[C1]
-    b.begin_drain(C1)
+    drain(b, C1)
     assert C1 in b.draining
     assert C1 not in b.buckets.chains()
     # the active session still maps to the draining chain
@@ -108,7 +118,7 @@ def test_draining_session_keeps_chain():
 
 def test_drain_blocks_new_sessions():
     b = make_balancer(chains=(C1, C2, C3))
-    b.begin_drain(C2)
+    drain(b, C2)
     rng = random.Random(11)
     for _ in range(10_000):
         src = Endpoint(bytes(rng.randrange(256) for _ in range(4)), rng.randrange(1024, 65000))
@@ -116,15 +126,9 @@ def test_drain_blocks_new_sessions():
         assert b.map_packet(pkt) != C2
 
 
-def test_drain_unknown_chain():
-    b = make_balancer(chains=(C1,))
-    with pytest.raises(UnknownChain):
-        b.begin_drain(C3)
-
-
 def test_drain_with_no_sessions_is_inactive_immediately():
     b = make_balancer()
-    b.begin_drain(C1)
+    drain(b, C1)
     assert b.path_active(C1, now=0.0) is False
 
 
@@ -136,7 +140,7 @@ def test_drain_becomes_inactive_after_timeout():
         cand = rng.randrange(1024, 65000)
         if b.map_packet(packet(cand, t=100.0)) == C1:
             sport = cand
-    b.begin_drain(C1)
+    drain(b, C1)
     assert b.path_active(C1, now=103.0) is True
     assert b.path_active(C1, now=105.9) is True
     assert b.path_active(C1, now=106.0) is False
@@ -268,9 +272,7 @@ def test_affinity_across_interleaved_operations():
         if step % 500 == 499:
             live = list(b.buckets.chains())
             rng.shuffle(live)
-            counts = [PARAMS.bucket_count // len(live)] * len(live)
-            counts[0] += PARAMS.bucket_count - sum(counts)
-            b.apply_allocation(list(zip(live, counts)), generation)
+            b.apply_allocation(even_alloc(live), generation)
             generation += 1
 
 

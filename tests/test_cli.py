@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,3 +179,55 @@ def test_module_entry_point_runs_cli():
     )
     assert proc.returncode == 0
     assert "replicate" in proc.stdout
+
+
+# -- the replicate roll-up against the acceptance thresholds
+
+
+def synthetic(shares, transitions=()):
+    """A per-seed report holding only the fields `_aggregate` reads."""
+    return {"seed": 1, "clean": True, "shares": shares, "steady_shares": shares,
+            "transitions": list(transitions)}
+
+
+def shares_of(n, first=None):
+    """n chains at 1/n each, the first one at `first` when given."""
+    shares = {str(2 * i + 2): 1.0 / n for i in range(n)}
+    if first is not None:
+        shares["2"] = first
+    return shares
+
+
+def removal(**fields):
+    return {"kind": "remove", "drained_after_s": 1.0, "reclaim_within_timeout": True, **fields}
+
+
+@pytest.mark.parametrize("limit", [cli.CRITERIA["share_deviation"], 1 / 64])
+def test_aggregate_share_limit_is_inclusive(monkeypatch, limit):
+    monkeypatch.setitem(cli.CRITERIA, "share_deviation", limit)
+    # both differences from 1/32 are exact in binary: `at` deviates by the
+    # limit itself, `past` by one ulp more
+    at, past = 1 / 32 - limit, 1 / 32 - math.nextafter(limit, 1.0)
+    assert abs(at - 1 / 32) == limit < abs(past - 1 / 32)
+    for share, expected in ((at, True), (past, False)):
+        static = cli._aggregate("static-32", [synthetic(shares_of(32, share))])
+        assert static["balance_ok"] is expected
+        drained = [synthetic(shares_of(32), [removal(survivor_shares=shares_of(32, share))])]
+        assert cli._aggregate("cooldown-x", drained)["survivors_even_ok"] is expected
+
+
+@pytest.mark.parametrize("name, field, flag, key", [
+    ("warmup-1to2", "converged_after_s", "convergence_ok", "convergence_s"),
+    ("cooldown-2to1", "drained_after_s", "drain_ok", "drain_s"),
+])
+@pytest.mark.parametrize("limit", [None, 3.0])
+def test_aggregate_time_limits_are_inclusive(monkeypatch, name, field, flag, key, limit):
+    if limit is not None:
+        monkeypatch.setitem(cli.CRITERIA, key, limit)
+    limit = cli.CRITERIA[key]
+    for seconds, expected in ((limit, True), (math.nextafter(limit, math.inf), False)):
+        transition = removal(**{field: seconds}) if key == "drain_s" else {field: seconds}
+        summary = cli._aggregate(name, [synthetic(shares_of(2), [transition])])
+        assert summary[flag] is expected
+    missing = removal(**{field: None})
+    assert cli._aggregate(name, [synthetic(shares_of(2), [missing])])[flag] is False

@@ -1,24 +1,21 @@
+from pathlib import Path
+
 import pytest
 
 from chainbalance.balancer import LogicalPacket
 from chainbalance.control import (
     ClusterConfig,
     ControlMessage,
-    InstantTransport,
     ManagementSystem,
-    ManualScheduler,
+    DEFAULT_BARRIER_TIMEOUT,
     MasterAgent,
     SlaveAgent,
+    Transport,
     decode_message,
     encode_message,
 )
-from chainbalance.errors import (
-    BarrierTimeout,
-    DuplicateTags,
-    LastChain,
-    SlaveUnreachable,
-    UnknownChain,
-)
+from chainbalance.engine import EventLoop
+from chainbalance.errors import UnknownChain
 from chainbalance.hashing import ChainId, Endpoint, canonical_key
 
 C1 = ChainId(2, 3)
@@ -36,13 +33,37 @@ def make_config(chains=(C1, C2), bucket_count=1024):
     )
 
 
-def make_cluster(chains=(C1, C2), bucket_count=1024):
-    transport = InstantTransport()
+def make_agents(transport=None):
+    transport = transport or Transport(EventLoop(), 0.0)
     slave = SlaveAgent("slave", transport)
     master = MasterAgent("master", transport)
     ms = ManagementSystem("ms", transport, "master", "slave")
-    ms.handshake(make_config(chains, bucket_count))
     return ms, master, slave
+
+
+def make_cluster(chains=(C1, C2), bucket_count=1024):
+    ms, master, slave = make_agents()
+    ok(call(ms.handshake, make_config(chains, bucket_count)))
+    return ms, master, slave
+
+
+def call(method, *args, **kwargs):
+    """Run one management-system call to completion; return what on_done got."""
+    done = []
+    method(*args, on_done=done.append, **kwargs)
+    method.__self__.transport.loop.run()
+    assert len(done) == 1
+    return done[0]
+
+
+def ok(reply):
+    assert reply.payload["ok"], reply.payload["error"]
+    return reply
+
+
+def error_name(reply):
+    assert reply.payload["ok"] is False
+    return reply.payload["error"].split(":", 1)[0]
 
 
 def forward_packet(sport, t, size=100):
@@ -85,19 +106,18 @@ def test_handshake_builds_identical_vectors():
 
 
 def test_handshake_before_slave_up():
-    transport = InstantTransport()
+    transport = Transport(EventLoop(), 0.0)
     MasterAgent("master", transport)
     ms = ManagementSystem("ms", transport, "master", "slave")
-    with pytest.raises(SlaveUnreachable):
-        ms.handshake(make_config())
+    assert error_name(call(ms.handshake, make_config())) == "SlaveUnreachable"
     # bringing the slave up makes the same call succeed
     SlaveAgent("slave", transport)
-    ms.handshake(make_config())
+    assert ok(call(ms.handshake, make_config())).payload["generation"] == 0
 
 
 def test_add_chain_from_one_to_two():
     ms, master, slave = make_cluster(chains=(C1,))
-    ms.add_chain(C2, now=5.0)
+    ok(call(ms.add_chain, C2, now=5.0))
     counts = master.balancer.buckets.counts()
     assert counts == {C1: 512, C2: 512}
     assert master.balancer.buckets == slave.balancer.buckets
@@ -106,7 +126,7 @@ def test_add_chain_from_one_to_two():
 def test_add_chain_two_to_three_equal_windows():
     # no traffic at all: the quiet-window floor makes both chains equal
     ms, master, slave = make_cluster(chains=(C1, C2))
-    ms.add_chain(C3, now=5.0)
+    ok(call(ms.add_chain, C3, now=5.0))
     counts = master.balancer.buckets.counts()
     assert counts == {C1: 342, C2: 341, C3: 341}
     assert master.balancer.buckets == slave.balancer.buckets
@@ -114,29 +134,38 @@ def test_add_chain_two_to_three_equal_windows():
 
 def test_add_chain_duplicate_tags():
     ms, master, slave = make_cluster(chains=(C1, C2))
-    with pytest.raises(DuplicateTags):
-        ms.add_chain(ChainId(4, 9), now=1.0)  # forward tag 4 already used
+    reply = call(ms.add_chain, ChainId(4, 9), now=1.0)  # forward tag 4 already used
+    assert error_name(reply) == "DuplicateTags"
+    assert master.committed == slave.committed == [0]
 
 
 def test_remove_chain_then_path_active():
     ms, master, slave = make_cluster(chains=(C1, C2))
-    ms.remove_chain(C2, now=1.0)
+    ok(call(ms.remove_chain, C2, now=1.0))
     assert C2 not in master.balancer.buckets.chains()
     assert C2 in master.balancer.draining
     assert C2 in slave.balancer.draining
-    assert ms.poll_path_active(C2, now=1.0) is False
+    assert call(ms.poll_path_active, C2, now=1.0) is False
 
 
 def test_remove_last_chain_refused():
     ms, master, slave = make_cluster(chains=(C1,))
-    with pytest.raises(LastChain):
-        ms.remove_chain(C1, now=1.0)
+    assert error_name(call(ms.remove_chain, C1, now=1.0)) == "LastChain"
 
 
 def test_remove_unknown_chain():
     ms, master, slave = make_cluster(chains=(C1, C2))
     with pytest.raises(UnknownChain):
-        ms.remove_chain(C3, now=1.0)
+        ms.remove_chain(C3, now=1.0, on_done=None)
+
+
+def test_remove_chain_not_live():
+    # announced, but already drained: the master refuses, nothing changes
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ok(call(ms.remove_chain, C2, now=1.0))
+    assert error_name(call(ms.remove_chain, C2, now=2.0)) == "UnknownChain"
+    assert master.committed == slave.committed == [0, 1]
+    assert master.balancer.buckets.counts() == {C1: 1024}
 
 
 def test_remove_with_lingering_slave_session():
@@ -145,25 +174,25 @@ def test_remove_with_lingering_slave_session():
     sport = 5000
     while slave.balancer.map_packet(forward_packet(sport, t=0.0)) != C2:
         sport += 1
-    ms.remove_chain(C2, now=1.0)
-    assert ms.poll_path_active(C2, now=2.0) is True  # slave still has it
-    assert ms.poll_path_active(C2, now=6.1) is False  # expired at 0 + 6
+    ok(call(ms.remove_chain, C2, now=1.0))
+    assert call(ms.poll_path_active, C2, now=2.0) is True  # slave still has it
+    assert call(ms.poll_path_active, C2, now=6.1) is False  # expired at 0 + 6
 
 
 def test_poll_stats_merges_both_sides():
     ms, master, slave = make_cluster(chains=(C1,))
     master.balancer.map_packet(forward_packet(5000, t=0.5, size=300))
     slave.balancer.map_packet(forward_packet(5000, t=0.6, size=200))
-    window = ms.poll_stats(now=5.0)
+    window = call(ms.poll_stats, now=5.0)
     assert window.bytes[C1] == 500
     # counters reset: next poll sees nothing
-    assert ms.poll_stats(now=10.0).bytes[C1] == 0
+    assert call(ms.poll_stats, now=10.0).bytes[C1] == 0
 
 
 def test_rebalance_even_windows_is_fixed_point():
     ms, master, slave = make_cluster(chains=(C1, C2))
     before = master.balancer.buckets.counts()
-    ms.request_rebalance(now=5.0)
+    ok(call(ms.request_rebalance, now=5.0))
     assert master.balancer.buckets.counts() == before
 
 
@@ -182,17 +211,17 @@ def test_rebalance_skewed_window():
         sport += 1
     master.balancer.map_packet(forward_packet(seen[C1], t=0.5, size=300))
     master.balancer.map_packet(forward_packet(seen[C2], t=0.5, size=100))
-    ms.request_rebalance(now=5.0)
+    ok(call(ms.request_rebalance, now=5.0))
     assert master.balancer.buckets.counts() == {C1: 256, C2: 768}
     assert master.balancer.buckets == slave.balancer.buckets
 
 
 def test_generations_match_after_every_commit():
     ms, master, slave = make_cluster(chains=(C1,))
-    ms.add_chain(C2, now=1.0)
-    ms.request_rebalance(now=2.0)
-    ms.add_chain(C3, now=3.0)
-    ms.remove_chain(C2, now=4.0)
+    ok(call(ms.add_chain, C2, now=1.0))
+    ok(call(ms.request_rebalance, now=2.0))
+    ok(call(ms.add_chain, C3, now=3.0))
+    ok(call(ms.remove_chain, C2, now=4.0))
     assert master.committed == [0, 1, 2, 3, 4]
     assert slave.committed == [0, 1, 2, 3, 4]
     assert master.balancer.buckets == slave.balancer.buckets
@@ -203,33 +232,31 @@ def test_rebalance_never_remaps_active_sessions():
     assignments = {}
     for sport in range(5000, 5100):
         assignments[sport] = master.balancer.map_packet(forward_packet(sport, t=0.0))
-    ms.request_rebalance(now=1.0)
+    ok(call(ms.request_rebalance, now=1.0))
     for sport, chain in assignments.items():
         assert master.balancer.map_packet(forward_packet(sport, t=2.0)) == chain
 
 
-class DroppingTransport(InstantTransport):
+class DroppingTransport(Transport):
     """Delivers everything except allocation prepares to the slave."""
 
     def send(self, src, dst, msg):
         if dst == "slave" and msg.kind == "allocation_commit":
-            self._record(src, dst, msg)
             return
         super().send(src, dst, msg)
 
 
 def test_barrier_timeout_rolls_back():
-    transport = DroppingTransport()
-    slave = SlaveAgent("slave", transport)
-    scheduler = ManualScheduler()
-    master = MasterAgent("master", transport, scheduler=scheduler)
-    ms = ManagementSystem("ms", transport, "master", "slave")
-    ms.handshake(make_config(chains=(C1,)))
+    loop = EventLoop()
+    ms, master, slave = make_agents(DroppingTransport(loop, 0.0))
+    ok(call(ms.handshake, make_config(chains=(C1,))))
 
     result = {}
     ms.add_chain(C2, now=1.0, on_done=lambda reply: result.update(reply.payload))
+    loop.run(until=DEFAULT_BARRIER_TIMEOUT / 2)
     assert not result  # still pending: prepare was dropped
-    scheduler.fire_all()
+    loop.run()
+    assert loop.now == DEFAULT_BARRIER_TIMEOUT
     assert result["ok"] is False
     assert result["error"] == "BarrierTimeout"
     # previous generation stays in force on both sides
@@ -243,8 +270,8 @@ def test_barrier_timeout_rolls_back():
 def test_allocation_swap_is_deterministic_across_pairs():
     ms1, master1, slave1 = make_cluster(chains=(C1, C2))
     ms2, master2, slave2 = make_cluster(chains=(C1, C2))
-    ms1.add_chain(C3, now=5.0)
-    ms2.add_chain(C3, now=5.0)
+    ok(call(ms1.add_chain, C3, now=5.0))
+    ok(call(ms2.add_chain, C3, now=5.0))
     assert master1.balancer.buckets == master2.balancer.buckets
     assert slave1.balancer.buckets == slave2.balancer.buckets
 
@@ -259,39 +286,57 @@ def test_slave_rejects_commit_without_prepare():
         {"phase": "commit", "generation": 42},
         replies.append,
     )
+    master.transport.loop.run()
     assert replies[0].payload["ok"] is False
     assert "staged" in replies[0].payload["error"]
 
 
 def test_repeat_handshake_same_config_is_idempotent():
-    transport = InstantTransport()
-    SlaveAgent("slave", transport)
-    MasterAgent("master", transport)
-    ms = ManagementSystem("ms", transport, "master", "slave")
-    ms.handshake(make_config(chains=(C1, C2)))
-    ms.handshake(make_config(chains=(C1, C2)))  # same cfg: accepted
+    # mid-run: after a commit, with live sessions on both sides
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ok(call(ms.add_chain, C3, now=1.0))
+    for sport in range(5000, 5020):
+        master.balancer.map_packet(forward_packet(sport, t=2.0))
+        slave.balancer.map_packet(forward_packet(sport, t=2.0))
+    vectors = (master.balancer.buckets, slave.balancer.buckets)
+    tables = (dict(master.balancer.table), dict(slave.balancer.table))
+
+    reply = ok(call(ms.handshake, make_config(chains=(C1, C2))))  # same cfg: accepted
+
+    assert reply.payload["generation"] == 1
+    assert master.committed == slave.committed == [0, 1]
+    assert master.balancer.buckets is vectors[0]
+    assert slave.balancer.buckets is vectors[1]
+    assert master.balancer.buckets.counts() == {C1: 342, C2: 341, C3: 341}
+    assert (master.balancer.table, slave.balancer.table) == tables
+    assert len(master.balancer.table) == 20
 
 
 def test_repeat_handshake_conflicting_config_rejected():
-    from chainbalance.errors import ConfigMismatch
-
-    transport = InstantTransport()
-    SlaveAgent("slave", transport)
-    MasterAgent("master", transport)
-    ms = ManagementSystem("ms", transport, "master", "slave")
-    ms.handshake(make_config(chains=(C1, C2)))
-    with pytest.raises(ConfigMismatch):
-        ms.handshake(make_config(chains=(C1, C2), bucket_count=2048))
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    reply = call(ms.handshake, make_config(chains=(C1, C2), bucket_count=2048))
+    assert error_name(reply) == "ConfigMismatch"
+    assert master.config.bucket_count == slave.config.bucket_count == 1024
+    assert len(master.balancer.buckets) == 1024
 
 
 def test_poll_path_active_unknown_chain():
     ms, master, slave = make_cluster(chains=(C1,))
     with pytest.raises(UnknownChain):
-        ms.poll_path_active(C3, now=0.0)
+        ms.poll_path_active(C3, now=0.0, on_done=None)
 
 
 def test_poll_path_active_on_live_chain_reports_activity():
     ms, master, slave = make_cluster(chains=(C1,))
-    assert ms.poll_path_active(C1, now=0.0) is False
+    assert call(ms.poll_path_active, C1, now=0.0) is False
     master.balancer.map_packet(forward_packet(5000, t=1.0))
-    assert ms.poll_path_active(C1, now=2.0) is True
+    assert call(ms.poll_path_active, C1, now=2.0) is True
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert "'ok': True, 'error': '', 'generation': 1}" in lines[1]

@@ -15,7 +15,6 @@ from chainbalance.hashing import (
     build_buckets,
     canonical_key,
     hash_key,
-    lookup,
 )
 
 C1 = ChainId(2, 3)
@@ -148,7 +147,7 @@ def test_lookup_single_chain():
     rng = random.Random(3)
     for _ in range(50):
         key = canonical_key(random_endpoint(rng), random_endpoint(rng))
-        assert lookup(vector, key) == C1
+        assert vector.lookup(key) == C1
 
 
 def test_lookup_agrees_across_identical_vectors():
@@ -160,7 +159,7 @@ def test_lookup_agrees_across_identical_vectors():
     rng = random.Random(9)
     for _ in range(500):
         key = canonical_key(random_endpoint(rng), random_endpoint(rng))
-        assert lookup(master, key) == lookup(slave, key)
+        assert master.lookup(key) == slave.lookup(key)
 
 
 def test_lookup_proportionality():
@@ -171,7 +170,7 @@ def test_lookup_proportionality():
     hits = {C1: 0, C2: 0}
     n = 50_000
     for _ in range(n):
-        hits[lookup(vector, canonical_key(random_endpoint(rng), random_endpoint(rng)))] += 1
+        hits[vector.lookup(canonical_key(random_endpoint(rng), random_endpoint(rng)))] += 1
     assert abs(hits[C1] / n - 0.5) < 0.02
     assert abs(hits[C2] / n - 0.5) < 0.02
 
@@ -182,7 +181,7 @@ def test_lookup_direction_invariance():
     rng = random.Random(21)
     for _ in range(1000):
         a, b = random_endpoint(rng), random_endpoint(rng)
-        assert lookup(vector, canonical_key(a, b)) == lookup(vector, canonical_key(b, a))
+        assert vector.lookup(canonical_key(a, b)) == vector.lookup(canonical_key(b, a))
 
 
 def test_counts_and_chains():
