@@ -18,7 +18,6 @@ from .hashing import BucketVector, ChainId, Endpoint, HashParams, build_buckets,
 from .rebalance import TrafficWindow, WeightProfile
 
 DEFAULT_SESSION_TIMEOUT = 6.0
-DEFAULT_WINDOW_LENGTH = 5.0
 
 MASTER = "master"
 SLAVE = "slave"

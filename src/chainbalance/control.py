@@ -1,20 +1,22 @@
 """Management-system orchestration and master/slave coordination.
 
 The management system (MS) talks to the master; the master coordinates the
-slave. Chain additions, removals and rebalances all funnel through the same
-two-phase barrier: the master computes the new allocation from the merged
-traffic window, both balancers build the replacement bucket vector (prepare),
-and only after the slave has confirmed the build does either side start
-mapping traffic with it (commit). A prepare that times out is rolled back
-and the previous generation stays in force.
+slave, which is the same balancer agent in the other role. Chain additions,
+removals and rebalances all funnel through the same two-phase barrier: the
+master computes the new allocation from the merged traffic window, both
+balancers build the replacement bucket vector (prepare), and only after the
+slave has confirmed the build does either side start mapping traffic with it
+(commit). A prepare that times out is rolled back and the previous
+generation stays in force.
 
 Messages travel over a reliable in-order transport as length-prefixed JSON;
-see ``encode_message`` for the wire layout. The transport delivers each
-message a fixed latency later on an ``EventLoop``, which also runs the
-master's barrier timers, so the whole control plane is event-driven: MS
-calls return nothing and report through their ``on_done`` callback once the
-loop has run. A latency of 0 delivers at the current time, after what is
-already queued there.
+see ``encode_message`` for the wire layout. Every request gets exactly one
+``ack``: ``ok``, ``error`` and its result (``generation``, ``window`` or
+``active``). The transport delivers each message a fixed latency later on
+an ``EventLoop``, which also runs the master's barrier timers, so the whole
+control plane is event-driven: MS calls return nothing and report through
+their ``on_done`` callback once the loop has run. A latency of 0 delivers
+at the current time, after what is already queued there.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rebalance
-from .balancer import Balancer
+from .balancer import MASTER, SLAVE, Balancer
 from .engine import EventLoop
 from .errors import (
     ChainBalanceError,
@@ -38,14 +40,13 @@ from .hashing import ChainId, HashParams
 from .rebalance import TrafficWindow, WeightProfile
 
 DEFAULT_BARRIER_TIMEOUT = 1.0
+MIN_SLOTS_PER_CHAIN = 64  # bucket-vector slots each live chain needs at least
 
 KIND_HANDSHAKE = "handshake"
 KIND_ADD_CHAIN = "add_chain"
 KIND_REMOVE_CHAIN = "remove_chain"
 KIND_STATS_REQUEST = "stats_request"
-KIND_STATS_REPLY = "stats_reply"
 KIND_PATH_ACTIVE_REQUEST = "path_active_request"
-KIND_PATH_ACTIVE_REPLY = "path_active_reply"
 KIND_REBALANCE = "rebalance"
 KIND_ALLOCATION_COMMIT = "allocation_commit"
 KIND_ACK = "ack"
@@ -173,10 +174,10 @@ class ClusterConfig:
         tags = [t for c in self.chains for t in (c.forward_tag, c.reverse_tag)]
         if len(set(tags)) != len(tags):
             raise ValueError("initial chains share a tag")
-        if self.bucket_count < 64 * len(self.chains):
+        if self.bucket_count < MIN_SLOTS_PER_CHAIN * len(self.chains):
             raise ValueError(
                 f"bucket_count {self.bucket_count} too small for "
-                f"{len(self.chains)} chains (need >= 64 per chain)"
+                f"{len(self.chains)} chains (need >= {MIN_SLOTS_PER_CHAIN} per chain)"
             )
 
     def hash_params(self) -> HashParams:
@@ -226,19 +227,12 @@ class _Endpoint:
         self.transport.send(
             self.name, dst, ControlMessage(kind, payload, self.name, req_id)
         )
-        return req_id
 
-    def reply(self, to_msg: ControlMessage, kind: str, payload: dict):
-        self.transport.send(
-            self.name,
-            to_msg.src,
-            ControlMessage(kind, payload, self.name, 0, reply_to=to_msg.req_id),
-        )
-
-    def ack(self, to_msg: ControlMessage, ok: bool = True, error: str = "", **extra):
-        payload = {"ok": ok, "error": error}
-        payload.update(extra)
-        self.reply(to_msg, KIND_ACK, payload)
+    def ack(self, to_msg: ControlMessage, ok: bool = True, error: str = "", **result):
+        """The one reply to any request; `result` carries its answer."""
+        payload = {"ok": ok, "error": error, **result}
+        reply = ControlMessage(KIND_ACK, payload, self.name, 0, reply_to=to_msg.req_id)
+        self.transport.send(self.name, to_msg.src, reply)
 
     def deliver(self, msg: ControlMessage):
         if msg.reply_to is not None:
@@ -252,11 +246,14 @@ class _Endpoint:
         raise NotImplementedError
 
 
-# -- slave -------------------------------------------------------------------
+# -- balancer agents -----------------------------------------------------------
 
 
-class SlaveAgent(_Endpoint):
-    """Control-plane face of the slave balancer."""
+class _BalancerAgent(_Endpoint):
+    """One balancer in the `role` a subclass sets: configured by the
+    handshake, it stages a generation's vector, then installs (commits) or
+    unstages (drops) it. `_on_request` takes the role's other requests.
+    """
 
     def __init__(self, name: str, transport: Transport):
         super().__init__(name, transport)
@@ -267,64 +264,81 @@ class SlaveAgent(_Endpoint):
 
     def handle_request(self, msg):
         if msg.kind == KIND_HANDSHAKE:
-            self._on_handshake(msg)
+            cfg = ClusterConfig.from_wire(msg.payload["config"])
+            if self.config is None or self.config == cfg:
+                self._on_handshake(msg, cfg)
+            else:
+                self.ack(msg, ok=False, error="ConfigMismatch")
         elif self.balancer is None:
-            self.ack(msg, ok=False, error="ConfigMismatch: slave not configured")
-        elif msg.kind == KIND_ALLOCATION_COMMIT:
+            self.ack(msg, ok=False, error=f"ConfigMismatch: {self.role} not configured")
+        elif msg.kind == KIND_PATH_ACTIVE_REQUEST:
+            pair = chain_from_wire(msg.payload["pair"])
+            self.ack(msg, active=self.balancer.path_active(pair, msg.payload["now"]))
+        else:
+            self._on_request(msg)
+
+    def _configure(self, cfg: ClusterConfig):
+        """Build the balancer and install generation 0."""
+        self.config = cfg
+        self.balancer = Balancer(self.role, cfg.hash_params(), cfg.session_timeout)
+        self._stage(0, cfg.initial_allocation(), None)
+        self._install(0)
+
+    def _stage(self, generation: int, alloc, drain: ChainId | None):
+        self._staged = (generation, self.balancer.stage_allocation(alloc, generation), drain)
+
+    def _install(self, generation: int) -> bool:
+        """Swap in the vector staged for `generation`; False if none is."""
+        if self._staged is None or self._staged[0] != generation:
+            return False
+        _, vector, drain = self._staged
+        self._staged = None
+        self.balancer.install(vector, drain=drain)
+        self.committed.append(generation)
+        return True
+
+    def _unstage(self, generation: int):
+        if self._staged is not None and self._staged[0] == generation:
+            self._staged = None
+
+
+class SlaveAgent(_BalancerAgent):
+    """Control-plane face of the slave balancer."""
+
+    role = SLAVE
+
+    def _on_handshake(self, msg, cfg):
+        # a repeat with the same config changes nothing
+        if self.config is None:
+            self._configure(cfg)
+        self.ack(msg, generation=self.committed[-1])
+
+    def _on_request(self, msg):
+        if msg.kind == KIND_ALLOCATION_COMMIT:
             self._on_allocation(msg)
         elif msg.kind == KIND_STATS_REQUEST:
             window = self.balancer.snapshot_window(msg.payload["now"])
-            self.reply(msg, KIND_STATS_REPLY, {"window": window_to_wire(window)})
-        elif msg.kind == KIND_PATH_ACTIVE_REQUEST:
-            active = self.balancer.path_active(
-                chain_from_wire(msg.payload["pair"]), msg.payload["now"]
-            )
-            self.reply(msg, KIND_PATH_ACTIVE_REPLY, {"active": active})
+            self.ack(msg, window=window_to_wire(window))
         else:
             self.ack(msg, ok=False, error=f"unexpected kind {msg.kind}")
-
-    def _on_handshake(self, msg):
-        cfg = ClusterConfig.from_wire(msg.payload["config"])
-        if self.config is not None:
-            # a repeat with the same config changes nothing
-            if self.config == cfg:
-                self.ack(msg, generation=self.committed[-1])
-            else:
-                self.ack(msg, ok=False, error="ConfigMismatch")
-            return
-        self.config = cfg
-        self.balancer = Balancer("slave", cfg.hash_params(), cfg.session_timeout)
-        self.balancer.apply_allocation(cfg.initial_allocation(), generation=0)
-        self.committed = [0]
-        self.ack(msg, generation=0)
 
     def _on_allocation(self, msg):
         phase = msg.payload["phase"]
         generation = msg.payload["generation"]
         if phase == PHASE_PREPARE:
-            alloc = alloc_from_wire(msg.payload["alloc"])
             drain = msg.payload.get("drain")
-            vector = self.balancer.stage_allocation(alloc, generation)
-            self._staged = (generation, vector, chain_from_wire(drain) if drain else None)
-            self.ack(msg, generation=generation)
+            alloc = alloc_from_wire(msg.payload["alloc"])
+            self._stage(generation, alloc, chain_from_wire(drain) if drain else None)
         elif phase == PHASE_COMMIT:
-            if self._staged is None or self._staged[0] != generation:
+            if not self._install(generation):
                 self.ack(msg, ok=False, error=f"no staged vector for generation {generation}")
                 return
-            _, vector, drain = self._staged
-            self._staged = None
-            if drain is not None:
-                self.balancer.install(vector, drain=drain)
-            else:
-                self.balancer.install(vector)
-            self.committed.append(generation)
-            self.ack(msg, generation=generation)
         elif phase == PHASE_ABORT:
-            if self._staged is not None and self._staged[0] == generation:
-                self._staged = None
-            self.ack(msg, generation=generation)
+            self._unstage(generation)
         else:
             self.ack(msg, ok=False, error=f"unknown phase {phase}")
+            return
+        self.ack(msg, generation=generation)
 
 
 # -- master ------------------------------------------------------------------
@@ -336,13 +350,13 @@ class _PendingOp:
     request: ControlMessage
     pair: ChainId | None = None
     now: float = 0.0
-    staged: object = None
+    alloc: list | None = None
+    drain: ChainId | None = None
     generation: int = 0
     timer: object = None
-    extra: dict = field(default_factory=dict)
 
 
-class MasterAgent(_Endpoint):
+class MasterAgent(_BalancerAgent):
     """Master balancer control plane: owns allocation decisions.
 
     Requests from the MS are serialized through a FIFO so that window
@@ -351,29 +365,19 @@ class MasterAgent(_Endpoint):
     timeout, which runs on the transport's event loop.
     """
 
+    role = MASTER
+
     def __init__(self, name: str, transport: Transport):
         super().__init__(name, transport)
-        self.balancer: Balancer | None = None
-        self.config: ClusterConfig | None = None
         self.slave_name: str | None = None
-        self.committed: list[int] = []
         self.on_commit = None  # hook: fn(generation, alloc, drain)
         self._queue: deque[_PendingOp] = deque()
         self._current: _PendingOp | None = None
 
     # -- request intake
 
-    def handle_request(self, msg):
-        if msg.kind == KIND_HANDSHAKE:
-            self._on_handshake(msg)
-        elif self.balancer is None:
-            self.ack(msg, ok=False, error="ConfigMismatch: master not configured")
-        elif msg.kind == KIND_PATH_ACTIVE_REQUEST:
-            active = self.balancer.path_active(
-                chain_from_wire(msg.payload["pair"]), msg.payload["now"]
-            )
-            self.reply(msg, KIND_PATH_ACTIVE_REPLY, {"active": active})
-        elif msg.kind in (KIND_ADD_CHAIN, KIND_REMOVE_CHAIN, KIND_REBALANCE, KIND_STATS_REQUEST):
+    def _on_request(self, msg):
+        if msg.kind in (KIND_ADD_CHAIN, KIND_REMOVE_CHAIN, KIND_REBALANCE, KIND_STATS_REQUEST):
             op = _PendingOp(kind=msg.kind, request=msg, now=msg.payload["now"])
             if "pair" in msg.payload:
                 op.pair = chain_from_wire(msg.payload["pair"])
@@ -382,15 +386,11 @@ class MasterAgent(_Endpoint):
         else:
             self.ack(msg, ok=False, error=f"unexpected kind {msg.kind}")
 
-    def _on_handshake(self, msg):
-        cfg = ClusterConfig.from_wire(msg.payload["config"])
+    def _on_handshake(self, msg, cfg):
         try:
             cfg.validate()
         except ValueError as exc:
             self.ack(msg, ok=False, error=f"ConfigMismatch: {exc}")
-            return
-        if self.config is not None and self.config != cfg:
-            self.ack(msg, ok=False, error="ConfigMismatch")
             return
         self.slave_name = msg.payload["slave"]
 
@@ -398,12 +398,16 @@ class MasterAgent(_Endpoint):
             if not reply.payload["ok"]:
                 self.ack(msg, ok=False, error=reply.payload["error"])
                 return
+            # a restarted slave holds another vector: refuse, change nothing
+            slave_at = reply.payload["generation"]
+            master_at = self.committed[-1] if self.committed else 0
+            if slave_at != master_at:
+                error = f"GenerationMismatch: slave at {slave_at}, master at {master_at}"
+                self.ack(msg, ok=False, error=error)
+                return
             # a repeat with the same config keeps the balancer as it is
             if self.config is None:
-                self.config = cfg
-                self.balancer = Balancer("master", cfg.hash_params(), cfg.session_timeout)
-                self.balancer.apply_allocation(cfg.initial_allocation(), generation=0)
-                self.committed = [0]
+                self._configure(cfg)
             self.ack(msg, generation=self.committed[-1])
 
         try:
@@ -440,7 +444,7 @@ class MasterAgent(_Endpoint):
             used |= {t for c in self.balancer.draining for t in (c.forward_tag, c.reverse_tag)}
             if op.pair.forward_tag in used or op.pair.reverse_tag in used:
                 raise DuplicateTags(f"tags of {op.pair} already in use")
-            if self.config.bucket_count < 64 * (len(live) + 1):
+            if self.config.bucket_count < MIN_SLOTS_PER_CHAIN * (len(live) + 1):
                 raise ChainBalanceError(
                     f"bucket vector too small for {len(live) + 1} chains"
                 )
@@ -451,11 +455,14 @@ class MasterAgent(_Endpoint):
                 raise LastChain("cannot remove the last chain")
 
     def _with_window(self, op, reply):
+        if not reply.payload["ok"]:
+            self._finish(op, ok=False, error=reply.payload["error"])
+            return
         slave_window = window_from_wire(reply.payload["window"])
         own_window = self.balancer.snapshot_window(op.now)
         merged = own_window.merged(slave_window)
         if op.kind == KIND_STATS_REQUEST:
-            self._finish(op, window=merged)
+            self._finish(op, window=window_to_wire(merged))
             return
 
         profile = self.balancer.current_profile()
@@ -465,29 +472,25 @@ class MasterAgent(_Endpoint):
             merged.window_length,
             {c: max(merged.bytes.get(c, 0), 1) for c in profile.probs},
         )
-        drain = None
         if op.kind == KIND_ADD_CHAIN:
             new_profile = rebalance.add_chain(profile, usable, op.pair)
         elif op.kind == KIND_REMOVE_CHAIN:
             new_profile = rebalance.remove_chain(profile, usable, op.pair)
-            drain = op.pair
+            op.drain = op.pair
         else:
             new_profile = rebalance.redistribute(profile, usable)
         alloc = rebalance.allocate_buckets(new_profile, self.config.bucket_count)
-        if drain is not None:
-            alloc = [(c, n) for c, n in alloc if c != drain]
-        self._commit(op, alloc, drain)
+        op.alloc = [(c, n) for c, n in alloc if c != op.drain]
+        self._commit(op)
 
-    def _commit(self, op, alloc, drain):
+    def _commit(self, op):
         op.generation = self.committed[-1] + 1
-        op.staged = self.balancer.stage_allocation(alloc, op.generation)
-        op.extra["alloc"] = alloc
-        op.extra["drain"] = drain
+        self._stage(op.generation, op.alloc, op.drain)
         payload = {
             "phase": PHASE_PREPARE,
             "generation": op.generation,
-            "alloc": alloc_to_wire(alloc),
-            "drain": chain_to_wire(drain) if drain else None,
+            "alloc": alloc_to_wire(op.alloc),
+            "drain": chain_to_wire(op.drain) if op.drain else None,
         }
         op.timer = self.transport.loop.call_later(
             DEFAULT_BARRIER_TIMEOUT, lambda: self._on_barrier_timeout(op)
@@ -504,17 +507,13 @@ class MasterAgent(_Endpoint):
             return  # timed out and rolled back before the ack arrived
         self.transport.loop.cancel(op.timer)
         if not reply.payload["ok"]:
+            self._unstage(op.generation)
             self._finish(op, ok=False, error=reply.payload["error"])
             return
         # both sides have built the vector: switch over
-        drain = op.extra["drain"]
-        if drain is not None:
-            self.balancer.install(op.staged, drain=drain)
-        else:
-            self.balancer.install(op.staged)
-        self.committed.append(op.generation)
+        self._install(op.generation)
         if self.on_commit is not None:
-            self.on_commit(op.generation, op.extra["alloc"], drain)
+            self.on_commit(op.generation, op.alloc, op.drain)
         self.request(
             self.slave_name,
             KIND_ALLOCATION_COMMIT,
@@ -531,7 +530,7 @@ class MasterAgent(_Endpoint):
     def _on_barrier_timeout(self, op):
         if op is not self._current:
             return
-        op.staged = None
+        self._unstage(op.generation)
         try:
             self.request(
                 self.slave_name,
@@ -543,16 +542,9 @@ class MasterAgent(_Endpoint):
             pass
         self._finish(op, ok=False, error="BarrierTimeout")
 
-    def _finish(self, op, ok=True, error="", window=None, generation=None):
+    def _finish(self, op, ok=True, error="", **result):
         self._current = None
-        if op.kind == KIND_STATS_REQUEST:
-            if window is not None:
-                self.reply(op.request, KIND_STATS_REPLY, {"window": window_to_wire(window)})
-            else:
-                self.ack(op.request, ok=False, error=error)
-        else:
-            extra = {} if generation is None else {"generation": generation}
-            self.ack(op.request, ok=ok, error=error, **extra)
+        self.ack(op.request, ok=ok, error=error, **result)
         self._advance()
 
 
@@ -613,19 +605,21 @@ class ManagementSystem(_Endpoint):
     def poll_stats(self, now: float, on_done):
         """Merged per-chain byte counts from both balancers since last poll.
 
-        `on_done` receives the merged TrafficWindow.
+        `on_done` receives the merged TrafficWindow, or None if a balancer
+        refused.
         """
-        self.request(
-            self.master,
-            KIND_STATS_REQUEST,
-            {"now": now},
-            lambda reply: on_done(window_from_wire(reply.payload["window"])),
-        )
+
+        def _reply(reply):
+            on_done(window_from_wire(reply.payload["window"]) if reply.payload["ok"] else None)
+
+        self.request(self.master, KIND_STATS_REQUEST, {"now": now}, _reply)
 
     def poll_path_active(self, pair: ChainId, now: float, on_done):
         """OR of both balancers' views of whether the pair still has sessions.
 
-        `on_done` receives one bool, after both balancers have answered.
+        `on_done` receives one bool after both balancers have answered, or
+        None if either refused: a refusal is never read as "inactive", which
+        would let the caller reclaim a chain that may still carry sessions.
         """
         if pair not in self.known:
             raise UnknownChain(f"chain {pair} was never announced")
@@ -633,9 +627,9 @@ class ManagementSystem(_Endpoint):
         answers = []
 
         def _collect(reply):
-            answers.append(reply.payload["active"])
+            answers.append(reply.payload["active"] if reply.payload["ok"] else None)
             if len(answers) == 2:
-                on_done(any(answers))
+                on_done(None if None in answers else any(answers))
 
         self.request(self.master, KIND_PATH_ACTIVE_REQUEST, payload, _collect)
         self.request(self.slave, KIND_PATH_ACTIVE_REQUEST, payload, _collect)

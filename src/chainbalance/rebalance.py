@@ -57,9 +57,6 @@ class WeightProfile:
     def size(self) -> int:
         return len(self.probs)
 
-    def live_chains(self) -> list[ChainId]:
-        return [c for c, p in self.probs.items() if p > 0.0]
-
 
 @dataclass
 class BiasVector:

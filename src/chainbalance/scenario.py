@@ -12,13 +12,27 @@ from pathlib import Path
 
 import yaml
 
-from .control import DEFAULT_BARRIER_TIMEOUT
+from .control import DEFAULT_BARRIER_TIMEOUT, MIN_SLOTS_PER_CHAIN
 from .errors import ParseError, ValidationError
 from .hashing import ChainId
 from .traffic import TrafficProfile
 
 VALID_OPS = ("add", "remove", "rebalance")
 NF_MODES = ("passthrough", "capacity")
+
+# the keys each mapping may hold: any other key is a typo that would
+# otherwise fall back to a default without a word
+TOP_FIELDS = (
+    "name", "seed", "hash", "session_timeout", "window", "chains", "traffic", "nf",
+    "actions", "horizon", "link_latency", "control_latency", "poll_interval",
+)
+HASH_FIELDS = ("seed", "buckets")
+TRAFFIC_FIELDS = (
+    "sessions", "rate", "bytes_per_session", "packet_size", "request_bytes", "duration",
+    "duration_jitter", "response_delay", "collide_fraction",
+)
+NF_FIELDS = ("mode", "capacity", "queue_limit")
+ACTION_FIELDS = ("at", "op", "pair")
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,18 @@ class Scenario:
             if action.op == "add":
                 pairs.append(action.pair)
         return tuple(pairs)
+
+
+def _known(mapping, allowed, where) -> dict:
+    """Return the mapping after rejecting any key the schema does not define."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"must be a mapping, got {type(mapping).__name__}", location=where)
+    for key in mapping:
+        if key not in allowed:
+            raise ValidationError(
+                f"unknown field {key!r} (expected one of {', '.join(allowed)})", location=where
+            )
+    return mapping
 
 
 def _require(mapping, key, kind, where):
@@ -102,6 +128,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a mapping", location=name_hint)
     name = obj.get("name", name_hint)
+    _known(obj, TOP_FIELDS, name)
 
     chains = [_parse_pair(p, f"{name}.chains[{i}]") for i, p in enumerate(obj.get("chains", []))]
     if not chains:
@@ -110,6 +137,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     actions = []
     for i, entry in enumerate(obj.get("actions", []) or []):
         where = f"{name}.actions[{i}]"
+        _known(entry, ACTION_FIELDS, where)
         op = _require(entry, "op", str, where)
         if op not in VALID_OPS:
             raise ValidationError(f"op must be one of {VALID_OPS}, got {op!r}", location=where)
@@ -135,18 +163,18 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     if len(set(tags)) != len(tags):
         raise ValidationError("a tag is used by more than one chain", location=f"{name}")
 
-    hashing = obj.get("hash", {})
+    hashing = _known(obj.get("hash", {}), HASH_FIELDS, f"{name}.hash")
     hash_seed = _require(hashing, "seed", int, f"{name}.hash")
     bucket_count = _require(hashing, "buckets", int, f"{name}.hash")
-    if bucket_count < 64 * len(declared):
+    if bucket_count < MIN_SLOTS_PER_CHAIN * len(declared):
         raise ValidationError(
             f"{bucket_count} buckets is too small for {len(declared)} chains "
-            "(need at least 64 per chain)",
+            f"(need at least {MIN_SLOTS_PER_CHAIN} per chain)",
             location=f"{name}.hash.buckets",
         )
 
-    tr = obj.get("traffic", {})
     where = f"{name}.traffic"
+    tr = _known(obj.get("traffic", {}), TRAFFIC_FIELDS, where)
     traffic = TrafficProfile(
         sessions=_require(tr, "sessions", int, where),
         rate=_require(tr, "rate", float, where),
@@ -156,7 +184,6 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         duration=float(tr.get("duration", 6.0)),
         duration_jitter=float(tr.get("duration_jitter", 0.5)),
         response_delay=float(tr.get("response_delay", 0.02)),
-        start_offset=float(tr.get("start_offset", 0.0)),
         collide_fraction=float(tr.get("collide_fraction", 0.0)),
     )
     try:
@@ -164,7 +191,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ValidationError(str(exc), location=where)
 
-    nf = obj.get("nf", {}) or {}
+    nf = _known(obj.get("nf", {}) or {}, NF_FIELDS, f"{name}.nf")
     nf_mode = nf.get("mode", "passthrough")
     if nf_mode not in NF_MODES:
         raise ValidationError(f"nf.mode must be one of {NF_MODES}", location=f"{name}.nf.mode")

@@ -29,7 +29,6 @@ class TrafficProfile:
     duration: float = 6.0  # seconds from first to last packet of a session
     duration_jitter: float = 0.5  # uniform spread around duration
     response_delay: float = 0.02  # server think time before the first reply byte
-    start_offset: float = 0.0
     collide_fraction: float = 0.0  # stress toggle: share 4-tuples between sessions
 
     def validate(self):
@@ -102,7 +101,7 @@ def plan_sessions(profile: TrafficProfile, seed: int, server: Endpoint = SERVER)
                 session_id=i,
                 client=client,
                 server=server,
-                start=profile.start_offset + i / profile.rate,
+                start=i / profile.rate,
                 request_bytes=profile.request_bytes,
                 response_bytes=profile.bytes_per_session - profile.request_bytes,
                 packet_size=profile.packet_size,

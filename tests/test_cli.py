@@ -164,6 +164,29 @@ def test_run_rejects_control_latency_at_barrier_timeout(tmp_path, capsys, value)
     assert not (tmp_path / "out").exists()
 
 
+UNKNOWN_KEYS = [  # (location, misspelt key, line of MINIMAL it follows, added YAML)
+    ("mini", "windwo", "horizon: 10.0\n", "windwo: 0\n"),
+    ("mini.hash", "bukets", "  buckets: 256\n", "  bukets: 512\n"),
+    ("mini.traffic", "durration", "  rate: 75.0\n", "  durration: 2.0\n"),
+    ("mini.traffic", "start_offset", "  rate: 75.0\n", "  start_offset: 1.0\n"),
+    ("mini.nf", "capacty", "horizon: 10.0\n", "nf:\n  mode: passthrough\n  capacty: 5000\n"),
+    ("mini.actions[0]", "pari", "horizon: 10.0\n",
+     "actions:\n  - {at: 2.0, op: rebalance, pari: [2, 3]}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, key, anchor, added", [pytest.param(*c, id=f"{c[0]}.{c[1]}") for c in UNKNOWN_KEYS]
+)
+def test_run_rejects_unknown_key(tmp_path, capsys, where, key, anchor, added):
+    # a misspelt key used to run silently on the field's default
+    scn = write(tmp_path, MINIMAL.replace(anchor, anchor + added))
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: unknown field {key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_accepts_control_latency_below_half_barrier_timeout(tmp_path):
     scn = parse_scenario(write(tmp_path, MINIMAL + "control_latency: 0.49\n"))
     assert scn.control_latency == 0.49

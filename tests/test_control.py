@@ -320,6 +320,52 @@ def test_repeat_handshake_conflicting_config_rejected():
     assert len(master.balancer.buckets) == 1024
 
 
+def test_restarted_slave_handshake_refused_as_generation_mismatch():
+    # after a commit, a fresh slave would ack generation 0 beside a master at 1
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ok(call(ms.add_chain, C3, now=1.0))
+    vector = master.balancer.buckets
+    SlaveAgent("slave", master.transport)  # the restarted slave takes the name
+    reply = call(ms.handshake, make_config(chains=(C1, C2)))
+    assert reply.payload["error"] == "GenerationMismatch: slave at 0, master at 1"
+    assert master.committed == [0, 1]
+    assert master.balancer.buckets is vector
+
+
+def test_refused_polls_report_none():
+    # before the handshake both balancers refuse every poll
+    ms, master, slave = make_agents()
+    ms.known.add(C1)  # announced, so the poll reaches the balancers
+    assert call(ms.poll_stats, now=1.0) is None
+    assert call(ms.poll_path_active, C1, now=1.0) is None
+    # a restarted slave refuses while the master answers: still no verdict,
+    # so the caller never reads the refusal as "inactive" and reclaims C2
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ok(call(ms.remove_chain, C2, now=1.0))
+    SlaveAgent("slave", master.transport)
+    assert call(ms.poll_path_active, C2, now=2.0) is None
+    assert call(ms.poll_stats, now=2.0) is None
+    assert master._current is None  # the refused stats op left the pipeline
+
+
+def test_every_reply_is_one_ack():
+    ms, master, slave = make_cluster(chains=(C1,))
+    ok(call(ms.add_chain, C2, now=1.0))
+    ok(call(ms.add_chain, C3, now=2.0))
+    ok(call(ms.remove_chain, C2, now=3.0))
+    ok(call(ms.request_rebalance, now=4.0))
+    call(ms.poll_stats, now=5.0)
+    call(ms.poll_path_active, C2, now=6.0)
+    trace = master.transport.trace  # (src, dst, kind, req_id, reply_to)
+    assert {kind for _, _, kind, _, reply_to in trace if reply_to is not None} == {"ack"}
+    # exactly one reply per request
+    asked = sorted((src, req_id) for src, _, _, req_id, reply_to in trace if reply_to is None)
+    answered = sorted((dst, reply_to) for _, dst, _, _, reply_to in trace if reply_to is not None)
+    assert answered == asked
+    kinds = {kind for _, _, kind, _, reply_to in trace if reply_to is None}
+    assert {"stats_request", "path_active_request", "allocation_commit"} <= kinds
+
+
 def test_poll_path_active_unknown_chain():
     ms, master, slave = make_cluster(chains=(C1,))
     with pytest.raises(UnknownChain):

@@ -1,4 +1,4 @@
-"""Per-call micro-timings of the balancer and bucket-vector layers.
+"""Per-call micro-timings of the balancer, bucket-vector and control-codec layers.
 
     python3 tools/microbench.py [--src DIR] [--repeat N]
 
@@ -10,6 +10,10 @@ Prints one JSON object of best-of-N timings:
 - ``build_buckets_ms[L]``: one ``build_buckets`` call for a 3-chain allocation
   at a generation not built before, and ``build_buckets_again_ms[L]`` for a
   second build of the same generation, as the slave does after the master.
+- ``codec_round_trip_us``: one ``encode_message`` + ``decode_message`` round
+  trip, as the control transport makes per message, for a 5-chain
+  ``allocation_commit`` prepare and for a stats ``ack`` carrying a 5-chain
+  traffic window.
 
 ``--src`` imports chainbalance from another checkout's ``src`` directory, so
 two versions can be timed by the same script on the same host. Wall-clock
@@ -43,7 +47,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from chainbalance.balancer import Balancer, LogicalPacket
+    from chainbalance.control import (
+        ControlMessage, alloc_to_wire, decode_message, encode_message, window_to_wire,
+    )
     from chainbalance.hashing import ChainId, Endpoint, HashParams, build_buckets, canonical_key
+    from chainbalance.rebalance import TrafficWindow
 
     chains = [ChainId(2, 3), ChainId(4, 5), ChainId(6, 7)]
     server = Endpoint.parse("10.9.9.9", 80)
@@ -97,6 +105,27 @@ def main(argv=None) -> int:
             again.append(seconds(build))
         out["build_buckets_ms"][length] = round(1e3 * min(first), 3)
         out["build_buckets_again_ms"][length] = round(1e3 * min(again), 3)
+
+    five = [ChainId(2 * i + 2, 2 * i + 3) for i in range(5)]
+    prepare = {"phase": "prepare", "generation": 3,
+               "alloc": alloc_to_wire([(c, 13107) for c in five]), "drain": None}
+    window = window_to_wire(TrafficWindow(5.0, {c: 1_234_567 for c in five}))
+    messages = {
+        "allocation_commit_prepare": ControlMessage("allocation_commit", prepare, "master", 17),
+        "stats_ack": ControlMessage(
+            "ack", {"ok": True, "error": "", "window": window}, "slave", 0, reply_to=17
+        ),
+    }
+    trips = 10_000
+
+    def round_trips(msg):
+        for _ in range(trips):
+            decode_message(encode_message(msg))
+
+    out["codec_round_trip_us"] = {}
+    for label, msg in messages.items():
+        best = min(seconds(functools.partial(round_trips, msg)) for _ in range(args.repeat))
+        out["codec_round_trip_us"][label] = round(1e6 * best / trips, 3)
     print(json.dumps(out, indent=2))
     return 0
 
