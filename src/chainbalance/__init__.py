@@ -1,9 +1,9 @@
 """Connection-affine load balancing for horizontally scaled NF chains."""
 
-from .balancer import Balancer, LogicalPacket
+from .balancer import Balancer
 from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
 from .engine import EventLoop
-from .hashing import BucketVector, ChainId, Endpoint, HashParams, SessionKey, canonical_key
+from .hashing import BucketVector, ChainId, Endpoint, HashParams, canonical_key
 from .rebalance import TrafficWindow, WeightProfile
 
 __all__ = [
@@ -14,10 +14,8 @@ __all__ = [
     "Endpoint",
     "EventLoop",
     "HashParams",
-    "LogicalPacket",
     "ManagementSystem",
     "MasterAgent",
-    "SessionKey",
     "SlaveAgent",
     "TrafficWindow",
     "Transport",

@@ -1,12 +1,13 @@
 """One load-balancer node: session affinity plus bucket-vector mapping.
 
 A balancer answers one question per packet: which chain carries this
-session? Known active sessions keep their stored chain no matter what
-happened to the bucket vector in between; everything else is a single
-array read at hash(key) mod L. Re-shuffles replace the vector wholesale:
-a replacement is built aside and installed with one assignment. A balancer
-is driven from one thread (the simulator's event loop, or the caller) and
-takes no locks.
+session? The caller names the session by its packed key (see `hashing`),
+computed once per session and identical for both directions. Known active
+sessions keep their stored chain no matter what happened to the bucket
+vector in between; everything else is a single array read at hash(key)
+mod L. Re-shuffles replace the vector wholesale: a replacement is built
+aside and installed with one assignment. A balancer is driven from one
+thread (the simulator's event loop, or the caller) and takes no locks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoLiveChains
-from .hashing import BucketVector, ChainId, Endpoint, HashParams, build_buckets, canonical_key
+from .hashing import BucketVector, ChainId, HashParams, build_buckets
 from .rebalance import TrafficWindow, WeightProfile
 
 DEFAULT_SESSION_TIMEOUT = 6.0
@@ -27,21 +28,6 @@ SLAVE = "slave"
 class SessionRecord:
     last_timestamp: float
     assigned: ChainId
-
-
-@dataclass
-class LogicalPacket:
-    """Payload-less stand-in for a packet: endpoints, size, arrival time.
-
-    `key` is the session's canonical key when the caller already has it;
-    left at None, `map_packet` computes it.
-    """
-
-    src: Endpoint
-    dst: Endpoint
-    bytes: int
-    timestamp: float
-    key: object = None
 
 
 class Balancer:
@@ -63,24 +49,20 @@ class Balancer:
         self.params = params
         self.session_timeout = session_timeout
         self.buckets: BucketVector | None = None
-        self.table: dict = {}
+        self.table: dict[bytes, SessionRecord] = {}
         self.draining: set[ChainId] = set()
         self.counters: dict[ChainId, int] = {}
         self.window_start = 0.0
 
     # -- traffic path ------------------------------------------------------
 
-    def map_packet(self, packet: LogicalPacket) -> ChainId:
-        """Return the chain for this packet and account its bytes.
+    def map_packet(self, key: bytes, size: int, now: float) -> ChainId:
+        """Return the chain for a packet of session `key` and account its size.
 
         An active session (last packet less than the timeout ago) keeps its
         stored chain, even one that is draining; anything else is mapped
         through the current bucket vector and recorded.
         """
-        key = packet.key
-        if key is None:
-            key = canonical_key(packet.src, packet.dst)
-        now = packet.timestamp
         record = self.table.get(key)
         if record is not None and record.last_timestamp + self.session_timeout > now:
             record.last_timestamp = now
@@ -90,10 +72,10 @@ class Balancer:
                 raise NoLiveChains("no bucket vector installed")
             chain = self.buckets.lookup(key)
             self.table[key] = SessionRecord(now, chain)
-        self.counters[chain] = self.counters.get(chain, 0) + packet.bytes
+        self.counters[chain] = self.counters.get(chain, 0) + size
         return chain
 
-    def reconcile(self, key, observed: ChainId, now: float):
+    def reconcile(self, key: bytes, observed: ChainId, now: float):
         """Adopt the chain seen on a returning packet for this session.
 
         Master-side correction for the rare case where the slave assigned a
@@ -122,10 +104,6 @@ class Balancer:
         if drain is not None:
             self.draining.add(drain)
         self.buckets = vector
-
-    def apply_allocation(self, alloc, generation: int):
-        """Build and swap in a new bucket vector."""
-        self.install(self.stage_allocation(alloc, generation))
 
     def current_profile(self) -> WeightProfile:
         """Probabilities currently encoded in the bucket vector."""

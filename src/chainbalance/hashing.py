@@ -5,10 +5,16 @@ function here must be bit-for-bit deterministic across processes and
 hosts: no per-process hash randomization, no library RNG.
 
 Primitives:
-    canonical_key — order the two endpoints of a flow into one key
+    canonical_key — pack the two endpoints of a flow into one `bytes` key
     hash_key      — FNV-1a over the key bytes, finished with a 64-bit mixer
     build_buckets — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
     lookup        — table[index[hash_key(k) mod L]]
+
+A session key is one `bytes` value: the flow's lo endpoint then its hi
+endpoint by `Endpoint` order, each as address bytes plus a 2-byte big-endian
+port, so 12 bytes for IPv4 and 36 for IPv6. It is computed once per
+session, where the traffic is planned, and both balancers key their tables
+and hash with it.
 
 Vector layout: `table` holds the live chains sorted by forward tag, `tally`
 their slot counts, and `index` one small int per slot pointing into `table`
@@ -60,17 +66,6 @@ class Endpoint:
         return f"{ipaddress.ip_address(self.address)}:{self.port}"
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    """Canonically ordered endpoint pair; identical for both flow directions."""
-
-    lo: Endpoint
-    hi: Endpoint
-
-    def __str__(self):
-        return f"{self.lo}|{self.hi}"
-
-
 @dataclass(frozen=True, order=True)
 class ChainId:
     """Tag pair naming one chain instance: forward path tag, reverse path tag."""
@@ -103,9 +98,10 @@ class HashParams:
             raise ValueError("seed must fit in 64 bits")
 
 
-def canonical_key(a: Endpoint, b: Endpoint) -> SessionKey:
-    """Build the direction-invariant key for the flow between a and b."""
-    return SessionKey(a, b) if a <= b else SessionKey(b, a)
+def canonical_key(a: Endpoint, b: Endpoint) -> bytes:
+    """Pack the direction-invariant key for the flow between a and b."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    return lo.address + lo.port.to_bytes(2, "big") + hi.address + hi.port.to_bytes(2, "big")
 
 
 def _fmix64(h: int) -> int:
@@ -118,14 +114,11 @@ def _fmix64(h: int) -> int:
     return h
 
 
-def hash_key(key: SessionKey) -> int:
+def hash_key(key: bytes) -> int:
     """Map a session key to a 64-bit integer, identically on every host."""
     h = _FNV_OFFSET
-    for ep in (key.lo, key.hi):
-        for byte in ep.address:
-            h = ((h ^ byte) * _FNV_PRIME) & MASK64
-        h = ((h ^ (ep.port >> 8)) * _FNV_PRIME) & MASK64
-        h = ((h ^ (ep.port & 0xFF)) * _FNV_PRIME) & MASK64
+    for byte in key:
+        h = ((h ^ byte) * _FNV_PRIME) & MASK64
     return _fmix64(h)
 
 
@@ -151,7 +144,7 @@ class BucketVector:
         """The chain id of every slot, in slot order."""
         return tuple(map(self.table.__getitem__, self.index))
 
-    def lookup(self, key: SessionKey) -> ChainId:
+    def lookup(self, key: bytes) -> ChainId:
         index = self.index
         return self.table[index[hash_key(key) % len(index)]]
 

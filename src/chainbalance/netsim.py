@@ -10,7 +10,8 @@ chain's switch, delivered untagged to the NF, re-tagged on the far side and
 passed through the slave on their way to the server. Reverse packets mirror
 this through the slave, which maps them with its own copy of the bucket
 vector; the master observes them coming back and corrects its session table
-if the two sides ever diverged.
+if the two sides ever diverged. A frame carries its session's packed key
+from the traffic plan, so neither balancer derives it from addresses.
 
 Switches hold no state: a frame's path through them depends only on where
 it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
@@ -31,11 +32,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .balancer import LogicalPacket
 from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
 from .engine import EventLoop
 from .errors import EmptyTagStack, NeverConverged, NoRoute
-from .hashing import ChainId, Endpoint, canonical_key
+from .hashing import ChainId
 from .scenario import Scenario
 from .traffic import generate_traffic
 
@@ -44,15 +44,13 @@ from .traffic import generate_traffic
 
 @dataclass
 class Frame:
-    """A packet in flight: endpoints, size, and its stack of routing tags."""
+    """A packet in flight: session key, size, and its stack of routing tags."""
 
-    src: Endpoint
-    dst: Endpoint
+    key: bytes  # the session's canonical key, the same in both directions
     size: int
     session_id: int
     reverse: bool
     tags: list[int] = field(default_factory=list)
-    key: object = None  # canonical session key, computed at the first balancer
 
 
 def push_tag(frame: Frame, tag: int) -> Frame:
@@ -77,8 +75,8 @@ class TagRule:
 class TagRouter:
     """Static (ingress port, outer tag) -> (egress port, tag action) rules."""
 
-    def __init__(self, rules: dict[tuple[int, int | None], TagRule] | None = None):
-        self.rules = dict(rules or {})
+    def __init__(self):
+        self.rules: dict[tuple[int, int | None], TagRule] = {}
 
     def add(self, in_port: int, tag: int | None, out_port: int, action: str = "none",
             action_tag: int | None = None):
@@ -136,15 +134,17 @@ class ThroughputSeries:
                 yield f"{second},{chain.forward_tag},{self.bytes_at(chain, second)}"
 
 
+CONVERGENCE_DWELL = 2  # consecutive balanced seconds that count as converged
+
+
 def measure_convergence(
     series: ThroughputSeries,
     live: list[ChainId],
     event_time: float,
     band: float,
-    dwell: float = 2.0,
 ) -> float:
     """Seconds after event_time until every live chain's per-second share
-    stays within +-band*(1/N) of 1/N for `dwell` consecutive seconds.
+    stays within +-band*(1/N) of 1/N for CONVERGENCE_DWELL consecutive seconds.
 
     Zero-traffic seconds never count as balanced, so the quiet tail of a run
     cannot fake convergence.
@@ -152,7 +152,6 @@ def measure_convergence(
     n = len(live)
     target = 1.0 / n
     first = max(0, math.ceil(event_time))
-    dwell_secs = max(1, int(round(dwell)))
     last = series.last_second()
 
     def balanced(second: int) -> bool:
@@ -163,11 +162,11 @@ def measure_convergence(
             abs(series.bytes_at(c, second) / total - target) <= band * target for c in live
         )
 
-    for start in range(first, last - dwell_secs + 2):
-        if all(balanced(s) for s in range(start, start + dwell_secs)):
+    for start in range(first, last - CONVERGENCE_DWELL + 2):
+        if all(balanced(s) for s in range(start, start + CONVERGENCE_DWELL)):
             return start - event_time
     raise NeverConverged(
-        f"no {dwell_secs}s window within +-{band:.0%} of 1/{n} after t={event_time}"
+        f"no {CONVERGENCE_DWELL}s window within +-{band:.0%} of 1/{n} after t={event_time}"
     )
 
 
@@ -289,8 +288,6 @@ class BalancerNode:
 
     def handle(self, frame: Frame, port: int, now: float):
         balancer = self.agent.balancer
-        if frame.key is None:
-            frame.key = canonical_key(frame.src, frame.dst)
         if frame.tags:
             tag = frame.tags[-1]
             chain = (
@@ -308,8 +305,7 @@ class BalancerNode:
                     self.sim.note_reconcile(frame, record.assigned, chain, now)
                 balancer.reconcile(frame.key, chain, now)
         else:
-            packet = LogicalPacket(frame.src, frame.dst, frame.size, now, key=frame.key)
-            chain = balancer.map_packet(packet)
+            chain = balancer.map_packet(frame.key, frame.size, now)
             self.sim.note_mapped(self, frame, chain, now)
             push_tag(frame, chain.forward_tag if self.is_master else chain.reverse_tag)
         self.sim.transmit(self.name, 1, frame)
@@ -320,7 +316,6 @@ class BalancerNode:
 
 @dataclass
 class SessionTrace:
-    first_seen: float
     master_chain: ChainId | None
     slave_chain: ChainId | None = None
     nf_chains: set = field(default_factory=set)
@@ -474,7 +469,7 @@ class NetSim:
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port."""
-        probe = Frame(None, None, 0, -1, False, list(tags))
+        probe = Frame(b"", 0, -1, False, list(tags))
         hops = 0
         while True:
             node, port = self.links[(node, port)]
@@ -524,7 +519,7 @@ class NetSim:
         if node.is_master:
             if trace is None:
                 self.sessions[frame.session_id] = SessionTrace(
-                    first_seen=now, master_chain=chain, last_master_seen=now
+                    master_chain=chain, last_master_seen=now
                 )
                 self.session_starts.append((now, frame.session_id, chain))
                 self.events.append(
@@ -550,7 +545,7 @@ class NetSim:
             elif trace is None:
                 # reverse packet arrived before any forward packet was mapped
                 self.sessions[frame.session_id] = SessionTrace(
-                    first_seen=now, master_chain=None, slave_chain=chain
+                    master_chain=None, slave_chain=chain
                 )
         if chain in self.reclaims and now > self.reclaims[chain]:
             self.violation(f"session mapped to reclaimed chain {chain}", frame.session_id, now)
@@ -645,7 +640,7 @@ class NetSim:
             planned = packets[i]
             cursor["i"] = i + 1
             frame = Frame(
-                src=planned.src, dst=planned.dst, size=planned.size,
+                key=planned.key, size=planned.size,
                 session_id=planned.session_id, reverse=planned.reverse,
             )
             self.inject(frame)

@@ -3,7 +3,9 @@
 Sessions mimic fixed-rate HTTP fetches: a short client request followed by
 a paced stream of response bytes from the server, finishing a configurable
 duration after the session started. Everything is derived from one seed so
-a profile always expands to the identical packet schedule.
+a profile always expands to the identical packet schedule. Each session's
+key is packed once here and shared by all of its packets, in both
+directions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .hashing import Endpoint
+from .hashing import Endpoint, canonical_key
 
 SERVER = Endpoint.parse("10.99.0.1", 80)
 
@@ -59,12 +61,11 @@ class SessionSpec:
 
 @dataclass(frozen=True)
 class PlannedPacket:
-    """A packet the generator will inject: where, when, how big."""
+    """A packet the generator will inject: which session, when, how big."""
 
     time: float
     session_id: int
-    src: Endpoint
-    dst: Endpoint
+    key: bytes  # the session's canonical key
     size: int
     reverse: bool
 
@@ -76,7 +77,7 @@ def _chunks(total: int, size: int) -> list[int]:
     return sizes
 
 
-def plan_sessions(profile: TrafficProfile, seed: int, server: Endpoint = SERVER) -> list[SessionSpec]:
+def plan_sessions(profile: TrafficProfile, seed: int) -> list[SessionSpec]:
     """Lay out session start times, endpoints and durations for a profile."""
     profile.validate()
     rng = random.Random(seed)
@@ -100,7 +101,7 @@ def plan_sessions(profile: TrafficProfile, seed: int, server: Endpoint = SERVER)
             SessionSpec(
                 session_id=i,
                 client=client,
-                server=server,
+                server=SERVER,
                 start=i / profile.rate,
                 request_bytes=profile.request_bytes,
                 response_bytes=profile.bytes_per_session - profile.request_bytes,
@@ -114,14 +115,14 @@ def plan_sessions(profile: TrafficProfile, seed: int, server: Endpoint = SERVER)
 
 def session_packets(spec: SessionSpec) -> list[PlannedPacket]:
     """Expand one session into its forward request and paced reverse response."""
+    key = canonical_key(spec.client, spec.server)
     packets = []
     for i, size in enumerate(_chunks(spec.request_bytes, spec.packet_size)):
         packets.append(
             PlannedPacket(
                 time=spec.start + i * 1e-4,
                 session_id=spec.session_id,
-                src=spec.client,
-                dst=spec.server,
+                key=key,
                 size=size,
                 reverse=False,
             )
@@ -133,8 +134,7 @@ def session_packets(spec: SessionSpec) -> list[PlannedPacket]:
             PlannedPacket(
                 time=spec.start + spec.response_delay + (i + 1) * spacing,
                 session_id=spec.session_id,
-                src=spec.server,
-                dst=spec.client,
+                key=key,
                 size=size,
                 reverse=True,
             )
@@ -142,10 +142,10 @@ def session_packets(spec: SessionSpec) -> list[PlannedPacket]:
     return packets
 
 
-def generate_traffic(profile: TrafficProfile, seed: int, server: Endpoint = SERVER) -> list[PlannedPacket]:
+def generate_traffic(profile: TrafficProfile, seed: int) -> list[PlannedPacket]:
     """Full two-direction packet schedule for a profile, ordered by time."""
     packets: list[PlannedPacket] = []
-    for spec in plan_sessions(profile, seed, server):
+    for spec in plan_sessions(profile, seed):
         packets.extend(session_packets(spec))
     packets.sort(key=lambda p: (p.time, p.session_id, p.reverse))
     return packets

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from chainbalance import netsim
-from chainbalance.balancer import LogicalPacket
 from chainbalance.cli import CRITERIA, bundled_scenario, build_report, write_outputs
 from chainbalance.control import (
     ClusterConfig,
@@ -268,11 +267,11 @@ class _AffinityHarness:
 
     def map_forward(self, i, t):
         client, server = self.endpoints(i)
-        return self.master.balancer.map_packet(LogicalPacket(client, server, 1000, t))
+        return self.master.balancer.map_packet(canonical_key(client, server), 1000, t)
 
     def map_reverse(self, i, t):
         client, server = self.endpoints(i)
-        return self.slave.balancer.map_packet(LogicalPacket(server, client, 1000, t))
+        return self.slave.balancer.map_packet(canonical_key(server, client), 1000, t)
 
     def key(self, i):
         return canonical_key(*self.endpoints(i))

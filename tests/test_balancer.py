@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from chainbalance.balancer import Balancer, LogicalPacket
+from chainbalance.balancer import Balancer
 from chainbalance.control import alloc_from_wire, alloc_to_wire
 from chainbalance.errors import NoLiveChains
 from chainbalance.hashing import ChainId, Endpoint, HashParams, canonical_key
@@ -24,7 +24,7 @@ def even_alloc(chains):
 
 def make_balancer(chains=(C1, C2), role="master", timeout=6.0):
     b = Balancer(role, PARAMS, session_timeout=timeout)
-    b.apply_allocation(even_alloc(chains), generation=0)
+    b.install(b.stage_allocation(even_alloc(chains), generation=0))
     return b
 
 
@@ -35,68 +35,52 @@ def drain(b, victim):
 
 
 def packet(sport, t, size=100, dport=80, reverse=False):
+    """map_packet's (key, size, now) for one packet of a client-server session."""
     client = Endpoint.parse("10.0.0.1", sport)
     server = Endpoint.parse("10.9.9.9", dport)
-    if reverse:
-        return LogicalPacket(server, client, size, t)
-    return LogicalPacket(client, server, size, t)
+    key = canonical_key(server, client) if reverse else canonical_key(client, server)
+    return key, size, t
 
 
 def test_fresh_key_creates_record():
     b = make_balancer(chains=(C1,))
-    chain = b.map_packet(packet(5000, t=1.0))
+    chain = b.map_packet(*packet(5000, t=1.0))
     assert chain == C1
     key = canonical_key(Endpoint.parse("10.0.0.1", 5000), Endpoint.parse("10.9.9.9", 80))
     assert b.table[key].assigned == C1
     assert b.table[key].last_timestamp == 1.0
 
 
-def test_precomputed_key_skips_canonical_key(monkeypatch):
-    b = make_balancer()
-    pkt = packet(5000, t=1.0)
-    expected = b.map_packet(pkt)
-    key = canonical_key(pkt.src, pkt.dst)
-
-    def fail(*args):
-        raise AssertionError("canonical_key recomputed")
-
-    monkeypatch.setattr("chainbalance.balancer.canonical_key", fail)
-    pkt.key = key
-    pkt.timestamp = 2.0
-    assert b.map_packet(pkt) == expected
-    assert b.table[key].last_timestamp == 2.0
-
-
 def test_no_vector_raises():
     b = Balancer("master", PARAMS)
     with pytest.raises(NoLiveChains):
-        b.map_packet(packet(5000, t=0.0))
+        b.map_packet(*packet(5000, t=0.0))
 
 
 def test_active_session_sticks_through_vector_change():
     b = make_balancer()
-    first = b.map_packet(packet(6000, t=10.0))
+    first = b.map_packet(*packet(6000, t=10.0))
     other = C1 if first == C2 else C2
     # replace the whole vector with the other chain only
-    b.apply_allocation([(other, PARAMS.bucket_count)], generation=1)
-    assert b.map_packet(packet(6000, t=15.0)) == first  # 10 + 6 > 15: still active
-    assert b.map_packet(packet(6000, t=30.0)) == other  # expired: remapped
+    b.install(b.stage_allocation([(other, PARAMS.bucket_count)], generation=1))
+    assert b.map_packet(*packet(6000, t=15.0)) == first  # 10 + 6 > 15: still active
+    assert b.map_packet(*packet(6000, t=30.0)) == other  # expired: remapped
 
 
 def test_session_expiry_boundary():
     b = make_balancer()
-    b.map_packet(packet(6000, t=10.0))
-    b.apply_allocation([(C3, PARAMS.bucket_count)], generation=1)
+    b.map_packet(*packet(6000, t=10.0))
+    b.install(b.stage_allocation([(C3, PARAMS.bucket_count)], generation=1))
     # refresh at t=15 extends the session to 21
-    assert b.map_packet(packet(6000, t=15.0)) != C3
+    assert b.map_packet(*packet(6000, t=15.0)) != C3
     # s + timeout == now is no longer active
-    assert b.map_packet(packet(6000, t=21.0)) == C3
+    assert b.map_packet(*packet(6000, t=21.0)) == C3
 
 
 def test_reverse_direction_maps_to_same_chain():
     b = make_balancer()
-    fwd = b.map_packet(packet(7000, t=0.0))
-    rev = b.map_packet(packet(7000, t=0.5, reverse=True))
+    fwd = b.map_packet(*packet(7000, t=0.0))
+    rev = b.map_packet(*packet(7000, t=0.5, reverse=True))
     assert fwd == rev
 
 
@@ -106,14 +90,14 @@ def test_draining_session_keeps_chain():
     victims = {}
     for _ in range(200):
         sport = rng.randrange(1024, 65000)
-        chain = b.map_packet(packet(sport, t=0.0))
+        chain = b.map_packet(*packet(sport, t=0.0))
         victims.setdefault(chain, sport)
     sport_on_c1 = victims[C1]
     drain(b, C1)
     assert C1 in b.draining
     assert C1 not in b.buckets.chains()
     # the active session still maps to the draining chain
-    assert b.map_packet(packet(sport_on_c1, t=3.0)) == C1
+    assert b.map_packet(*packet(sport_on_c1, t=3.0)) == C1
 
 
 def test_drain_blocks_new_sessions():
@@ -122,8 +106,8 @@ def test_drain_blocks_new_sessions():
     rng = random.Random(11)
     for _ in range(10_000):
         src = Endpoint(bytes(rng.randrange(256) for _ in range(4)), rng.randrange(1024, 65000))
-        pkt = LogicalPacket(src, Endpoint.parse("10.9.9.9", 80), 100, 5.0)
-        assert b.map_packet(pkt) != C2
+        key = canonical_key(src, Endpoint.parse("10.9.9.9", 80))
+        assert b.map_packet(key, 100, 5.0) != C2
 
 
 def test_drain_with_no_sessions_is_inactive_immediately():
@@ -138,7 +122,7 @@ def test_drain_becomes_inactive_after_timeout():
     sport = None
     while sport is None:
         cand = rng.randrange(1024, 65000)
-        if b.map_packet(packet(cand, t=100.0)) == C1:
+        if b.map_packet(*packet(cand, t=100.0)) == C1:
             sport = cand
     drain(b, C1)
     assert b.path_active(C1, now=103.0) is True
@@ -148,7 +132,7 @@ def test_drain_becomes_inactive_after_timeout():
 
 def test_path_active_boundary():
     b = make_balancer(chains=(C1,))
-    b.map_packet(packet(5000, t=100.0))
+    b.map_packet(*packet(5000, t=100.0))
     assert b.path_active(C1, now=105.0) is True
     assert b.path_active(C1, now=106.0) is False
     assert b.path_active(C2, now=100.0) is False
@@ -162,7 +146,7 @@ def test_path_active_empty_table():
 def test_snapshot_window_counts_and_resets():
     b = make_balancer(chains=(C1,))
     for i in range(3):
-        b.map_packet(packet(5000 + i, t=0.5, size=100))
+        b.map_packet(*packet(5000 + i, t=0.5, size=100))
     w = b.snapshot_window(now=5.0)
     assert w.bytes[C1] == 300
     assert w.window_length == 5.0
@@ -178,7 +162,7 @@ def test_snapshot_never_double_counts():
     for step in range(1, 11):
         for _ in range(rng.randrange(0, 40)):
             size = rng.randrange(1, 2000)
-            b.map_packet(packet(rng.randrange(1024, 65000), t=float(step), size=size))
+            b.map_packet(*packet(rng.randrange(1024, 65000), t=float(step), size=size))
             total += size
         w = b.snapshot_window(now=float(step))
         seen += sum(w.bytes.values())
@@ -191,7 +175,7 @@ def test_counter_conservation_per_window():
     injected = 0
     for _ in range(500):
         size = rng.randrange(40, 1500)
-        b.map_packet(packet(rng.randrange(1024, 65000), t=1.0, size=size))
+        b.map_packet(*packet(rng.randrange(1024, 65000), t=1.0, size=size))
         injected += size
     w = b.snapshot_window(now=2.0)
     assert sum(w.bytes.values()) == injected
@@ -199,8 +183,8 @@ def test_counter_conservation_per_window():
 
 def test_expire_sessions():
     b = make_balancer()
-    b.map_packet(packet(5000, t=0.0))
-    b.map_packet(packet(5001, t=4.0))
+    b.map_packet(*packet(5000, t=0.0))
+    b.map_packet(*packet(5001, t=4.0))
     assert b.expire_sessions(now=4.0) == 0
     assert b.expire_sessions(now=7.0) == 1  # the t=0 record hit 0 + 6 <= 7
     assert len(b.table) == 1
@@ -217,12 +201,12 @@ def test_expiry_is_transparent_to_mapping():
 
     plain = make_balancer()
     swept = make_balancer()
-    results_plain = [plain.map_packet(p) for p in stream]
+    results_plain = [plain.map_packet(*p) for p in stream]
     results_swept = []
-    for i, p in enumerate(stream):
+    for i, (key, size, t) in enumerate(stream):
         if i % 50 == 0:
-            swept.expire_sessions(p.timestamp)
-        results_swept.append(swept.map_packet(p))
+            swept.expire_sessions(t)
+        results_swept.append(swept.map_packet(key, size, t))
     assert results_plain == results_swept
 
 
@@ -236,7 +220,7 @@ def test_reconcile_records_absent_key():
 
 def test_reconcile_overwrites_divergent_assignment():
     b = make_balancer()
-    chain = b.map_packet(packet(9000, t=0.0))
+    chain = b.map_packet(*packet(9000, t=0.0))
     other = C1 if chain == C2 else C2
     key = canonical_key(Endpoint.parse("10.0.0.1", 9000), Endpoint.parse("10.9.9.9", 80))
     b.reconcile(key, other, now=1.0)
@@ -264,7 +248,7 @@ def test_affinity_across_interleaved_operations():
     for step in range(4000):
         t += 0.01
         sport = rng.randrange(1024, 1224)  # small pool: sessions repeat often
-        chain = b.map_packet(packet(sport, t=t))
+        chain = b.map_packet(*packet(sport, t=t))
         if sport in assigned and last_seen[sport] + 6.0 > t:
             assert chain == assigned[sport], "active session switched chains"
         assigned[sport] = chain
@@ -272,7 +256,7 @@ def test_affinity_across_interleaved_operations():
         if step % 500 == 499:
             live = list(b.buckets.chains())
             rng.shuffle(live)
-            b.apply_allocation(even_alloc(live), generation)
+            b.install(b.stage_allocation(even_alloc(live), generation))
             generation += 1
 
 
@@ -284,7 +268,7 @@ def test_master_slave_agreement_static():
         sport = rng.randrange(1024, 65000)
         fwd = packet(sport, t=1.0)
         rev = packet(sport, t=1.001, reverse=True)
-        assert master.map_packet(fwd) == slave.map_packet(rev)
+        assert master.map_packet(*fwd) == slave.map_packet(*rev)
 
 
 def test_vector_reads_cost_chain_comparisons_not_slot_comparisons(monkeypatch):

@@ -2,7 +2,6 @@ from pathlib import Path
 
 import pytest
 
-from chainbalance.balancer import LogicalPacket
 from chainbalance.control import (
     ClusterConfig,
     ControlMessage,
@@ -67,9 +66,9 @@ def error_name(reply):
 
 
 def forward_packet(sport, t, size=100):
-    return LogicalPacket(
-        Endpoint.parse("10.0.0.1", sport), Endpoint.parse("10.9.9.9", 80), size, t
-    )
+    """map_packet's (key, size, now) for a client-to-server packet."""
+    key = canonical_key(Endpoint.parse("10.0.0.1", sport), Endpoint.parse("10.9.9.9", 80))
+    return key, size, t
 
 
 def test_wire_roundtrip():
@@ -172,7 +171,7 @@ def test_remove_with_lingering_slave_session():
     ms, master, slave = make_cluster(chains=(C1, C2))
     # find a session that lands on C2 and park it on the slave only
     sport = 5000
-    while slave.balancer.map_packet(forward_packet(sport, t=0.0)) != C2:
+    while slave.balancer.map_packet(*forward_packet(sport, t=0.0)) != C2:
         sport += 1
     ok(call(ms.remove_chain, C2, now=1.0))
     assert call(ms.poll_path_active, C2, now=2.0) is True  # slave still has it
@@ -181,8 +180,8 @@ def test_remove_with_lingering_slave_session():
 
 def test_poll_stats_merges_both_sides():
     ms, master, slave = make_cluster(chains=(C1,))
-    master.balancer.map_packet(forward_packet(5000, t=0.5, size=300))
-    slave.balancer.map_packet(forward_packet(5000, t=0.6, size=200))
+    master.balancer.map_packet(*forward_packet(5000, t=0.5, size=300))
+    slave.balancer.map_packet(*forward_packet(5000, t=0.6, size=200))
     window = call(ms.poll_stats, now=5.0)
     assert window.bytes[C1] == 500
     # counters reset: next poll sees nothing
@@ -209,8 +208,8 @@ def test_rebalance_skewed_window():
         if seen[chain] == 0:
             seen[chain] = sport
         sport += 1
-    master.balancer.map_packet(forward_packet(seen[C1], t=0.5, size=300))
-    master.balancer.map_packet(forward_packet(seen[C2], t=0.5, size=100))
+    master.balancer.map_packet(*forward_packet(seen[C1], t=0.5, size=300))
+    master.balancer.map_packet(*forward_packet(seen[C2], t=0.5, size=100))
     ok(call(ms.request_rebalance, now=5.0))
     assert master.balancer.buckets.counts() == {C1: 256, C2: 768}
     assert master.balancer.buckets == slave.balancer.buckets
@@ -231,10 +230,10 @@ def test_rebalance_never_remaps_active_sessions():
     ms, master, slave = make_cluster(chains=(C1, C2))
     assignments = {}
     for sport in range(5000, 5100):
-        assignments[sport] = master.balancer.map_packet(forward_packet(sport, t=0.0))
+        assignments[sport] = master.balancer.map_packet(*forward_packet(sport, t=0.0))
     ok(call(ms.request_rebalance, now=1.0))
     for sport, chain in assignments.items():
-        assert master.balancer.map_packet(forward_packet(sport, t=2.0)) == chain
+        assert master.balancer.map_packet(*forward_packet(sport, t=2.0)) == chain
 
 
 class DroppingTransport(Transport):
@@ -296,8 +295,8 @@ def test_repeat_handshake_same_config_is_idempotent():
     ms, master, slave = make_cluster(chains=(C1, C2))
     ok(call(ms.add_chain, C3, now=1.0))
     for sport in range(5000, 5020):
-        master.balancer.map_packet(forward_packet(sport, t=2.0))
-        slave.balancer.map_packet(forward_packet(sport, t=2.0))
+        master.balancer.map_packet(*forward_packet(sport, t=2.0))
+        slave.balancer.map_packet(*forward_packet(sport, t=2.0))
     vectors = (master.balancer.buckets, slave.balancer.buckets)
     tables = (dict(master.balancer.table), dict(slave.balancer.table))
 
@@ -375,7 +374,7 @@ def test_poll_path_active_unknown_chain():
 def test_poll_path_active_on_live_chain_reports_activity():
     ms, master, slave = make_cluster(chains=(C1,))
     assert call(ms.poll_path_active, C1, now=0.0) is False
-    master.balancer.map_packet(forward_packet(5000, t=1.0))
+    master.balancer.map_packet(*forward_packet(5000, t=1.0))
     assert call(ms.poll_path_active, C1, now=2.0) is True
 
 

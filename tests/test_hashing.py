@@ -33,8 +33,8 @@ def test_canonical_key_symmetric():
 
 def test_canonical_key_equal_endpoints():
     a = Endpoint.parse("10.0.0.1", 5000)
-    key = canonical_key(a, a)
-    assert key.lo == key.hi == a
+    # address bytes, then the port big-endian (5000 = 0x1388), once per side
+    assert canonical_key(a, a) == bytes([10, 0, 0, 1, 0x13, 0x88]) * 2
 
 
 def test_canonical_key_symmetric_randomized():
@@ -74,6 +74,44 @@ def test_hash_key_ipv6():
     a = Endpoint.parse("2001:db8::1", 443)
     b = Endpoint.parse("2001:db8::2", 5000)
     assert hash_key(canonical_key(a, b)) == hash_key(canonical_key(b, a))
+
+
+def reference_hash(a, b):
+    """The 64-bit session hash walked field by field over two Endpoints:
+    lo before hi by Endpoint order, each as its address bytes, then
+    port >> 8, then port & 0xFF, through FNV-1a and the fmix64 finalizer."""
+    mask = 0xFFFF_FFFF_FFFF_FFFF
+    h = 0xCBF29CE484222325
+    for ep in ((a, b) if a <= b else (b, a)):
+        for byte in (*ep.address, ep.port >> 8, ep.port & 0xFF):
+            h = ((h ^ byte) * 0x100000001B3) & mask
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & mask
+    h ^= h >> 33
+    h = (h * 0xC4CEB9FE1A85EC53) & mask
+    return h ^ (h >> 33)
+
+
+ports = st.integers(1, 0xFFFF)
+endpoints = st.builds(
+    Endpoint,
+    st.one_of(st.binary(min_size=4, max_size=4), st.binary(min_size=16, max_size=16)),
+    ports,
+)
+# independent pairs mix IPv4 and IPv6; same-address pairs are ordered by port
+endpoint_pairs = st.one_of(
+    st.tuples(endpoints, endpoints),
+    endpoints.flatmap(lambda a: st.tuples(st.just(a), st.builds(Endpoint, st.just(a.address), ports))),
+)
+
+
+@settings(max_examples=500)
+@given(endpoint_pairs)
+def test_packed_key_hash_matches_field_by_field_reference(pair):
+    a, b = pair
+    key = canonical_key(a, b)
+    assert key == canonical_key(b, a)
+    assert hash_key(key) == reference_hash(a, b)
 
 
 def test_chain_id_validation():

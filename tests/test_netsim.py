@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
-from chainbalance import cli, netsim
+from chainbalance import cli, hashing, netsim
 from chainbalance.errors import EmptyTagStack, NeverConverged, NoRoute
-from chainbalance.hashing import ChainId, Endpoint
+from chainbalance.hashing import ChainId, Endpoint, canonical_key
 from chainbalance.netsim import (
     EventLoop,
     Frame,
@@ -27,8 +29,7 @@ C3 = ChainId(6, 7)
 
 def frame(tags=()):
     return Frame(
-        src=Endpoint.parse("10.0.0.1", 5000),
-        dst=Endpoint.parse("10.9.9.9", 80),
+        key=canonical_key(Endpoint.parse("10.0.0.1", 5000), Endpoint.parse("10.9.9.9", 80)),
         size=100,
         session_id=0,
         reverse=False,
@@ -456,3 +457,22 @@ def test_static_1_event_count_gate():
     result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
     assert result.packets == 20_800
     assert result.scheduled_events == 104_064
+
+
+def test_static_1_canonical_key_gate(monkeypatch):
+    # work counter: each session's key is packed once, where its traffic is
+    # planned, whichever module calls canonical_key; per packet it took 20,800
+    calls = []
+    original = hashing.canonical_key
+
+    def counted(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chainbalance") and getattr(module, "canonical_key", None) is original:
+            monkeypatch.setattr(module, "canonical_key", counted)
+    result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
+    assert result.packets == 20_800
+    assert len(result.session_starts) == 800
+    assert len(calls) == 800

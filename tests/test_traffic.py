@@ -1,5 +1,6 @@
 import pytest
 
+from chainbalance.hashing import Endpoint, canonical_key
 from chainbalance.traffic import (
     SERVER,
     SessionSpec,
@@ -9,14 +10,16 @@ from chainbalance.traffic import (
     session_packets,
 )
 
+CLIENT = Endpoint.parse("10.0.0.1", 5000)
+
 
 def test_session_packet_arithmetic():
     # 1000 request bytes at packet size 500 -> two forward packets, and the
     # response expands independently
     spec = SessionSpec(
         session_id=0,
-        client=None,
-        server=None,
+        client=CLIENT,
+        server=SERVER,
         start=0.0,
         request_bytes=1000,
         response_bytes=1500,
@@ -31,11 +34,13 @@ def test_session_packet_arithmetic():
     assert sum(p.size for p in forward) == 1000
     assert len(reverse) == 3
     assert sum(p.size for p in reverse) == 1500
+    # both directions carry the one key of the session
+    assert {p.key for p in packets} == {canonical_key(CLIENT, SERVER)}
 
 
 def test_response_finishes_at_duration():
     spec = SessionSpec(
-        session_id=0, client=None, server=None, start=10.0,
+        session_id=0, client=CLIENT, server=SERVER, start=10.0,
         request_bytes=400, response_bytes=74_600, packet_size=3000,
         duration=6.0, response_delay=0.02,
     )

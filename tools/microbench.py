@@ -5,8 +5,9 @@
 Prints one JSON object of best-of-N timings:
 
 - ``map_packet_hit_us`` / ``map_packet_miss_us``: one ``Balancer.map_packet``
-  call for a session already in the table / a new session (L=1024). The
-  packets carry their canonical key, as the simulator's balancer nodes pass it.
+  call for a session already in the table / a new session (L=1024). Each
+  call passes a session key packed beforehand, as the simulator's balancer
+  nodes do.
 - ``build_buckets_ms[L]``: one ``build_buckets`` call for a 3-chain allocation
   at a generation not built before, and ``build_buckets_again_ms[L]`` for a
   second build of the same generation, as the slave does after the master.
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=7, help="timed repetitions per figure")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    from chainbalance.balancer import Balancer, LogicalPacket
+    from chainbalance.balancer import Balancer
     from chainbalance.control import (
         ControlMessage, alloc_to_wire, decode_message, encode_message, window_to_wire,
     )
@@ -56,31 +57,31 @@ def main(argv=None) -> int:
     chains = [ChainId(2, 3), ChainId(4, 5), ChainId(6, 7)]
     server = Endpoint.parse("10.9.9.9", 80)
     calls = 20_000
-    packets = []
+    keys = []
     for i in range(calls):
         client = Endpoint(bytes((10, 0, i >> 8 & 0xFF, i & 0xFF)), 1024 + i % 60_000)
-        packets.append(LogicalPacket(client, server, 100, 1.0, canonical_key(client, server)))
+        keys.append(canonical_key(client, server))
 
     def balancer():
         params = HashParams(seed=7, bucket_count=1024)
         b = Balancer("master", params, session_timeout=60.0)
-        b.apply_allocation([(chains[0], 342), (chains[1], 341), (chains[2], 341)], 0)
+        b.install(b.stage_allocation([(chains[0], 342), (chains[1], 341), (chains[2], 341)], 0))
         return b
 
     warm = balancer()
-    for p in packets:
-        warm.map_packet(p)
+    for key in keys:
+        warm.map_packet(key, 100, 1.0)
 
     def hits():
-        for p in packets:
-            warm.map_packet(p)
+        for key in keys:
+            warm.map_packet(key, 100, 1.0)
 
     fresh = []
 
     def misses():
         b = fresh.pop()
-        for p in packets:
-            b.map_packet(p)
+        for key in keys:
+            b.map_packet(key, 100, 1.0)
 
     hit_s = min(seconds(hits) for _ in range(args.repeat))
     fresh.extend(balancer() for _ in range(args.repeat))
