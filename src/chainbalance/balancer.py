@@ -24,7 +24,7 @@ MASTER = "master"
 SLAVE = "slave"
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRecord:
     last_timestamp: float
     assigned: ChainId

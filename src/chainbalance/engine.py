@@ -10,6 +10,7 @@ control plane with the same loop: make the calls, then `run()`.
 from __future__ import annotations
 
 import heapq
+import math
 
 
 class EventLoop:
@@ -33,11 +34,12 @@ class EventLoop:
         entry[4] = True
 
     def run(self, until: float | None = None):
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            at, _, fn, args, cancelled = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        limit = math.inf if until is None else until
+        while heap and heap[0][0] <= limit:
+            at, _, fn, args, cancelled = pop(heap)
             if cancelled:
                 continue
-            self.now = max(self.now, at)
+            if at > self.now:
+                self.now = at
             fn(*args)

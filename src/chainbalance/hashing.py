@@ -16,6 +16,9 @@ port, so 12 bytes for IPv4 and 36 for IPv6. It is computed once per
 session, where the traffic is planned, and both balancers key their tables
 and hash with it.
 
+A chain is a `ChainId`, a tuple of (forward tag, reverse tag), so the
+per-chain dicts, sets and comparisons of the packet path run in C.
+
 Vector layout: `table` holds the live chains sorted by forward tag, `tally`
 their slot counts, and `index` one small int per slot pointing into `table`
 (bytes up to 256 chains, array('H') beyond). Chains, counts and equality
@@ -30,6 +33,7 @@ import ipaddress
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import AllocationMismatch
 
@@ -66,22 +70,36 @@ class Endpoint:
         return f"{ipaddress.ip_address(self.address)}:{self.port}"
 
 
-@dataclass(frozen=True, order=True)
-class ChainId:
-    """Tag pair naming one chain instance: forward path tag, reverse path tag."""
+class ChainId(tuple):
+    """Tag pair naming one chain instance: forward path tag, reverse path tag.
 
-    forward_tag: int
-    reverse_tag: int
+    A tuple, so it hashes, compares and sorts in C exactly as the plain tuple
+    (forward_tag, reverse_tag), which it equals. The tags are validated once,
+    on construction.
+    """
 
-    def __post_init__(self):
-        for tag in (self.forward_tag, self.reverse_tag):
+    __slots__ = ()
+
+    def __new__(cls, forward_tag: int, reverse_tag: int):
+        for tag in (forward_tag, reverse_tag):
             if not TAG_MIN <= tag <= TAG_MAX:
                 raise ValueError(f"tag out of range [{TAG_MIN}, {TAG_MAX}]: {tag}")
-        if self.forward_tag == self.reverse_tag:
-            raise ValueError(f"forward and reverse tags must differ: {self.forward_tag}")
+        if forward_tag == reverse_tag:
+            raise ValueError(f"forward and reverse tags must differ: {forward_tag}")
+        return tuple.__new__(cls, (forward_tag, reverse_tag))
+
+    forward_tag = property(itemgetter(0), doc="Tag the master pushes on forward packets.")
+    reverse_tag = property(itemgetter(1), doc="Tag the slave pushes on reverse packets.")
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes two tags
+        return tuple(self)
 
     def __str__(self):
-        return f"({self.forward_tag},{self.reverse_tag})"
+        return f"({self[0]},{self[1]})"
+
+    def __repr__(self):
+        return f"ChainId(forward_tag={self[0]!r}, reverse_tag={self[1]!r})"
 
 
 @dataclass(frozen=True)

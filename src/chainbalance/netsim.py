@@ -22,6 +22,12 @@ crossed, in order, so timestamps keep their float bits. Among events with the
 same timestamp, a frame's arrival at a stateful node is ordered by when it
 left the previous stateful node.
 
+The per-packet path is kept to as few Python-level calls as it can be: each
+planned packet enters as one event, `NetSim.inject`, which builds its
+`Frame` and schedules the next planned packet; the balancer nodes push and
+pop tags on the frame's list directly; hosts add delivered bytes directly;
+and chain identities (`ChainId`) hash and compare in C.
+
 The event loop (`engine.EventLoop`) is single threaded; all randomness lives in the traffic
 generator, so a (scenario, seed) pair always produces the same run.
 """
@@ -30,19 +36,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
 from .engine import EventLoop
 from .errors import EmptyTagStack, NeverConverged, NoRoute
 from .hashing import ChainId
 from .scenario import Scenario
-from .traffic import generate_traffic
+from .traffic import PlannedPacket, generate_traffic
 
 # -- packets and tag handling ---------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """A packet in flight: session key, size, and its stack of routing tags."""
 
@@ -268,7 +274,7 @@ class HostNode:
     def handle(self, frame: Frame, port: int, now: float):
         if frame.tags:
             self.sim.violation("tagged packet delivered to a host", frame.session_id, now)
-        self.sim.delivered(frame, now)
+        self.sim.delivered_bytes += frame.size
 
 
 class BalancerNode:
@@ -288,8 +294,9 @@ class BalancerNode:
 
     def handle(self, frame: Frame, port: int, now: float):
         balancer = self.agent.balancer
-        if frame.tags:
-            tag = frame.tags[-1]
+        tags = frame.tags
+        if tags:
+            tag = tags[-1]
             chain = (
                 self.sim.chain_by_reverse.get(tag)
                 if self.is_master
@@ -298,7 +305,7 @@ class BalancerNode:
             if chain is None:
                 self.sim.drop(frame, f"unknown tag {tag}", self.name, now)
                 return
-            pop_tag(frame)
+            tags.pop()
             if self.is_master:
                 record = balancer.table.get(frame.key)
                 if record is not None and record.assigned != chain:
@@ -307,14 +314,14 @@ class BalancerNode:
         else:
             chain = balancer.map_packet(frame.key, frame.size, now)
             self.sim.note_mapped(self, frame, chain, now)
-            push_tag(frame, chain.forward_tag if self.is_master else chain.reverse_tag)
+            tags.append(chain.forward_tag if self.is_master else chain.reverse_tag)
         self.sim.transmit(self.name, 1, frame)
 
 
 # -- the simulation ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionTrace:
     master_chain: ChainId | None
     slave_chain: ChainId | None = None
@@ -483,14 +490,20 @@ class NetSim:
                 return Walk(Unroutable(self, node, f"no_route: {exc}"), None,
                             tuple(probe.tags), hops)
 
-    def inject(self, frame: Frame):
-        self.injected_bytes += frame.size
-        self.injected_packets += 1
-        origin = "server" if frame.reverse else "client"
-        self.transmit(origin, 1, frame)
+    def inject(self, planned: PlannedPacket, rest: Iterator[PlannedPacket]):
+        """Send one planned packet from its host, then schedule the next.
 
-    def delivered(self, frame: Frame, now: float):
-        self.delivered_bytes += frame.size
+        This is the injection event itself: `rest` iterates over the planned
+        packets still to come, in injection order.
+        """
+        _, session_id, key, size, reverse = planned
+        self.injected_bytes += size
+        self.injected_packets += 1
+        self.transmit("server" if reverse else "client", 1,
+                      Frame(key, size, session_id, reverse, []))
+        nxt = next(rest, None)
+        if nxt is not None:
+            self.loop.schedule(nxt.time, self.inject, nxt, rest)
 
     def drop(self, frame: Frame, reason: str, where: str, now: float):
         self.dropped_bytes += frame.size
@@ -631,24 +644,10 @@ class NetSim:
             self.loop.schedule(nxt, self._stats_poll)
 
     def _schedule_injections(self, packets):
-        cursor = {"i": 0}
-
-        def _next():
-            i = cursor["i"]
-            if i >= len(packets):
-                return
-            planned = packets[i]
-            cursor["i"] = i + 1
-            frame = Frame(
-                key=planned.key, size=planned.size,
-                session_id=planned.session_id, reverse=planned.reverse,
-            )
-            self.inject(frame)
-            if cursor["i"] < len(packets):
-                self.loop.schedule(packets[cursor["i"]].time, _next)
-
-        if packets:
-            self.loop.schedule(packets[0].time, _next)
+        rest = iter(packets)
+        first = next(rest, None)
+        if first is not None:
+            self.loop.schedule(first.time, self.inject, first, rest)
 
     def _sweep(self):
         now = self.loop.now

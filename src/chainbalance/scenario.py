@@ -7,6 +7,7 @@ See the README for the documented schema and a worked example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import yaml
 
 from .control import DEFAULT_BARRIER_TIMEOUT, MIN_SLOTS_PER_CHAIN
 from .errors import ParseError, ValidationError
-from .hashing import ChainId
+from .hashing import MASK64, ChainId
 from .traffic import TrafficProfile
 
 VALID_OPS = ("add", "remove", "rebalance")
@@ -89,12 +90,25 @@ def _require(mapping, key, kind, where):
     if key not in mapping:
         raise ValidationError(f"missing required field {key!r}", location=where)
     value = mapping[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError(
             f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
             location=where,
+        )
+    return value
+
+
+def _optional(mapping, key, kind, default, where):
+    """A field that may be left out: the default, or a value of the given kind."""
+    return _require(mapping, key, kind, where) if key in mapping else default
+
+
+def _in_range(value, low, high, key, where):
+    if not low <= value <= high:
+        raise ValidationError(
+            f"field {key!r} must lie in [{low}, {high}], got {value}", location=where
         )
     return value
 
@@ -164,7 +178,9 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         raise ValidationError("a tag is used by more than one chain", location=f"{name}")
 
     hashing = _known(obj.get("hash", {}), HASH_FIELDS, f"{name}.hash")
-    hash_seed = _require(hashing, "seed", int, f"{name}.hash")
+    hash_seed = _in_range(
+        _require(hashing, "seed", int, f"{name}.hash"), 0, MASK64, "seed", f"{name}.hash"
+    )
     bucket_count = _require(hashing, "buckets", int, f"{name}.hash")
     if bucket_count < MIN_SLOTS_PER_CHAIN * len(declared):
         raise ValidationError(
@@ -179,29 +195,31 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         sessions=_require(tr, "sessions", int, where),
         rate=_require(tr, "rate", float, where),
         bytes_per_session=_require(tr, "bytes_per_session", int, where),
-        packet_size=tr.get("packet_size", 3000),
-        request_bytes=tr.get("request_bytes", 400),
-        duration=float(tr.get("duration", 6.0)),
-        duration_jitter=float(tr.get("duration_jitter", 0.5)),
-        response_delay=float(tr.get("response_delay", 0.02)),
-        collide_fraction=float(tr.get("collide_fraction", 0.0)),
+        packet_size=_optional(tr, "packet_size", int, 3000, where),
+        request_bytes=_optional(tr, "request_bytes", int, 400, where),
+        duration=_optional(tr, "duration", float, 6.0, where),
+        duration_jitter=_optional(tr, "duration_jitter", float, 0.5, where),
+        response_delay=_optional(tr, "response_delay", float, 0.02, where),
+        collide_fraction=_optional(tr, "collide_fraction", float, 0.0, where),
     )
     try:
         traffic.validate()
     except ValueError as exc:
         raise ValidationError(str(exc), location=where)
 
-    nf = _known(obj.get("nf", {}) or {}, NF_FIELDS, f"{name}.nf")
+    where = f"{name}.nf"
+    nf = _known(obj.get("nf", {}) or {}, NF_FIELDS, where)
     nf_mode = nf.get("mode", "passthrough")
     if nf_mode not in NF_MODES:
         raise ValidationError(f"nf.mode must be one of {NF_MODES}", location=f"{name}.nf.mode")
-    nf_capacity = float(nf.get("capacity", 0.0))
+    nf_capacity = _optional(nf, "capacity", float, 0.0, where)
+    nf_queue_limit = _in_range(
+        _optional(nf, "queue_limit", int, 0, where), 0, math.inf, "queue_limit", where
+    )
     if nf_mode == "capacity" and nf_capacity <= 0:
         raise ValidationError("capacity mode needs nf.capacity > 0", location=f"{name}.nf.capacity")
 
-    horizon = float(obj.get("horizon", 60.0))
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive", location=f"{name}.horizon")
+    horizon = _positive(obj, "horizon", 60.0, name)
     for i, action in enumerate(actions):
         if not 0 <= action.at < horizon:
             raise ValidationError(
@@ -219,7 +237,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
 
     return Scenario(
         name=name,
-        seed=int(obj.get("seed", 1)),
+        seed=_optional(obj, "seed", int, 1, name),
         hash_seed=hash_seed,
         bucket_count=bucket_count,
         session_timeout=_positive(obj, "session_timeout", 6.0, name),
@@ -229,7 +247,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         actions=tuple(actions),
         nf_mode=nf_mode,
         nf_capacity=nf_capacity,
-        nf_queue_limit=int(nf.get("queue_limit", 0)),
+        nf_queue_limit=nf_queue_limit,
         horizon=horizon,
         link_latency=_positive(obj, "link_latency", 0.001, name),
         control_latency=control_latency,

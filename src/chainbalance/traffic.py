@@ -5,7 +5,8 @@ a paced stream of response bytes from the server, finishing a configurable
 duration after the session started. Everything is derived from one seed so
 a profile always expands to the identical packet schedule. Each session's
 key is packed once here and shared by all of its packets, in both
-directions.
+directions. A planned packet is a `PlannedPacket` named tuple, and the
+schedule is sorted by (time, session_id, reverse) with a C-level key.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .hashing import Endpoint, canonical_key
 
@@ -59,8 +62,7 @@ class SessionSpec:
     response_delay: float
 
 
-@dataclass(frozen=True)
-class PlannedPacket:
+class PlannedPacket(NamedTuple):
     """A packet the generator will inject: which session, when, how big."""
 
     time: float
@@ -68,6 +70,10 @@ class PlannedPacket:
     key: bytes  # the session's canonical key
     size: int
     reverse: bool
+
+
+# (time, session_id, reverse): the injection order of the whole schedule
+_INJECTION_ORDER = itemgetter(0, 1, 4)
 
 
 def _chunks(total: int, size: int) -> list[int]:
@@ -116,29 +122,15 @@ def plan_sessions(profile: TrafficProfile, seed: int) -> list[SessionSpec]:
 def session_packets(spec: SessionSpec) -> list[PlannedPacket]:
     """Expand one session into its forward request and paced reverse response."""
     key = canonical_key(spec.client, spec.server)
+    sid, start = spec.session_id, spec.start
     packets = []
     for i, size in enumerate(_chunks(spec.request_bytes, spec.packet_size)):
-        packets.append(
-            PlannedPacket(
-                time=spec.start + i * 1e-4,
-                session_id=spec.session_id,
-                key=key,
-                size=size,
-                reverse=False,
-            )
-        )
+        packets.append(PlannedPacket(start + i * 1e-4, sid, key, size, False))
     sizes = _chunks(spec.response_bytes, spec.packet_size)
     spacing = (spec.duration - spec.response_delay) / len(sizes)
+    first = start + spec.response_delay
     for i, size in enumerate(sizes):
-        packets.append(
-            PlannedPacket(
-                time=spec.start + spec.response_delay + (i + 1) * spacing,
-                session_id=spec.session_id,
-                key=key,
-                size=size,
-                reverse=True,
-            )
-        )
+        packets.append(PlannedPacket(first + (i + 1) * spacing, sid, key, size, True))
     return packets
 
 
@@ -147,5 +139,5 @@ def generate_traffic(profile: TrafficProfile, seed: int) -> list[PlannedPacket]:
     packets: list[PlannedPacket] = []
     for spec in plan_sessions(profile, seed):
         packets.extend(session_packets(spec))
-    packets.sort(key=lambda p: (p.time, p.session_id, p.reverse))
+    packets.sort(key=_INJECTION_ORDER)
     return packets

@@ -187,6 +187,36 @@ def test_run_rejects_unknown_key(tmp_path, capsys, where, key, anchor, added):
     assert not (tmp_path / "out").exists()
 
 
+MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
+    ("mini.traffic", "packet_size", "  packet_size: 3000\n", "  packet_size: abc\n"),
+    ("mini.traffic", "request_bytes", "  rate: 75.0\n", "  rate: 75.0\n  request_bytes: 1.5\n"),
+    ("mini.traffic", "collide_fraction", "  rate: 75.0\n", "  rate: 75.0\n  collide_fraction: x\n"),
+    ("mini.hash", "seed", "  seed: 7\n", "  seed: -1\n"),
+    ("mini.hash", "seed", "  seed: 7\n", f"  seed: {2**64}\n"),
+    ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: x\n"),
+    ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: -1\n"),
+    ("mini.nf", "capacity", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  capacity: x\n"),
+    ("mini", "horizon", "horizon: 10.0\n", "horizon: x\n"),
+    ("mini", "seed", "\nseed: 1\n", "\nseed: x\n"),
+    ("mini", "seed", "\nseed: 1\n", "\nseed: true\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, key, line, replacement",
+    [pytest.param(*c, id=f"{c[0]}.{c[1]}={c[3].split(': ')[-1].strip()}")
+     for c in MALFORMED_FIELDS],
+)
+def test_run_rejects_malformed_optional_field(tmp_path, capsys, where, key, line, replacement):
+    # these used to exit 1 with a traceback, or (queue_limit: -1) to drop
+    # every packet as queue overflow
+    assert line in MINIMAL
+    scn = write(tmp_path, MINIMAL.replace(line, replacement))
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert f"{where}: field {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_accepts_control_latency_below_half_barrier_timeout(tmp_path):
     scn = parse_scenario(write(tmp_path, MINIMAL + "control_latency: 0.49\n"))
     assert scn.control_latency == 0.49

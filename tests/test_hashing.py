@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import itertools
+import pickle
 import random
 from array import array
 
@@ -6,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalance.control import alloc_from_wire, alloc_to_wire
+from chainbalance.control import alloc_from_wire, alloc_to_wire, chain_from_wire, chain_to_wire
 from chainbalance.errors import AllocationMismatch
 from chainbalance.hashing import (
+    TAG_MAX,
+    TAG_MIN,
     ChainId,
     Endpoint,
     HashParams,
@@ -220,6 +225,73 @@ def test_lookup_direction_invariance():
     for _ in range(1000):
         a, b = random_endpoint(rng), random_endpoint(rng)
         assert vector.lookup(canonical_key(a, b)) == vector.lookup(canonical_key(b, a))
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class ReferenceChainId:
+    """ChainId as the frozen dataclass it was before it became a tuple."""
+
+    forward_tag: int
+    reverse_tag: int
+
+    def __post_init__(self):
+        for tag in (self.forward_tag, self.reverse_tag):
+            if not TAG_MIN <= tag <= TAG_MAX:
+                raise ValueError(f"tag out of range [{TAG_MIN}, {TAG_MAX}]: {tag}")
+        if self.forward_tag == self.reverse_tag:
+            raise ValueError(f"forward and reverse tags must differ: {self.forward_tag}")
+
+    def __str__(self):
+        return f"({self.forward_tag},{self.reverse_tag})"
+
+
+def built(cls, forward, reverse):
+    """(chain, None) or (None, the ValueError text)."""
+    try:
+        return cls(forward, reverse), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+chain_tags = st.one_of(
+    st.integers(TAG_MIN - 2, TAG_MAX + 2),
+    st.sampled_from([TAG_MIN - 1, TAG_MIN, TAG_MAX, TAG_MAX + 1]),
+)
+# equal tags are rare among independent draws, so draw them on purpose too
+tag_pairs = st.one_of(st.tuples(chain_tags, chain_tags), chain_tags.map(lambda t: (t, t)))
+
+
+@settings(max_examples=300)
+@given(st.lists(tag_pairs, min_size=1, max_size=16))
+def test_chain_id_matches_frozen_dataclass_reference(pairs):
+    new, ref = [], []
+    for forward, reverse in pairs:
+        (chain, error), (expected, expected_error) = (
+            built(ChainId, forward, reverse), built(ReferenceChainId, forward, reverse))
+        assert error == expected_error
+        if chain is not None:
+            new.append(chain)
+            ref.append(expected)
+
+    def tags(chains):
+        return [(c.forward_tag, c.reverse_tag) for c in chains]
+
+    for chain, expected in zip(new, ref):
+        assert hash(chain) == hash(expected)
+        assert str(chain) == str(expected)
+        assert repr(chain) == repr(expected).replace("ReferenceChainId", "ChainId")
+        assert tags([copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))]) == tags([chain]) * 2
+        assert chain_from_wire(chain_to_wire(chain)) == chain
+    for (a, b), (ra, rb) in zip(itertools.product(new, repeat=2), itertools.product(ref, repeat=2)):
+        assert (a < b, a <= b, a == b, a != b) == (ra < rb, ra <= rb, ra == rb, ra != rb)
+    assert tags(sorted(new)) == tags(sorted(ref))
+    assert tags(set(new)) == tags(set(ref))
+    assert tags(dict.fromkeys(new)) == tags(dict.fromkeys(ref))
+    alloc = [(chain, i) for i, chain in enumerate(new)]
+    wire = alloc_to_wire(alloc)
+    assert wire == alloc_to_wire([(chain, i) for i, chain in enumerate(ref)])
+    decoded = alloc_from_wire(wire)
+    assert decoded == alloc and all(type(c) is ChainId for c, _ in decoded)
 
 
 def test_counts_and_chains():

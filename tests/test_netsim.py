@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -476,3 +477,31 @@ def test_static_1_canonical_key_gate(monkeypatch):
     assert result.packets == 20_800
     assert len(result.session_starts) == 800
     assert len(calls) == 800
+
+
+def test_static_1_python_calls_per_packet_gate():
+    # work counter, not wall time: Python-level function calls while the run
+    # simulates. ChainId hashes, compares and sorts in C, so of its functions
+    # only the constructor runs, once per chain decoded from a control
+    # message. The frozen dataclass made 7.0 __hash__ and 1.04 __eq__ calls
+    # per packet, and the whole run 36.0 calls per packet; now it is 22.93.
+    sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
+    chain_code = {
+        getattr(attr, "__func__", attr).__code__: name
+        for name, attr in vars(ChainId).items()
+        if hasattr(getattr(attr, "__func__", attr), "__code__")
+    }
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[chain_code.get(frame.f_code, "other")] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = sim.run()
+    finally:
+        sys.setprofile(None)
+    assert result.packets == 20_800
+    assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
+    assert calls.total() <= 23 * result.packets

@@ -1,9 +1,13 @@
 """Smoke tests for the scripts under tools/: each must still run against src/."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+
+from chainbalance import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,9 +22,30 @@ def test_microbench_runs_and_reports_every_figure():
     figures = json.loads(done.stdout)
     assert set(figures) == {
         "python", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
-        "build_buckets_again_ms", "codec_round_trip_us",
+        "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us", "chain_counter_ns",
     }
     for name in ("build_buckets_ms", "build_buckets_again_ms"):
         assert set(figures[name]) == {"1024", "65536"}
     assert set(figures["codec_round_trip_us"]) == {"allocation_commit_prepare", "stats_ack"}
     assert figures["map_packet_hit_us"] > 0 and figures["map_packet_miss_us"] > 0
+    assert figures["event_dispatch_us"] > 0 and figures["chain_counter_ns"] > 0
+
+
+def test_digests_prints_every_output_of_every_seed(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digests.py"), "static-1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [(name, seed, file) for name, seed, file, _ in lines] == [
+        ("static-1", str(seed), file)
+        for seed in range(1, 6) for file in ("series.csv", "events.jsonl", "report.json")
+    ]
+    # the digests are those of what `chainbalance run` writes
+    scenario = resources.files("chainbalance") / "scenarios" / "static-1.yaml"
+    assert cli.main(["run", str(scenario), "--seed", "2", "--out", str(tmp_path)]) == 0
+    assert [digest for _, seed, file, digest in lines if seed == "2"] == [
+        hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for file in ("series.csv", "events.jsonl", "report.json")
+    ]

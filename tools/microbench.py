@@ -15,10 +15,18 @@ Prints one JSON object of best-of-N timings:
   trip, as the control transport makes per message, for a 5-chain
   ``allocation_commit`` prepare and for a stats ``ack`` carrying a 5-chain
   traffic window.
+- ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
+  no-op callback, with at most 64 events pending, as in the simulator.
+- ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
+  byte accounting that ``Balancer.map_packet`` does per packet.
 
 ``--src`` imports chainbalance from another checkout's ``src`` directory, so
-two versions can be timed by the same script on the same host. Wall-clock
-figures are noisy; compare runs made back to back, never gate on them.
+two versions can be timed by the same script on the same host. That
+checkout must expose the API this script calls (``Balancer.map_packet(key,
+size, now)``, ``canonical_key`` returning bytes, ``engine.EventLoop``, the
+control codec); a checkout from before an API change needs the script from
+its own tree. Wall-clock figures are noisy; compare runs made back to back,
+never gate on them.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ def main(argv=None) -> int:
     from chainbalance.control import (
         ControlMessage, alloc_to_wire, decode_message, encode_message, window_to_wire,
     )
+    from chainbalance.engine import EventLoop
     from chainbalance.hashing import ChainId, Endpoint, HashParams, build_buckets, canonical_key
     from chainbalance.rebalance import TrafficWindow
 
@@ -127,6 +136,30 @@ def main(argv=None) -> int:
     for label, msg in messages.items():
         best = min(seconds(functools.partial(round_trips, msg)) for _ in range(args.repeat))
         out["codec_round_trip_us"][label] = round(1e6 * best / trips, 3)
+
+    batches, pending = 300, 64
+
+    def dispatches():
+        loop = EventLoop()
+        noop = lambda: None
+        for _ in range(batches):
+            at = loop.now
+            for i in range(1, pending + 1):
+                loop.schedule(at + i * 1e-6, noop)
+            loop.run()
+
+    best = min(seconds(dispatches) for _ in range(args.repeat))
+    out["event_dispatch_us"] = round(1e6 * best / (batches * pending), 3)
+
+    counters = dict.fromkeys(chains, 0)
+    sequence = [chains[i % len(chains)] for i in range(calls)]
+
+    def count_bytes():
+        for chain in sequence:
+            counters[chain] = counters.get(chain, 0) + 100
+
+    best = min(seconds(count_bytes) for _ in range(args.repeat))
+    out["chain_counter_ns"] = round(1e9 * best / calls, 1)
     print(json.dumps(out, indent=2))
     return 0
 
