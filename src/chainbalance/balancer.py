@@ -75,22 +75,25 @@ class Balancer:
         self.counters[chain] = self.counters.get(chain, 0) + size
         return chain
 
-    def reconcile(self, key: bytes, observed: ChainId, now: float):
+    def reconcile(self, key: bytes, observed: ChainId, now: float) -> ChainId | None:
         """Adopt the chain seen on a returning packet for this session.
 
         Master-side correction for the rare case where the slave assigned a
         session before this balancer learned of it (or after a re-shuffle
         diverged the two tables). Seeing the packet also refreshes the
-        session timestamp.
+        session timestamp. Returns the chain the table held before, or None
+        when it held no record of the session.
         """
         if self.role != MASTER:
             raise ValueError("reconcile is a master-side operation")
         record = self.table.get(key)
         if record is None:
             self.table[key] = SessionRecord(now, observed)
-        else:
-            record.assigned = observed
-            record.last_timestamp = now
+            return None
+        held = record.assigned
+        record.assigned = observed
+        record.last_timestamp = now
+        return held
 
     # -- vector management -------------------------------------------------
 

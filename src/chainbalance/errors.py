@@ -41,10 +41,6 @@ class DuplicateTags(ChainBalanceError):
     """A tag of the new chain is already in use."""
 
 
-class EmptyTagStack(ChainBalanceError):
-    """Attempted to pop a tag from an untagged packet."""
-
-
 class NoRoute(ChainBalanceError):
     """No rule matches this (ingress port, tag) combination."""
 

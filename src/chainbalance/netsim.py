@@ -10,22 +10,24 @@ chain's switch, delivered untagged to the NF, re-tagged on the far side and
 passed through the slave on their way to the server. Reverse packets mirror
 this through the slave, which maps them with its own copy of the bucket
 vector; the master observes them coming back and corrects its session table
-if the two sides ever diverged. A frame carries its session's packed key
-from the traffic plan, so neither balancer derives it from addresses.
+if the two sides ever diverged. The packet in flight is the traffic plan's
+`PlannedPacket` itself, so neither balancer derives the session key from
+addresses; its stack of routing tags is an immutable tuple handed along with
+it from event to event, outermost tag last.
 
-Switches hold no state: a frame's path through them depends only on where
+Switches hold no state: a packet's path through them depends only on where
 it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
 walks are compiled once, by following the switches' `TagRouter` rules with
-`route()`, into a memoised table, so each frame costs one event per stateful
-hop instead of one per link. The link latency is still added once per link
-crossed, in order, so timestamps keep their float bits. Among events with the
-same timestamp, a frame's arrival at a stateful node is ordered by when it
-left the previous stateful node.
+`route()`, into a table keyed on (node, port, tags), so each packet costs one
+event per stateful hop instead of one per link. The link latency is still
+added once per link crossed, in order, so timestamps keep their float bits.
+Among events with the same timestamp, a packet's arrival at a stateful node
+is ordered by when it left the previous stateful node.
 
 The per-packet path is kept to as few Python-level calls as it can be: each
-planned packet enters as one event, `NetSim.inject`, which builds its
-`Frame` and schedules the next planned packet; the balancer nodes push and
-pop tags on the frame's list directly; hosts add delivered bytes directly;
+planned packet enters as one event, `NetSim.inject`, which sends it with an
+empty tag stack and schedules the next planned packet; the balancer nodes
+push and pop by building the next tuple; hosts add delivered bytes directly;
 and chain identities (`ChainId`) hash and compare in C.
 
 The event loop (`engine.EventLoop`) is single threaded; all randomness lives in the traffic
@@ -40,35 +42,12 @@ from typing import Iterator, NamedTuple
 
 from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
 from .engine import EventLoop
-from .errors import EmptyTagStack, NeverConverged, NoRoute
+from .errors import NeverConverged, NoRoute
 from .hashing import ChainId
 from .scenario import Scenario
 from .traffic import PlannedPacket, generate_traffic
 
-# -- packets and tag handling ---------------------------------------------------
-
-
-@dataclass(slots=True)
-class Frame:
-    """A packet in flight: session key, size, and its stack of routing tags."""
-
-    key: bytes  # the session's canonical key, the same in both directions
-    size: int
-    session_id: int
-    reverse: bool
-    tags: list[int] = field(default_factory=list)
-
-
-def push_tag(frame: Frame, tag: int) -> Frame:
-    frame.tags.append(tag)
-    return frame
-
-
-def pop_tag(frame: Frame) -> Frame:
-    if not frame.tags:
-        raise EmptyTagStack("pop on untagged packet")
-    frame.tags.pop()
-    return frame
+# -- tag routing ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -79,27 +58,33 @@ class TagRule:
 
 
 class TagRouter:
-    """Static (ingress port, outer tag) -> (egress port, tag action) rules."""
+    """OpenFlow-style switch: (ingress port, outer tag) -> (egress port, tag action).
+
+    It never handles packets itself; `NetSim` compiles walks through its rules.
+    """
 
     def __init__(self):
         self.rules: dict[tuple[int, int | None], TagRule] = {}
 
     def add(self, in_port: int, tag: int | None, out_port: int, action: str = "none",
             action_tag: int | None = None):
+        if action == "pop" and tag is None:
+            # the only rule that could pop an empty stack
+            raise ValueError(f"pop rule on ingress {in_port} must match a tag")
         self.rules[(in_port, tag)] = TagRule(out_port, action, action_tag)
 
 
-def route(router: TagRouter, port: int, frame: Frame) -> tuple[int, Frame]:
-    """Apply the matching rule; raises NoRoute when none exists."""
-    top = frame.tags[-1] if frame.tags else None
+def route(router: TagRouter, port: int, tags: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Apply the matching rule to a tag stack; raises NoRoute when none exists."""
+    top = tags[-1] if tags else None
     rule = router.rules.get((port, top))
     if rule is None:
         raise NoRoute(f"no rule for ingress {port}, tag {top}")
     if rule.action == "pop":
-        pop_tag(frame)
+        tags = tags[:-1]
     elif rule.action == "push":
-        push_tag(frame, rule.tag)
-    return rule.out_port, frame
+        tags = tags + (rule.tag,)
+    return rule.out_port, tags
 
 
 # -- measurement ----------------------------------------------------------------
@@ -109,8 +94,6 @@ def route(router: TagRouter, port: int, frame: Frame) -> tuple[int, Frame]:
 class ThroughputSeries:
     """Per-chain bytes bucketed into whole simulated seconds."""
 
-    scenario: str
-    seed: int
     chains: tuple[ChainId, ...]
     buckets: dict[ChainId, dict[int, int]] = field(default_factory=dict)
 
@@ -207,52 +190,41 @@ class NfInstance:
         self._busy_until = 0.0
         self._queued = 0
 
-    def handle(self, frame: Frame, port: int, now: float):
-        if frame.tags:
-            self.sim.violation("tagged packet reached an NF", frame.session_id, now)
+    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        if tags:
+            self.sim.violation("tagged packet reached an NF", packet.session_id, now)
         out_port = 2 if port == 1 else 1
         if self.mode == "passthrough":
-            self._forward(frame, out_port, now)
+            self._forward(packet, out_port, tags, now)
             return
         if self.queue_limit and self._queued >= self.queue_limit:
-            self.sim.drop(frame, "queue_overflow", self.name, now)
+            self.sim.drop(packet, "queue_overflow", self.name, now)
             return
         start = max(now, self._busy_until)
-        departure = start + frame.size / self.capacity
+        departure = start + packet.size / self.capacity
         self._busy_until = departure
         self._queued += 1
-        self.sim.loop.schedule(departure, self._depart, frame, out_port)
+        self.sim.loop.schedule(departure, self._depart, packet, out_port, tags)
 
-    def _depart(self, frame, out_port):
+    def _depart(self, packet, out_port, tags):
         self._queued -= 1
-        self._forward(frame, out_port, self.sim.loop.now)
+        self._forward(packet, out_port, tags, self.sim.loop.now)
 
-    def _forward(self, frame, out_port, now):
-        self.sim.note_nf(self.chain, frame, now)
-        self.sim.transmit(self.name, out_port, frame)
-
-
-class SwitchNode:
-    """OpenFlow-style switch: forwards purely on (ingress port, outer tag).
-
-    It never handles frames itself; `NetSim` compiles walks through its rules.
-    """
-
-    def __init__(self, name, router: TagRouter):
-        self.name = name
-        self.router = router
+    def _forward(self, packet, out_port, tags, now):
+        self.sim.note_nf(self.chain, packet, now)
+        self.sim.transmit(self.name, out_port, packet, tags)
 
 
 class Unroutable:
-    """End of a walk that no switch rule matches: the frame drops at that switch."""
+    """End of a walk that no switch rule matches: the packet drops at that switch."""
 
     def __init__(self, sim, switch: str, reason: str):
         self.sim = sim
         self.switch = switch
         self.reason = reason
 
-    def handle(self, frame: Frame, port: int, now: float):
-        self.sim.drop(frame, self.reason, self.switch, now)
+    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        self.sim.drop(packet, self.reason, self.switch, now)
 
 
 class Walk(NamedTuple):
@@ -271,10 +243,10 @@ class HostNode:
         self.name = name
         self.sim = sim
 
-    def handle(self, frame: Frame, port: int, now: float):
-        if frame.tags:
-            self.sim.violation("tagged packet delivered to a host", frame.session_id, now)
-        self.sim.delivered_bytes += frame.size
+    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        if tags:
+            self.sim.violation("tagged packet delivered to a host", packet.session_id, now)
+        self.sim.delivered_bytes += packet.size
 
 
 class BalancerNode:
@@ -292,9 +264,7 @@ class BalancerNode:
         self.sim = sim
         self.is_master = is_master
 
-    def handle(self, frame: Frame, port: int, now: float):
-        balancer = self.agent.balancer
-        tags = frame.tags
+    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
         if tags:
             tag = tags[-1]
             chain = (
@@ -303,19 +273,18 @@ class BalancerNode:
                 else self.sim.chain_by_forward.get(tag)
             )
             if chain is None:
-                self.sim.drop(frame, f"unknown tag {tag}", self.name, now)
+                self.sim.drop(packet, f"unknown tag {tag}", self.name, now)
                 return
-            tags.pop()
             if self.is_master:
-                record = balancer.table.get(frame.key)
-                if record is not None and record.assigned != chain:
-                    self.sim.note_reconcile(frame, record.assigned, chain, now)
-                balancer.reconcile(frame.key, chain, now)
+                held = self.agent.balancer.reconcile(packet.key, chain, now)
+                if held is not None and held != chain:
+                    self.sim.note_reconcile(packet, held, chain, now)
+            tags = tags[:-1]
         else:
-            chain = balancer.map_packet(frame.key, frame.size, now)
-            self.sim.note_mapped(self, frame, chain, now)
-            tags.append(chain.forward_tag if self.is_master else chain.reverse_tag)
-        self.sim.transmit(self.name, 1, frame)
+            chain = self.agent.balancer.map_packet(packet.key, packet.size, now)
+            self.sim.note_mapped(self, packet, chain, now)
+            tags = (chain.forward_tag if self.is_master else chain.reverse_tag,)
+        self.sim.transmit(self.name, 1, packet, tags)
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -349,7 +318,7 @@ class RunResult:
     message_trace: list
     last_packet_on: dict[ChainId, float]
     scheduled_events: int  # EventLoop.schedule calls, control plane included
-    packets: int  # frames injected
+    packets: int  # packets injected
 
     @property
     def leftover_bytes(self) -> int:
@@ -375,7 +344,7 @@ class NetSim:
         self.chain_by_forward = {c.forward_tag: c for c in pairs}
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
 
-        self.series = ThroughputSeries(scenario.name, scenario.seed, pairs)
+        self.series = ThroughputSeries(pairs)
         self.events: list[dict] = []
         self.anomalies: list[dict] = []
         self.commits: list[dict] = []
@@ -421,8 +390,8 @@ class NetSim:
 
         self.nodes["client"] = HostNode("client", self)
         self.nodes["server"] = HostNode("server", self)
-        self.nodes["es1"] = SwitchNode("es1", es1)
-        self.nodes["es2"] = SwitchNode("es2", es2)
+        self.nodes["es1"] = es1
+        self.nodes["es2"] = es2
         self.nodes["lb1"] = BalancerNode("lb1", self.master_agent, self, is_master=True)
         self.nodes["lb2"] = BalancerNode("lb2", self.slave_agent, self, is_master=False)
 
@@ -440,7 +409,7 @@ class NetSim:
             cs.add(3, None, 4, "push", chain.forward_tag)
             cs.add(4, chain.reverse_tag, 3, "pop")
             cs_name, nf_name = f"cs{i}", f"nf{i}"
-            self.nodes[cs_name] = SwitchNode(cs_name, cs)
+            self.nodes[cs_name] = cs
             self.nodes[nf_name] = NfInstance(
                 nf_name, chain, self,
                 mode=s.nf_mode, capacity=s.nf_capacity, queue_limit=s.nf_queue_limit,
@@ -459,58 +428,53 @@ class NetSim:
 
     # -- data plane plumbing
 
-    def transmit(self, node: str, port: int, frame: Frame):
-        """Send a frame out of a stateful node; one event at the next stateful node."""
-        key = (node, port, tuple(frame.tags))
+    def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
+        """Send a packet out of a stateful node; one event at the next stateful node."""
+        key = (node, port, tags)
         walk = self.walks.get(key)
         if walk is None:
             walk = self.walks[key] = self.compile_walk(*key)
         target, in_port, tags, hops = walk
-        frame.tags[:] = tags
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
         at = self.loop.now
         for _ in range(hops):
             at += self.latency
-        self.loop.schedule(at, target.handle, frame, in_port, at)
+        self.loop.schedule(at, target.handle, packet, in_port, tags, at)
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port."""
-        probe = Frame(b"", 0, -1, False, list(tags))
         hops = 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
             reached = self.nodes[node]
-            if not isinstance(reached, SwitchNode):
-                return Walk(reached, port, tuple(probe.tags), hops)
+            if not isinstance(reached, TagRouter):
+                return Walk(reached, port, tags, hops)
             try:
-                port, probe = route(reached.router, port, probe)
+                port, tags = route(reached, port, tags)
             except NoRoute as exc:
-                return Walk(Unroutable(self, node, f"no_route: {exc}"), None,
-                            tuple(probe.tags), hops)
+                return Walk(Unroutable(self, node, f"no_route: {exc}"), None, tags, hops)
 
-    def inject(self, planned: PlannedPacket, rest: Iterator[PlannedPacket]):
+    def inject(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
         """Send one planned packet from its host, then schedule the next.
 
         This is the injection event itself: `rest` iterates over the planned
         packets still to come, in injection order.
         """
-        _, session_id, key, size, reverse = planned
-        self.injected_bytes += size
+        self.injected_bytes += packet.size
         self.injected_packets += 1
-        self.transmit("server" if reverse else "client", 1,
-                      Frame(key, size, session_id, reverse, []))
+        self.transmit("server" if packet.reverse else "client", 1, packet, ())
         nxt = next(rest, None)
         if nxt is not None:
             self.loop.schedule(nxt.time, self.inject, nxt, rest)
 
-    def drop(self, frame: Frame, reason: str, where: str, now: float):
-        self.dropped_bytes += frame.size
+    def drop(self, packet: PlannedPacket, reason: str, where: str, now: float):
+        self.dropped_bytes += packet.size
         kind = "drop" if reason == "queue_overflow" else "anomaly"
         record = {
             "t": round(now, 6), "event": kind, "reason": reason,
-            "node": where, "session": frame.session_id,
+            "node": where, "session": packet.session_id,
         }
         self.events.append(record)
         if kind == "anomaly":
@@ -527,17 +491,17 @@ class NetSim:
 
     # -- bookkeeping hooks
 
-    def note_mapped(self, node: BalancerNode, frame: Frame, chain: ChainId, now: float):
-        trace = self.sessions.get(frame.session_id)
+    def note_mapped(self, node: BalancerNode, packet: PlannedPacket, chain: ChainId, now: float):
+        trace = self.sessions.get(packet.session_id)
         if node.is_master:
             if trace is None:
-                self.sessions[frame.session_id] = SessionTrace(
+                self.sessions[packet.session_id] = SessionTrace(
                     master_chain=chain, last_master_seen=now
                 )
-                self.session_starts.append((now, frame.session_id, chain))
+                self.session_starts.append((now, packet.session_id, chain))
                 self.events.append(
                     {"t": round(now, 6), "event": "session_start",
-                     "session": frame.session_id, "chain": chain.forward_tag}
+                     "session": packet.session_id, "chain": chain.forward_tag}
                 )
             else:
                 if now >= trace.last_master_seen + self.scenario.session_timeout:
@@ -551,36 +515,36 @@ class NetSim:
                     self.divergences += 1
                     self.events.append(
                         {"t": round(now, 6), "event": "divergence",
-                         "session": frame.session_id,
+                         "session": packet.session_id,
                          "master_chain": trace.master_chain.forward_tag,
                          "slave_chain": chain.forward_tag}
                     )
             elif trace is None:
                 # reverse packet arrived before any forward packet was mapped
-                self.sessions[frame.session_id] = SessionTrace(
+                self.sessions[packet.session_id] = SessionTrace(
                     master_chain=None, slave_chain=chain
                 )
         if chain in self.reclaims and now > self.reclaims[chain]:
-            self.violation(f"session mapped to reclaimed chain {chain}", frame.session_id, now)
+            self.violation(f"session mapped to reclaimed chain {chain}", packet.session_id, now)
 
-    def note_reconcile(self, frame: Frame, old: ChainId, new: ChainId, now: float):
-        trace = self.sessions.get(frame.session_id)
+    def note_reconcile(self, packet: PlannedPacket, old: ChainId, new: ChainId, now: float):
+        trace = self.sessions.get(packet.session_id)
         if trace is not None:
             trace.reconciled = True
             trace.master_chain = new
         self.events.append(
-            {"t": round(now, 6), "event": "reconcile", "session": frame.session_id,
+            {"t": round(now, 6), "event": "reconcile", "session": packet.session_id,
              "old_chain": old.forward_tag, "new_chain": new.forward_tag}
         )
 
-    def note_nf(self, chain: ChainId, frame: Frame, now: float):
-        self.series.add(chain, now, frame.size)
+    def note_nf(self, chain: ChainId, packet: PlannedPacket, now: float):
+        self.series.add(chain, now, packet.size)
         self.last_packet_on[chain] = now
-        trace = self.sessions.get(frame.session_id)
+        trace = self.sessions.get(packet.session_id)
         if trace is not None:
             trace.nf_chains.add(chain)
         if chain in self.reclaims and now > self.reclaims[chain]:
-            self.violation(f"packet crossed reclaimed chain {chain}", frame.session_id, now)
+            self.violation(f"packet crossed reclaimed chain {chain}", packet.session_id, now)
 
     def _on_commit(self, generation, alloc, drain):
         record = {

@@ -58,13 +58,6 @@ class WeightProfile:
         return len(self.probs)
 
 
-@dataclass
-class BiasVector:
-    """Observed-over-assigned traffic ratio per chain; 1.0 means on target."""
-
-    biases: dict[ChainId, float]
-
-
 def _clamped_counts(profile: WeightProfile, window: TrafficWindow) -> dict[ChainId, float]:
     """Byte count per profile chain, floored at 1 byte."""
     counts = {}
@@ -83,14 +76,12 @@ def _check(profile: WeightProfile, window: TrafficWindow):
             raise ZeroProbability(f"live chain {chain} has zero probability")
 
 
-def bias(profile: WeightProfile, window: TrafficWindow) -> BiasVector:
-    """Session bias per chain: how far observed traffic strays from target."""
+def bias(profile: WeightProfile, window: TrafficWindow) -> dict[ChainId, float]:
+    """Session bias per chain: observed over assigned traffic, 1.0 on target."""
     _check(profile, window)
     counts = _clamped_counts(profile, window)
     total = window.total
-    return BiasVector(
-        {chain: counts[chain] / (total * p) for chain, p in profile.probs.items()}
-    )
+    return {chain: counts[chain] / (total * p) for chain, p in profile.probs.items()}
 
 
 def redistribute(profile: WeightProfile, window: TrafficWindow) -> WeightProfile:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import yaml
 
+from .balancer import DEFAULT_SESSION_TIMEOUT
 from .control import DEFAULT_BARRIER_TIMEOUT, MIN_SLOTS_PER_CHAIN
 from .errors import ParseError, ValidationError
 from .hashing import MASK64, ChainId
@@ -97,6 +98,8 @@ def _require(mapping, key, kind, where):
             f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
             location=where,
         )
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"field {key!r} must be finite, got {value}", location=where)
     return value
 
 
@@ -120,8 +123,10 @@ def _positive(mapping, key, default, where) -> float:
         raise ValidationError(
             f"field {key!r} must be a number, got {type(value).__name__}", location=where
         )
-    if not value > 0:  # also rejects NaN
-        raise ValidationError(f"field {key!r} must be positive, got {value}", location=where)
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValidationError(
+            f"field {key!r} must be positive and finite, got {value}", location=where
+        )
     return float(value)
 
 
@@ -195,12 +200,18 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         sessions=_require(tr, "sessions", int, where),
         rate=_require(tr, "rate", float, where),
         bytes_per_session=_require(tr, "bytes_per_session", int, where),
-        packet_size=_optional(tr, "packet_size", int, 3000, where),
-        request_bytes=_optional(tr, "request_bytes", int, 400, where),
-        duration=_optional(tr, "duration", float, 6.0, where),
-        duration_jitter=_optional(tr, "duration_jitter", float, 0.5, where),
-        response_delay=_optional(tr, "response_delay", float, 0.02, where),
-        collide_fraction=_optional(tr, "collide_fraction", float, 0.0, where),
+        packet_size=_optional(tr, "packet_size", int, TrafficProfile.packet_size, where),
+        request_bytes=_optional(tr, "request_bytes", int, TrafficProfile.request_bytes, where),
+        duration=_optional(tr, "duration", float, TrafficProfile.duration, where),
+        duration_jitter=_optional(
+            tr, "duration_jitter", float, TrafficProfile.duration_jitter, where
+        ),
+        response_delay=_optional(
+            tr, "response_delay", float, TrafficProfile.response_delay, where
+        ),
+        collide_fraction=_optional(
+            tr, "collide_fraction", float, TrafficProfile.collide_fraction, where
+        ),
     )
     try:
         traffic.validate()
@@ -209,24 +220,25 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
 
     where = f"{name}.nf"
     nf = _known(obj.get("nf", {}) or {}, NF_FIELDS, where)
-    nf_mode = nf.get("mode", "passthrough")
+    nf_mode = nf.get("mode", Scenario.nf_mode)
     if nf_mode not in NF_MODES:
         raise ValidationError(f"nf.mode must be one of {NF_MODES}", location=f"{name}.nf.mode")
-    nf_capacity = _optional(nf, "capacity", float, 0.0, where)
+    nf_capacity = _optional(nf, "capacity", float, Scenario.nf_capacity, where)
     nf_queue_limit = _in_range(
-        _optional(nf, "queue_limit", int, 0, where), 0, math.inf, "queue_limit", where
+        _optional(nf, "queue_limit", int, Scenario.nf_queue_limit, where),
+        0, math.inf, "queue_limit", where,
     )
     if nf_mode == "capacity" and nf_capacity <= 0:
         raise ValidationError("capacity mode needs nf.capacity > 0", location=f"{name}.nf.capacity")
 
-    horizon = _positive(obj, "horizon", 60.0, name)
+    horizon = _positive(obj, "horizon", Scenario.horizon, name)
     for i, action in enumerate(actions):
         if not 0 <= action.at < horizon:
             raise ValidationError(
                 f"action time {action.at} outside [0, horizon)", location=f"{name}.actions[{i}]"
             )
 
-    control_latency = _positive(obj, "control_latency", 0.001, name)
+    control_latency = _positive(obj, "control_latency", Scenario.control_latency, name)
     if 2 * control_latency >= DEFAULT_BARRIER_TIMEOUT:
         # the prepare round trip would never beat the master's barrier timer
         raise ValidationError(
@@ -240,7 +252,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         seed=_optional(obj, "seed", int, 1, name),
         hash_seed=hash_seed,
         bucket_count=bucket_count,
-        session_timeout=_positive(obj, "session_timeout", 6.0, name),
+        session_timeout=_positive(obj, "session_timeout", DEFAULT_SESSION_TIMEOUT, name),
         window_length=_positive(obj, "window", 5.0, name),
         chains=tuple(chains),
         traffic=traffic,
@@ -249,9 +261,9 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         nf_capacity=nf_capacity,
         nf_queue_limit=nf_queue_limit,
         horizon=horizon,
-        link_latency=_positive(obj, "link_latency", 0.001, name),
+        link_latency=_positive(obj, "link_latency", Scenario.link_latency, name),
         control_latency=control_latency,
-        poll_interval=_positive(obj, "poll_interval", 0.25, name),
+        poll_interval=_positive(obj, "poll_interval", Scenario.poll_interval, name),
     )
 
 

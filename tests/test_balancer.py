@@ -213,7 +213,7 @@ def test_expiry_is_transparent_to_mapping():
 def test_reconcile_records_absent_key():
     b = make_balancer()
     key = canonical_key(Endpoint.parse("10.0.0.1", 9000), Endpoint.parse("10.9.9.9", 80))
-    b.reconcile(key, C2, now=3.0)
+    assert b.reconcile(key, C2, now=3.0) is None
     assert b.table[key].assigned == C2
     assert b.table[key].last_timestamp == 3.0
 
@@ -223,10 +223,10 @@ def test_reconcile_overwrites_divergent_assignment():
     chain = b.map_packet(*packet(9000, t=0.0))
     other = C1 if chain == C2 else C2
     key = canonical_key(Endpoint.parse("10.0.0.1", 9000), Endpoint.parse("10.9.9.9", 80))
-    b.reconcile(key, other, now=1.0)
+    assert b.reconcile(key, other, now=1.0) == chain
     assert b.table[key].assigned == other
     # matching observation changes nothing but refreshes the timestamp
-    b.reconcile(key, other, now=2.0)
+    assert b.reconcile(key, other, now=2.0) == other
     assert b.table[key].assigned == other
     assert b.table[key].last_timestamp == 2.0
 

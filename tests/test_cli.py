@@ -11,7 +11,8 @@ import chainbalance
 from chainbalance import cli
 from chainbalance.errors import ValidationError
 from chainbalance.hashing import ChainId
-from chainbalance.scenario import parse_scenario
+from chainbalance.scenario import Scenario, parse_scenario, scenario_from_mapping
+from chainbalance.traffic import TrafficProfile
 
 MINIMAL = """
 name: mini
@@ -199,6 +200,19 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     ("mini", "horizon", "horizon: 10.0\n", "horizon: x\n"),
     ("mini", "seed", "\nseed: 1\n", "\nseed: x\n"),
     ("mini", "seed", "\nseed: 1\n", "\nseed: true\n"),
+    # non-finite numbers
+    ("mini.traffic", "duration", "  rate: 75.0\n", "  rate: 75.0\n  duration: .nan\n"),
+    ("mini.traffic", "duration_jitter", "  rate: 75.0\n",
+     "  rate: 75.0\n  duration_jitter: .nan\n"),
+    ("mini.traffic", "rate", "  rate: 75.0\n", "  rate: .nan\n"),
+    ("mini.traffic", "rate", "  rate: 75.0\n", "  rate: .inf\n"),
+    ("mini.nf", "capacity", "horizon: 10.0\n",
+     "horizon: 10.0\nnf:\n  mode: capacity\n  capacity: .nan\n"),
+    ("mini", "horizon", "horizon: 10.0\n", "horizon: .inf\n"),
+    ("mini", "window", "horizon: 10.0\n", "horizon: 10.0\nwindow: .nan\n"),
+    ("mini", "session_timeout", "horizon: 10.0\n", "horizon: 10.0\nsession_timeout: .inf\n"),
+    ("mini.actions[0]", "at", "horizon: 10.0\n",
+     "horizon: 10.0\nactions:\n  - op: rebalance\n    at: .nan\n"),
 ]
 
 
@@ -209,12 +223,45 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
 )
 def test_run_rejects_malformed_optional_field(tmp_path, capsys, where, key, line, replacement):
     # these used to exit 1 with a traceback, or (queue_limit: -1) to drop
-    # every packet as queue overflow
+    # every packet as queue overflow; a NaN duration or capacity exited 1
+    # after a session or two with no field named, rate: .nan exited 0 with
+    # no sessions, and horizon: .inf never ended
     assert line in MINIMAL
     scn = write(tmp_path, MINIMAL.replace(line, replacement))
     assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
     assert f"{where}: field {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_parse_required_keys_only_takes_declared_defaults():
+    # every optional field falls back to the default its dataclass declares
+    mapping = {
+        "hash": {"seed": 7, "buckets": 256},
+        "chains": [[2, 3]],
+        "traffic": {"sessions": 40, "rate": 75.0, "bytes_per_session": 15000},
+    }
+    assert scenario_from_mapping(mapping, name_hint="bare") == Scenario(
+        name="bare",
+        seed=1,
+        hash_seed=7,
+        bucket_count=256,
+        session_timeout=6.0,
+        window_length=5.0,
+        chains=(ChainId(2, 3),),
+        traffic=TrafficProfile(
+            sessions=40, rate=75.0, bytes_per_session=15000, packet_size=3000,
+            request_bytes=400, duration=6.0, duration_jitter=0.5, response_delay=0.02,
+            collide_fraction=0.0,
+        ),
+        actions=(),
+        nf_mode="passthrough",
+        nf_capacity=0.0,
+        nf_queue_limit=0,
+        horizon=60.0,
+        link_latency=0.001,
+        control_latency=0.001,
+        poll_interval=0.25,
+    )
 
 
 def test_parse_accepts_control_latency_below_half_barrier_timeout(tmp_path):

@@ -4,37 +4,33 @@ from collections import Counter
 import pytest
 
 from chainbalance import cli, hashing, netsim
-from chainbalance.errors import EmptyTagStack, NeverConverged, NoRoute
+from chainbalance.errors import NeverConverged, NoRoute
 from chainbalance.hashing import ChainId, Endpoint, canonical_key
 from chainbalance.netsim import (
     EventLoop,
-    Frame,
     NfInstance,
-    SwitchNode,
     TagRouter,
     Unroutable,
     ThroughputSeries,
     measure_convergence,
     measure_drain,
-    pop_tag,
-    push_tag,
     route,
 )
 from chainbalance.scenario import Action, Scenario
-from chainbalance.traffic import TrafficProfile
+from chainbalance.traffic import PlannedPacket, TrafficProfile
 
 C1 = ChainId(2, 3)
 C2 = ChainId(4, 5)
 C3 = ChainId(6, 7)
 
 
-def frame(tags=()):
-    return Frame(
+def packet():
+    return PlannedPacket(
+        time=0.0,
+        session_id=0,
         key=canonical_key(Endpoint.parse("10.0.0.1", 5000), Endpoint.parse("10.9.9.9", 80)),
         size=100,
-        session_id=0,
         reverse=False,
-        tags=list(tags),
     )
 
 
@@ -56,30 +52,6 @@ def small_scenario(**overrides):
     return Scenario(**base)
 
 
-# -- tag handling
-
-
-def test_push_then_pop_restores_packet():
-    f = frame()
-    push_tag(f, 6)
-    assert f.tags == [6]
-    pop_tag(f)
-    assert f.tags == []
-
-
-def test_pop_empty_stack():
-    with pytest.raises(EmptyTagStack):
-        pop_tag(frame())
-
-
-def test_double_push_single_pop_keeps_inner():
-    f = frame()
-    push_tag(f, 6)
-    push_tag(f, 9)
-    pop_tag(f)
-    assert f.tags == [6]
-
-
 # -- routing
 
 
@@ -95,31 +67,40 @@ def edge_switch_rules():
 
 
 def test_route_tagged_to_chain_port():
-    out, _ = route(edge_switch_rules(), 4, frame(tags=[2]))
-    assert out == 5
-    out, _ = route(edge_switch_rules(), 4, frame(tags=[4]))
-    assert out == 6
+    assert route(edge_switch_rules(), 4, (2,)) == (5, (2,))
+    assert route(edge_switch_rules(), 4, (4,)) == (6, (4,))
 
 
 def test_route_untagged_client_traffic():
-    out, _ = route(edge_switch_rules(), 1, frame())
-    assert out == 3
+    assert route(edge_switch_rules(), 1, ()) == (3, ())
 
 
 def test_route_unknown_tag():
     with pytest.raises(NoRoute):
-        route(edge_switch_rules(), 4, frame(tags=[99]))
+        route(edge_switch_rules(), 4, (99,))
 
 
 def test_route_push_pop_actions():
     router = TagRouter()
     router.add(1, 6, 2, "pop")
     router.add(2, None, 1, "push", 7)
-    f = frame(tags=[6])
-    out, f = route(router, 1, f)
-    assert out == 2 and f.tags == []
-    out, f = route(router, 2, f)
-    assert out == 1 and f.tags == [7]
+    assert route(router, 1, (6,)) == (2, ())
+    assert route(router, 2, ()) == (1, (7,))
+
+
+def test_route_pop_keeps_inner_tag():
+    router = TagRouter()
+    router.add(1, 6, 2, "push", 9)
+    router.add(2, 9, 3, "pop")
+    out, tags = route(router, 1, (6,))
+    assert (out, tags) == (2, (6, 9))
+    assert route(router, out, tags) == (3, (6,))
+
+
+def test_pop_rule_must_match_a_tag():
+    # a pop keyed on no tag is the only rule that could pop an empty stack
+    with pytest.raises(ValueError):
+        TagRouter().add(1, None, 2, "pop")
 
 
 # -- NF surrogate
@@ -131,13 +112,13 @@ class _StubSim:
         self.forwarded = []
         self.drops = []
 
-    def note_nf(self, chain, f, now):
-        self.forwarded.append((now, f.size))
+    def note_nf(self, chain, p, now):
+        self.forwarded.append((now, p.size))
 
-    def transmit(self, name, port, f):
+    def transmit(self, name, port, p, tags):
         pass
 
-    def drop(self, f, reason, where, now):
+    def drop(self, p, reason, where, now):
         self.drops.append((now, reason))
 
     def violation(self, what, session_id, now):
@@ -148,7 +129,7 @@ def test_nf_token_bucket_timing():
     sim = _StubSim()
     nf = NfInstance("nf", C1, sim, mode="capacity", capacity=100.0)
     for _ in range(10):
-        nf.handle(frame(), 1, 0.0)
+        nf.handle(packet(), 1, (), 0.0)
     sim.loop.run()
     departures = [t for t, _ in sim.forwarded]
     assert len(departures) == 10
@@ -159,14 +140,14 @@ def test_nf_token_bucket_timing():
 def test_nf_passthrough_zero_delay():
     sim = _StubSim()
     nf = NfInstance("nf", C1, sim, mode="passthrough")
-    nf.handle(frame(), 1, 3.5)
+    nf.handle(packet(), 1, (), 3.5)
     assert sim.forwarded == [(3.5, 100)]
 
 
 def test_nf_below_capacity_no_queueing():
     sim = _StubSim()
     nf = NfInstance("nf", C1, sim, mode="capacity", capacity=10_000.0)
-    nf.handle(frame(), 1, 0.0)
+    nf.handle(packet(), 1, (), 0.0)
     sim.loop.run()
     assert sim.forwarded[0][0] == pytest.approx(100 / 10_000.0)
 
@@ -175,7 +156,7 @@ def test_nf_queue_overflow_drops():
     sim = _StubSim()
     nf = NfInstance("nf", C1, sim, mode="capacity", capacity=100.0, queue_limit=3)
     for _ in range(5):
-        nf.handle(frame(), 1, 0.0)
+        nf.handle(packet(), 1, (), 0.0)
     assert len(sim.drops) == 2
     sim.loop.run()
     assert len(sim.forwarded) == 3
@@ -185,7 +166,7 @@ def test_nf_queue_overflow_drops():
 
 
 def make_series(rows):
-    series = ThroughputSeries("t", 1, (C1, C2))
+    series = ThroughputSeries((C1, C2))
     for chain, sec, size in rows:
         series.add(chain, float(sec), size)
     return series
@@ -350,31 +331,30 @@ def test_stats_polls_conserve_mapped_bytes():
 
 
 def hop_by_hop(sim, node, port, tags):
-    """Reference walk: one link and one route() call at a time, as a frame
+    """Reference walk: one link and one route() call at a time, as a packet
     crossing the switches would see it."""
-    f = frame(tags)
     hops = 0
     while True:
         node, port = sim.links[(node, port)]
         hops += 1
         switch = sim.nodes[node]
-        if not isinstance(switch, SwitchNode):
-            return switch, port, tuple(f.tags), hops, None
+        if not isinstance(switch, TagRouter):
+            return switch, port, tags, hops, None
         try:
-            port, f = route(switch.router, port, f)
+            port, tags = route(switch, port, tags)
         except NoRoute as exc:
-            return node, None, tuple(f.tags), hops, f"no_route: {exc}"
+            return node, None, tags, hops, f"no_route: {exc}"
 
 
 def walk_keys(sim):
-    """Every (stateful node, egress port, tag stack) a frame can leave by,
+    """Every (stateful node, egress port, tag stack) a packet can leave by,
     including tags no rule knows."""
     tags = [()] + [(t,) for c in sim.chain_by_forward.values()
                    for t in (c.forward_tag, c.reverse_tag)] + [(99,)]
     return {
         (node, port, t)
         for (node, port) in sim.links
-        if not isinstance(sim.nodes[node], SwitchNode)
+        if not isinstance(sim.nodes[node], TagRouter)
         for t in tags
     }
 
@@ -410,19 +390,19 @@ def test_forward_walks_reach_every_stateful_hop():
 
 def test_unknown_tag_from_master_drops_at_edge_switch():
     sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    stray = frame(tags=[99])
+    stray = packet()
     sent_at = 0.3
 
     def send():
-        sim.injected_bytes += stray.size  # what inject() books for a new frame
-        sim.transmit("lb1", 1, stray)
+        sim.injected_bytes += stray.size  # what inject() books for a new packet
+        sim.transmit("lb1", 1, stray, (99,))
 
     drops = []
     book_drop = sim.drop
 
-    def drop(f, reason, where, now):
-        drops.append((f, reason, where, now))
-        book_drop(f, reason, where, now)
+    def drop(p, reason, where, now):
+        drops.append((p, reason, where, now))
+        book_drop(p, reason, where, now)
 
     sim.drop = drop
     sim.loop.schedule(sent_at, send)
@@ -484,7 +464,9 @@ def test_static_1_python_calls_per_packet_gate():
     # simulates. ChainId hashes, compares and sorts in C, so of its functions
     # only the constructor runs, once per chain decoded from a control
     # message. The frozen dataclass made 7.0 __hash__ and 1.04 __eq__ calls
-    # per packet, and the whole run 36.0 calls per packet; now it is 22.93.
+    # per packet, and the whole run 36.0 calls per packet. A mutable copy of
+    # each planned packet, built to carry its tag list, took it to 22.93; the
+    # planned packet with a tag tuple makes 21.93.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -504,4 +486,4 @@ def test_static_1_python_calls_per_packet_gate():
         sys.setprofile(None)
     assert result.packets == 20_800
     assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
-    assert calls.total() <= 23 * result.packets
+    assert calls.total() <= 22 * result.packets

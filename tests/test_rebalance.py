@@ -36,19 +36,19 @@ def window(*pairs):
 
 def test_bias_balanced():
     result = bias(profile((C1, 0.5), (C2, 0.5)), window((C1, 200), (C2, 200)))
-    assert result.biases == {C1: 1.0, C2: 1.0}
+    assert result == {C1: 1.0, C2: 1.0}
 
 
 def test_bias_skewed():
     # b_i = t_i / (T p_i) with T = 400
     result = bias(profile((C1, 0.5), (C2, 0.5)), window((C1, 300), (C2, 100)))
-    assert result.biases[C1] == pytest.approx(1.5)
-    assert result.biases[C2] == pytest.approx(0.5)
+    assert result[C1] == pytest.approx(1.5)
+    assert result[C2] == pytest.approx(0.5)
 
 
 def test_bias_single_chain():
     result = bias(profile((C1, 1.0)), window((C1, 500)))
-    assert result.biases == {C1: 1.0}
+    assert result == {C1: 1.0}
 
 
 def test_bias_errors():
