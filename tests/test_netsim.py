@@ -88,6 +88,15 @@ def test_route_push_pop_actions():
     assert route(router, 2, ()) == (1, (7,))
 
 
+def test_push_then_pop_restores_packet():
+    router = TagRouter()
+    router.add(1, None, 2, "push", 6)
+    router.add(2, 6, 3, "pop")
+    out, tags = route(router, 1, ())
+    assert (out, tags) == (2, (6,))
+    assert route(router, out, tags) == (3, ())
+
+
 def test_route_pop_keeps_inner_tag():
     router = TagRouter()
     router.add(1, 6, 2, "push", 9)
