@@ -26,6 +26,7 @@ CRITERIA = {
     "convergence_s": 7.0,  # warm-up: every live chain inside the band
     "drain_s": 7.0,  # cool-down: the removed chain carries no more bytes
     "wall_s": 30.0,  # one desk-scale run, wall clock
+    "band": 0.10,  # converged: every live share within this fraction of 1/N
 }
 STEADY_INTERVAL = (5.0, 14.0)  # covers the bulk of a static desk-scale run
 SCENARIO_ORDER = (
@@ -52,7 +53,7 @@ def _live_chains_after(commit: dict) -> list[ChainId]:
     return [ChainId(f, r) for f, r, _ in commit["alloc"]]
 
 
-def build_report(result: RunResult, band: float) -> dict:
+def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
     """Aggregate one run into the JSON report structure."""
     series = result.series
     totals = {c: series.total_for(c) for c in series.chains}
@@ -140,7 +141,7 @@ def build_report(result: RunResult, band: float) -> dict:
     }
 
 
-def write_outputs(result: RunResult, out_dir: Path, band: float) -> dict:
+def write_outputs(result: RunResult, out_dir: Path, band: float = CRITERIA["band"]) -> dict:
     """Write series.csv, events.jsonl and report.json; returns the report."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "series.csv", "w", newline="\n") as fh:
@@ -182,14 +183,10 @@ def cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    if args.horizon is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, horizon=args.horizon)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scenario.name}-seed{scenario.seed}"
     started = time.monotonic()
     result = netsim.run(scenario)
-    report = write_outputs(result, out_dir, args.band)
+    report = write_outputs(result, out_dir)
     _print_report(report, time.monotonic() - started)
     print(f"  outputs in {out_dir}")
     return 0 if report["clean"] else 1
@@ -266,7 +263,7 @@ def cmd_replicate(args) -> int:
             started = time.monotonic()
             result = netsim.run(scenario.with_seed(seed))
             elapsed = time.monotonic() - started
-            report = write_outputs(result, out_root / name / f"seed-{seed}", args.band)
+            report = write_outputs(result, out_root / name / f"seed-{seed}")
             reports.append(report)
             _print_report(report, elapsed)
             if not report["clean"]:
@@ -293,15 +290,10 @@ def main(argv=None) -> int:
     run_p.add_argument("scenario", help="path to a scenario YAML file")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--band", type=float, default=0.10,
-                       help="convergence band as a fraction of the even split")
-    run_p.add_argument("--horizon", type=float, default=None, help="override the run horizon")
     run_p.set_defaults(fn=cmd_run)
 
     rep_p = sub.add_parser("replicate", help="run the bundled scenario corpus, 5 seeds each")
     rep_p.add_argument("--out", default=None, help="output directory")
-    rep_p.add_argument("--band", type=float, default=0.10,
-                       help="convergence band as a fraction of the even split")
     rep_p.set_defaults(fn=cmd_replicate)
 
     args = parser.parse_args(argv)

@@ -3,13 +3,20 @@
 A scenario names the shared balancer parameters, the chain tag pairs, the
 traffic profile, the NF behavior and a list of timed management actions.
 See the README for the documented schema and a worked example.
+
+Each mapping of the schema declares its keys once, as a table of `Field`s
+(kind, default, range), and `_read` checks a mapping against its table:
+unknown keys, presence, type, finiteness and range. Only the rules that tie
+several fields together are written out by hand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import yaml
 
@@ -18,23 +25,6 @@ from .control import DEFAULT_BARRIER_TIMEOUT, MIN_SLOTS_PER_CHAIN
 from .errors import ParseError, ValidationError
 from .hashing import MASK64, ChainId
 from .traffic import TrafficProfile
-
-VALID_OPS = ("add", "remove", "rebalance")
-NF_MODES = ("passthrough", "capacity")
-
-# the keys each mapping may hold: any other key is a typo that would
-# otherwise fall back to a default without a word
-TOP_FIELDS = (
-    "name", "seed", "hash", "session_timeout", "window", "chains", "traffic", "nf",
-    "actions", "horizon", "link_latency", "control_latency", "poll_interval",
-)
-HASH_FIELDS = ("seed", "buckets")
-TRAFFIC_FIELDS = (
-    "sessions", "rate", "bytes_per_session", "packet_size", "request_bytes", "duration",
-    "duration_jitter", "response_delay", "collide_fraction",
-)
-NF_FIELDS = ("mode", "capacity", "queue_limit")
-ACTION_FIELDS = ("at", "op", "pair")
 
 
 @dataclass(frozen=True)
@@ -47,13 +37,13 @@ class Action:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int
     hash_seed: int
     bucket_count: int
-    session_timeout: float
-    window_length: float
     chains: tuple[ChainId, ...]
     traffic: TrafficProfile
+    seed: int = 1
+    session_timeout: float = DEFAULT_SESSION_TIMEOUT
+    window_length: float = 5.0
     actions: tuple[Action, ...] = ()
     nf_mode: str = "passthrough"
     nf_capacity: float = 0.0
@@ -75,59 +65,95 @@ class Scenario:
         return tuple(pairs)
 
 
-def _known(mapping, allowed, where) -> dict:
-    """Return the mapping after rejecting any key the schema does not define."""
+class Field(NamedTuple):
+    """One key of a mapping: its kind, its default (MISSING: required) and its range."""
+
+    kind: type
+    default: object = MISSING
+    low: float = -math.inf  # inclusive bounds of a number
+    high: float = math.inf
+    positive: bool = False  # a number that must also exceed zero
+    choices: tuple = ()
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "a mapping"}
+
+
+def _period(default: float) -> Field:
+    return Field(float, default, positive=True)
+
+
+# one declaration per mapping: its keys, and nothing else, may appear in it
+TOP = {
+    "name": Field(str, None),  # None: the file's stem
+    "seed": Field(int, Scenario.seed),
+    "hash": Field(dict),
+    "session_timeout": _period(Scenario.session_timeout),
+    "window": _period(Scenario.window_length),
+    "chains": Field(list),
+    "traffic": Field(dict),
+    "nf": Field(dict, {}),
+    "actions": Field(list, ()),
+    "horizon": _period(Scenario.horizon),
+    "link_latency": _period(Scenario.link_latency),
+    "control_latency": _period(Scenario.control_latency),
+    "poll_interval": _period(Scenario.poll_interval),
+}
+HASH = {"seed": Field(int, low=0, high=MASK64), "buckets": Field(int)}
+# read off the profile, whose defaults are the schema's; its ranges live in validate()
+TRAFFIC = {
+    f.name: Field(get_type_hints(TrafficProfile)[f.name], f.default)
+    for f in fields(TrafficProfile)
+}
+NF = {
+    "mode": Field(str, Scenario.nf_mode, choices=("passthrough", "capacity")),
+    "capacity": Field(float, Scenario.nf_capacity),
+    "queue_limit": Field(int, Scenario.nf_queue_limit, low=0),
+}
+ACTION = {
+    "at": Field(float),
+    "op": Field(str, choices=("add", "remove", "rebalance")),
+    "pair": Field(list, None),  # required by add and remove
+}
+
+
+def _field(mapping: dict, key: str, spec: Field, where: str):
+    """The value of one key: its default when absent, else the value checked
+    against the spec (bools are not numbers; ints widen to float)."""
+    if key not in mapping:
+        if spec.default is MISSING:
+            raise ValidationError(f"missing required field {key!r}", location=where)
+        return spec.default
+    value = mapping[key]
+    if spec.kind is float and type(value) is int:  # too large an int reads as inf
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if isinstance(value, bool) or not isinstance(value, spec.kind):
+        problem = f"must be {_KIND_NAMES[spec.kind]}, got {type(value).__name__}"
+    elif spec.kind is float and not math.isfinite(value):
+        problem = f"must be finite, got {value}"
+    elif spec.choices and value not in spec.choices:
+        problem = f"must be one of {', '.join(spec.choices)}, got {value!r}"
+    elif spec.positive and value <= 0:
+        problem = f"must be positive, got {value}"
+    elif spec.kind in (int, float) and not spec.low <= value <= spec.high:
+        problem = f"must lie in [{spec.low}, {spec.high}], got {value}"
+    else:
+        return value
+    raise ValidationError(f"field {key!r} {problem}", location=where)
+
+
+def _read(mapping, declaration: dict[str, Field], where: str) -> dict:
+    """Every declared key's value, after rejecting a key the declaration lacks."""
     if not isinstance(mapping, dict):
         raise ValidationError(f"must be a mapping, got {type(mapping).__name__}", location=where)
     for key in mapping:
-        if key not in allowed:
+        if key not in declaration:
             raise ValidationError(
-                f"unknown field {key!r} (expected one of {', '.join(allowed)})", location=where
+                f"unknown field {key!r} (expected one of {', '.join(declaration)})",
+                location=where,
             )
-    return mapping
-
-
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise ValidationError(f"missing required field {key!r}", location=where)
-    value = mapping[key]
-    if kind is float and type(value) is int:
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(
-            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
-            location=where,
-        )
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(f"field {key!r} must be finite, got {value}", location=where)
-    return value
-
-
-def _optional(mapping, key, kind, default, where):
-    """A field that may be left out: the default, or a value of the given kind."""
-    return _require(mapping, key, kind, where) if key in mapping else default
-
-
-def _in_range(value, low, high, key, where):
-    if not low <= value <= high:
-        raise ValidationError(
-            f"field {key!r} must lie in [{low}, {high}], got {value}", location=where
-        )
-    return value
-
-
-def _positive(mapping, key, default, where) -> float:
-    """A period or latency: a number greater than zero, or the default."""
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(
-            f"field {key!r} must be a number, got {type(value).__name__}", location=where
-        )
-    if not 0 < value < math.inf:  # also rejects NaN
-        raise ValidationError(
-            f"field {key!r} must be positive and finite, got {value}", location=where
-        )
-    return float(value)
+    return {key: _field(mapping, key, spec, where) for key, spec in declaration.items()}
 
 
 def _parse_pair(obj, where) -> ChainId:
@@ -146,124 +172,79 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a parsed mapping and build the Scenario, or raise with the field."""
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a mapping", location=name_hint)
-    name = obj.get("name", name_hint)
-    _known(obj, TOP_FIELDS, name)
+    name = _field(obj, "name", TOP["name"]._replace(default=name_hint), name_hint)
+    top = _read(obj, TOP, name)
 
-    chains = [_parse_pair(p, f"{name}.chains[{i}]") for i, p in enumerate(obj.get("chains", []))]
+    chains = [_parse_pair(p, f"{name}.chains[{i}]") for i, p in enumerate(top["chains"])]
     if not chains:
         raise ValidationError("at least one chain required", location=f"{name}.chains")
 
-    actions = []
-    for i, entry in enumerate(obj.get("actions", []) or []):
+    declared, actions = list(chains), []
+    for i, entry in enumerate(top["actions"]):
         where = f"{name}.actions[{i}]"
-        _known(entry, ACTION_FIELDS, where)
-        op = _require(entry, "op", str, where)
-        if op not in VALID_OPS:
-            raise ValidationError(f"op must be one of {VALID_OPS}, got {op!r}", location=where)
-        at = _require(entry, "at", float, where)
-        pair = None
-        if op in ("add", "remove"):
-            pair = _parse_pair(_require(entry, "pair", list, where), where)
+        entry = _read(entry, ACTION, where)
+        at, op, pair = entry["at"], entry["op"], None
+        if actions and at < actions[-1].at:
+            raise ValidationError("actions must be sorted by time", location=where)
+        if not 0 <= at < top["horizon"]:
+            raise ValidationError(f"action time {at} outside [0, horizon)", location=where)
+        if op != "rebalance":
+            if entry["pair"] is None:
+                raise ValidationError(f"op {op!r} needs field 'pair'", location=where)
+            pair = _parse_pair(entry["pair"], where)
+        if op == "add":
+            declared.append(pair)
+        elif op == "remove" and pair not in declared:
+            raise ValidationError(f"remove of undeclared pair {pair}", location=where)
         actions.append(Action(at=at, op=op, pair=pair))
-    if actions != sorted(actions, key=lambda a: a.at):
-        raise ValidationError("actions must be sorted by time", location=f"{name}.actions")
-
-    declared = list(chains)
-    for i, action in enumerate(actions):
-        where = f"{name}.actions[{i}]"
-        if action.op == "add":
-            declared.append(action.pair)
-        elif action.op == "remove":
-            if action.pair not in declared:
-                raise ValidationError(
-                    f"remove of undeclared pair {action.pair}", location=where
-                )
     tags = [t for c in declared for t in (c.forward_tag, c.reverse_tag)]
     if len(set(tags)) != len(tags):
         raise ValidationError("a tag is used by more than one chain", location=f"{name}")
 
-    hashing = _known(obj.get("hash", {}), HASH_FIELDS, f"{name}.hash")
-    hash_seed = _in_range(
-        _require(hashing, "seed", int, f"{name}.hash"), 0, MASK64, "seed", f"{name}.hash"
-    )
-    bucket_count = _require(hashing, "buckets", int, f"{name}.hash")
-    if bucket_count < MIN_SLOTS_PER_CHAIN * len(declared):
+    hashing = _read(top["hash"], HASH, f"{name}.hash")
+    if hashing["buckets"] < MIN_SLOTS_PER_CHAIN * len(declared):
         raise ValidationError(
-            f"{bucket_count} buckets is too small for {len(declared)} chains "
+            f"{hashing['buckets']} buckets is too small for {len(declared)} chains "
             f"(need at least {MIN_SLOTS_PER_CHAIN} per chain)",
             location=f"{name}.hash.buckets",
         )
 
     where = f"{name}.traffic"
-    tr = _known(obj.get("traffic", {}), TRAFFIC_FIELDS, where)
-    traffic = TrafficProfile(
-        sessions=_require(tr, "sessions", int, where),
-        rate=_require(tr, "rate", float, where),
-        bytes_per_session=_require(tr, "bytes_per_session", int, where),
-        packet_size=_optional(tr, "packet_size", int, TrafficProfile.packet_size, where),
-        request_bytes=_optional(tr, "request_bytes", int, TrafficProfile.request_bytes, where),
-        duration=_optional(tr, "duration", float, TrafficProfile.duration, where),
-        duration_jitter=_optional(
-            tr, "duration_jitter", float, TrafficProfile.duration_jitter, where
-        ),
-        response_delay=_optional(
-            tr, "response_delay", float, TrafficProfile.response_delay, where
-        ),
-        collide_fraction=_optional(
-            tr, "collide_fraction", float, TrafficProfile.collide_fraction, where
-        ),
-    )
+    traffic = TrafficProfile(**_read(top["traffic"], TRAFFIC, where))
     try:
         traffic.validate()
     except ValueError as exc:
         raise ValidationError(str(exc), location=where)
 
-    where = f"{name}.nf"
-    nf = _known(obj.get("nf", {}) or {}, NF_FIELDS, where)
-    nf_mode = nf.get("mode", Scenario.nf_mode)
-    if nf_mode not in NF_MODES:
-        raise ValidationError(f"nf.mode must be one of {NF_MODES}", location=f"{name}.nf.mode")
-    nf_capacity = _optional(nf, "capacity", float, Scenario.nf_capacity, where)
-    nf_queue_limit = _in_range(
-        _optional(nf, "queue_limit", int, Scenario.nf_queue_limit, where),
-        0, math.inf, "queue_limit", where,
-    )
-    if nf_mode == "capacity" and nf_capacity <= 0:
+    nf = _read(top["nf"], NF, f"{name}.nf")
+    if nf["mode"] == "capacity" and nf["capacity"] <= 0:
         raise ValidationError("capacity mode needs nf.capacity > 0", location=f"{name}.nf.capacity")
 
-    horizon = _positive(obj, "horizon", Scenario.horizon, name)
-    for i, action in enumerate(actions):
-        if not 0 <= action.at < horizon:
-            raise ValidationError(
-                f"action time {action.at} outside [0, horizon)", location=f"{name}.actions[{i}]"
-            )
-
-    control_latency = _positive(obj, "control_latency", Scenario.control_latency, name)
-    if 2 * control_latency >= DEFAULT_BARRIER_TIMEOUT:
+    if 2 * top["control_latency"] >= DEFAULT_BARRIER_TIMEOUT:
         # the prepare round trip would never beat the master's barrier timer
         raise ValidationError(
             f"field 'control_latency' must be below {DEFAULT_BARRIER_TIMEOUT / 2} s "
-            f"(half the barrier timeout), got {control_latency}",
+            f"(half the barrier timeout), got {top['control_latency']}",
             location=name,
         )
 
     return Scenario(
         name=name,
-        seed=_optional(obj, "seed", int, 1, name),
-        hash_seed=hash_seed,
-        bucket_count=bucket_count,
-        session_timeout=_positive(obj, "session_timeout", DEFAULT_SESSION_TIMEOUT, name),
-        window_length=_positive(obj, "window", 5.0, name),
+        hash_seed=hashing["seed"],
+        bucket_count=hashing["buckets"],
         chains=tuple(chains),
         traffic=traffic,
+        seed=top["seed"],
+        session_timeout=top["session_timeout"],
+        window_length=top["window"],
         actions=tuple(actions),
-        nf_mode=nf_mode,
-        nf_capacity=nf_capacity,
-        nf_queue_limit=nf_queue_limit,
-        horizon=horizon,
-        link_latency=_positive(obj, "link_latency", Scenario.link_latency, name),
-        control_latency=control_latency,
-        poll_interval=_positive(obj, "poll_interval", Scenario.poll_interval, name),
+        nf_mode=nf["mode"],
+        nf_capacity=nf["capacity"],
+        nf_queue_limit=nf["queue_limit"],
+        horizon=top["horizon"],
+        link_latency=top["link_latency"],
+        control_latency=top["control_latency"],
+        poll_interval=top["poll_interval"],
     )
 
 

@@ -37,14 +37,24 @@ class TrafficProfile:
     collide_fraction: float = 0.0  # stress toggle: share 4-tuples between sessions
 
     def validate(self):
-        if self.sessions <= 0 or self.rate <= 0:
-            raise ValueError("sessions and rate must be positive")
-        if self.bytes_per_session <= self.request_bytes:
-            raise ValueError("bytes_per_session must exceed request_bytes")
-        if self.packet_size <= 0:
-            raise ValueError("packet_size must be positive")
-        if self.duration <= self.response_delay:
-            raise ValueError("duration must exceed response_delay")
+        """Raise ValueError naming the first field out of its range."""
+        rules = (
+            ("sessions", self.sessions > 0, "positive"),
+            ("rate", self.rate > 0, "positive"),
+            ("bytes_per_session", self.bytes_per_session > self.request_bytes,
+             "above request_bytes"),
+            ("packet_size", self.packet_size > 0, "positive"),
+            ("request_bytes", self.request_bytes >= 1, "at least 1"),
+            ("duration", self.duration > self.response_delay, "above response_delay"),
+            ("response_delay", self.response_delay >= 0, "at least 0"),
+            # a jitter this wide would plan responses before their request
+            ("duration_jitter", 0 <= self.duration_jitter < self.duration - self.response_delay,
+             "in [0, duration - response_delay)"),
+            ("collide_fraction", 0 <= self.collide_fraction <= 1, "in [0, 1]"),
+        )
+        for key, holds, bound in rules:
+            if not holds:
+                raise ValueError(f"field {key!r} must be {bound}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

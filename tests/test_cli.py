@@ -14,6 +14,8 @@ from chainbalance.hashing import ChainId
 from chainbalance.scenario import Scenario, parse_scenario, scenario_from_mapping
 from chainbalance.traffic import TrafficProfile
 
+ROOT = Path(__file__).resolve().parent.parent
+
 MINIMAL = """
 name: mini
 seed: 1
@@ -132,6 +134,11 @@ def test_bundled_scenarios_all_parse():
         scenario = cli.bundled_scenario(name)
         assert scenario.name == name
         assert scenario.bucket_count == 1024
+    # the benchmark's workloads too, so a stricter rule cannot reject one unnoticed
+    workloads = sorted((ROOT / "bench" / "workloads").glob("*.yaml"))
+    assert workloads
+    for path in workloads:
+        assert parse_scenario(path).name == path.stem
 
 
 def test_csv_header_format(tmp_path):
@@ -213,12 +220,30 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     ("mini", "session_timeout", "horizon: 10.0\n", "horizon: 10.0\nsession_timeout: .inf\n"),
     ("mini.actions[0]", "at", "horizon: 10.0\n",
      "horizon: 10.0\nactions:\n  - op: rebalance\n    at: .nan\n"),
+    # traffic ranges: each of these ran and reported "clean" on wrong traffic
+    ("mini.traffic", "request_bytes", "  rate: 75.0\n", "  rate: 75.0\n  request_bytes: 0\n"),
+    ("mini.traffic", "request_bytes", "  rate: 75.0\n",
+     "  rate: 75.0\n  request_bytes: -100\n"),
+    ("mini.traffic", "response_delay", "  rate: 75.0\n",
+     "  rate: 75.0\n  response_delay: -0.5\n"),
+    ("mini.traffic", "duration_jitter", "  rate: 75.0\n",
+     "  rate: 75.0\n  duration: 6.0\n  duration_jitter: 7.0\n"),
+    ("mini.traffic", "collide_fraction", "  rate: 75.0\n",
+     "  rate: 75.0\n  collide_fraction: 2.0\n"),
+    # untyped before: a TypeError traceback, or (name) an output directory
+    # named after a list
+    ("mini", "chains", "chains:\n  - [2, 3]\n", "chains: 5\n"),
+    ("mini", "actions", "horizon: 10.0\n", "horizon: 10.0\nactions: 5\n"),
+    ("mini", "actions", "horizon: 10.0\n", "horizon: 10.0\nactions: true\n"),
+    ("scn", "name", "name: mini\n", "name: [a, b]\n"),
+    # an int beyond the float range used to raise OverflowError
+    ("mini.traffic", "rate", "  rate: 75.0\n", f"  rate: {10**400}\n"),
 ]
 
 
 @pytest.mark.parametrize(
     "where, key, line, replacement",
-    [pytest.param(*c, id=f"{c[0]}.{c[1]}={c[3].split(': ')[-1].strip()}")
+    [pytest.param(*c, id=f"{c[0]}.{c[1]}={c[3].split(': ')[-1].strip()[:20]}")
      for c in MALFORMED_FIELDS],
 )
 def test_run_rejects_malformed_optional_field(tmp_path, capsys, where, key, line, replacement):
@@ -269,16 +294,37 @@ def test_parse_accepts_control_latency_below_half_barrier_timeout(tmp_path):
     assert scn.control_latency == 0.49
 
 
-def test_module_entry_point_runs_cli():
+def run_module(*args, cwd=None):
+    """`python -m chainbalance ARGS` in a fresh interpreter on this checkout."""
     src = str(Path(chainbalance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainbalance", "--help"],
-        capture_output=True, text=True, timeout=60, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "chainbalance", *args],
+        capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
     )
+
+
+def test_module_entry_point_runs_cli():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "replicate" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "SCN", "--horizon", "inf"),
+    ("run", "SCN", "--band", "0.2"),
+    ("replicate", "--band", "0.2"),
+], ids=lambda args: " ".join(args).replace("SCN ", ""))
+def test_run_parameters_come_only_from_the_file(tmp_path, args):
+    # the horizon and the band have no flag: --horizon inf never ended, and
+    # --horizon nan, --horizon -5 and --band -1 ran to exit 0
+    scn = write(tmp_path, MINIMAL)
+    args = [str(scn) if a == "SCN" else a for a in args]
+    proc = run_module(*args, "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {args[-2]}" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # -- the replicate roll-up against the acceptance thresholds
