@@ -25,11 +25,19 @@ their slot counts, and `index` one small int per slot pointing into `table`
 therefore cost O(chains), never O(L). The shuffle order depends only on
 (seed XOR generation, L), so it is computed once per generation and shared
 by every vector built for it, on the master and the slave alike.
+
+The shuffle's SplitMix64 draws are computed a block of `_LANES` at a time in
+one Python int, one draw per 128-bit lane: every state, xor-shift and
+64x64-bit product of a block is a handful of big-int operations, and a lane's
+product never carries into the next lane. The lanes are read back through
+`array('Q')` in the host's byte order, so the draws, and the swaps they
+drive, are the same on every host as drawing one at a time.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,6 +55,27 @@ TAG_MIN = 2
 TAG_MAX = 4094  # 12-bit field, 0/1 reserved, 4095 reserved
 
 DEFAULT_BUCKET_COUNT = 1024
+
+# SplitMix64 in lanes: draw k of a block sits in bits [128k, 128k + 64) of
+# one int, the upper 64 bits of its lane zero, so a lane holds a full product
+_GAMMA = 0x9E3779B97F4A7C15
+_LANES = 1024
+_LANE_BYTES = 16
+# the array('Q') words of such an int's bytes that hold each lane's low half,
+# first lane first, by the byte order the bytes are in
+_LOW_WORDS = {"little": slice(0, None, 2), "big": slice(None, None, -2)}
+
+
+def _from_lanes(values) -> int:
+    """The int holding values[k] in lane k, packed as `_splitmix_block` unpacks."""
+    words = array("Q", bytes(_LANE_BYTES * len(values)))
+    words[_LOW_WORDS[sys.byteorder]] = array("Q", values)
+    return int.from_bytes(words, sys.byteorder)
+
+
+_ONES = _from_lanes([1] * _LANES)
+_STEPS = _GAMMA * _from_lanes(range(1, _LANES + 1))
+_LOW64 = MASK64 * _ONES
 
 
 @dataclass(frozen=True, order=True)
@@ -175,25 +204,42 @@ class BucketVector:
         return dict(zip(self.table, self.tally))
 
 
+def _splitmix_block(state: int, count: int) -> array:
+    """The next `count` (at most `_LANES`) SplitMix64 outputs after `state`.
+
+    Lane k starts at state + (k+1)*gamma. Each mixer step acts on all lanes
+    at once and is masked back to 64 bits per lane before it multiplies, so
+    neither a bit shifted in from the next lane nor a carry crosses a lane.
+    """
+    low = _LOW64 if count == _LANES else _LOW64 & ((1 << (8 * _LANE_BYTES * count)) - 1)
+    z = (state * _ONES + _STEPS) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    z = (z ^ (z >> 31)) & low
+    return array("Q", z.to_bytes(_LANE_BYTES * count, sys.byteorder))[_LOW_WORDS[sys.byteorder]]
+
+
 @lru_cache(maxsize=2)
 def _shuffle_order(state: int, length: int) -> array:
     """Slot k of the shuffled vector takes pre-shuffle slot order[k].
 
-    Runs the Fisher-Yates swaps of `build_buckets` over slot positions, with
-    SplitMix64 inlined. The master and the slave build each generation's
-    vector from the same (seed XOR generation, L), so the cache lets the
-    second build reuse the first one's order. Every caller gets the same
-    array: read it, never mutate it.
+    Runs the Fisher-Yates swaps of `build_buckets` over slot positions:
+    swap i (from L-1 down to 1) takes SplitMix64 draw L-i mod (i+1). The
+    draws come a block at a time from `_splitmix_block`, so only the
+    modulo and the swap run per slot. The master and the slave build each
+    generation's vector from the same (seed XOR generation, L), so the
+    cache lets the second build reuse the first one's order. Every caller
+    gets the same array: read it, never mutate it.
     """
-    mask = MASK64
-    order = list(range(length))
-    for i in range(length - 1, 0, -1):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        j = (z ^ (z >> 31)) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    return array("I", order)
+    order = array("I", range(length))
+    for done in range(0, length - 1, _LANES):
+        top = length - 1 - done
+        count = min(_LANES, top)
+        draws = _splitmix_block((state + done * _GAMMA) & MASK64, count)
+        for i, z in zip(range(top, top - count, -1), draws):
+            j = z % (i + 1)
+            order[i], order[j] = order[j], order[i]
+    return order
 
 
 def build_buckets(

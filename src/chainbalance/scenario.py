@@ -114,7 +114,7 @@ NF = {
 ACTION = {
     "at": Field(float),
     "op": Field(str, choices=("add", "remove", "rebalance")),
-    "pair": Field(list, None),  # required by add and remove
+    "pair": Field(list, None),  # required by add and remove, refused for rebalance
 }
 
 
@@ -188,9 +188,13 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
             raise ValidationError("actions must be sorted by time", location=where)
         if not 0 <= at < top["horizon"]:
             raise ValidationError(f"action time {at} outside [0, horizon)", location=where)
-        if op != "rebalance":
-            if entry["pair"] is None:
-                raise ValidationError(f"op {op!r} needs field 'pair'", location=where)
+        if op == "rebalance":
+            if entry["pair"] is not None:
+                raise ValidationError("field 'pair' is not allowed for op 'rebalance'",
+                                      location=where)
+        elif entry["pair"] is None:
+            raise ValidationError(f"op {op!r} needs field 'pair'", location=where)
+        else:
             pair = _parse_pair(entry["pair"], where)
         if op == "add":
             declared.append(pair)

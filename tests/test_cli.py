@@ -238,6 +238,12 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     ("scn", "name", "name: mini\n", "name: [a, b]\n"),
     # an int beyond the float range used to raise OverflowError
     ("mini.traffic", "rate", "  rate: 75.0\n", f"  rate: {10**400}\n"),
+    # a rebalance ran and reported "clean" with its pair, even an undeclared
+    # one, silently ignored
+    ("mini.actions[0]", "pair", "horizon: 10.0\n",
+     "horizon: 10.0\nactions:\n  - {at: 2.0, op: rebalance, pair: [40, 41]}\n"),
+    ("mini.actions[0]", "pair", "horizon: 10.0\n",
+     "horizon: 10.0\nactions:\n  - {at: 2.0, op: rebalance, pair: [2, 3]}\n"),
 ]
 
 

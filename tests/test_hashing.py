@@ -3,24 +3,34 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainbalance import netsim
 from chainbalance.control import alloc_from_wire, alloc_to_wire, chain_from_wire, chain_to_wire
 from chainbalance.errors import AllocationMismatch
 from chainbalance.hashing import (
+    _GAMMA,
+    _LANES,
+    _LOW_WORDS,
+    MASK64,
     TAG_MAX,
     TAG_MIN,
     ChainId,
     Endpoint,
     HashParams,
+    _from_lanes,
+    _shuffle_order,
+    _splitmix_block,
     build_buckets,
     canonical_key,
     hash_key,
 )
+from chainbalance.scenario import scenario_from_mapping
 
 C1 = ChainId(2, 3)
 C2 = ChainId(4, 5)
@@ -184,6 +194,98 @@ def test_build_matches_reference_shuffle_large():
     assert list(vector.slots) == expected
 
 
+# -- the lane-block draw at the block edges
+
+B = _LANES
+EDGE_LENGTHS = [1, 2, B - 1, B, B + 1, 2 * B + 1, 65536]
+# (seed, generation); the last makes seed ^ generation 2**64 - 3, so the
+# first lane's state wraps past 2**64
+EDGE_SEEDS = [(0, 0), (MASK64, 0), (MASK64, 2)]
+
+
+def splitmix(state, count):
+    """count SplitMix64 outputs after state, one at a time."""
+    out = []
+    for _ in range(count):
+        state = (state + _GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS)
+@pytest.mark.parametrize("seed, generation", EDGE_SEEDS)
+def test_build_matches_reference_shuffle_at_block_edges(length, seed, generation):
+    third = length // 3
+    alloc = [(C1, third), (C2, length - 2 * third), (ChainId(6, 7), third)]
+    vector = build_buckets(alloc, HashParams(seed, length), generation)
+    assert list(vector.slots) == reference_shuffle(expanded(alloc), seed, generation)
+
+
+@pytest.mark.parametrize("count", [1, 2, B - 1, B])
+def test_splitmix_block_matches_one_draw_at_a_time(count):
+    for state in (0, 1, MASK64, MASK64 - _GAMMA):
+        assert list(_splitmix_block(state, count)) == splitmix(state, count)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_low_words_read_the_lanes_in_either_byte_order(byteorder):
+    # the words an array('Q') holds on a host of that byte order
+    lanes = splitmix(12345, 5)
+    packed = sum(z << (128 * k) for k, z in enumerate(lanes))
+    assert _from_lanes(lanes) == packed
+    words = array("Q", packed.to_bytes(16 * len(lanes), byteorder))
+    if byteorder != sys.byteorder:
+        words.byteswap()
+    assert list(words[_LOW_WORDS[byteorder]]) == lanes
+
+
+def test_shuffle_order_line_events_gate():
+    # work counter, not wall time: Python line events while one L=65536 order
+    # is drawn. Drawing SplitMix64 one state at a time took 393,214 (6.0 per
+    # slot); the lane-block draw leaves the loop header, the modulo and the
+    # swap per slot.
+    length = 65536
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        order = _shuffle_order.__wrapped__(12345, length)
+    finally:
+        sys.settrace(None)
+    assert sorted(order) == list(range(length))
+    assert lines <= 3.5 * length
+
+
+def test_slave_reuses_the_masters_order():
+    # work counter: one order per committed generation, generation 0 included;
+    # the slave's build of each generation hits the master's cached order
+    scenario = scenario_from_mapping({
+        "name": "orders",
+        "hash": {"seed": 7, "buckets": 256},
+        "chains": [[2, 3], [4, 5]],
+        "traffic": {"sessions": 30, "rate": 20.0, "bytes_per_session": 6000, "duration": 1.0},
+        "actions": [
+            {"at": 0.5, "op": "add", "pair": [6, 7]},
+            {"at": 1.5, "op": "rebalance"},
+            {"at": 2.5, "op": "remove", "pair": [4, 5]},
+        ],
+        "horizon": 4.0,
+    })
+    _shuffle_order.cache_clear()
+    result = netsim.run(scenario)
+    assert [c["generation"] for c in result.commits] == [1, 2, 3]
+    assert result.clean
+    assert _shuffle_order.cache_info().misses == len(scenario.actions) + 1
+
+
 def test_lookup_single_chain():
     params = HashParams(seed=5, bucket_count=16)
     vector = build_buckets([(C1, 16)], params, generation=0)
@@ -305,8 +407,11 @@ def test_counts_and_chains():
 
 
 @st.composite
-def allocations(draw, max_chains=12, max_length=4096):
-    """(alloc, L): distinct chains in any order, some possibly at zero slots."""
+def allocations(draw, max_chains=12, max_length=8 * _LANES + 1):
+    """(alloc, L): distinct chains in any order, some possibly at zero slots.
+
+    L runs up to eight blocks of the lane-block draw and one slot beyond.
+    """
     length = draw(st.integers(1, max_length))
     tags = draw(st.lists(st.integers(1, 2046), min_size=1, max_size=max_chains, unique=True))
     cuts = sorted(draw(st.lists(st.integers(0, length), min_size=len(tags) - 1,
