@@ -14,8 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import netsim
+from .control import alloc_from_wire
 from .errors import NeverConverged, ScenarioError
-from .hashing import ChainId
 from .netsim import RunResult, measure_convergence, measure_drain
 from .scenario import Scenario, parse_scenario
 
@@ -49,10 +49,6 @@ def bundled_scenario(name: str) -> Scenario:
         return parse_scenario(path)
 
 
-def _live_chains_after(commit: dict) -> list[ChainId]:
-    return [ChainId(f, r) for f, r, _ in commit["alloc"]]
-
-
 def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
     """Aggregate one run into the JSON report structure."""
     series = result.series
@@ -72,6 +68,7 @@ def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
     rho = result.scenario.session_timeout
     transitions = []
     for commit in result.commits:
+        live = [c for c, _ in alloc_from_wire(commit["alloc"])]
         entry = {
             "generation": commit["generation"],
             "committed_at": commit["t"],
@@ -96,7 +93,6 @@ def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
                 entry["reclaim_within_timeout"] = (
                     -0.01 <= lag <= result.scenario.poll_interval + 0.01
                 )
-            live = _live_chains_after(commit)
             entry["survivors"] = [c.forward_tag for c in live]
             if entry["drained_after_s"] is not None:
                 start = commit["t"] + entry["drained_after_s"]
@@ -107,7 +103,6 @@ def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
                     for c in live
                 }
         else:
-            live = _live_chains_after(commit)
             try:
                 entry["converged_after_s"] = measure_convergence(
                     series, live, commit["t"], band

@@ -492,9 +492,8 @@ class MasterAgent(_BalancerAgent):
             "alloc": alloc_to_wire(op.alloc),
             "drain": chain_to_wire(op.drain) if op.drain else None,
         }
-        op.timer = self.transport.loop.call_later(
-            DEFAULT_BARRIER_TIMEOUT, lambda: self._on_barrier_timeout(op)
-        )
+        loop = self.transport.loop
+        op.timer = loop.schedule(loop.now + DEFAULT_BARRIER_TIMEOUT, self._on_barrier_timeout, op)
         self.request(
             self.slave_name,
             KIND_ALLOCATION_COMMIT,

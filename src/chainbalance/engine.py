@@ -27,9 +27,6 @@ class EventLoop:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def call_later(self, delay: float, fn):
-        return self.schedule(self.now + delay, fn)
-
     def cancel(self, entry):
         entry[4] = True
 

@@ -30,6 +30,12 @@ empty tag stack and schedules the next planned packet; the balancer nodes
 push and pop by building the next tuple; hosts add delivered bytes directly;
 and chain identities (`ChainId`) hash and compare in C.
 
+The run's record is one `RunResult`, created empty when the simulator is
+built and written in place as the run goes: the nodes and the bookkeeping
+hooks add to its counters and series directly, and every `events.jsonl` entry
+goes through the one writer, `NetSim.record`. At the end the simulator judges
+the sessions, fills in what is known only then, and returns that same object.
+
 The event loop (`engine.EventLoop`) is single threaded; all randomness lives in the traffic
 generator, so a (scenario, seed) pair always produces the same run.
 """
@@ -40,7 +46,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .control import ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport
+from .control import (
+    ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport, alloc_to_wire,
+)
 from .engine import EventLoop
 from .errors import NeverConverged, NoRoute
 from .hashing import ChainId
@@ -246,7 +254,7 @@ class HostNode:
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
         if tags:
             self.sim.violation("tagged packet delivered to a host", packet.session_id, now)
-        self.sim.delivered_bytes += packet.size
+        self.sim.result.delivered_bytes += packet.size
 
 
 class BalancerNode:
@@ -302,23 +310,30 @@ class SessionTrace:
 
 @dataclass
 class RunResult:
+    """One run's record. `NetSim` creates it empty and writes each fact into
+    it in place as the run goes; `run()` returns it. A plain value, so it
+    pickles."""
+
     scenario: Scenario
     series: ThroughputSeries
-    events: list[dict]
-    injected_bytes: int
-    delivered_bytes: int
-    dropped_bytes: int
-    anomalies: list[dict]
-    commits: list[dict]
-    reclaims: dict[ChainId, float]
-    session_starts: list[tuple[float, int, ChainId]]
-    divergences: int
-    reconciled_sessions: int
-    vectors_equal: bool
-    message_trace: list
-    last_packet_on: dict[ChainId, float]
-    scheduled_events: int  # EventLoop.schedule calls, control plane included
-    packets: int  # packets injected
+    events: list[dict] = field(default_factory=list)  # events.jsonl, in order
+    anomalies: list[dict] = field(default_factory=list)
+    reclaims: dict[ChainId, float] = field(default_factory=dict)
+    session_starts: list[tuple[float, int, ChainId]] = field(default_factory=list)
+    last_packet_on: dict[ChainId, float] = field(default_factory=dict)
+    injected_bytes: int = 0
+    delivered_bytes: int = 0
+    dropped_bytes: int = 0
+    packets: int = 0  # packets injected
+    divergences: int = 0
+    vectors_equal: bool = True
+    reconciled_sessions: int = 0
+    message_trace: list = field(default_factory=list)
+    scheduled_events: int = 0  # EventLoop.schedule calls, control plane included
+
+    @property
+    def commits(self) -> list[dict]:
+        return [e for e in self.events if e["event"] == "commit"]
 
     @property
     def leftover_bytes(self) -> int:
@@ -330,7 +345,7 @@ class RunResult:
 
 
 class NetSim:
-    """Wires the topology, runs the event loop, and keeps the books."""
+    """Wires the topology, runs the event loop, and keeps the books in `result`."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -344,20 +359,8 @@ class NetSim:
         self.chain_by_forward = {c.forward_tag: c for c in pairs}
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
 
-        self.series = ThroughputSeries(pairs)
-        self.events: list[dict] = []
-        self.anomalies: list[dict] = []
-        self.commits: list[dict] = []
-        self.reclaims: dict[ChainId, float] = {}
-        self.session_starts: list[tuple[float, int, ChainId]] = []
+        self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
-        self.last_packet_on: dict[ChainId, float] = {}
-        self.injected_bytes = 0
-        self.injected_packets = 0
-        self.delivered_bytes = 0
-        self.dropped_bytes = 0
-        self.divergences = 0
-        self.vectors_equal = True
 
         self._build_control()
         self._build_topology(pairs)
@@ -462,32 +465,30 @@ class NetSim:
         This is the injection event itself: `rest` iterates over the planned
         packets still to come, in injection order.
         """
-        self.injected_bytes += packet.size
-        self.injected_packets += 1
+        result = self.result
+        result.injected_bytes += packet.size
+        result.packets += 1
         self.transmit("server" if packet.reverse else "client", 1, packet, ())
         nxt = next(rest, None)
         if nxt is not None:
             self.loop.schedule(nxt.time, self.inject, nxt, rest)
 
+    def record(self, event: str, now: float, **fields) -> dict:
+        """Append one events.jsonl entry: t, event, then fields in call order."""
+        entry = {"t": round(now, 6), "event": event, **fields}
+        self.result.events.append(entry)
+        return entry
+
     def drop(self, packet: PlannedPacket, reason: str, where: str, now: float):
-        self.dropped_bytes += packet.size
+        self.result.dropped_bytes += packet.size
         kind = "drop" if reason == "queue_overflow" else "anomaly"
-        record = {
-            "t": round(now, 6), "event": kind, "reason": reason,
-            "node": where, "session": packet.session_id,
-        }
-        self.events.append(record)
+        entry = self.record(kind, now, reason=reason, node=where, session=packet.session_id)
         if kind == "anomaly":
-            self.anomalies.append(record)
+            self.result.anomalies.append(entry)
 
     def violation(self, what: str, session_id: int, now: float):
         """Record an invariant violation; session -1 means no session."""
-        record = {
-            "t": round(now, 6), "event": "anomaly", "reason": what,
-            "session": session_id,
-        }
-        self.events.append(record)
-        self.anomalies.append(record)
+        self.result.anomalies.append(self.record("anomaly", now, reason=what, session=session_id))
 
     # -- bookkeeping hooks
 
@@ -498,11 +499,9 @@ class NetSim:
                 self.sessions[packet.session_id] = SessionTrace(
                     master_chain=chain, last_master_seen=now
                 )
-                self.session_starts.append((now, packet.session_id, chain))
-                self.events.append(
-                    {"t": round(now, 6), "event": "session_start",
-                     "session": packet.session_id, "chain": chain.forward_tag}
-                )
+                self.result.session_starts.append((now, packet.session_id, chain))
+                self.record("session_start", now, session=packet.session_id,
+                            chain=chain.forward_tag)
             else:
                 if now >= trace.last_master_seen + self.scenario.session_timeout:
                     trace.expiry_gap = True
@@ -512,19 +511,17 @@ class NetSim:
             if trace is not None and trace.slave_chain is None:
                 trace.slave_chain = chain
                 if chain != trace.master_chain:
-                    self.divergences += 1
-                    self.events.append(
-                        {"t": round(now, 6), "event": "divergence",
-                         "session": packet.session_id,
-                         "master_chain": trace.master_chain.forward_tag,
-                         "slave_chain": chain.forward_tag}
-                    )
+                    self.result.divergences += 1
+                    self.record("divergence", now, session=packet.session_id,
+                                master_chain=trace.master_chain.forward_tag,
+                                slave_chain=chain.forward_tag)
             elif trace is None:
                 # reverse packet arrived before any forward packet was mapped
                 self.sessions[packet.session_id] = SessionTrace(
                     master_chain=None, slave_chain=chain
                 )
-        if chain in self.reclaims and now > self.reclaims[chain]:
+        reclaims = self.result.reclaims
+        if chain in reclaims and now > reclaims[chain]:
             self.violation(f"session mapped to reclaimed chain {chain}", packet.session_id, now)
 
     def note_reconcile(self, packet: PlannedPacket, old: ChainId, new: ChainId, now: float):
@@ -532,28 +529,22 @@ class NetSim:
         if trace is not None:
             trace.reconciled = True
             trace.master_chain = new
-        self.events.append(
-            {"t": round(now, 6), "event": "reconcile", "session": packet.session_id,
-             "old_chain": old.forward_tag, "new_chain": new.forward_tag}
-        )
+        self.record("reconcile", now, session=packet.session_id,
+                    old_chain=old.forward_tag, new_chain=new.forward_tag)
 
     def note_nf(self, chain: ChainId, packet: PlannedPacket, now: float):
-        self.series.add(chain, now, packet.size)
-        self.last_packet_on[chain] = now
+        result = self.result
+        result.series.add(chain, now, packet.size)
+        result.last_packet_on[chain] = now
         trace = self.sessions.get(packet.session_id)
         if trace is not None:
             trace.nf_chains.add(chain)
-        if chain in self.reclaims and now > self.reclaims[chain]:
+        if chain in result.reclaims and now > result.reclaims[chain]:
             self.violation(f"packet crossed reclaimed chain {chain}", packet.session_id, now)
 
     def _on_commit(self, generation, alloc, drain):
-        record = {
-            "t": round(self.loop.now, 6), "event": "commit", "generation": generation,
-            "alloc": [[c.forward_tag, c.reverse_tag, n] for c, n in alloc],
-            "drain": drain.forward_tag if drain else None,
-        }
-        self.commits.append(record)
-        self.events.append(record)
+        self.record("commit", self.loop.now, generation=generation,
+                    alloc=alloc_to_wire(alloc), drain=drain.forward_tag if drain else None)
 
     # -- run orchestration
 
@@ -597,10 +588,8 @@ class NetSim:
             rows = sorted(
                 (c.forward_tag, int(n)) for c, n in window.bytes.items()
             )
-            self.events.append(
-                {"t": round(self.loop.now, 6), "event": "stats",
-                 "window_s": round(window.window_length, 6), "bytes": rows}
-            )
+            self.record("stats", self.loop.now,
+                        window_s=round(window.window_length, 6), bytes=rows)
 
         self.ms.poll_stats(now, on_done=_got)
         nxt = now + self.scenario.window_length
@@ -623,10 +612,7 @@ class NetSim:
 
     def _fire_action(self, action):
         now = self.loop.now
-        self.events.append(
-            {"t": round(now, 6), "event": f"action_{action.op}",
-             "pair": [action.pair.forward_tag, action.pair.reverse_tag] if action.pair else None}
-        )
+        self.record(f"action_{action.op}", now, pair=list(action.pair) if action.pair else None)
         done = lambda reply: self._action_done(action, reply)
         if action.op == "add":
             self.ms.add_chain(action.pair, now=now, on_done=done)
@@ -641,15 +627,11 @@ class NetSim:
         if not ok:
             self.violation(f"action {action.op} failed: {reply.payload.get('error')}", -1, now)
             return
-        master_v = self.master_agent.balancer.buckets
-        slave_v = self.slave_agent.balancer.buckets
-        if master_v != slave_v:
-            self.vectors_equal = False
-        self.events.append(
-            {"t": round(now, 6), "event": f"committed_{action.op}",
-             "generation": reply.payload.get("generation"),
-             "vectors_equal": master_v == slave_v}
-        )
+        equal = self.master_agent.balancer.buckets == self.slave_agent.balancer.buckets
+        if not equal:
+            self.result.vectors_equal = False
+        self.record(f"committed_{action.op}", now,
+                    generation=reply.payload.get("generation"), vectors_equal=equal)
         if action.op == "remove":
             self._poll_path(action.pair)
 
@@ -662,21 +644,19 @@ class NetSim:
                     self.loop.now + self.scenario.poll_interval, self._poll_path, pair
                 )
             else:
-                self.reclaims[pair] = self.loop.now
-                self.events.append(
-                    {"t": round(self.loop.now, 6), "event": "reclaim",
-                     "pair": [pair.forward_tag, pair.reverse_tag]}
-                )
+                self.result.reclaims[pair] = self.loop.now
+                self.record("reclaim", self.loop.now, pair=list(pair))
 
         self.ms.poll_path_active(pair, now=now, on_done=_answer)
 
     def _finalize(self) -> RunResult:
-        reconciled = 0
+        """Judge the sessions and fill in the facts known only at the end."""
+        result = self.result
         for sid, trace in self.sessions.items():
             if trace.reconciled:
-                reconciled += 1
+                result.reconciled_sessions += 1
             if len(trace.nf_chains) > 1 and not trace.reconciled and not trace.expiry_gap:
-                self.anomalies.append(
+                result.anomalies.append(
                     {"event": "anomaly", "reason": "session crossed multiple chains",
                      "session": sid,
                      "chains": sorted(c.forward_tag for c in trace.nf_chains)}
@@ -687,29 +667,13 @@ class NetSim:
                 and trace.slave_chain != trace.master_chain
                 and not trace.reconciled
             ):
-                self.anomalies.append(
+                result.anomalies.append(
                     {"event": "anomaly", "reason": "unresolved master/slave divergence",
                      "session": sid}
                 )
-        return RunResult(
-            scenario=self.scenario,
-            series=self.series,
-            events=self.events,
-            injected_bytes=self.injected_bytes,
-            delivered_bytes=self.delivered_bytes,
-            dropped_bytes=self.dropped_bytes,
-            anomalies=self.anomalies,
-            commits=self.commits,
-            reclaims=self.reclaims,
-            session_starts=self.session_starts,
-            divergences=self.divergences,
-            reconciled_sessions=reconciled,
-            vectors_equal=self.vectors_equal,
-            message_trace=list(self.transport.trace),
-            last_packet_on=dict(self.last_packet_on),
-            scheduled_events=self.loop._seq,
-            packets=self.injected_packets,
-        )
+        result.message_trace = self.transport.trace
+        result.scheduled_events = self.loop._seq
+        return result
 
 
 def run(scenario: Scenario) -> RunResult:

@@ -64,7 +64,7 @@ def test_criterion_1_static_balance():
         result, elapsed = get_run("static-3", seed)
         slowest = max(slowest, elapsed)
         assert result.clean, f"static-3 seed {seed} not clean"
-        report = build_report(result, band=0.10)
+        report = build_report(result, band=CRITERIA["band"])
         for tag, share in report["steady_shares"].items():
             per_chain.setdefault(tag, []).append(share)
     means = {tag: sum(v) / len(v) for tag, v in per_chain.items()}
@@ -91,7 +91,7 @@ def test_criterion_2_warmup_convergence():
             assert result.clean, f"{name} seed {seed} not clean"
             commit = result.commits[0]
             seconds = measure_convergence(
-                result.series, commit_chains(commit), commit["t"], band=0.10
+                result.series, commit_chains(commit), commit["t"], band=CRITERIA["band"]
             )
             worst = max(worst, seconds)
             details.append(f"{name}/s{seed}={seconds:.2f}")
@@ -138,7 +138,7 @@ def test_criterion_4_cooldown_drain():
         for seed in SEEDS:
             result, _ = get_run(name, seed)
             assert result.clean, f"{name} seed {seed} not clean"
-            report = build_report(result, band=0.10)
+            report = build_report(result, band=CRITERIA["band"])
             tr = report["transitions"][0]
             worst_drain = max(worst_drain, tr["drained_after_s"])
             reclaim_ok = reclaim_ok and tr["reclaim_within_timeout"]
@@ -361,8 +361,8 @@ def test_criterion_7_determinism(tmp_path):
     cached, _ = get_run("static-3", 1)
     fresh = netsim.run(bundled_scenario("static-3").with_seed(1))
     a, b = tmp_path / "a", tmp_path / "b"
-    write_outputs(cached, a, band=0.10)
-    write_outputs(fresh, b, band=0.10)
+    write_outputs(cached, a, band=CRITERIA["band"])
+    write_outputs(fresh, b, band=CRITERIA["band"])
     identical = all(
         (a / name).read_bytes() == (b / name).read_bytes()
         for name in ("series.csv", "events.jsonl", "report.json")
@@ -404,7 +404,7 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
 def test_outputs_match_pinned_digests(tmp_path, name, seed):
     result, _ = get_run(name, seed)
-    write_outputs(result, tmp_path, band=0.10)
+    write_outputs(result, tmp_path, band=CRITERIA["band"])
     digests = {
         output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
         for output in PINNED_DIGESTS[(name, seed)]

@@ -1,3 +1,5 @@
+import json
+import pickle
 import sys
 from collections import Counter
 
@@ -403,7 +405,7 @@ def test_unknown_tag_from_master_drops_at_edge_switch():
     sent_at = 0.3
 
     def send():
-        sim.injected_bytes += stray.size  # what inject() books for a new packet
+        sim.result.injected_bytes += stray.size  # what inject() books for a new packet
         sim.transmit("lb1", 1, stray, (99,))
 
     drops = []
@@ -496,3 +498,72 @@ def test_static_1_python_calls_per_packet_gate():
     assert result.packets == 20_800
     assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
     assert calls.total() <= 22 * result.packets
+
+
+# events.jsonl key order per kind; `*` stands for the action's op
+EVENT_KEYS = {
+    "session_start": ("t", "event", "session", "chain"),
+    "divergence": ("t", "event", "session", "master_chain", "slave_chain"),
+    "reconcile": ("t", "event", "session", "old_chain", "new_chain"),
+    "drop": ("t", "event", "reason", "node", "session"),
+    "commit": ("t", "event", "generation", "alloc", "drain"),
+    "stats": ("t", "event", "window_s", "bytes"),
+    "action_*": ("t", "event", "pair"),
+    "committed_*": ("t", "event", "generation", "vectors_equal"),
+    "reclaim": ("t", "event", "pair"),
+}
+# an anomaly names the node only when a packet dropped there
+ANOMALY_KEYS = {("t", "event", "reason", "node", "session"), ("t", "event", "reason", "session")}
+
+
+def short_scenario(**overrides):
+    traffic = TrafficProfile(sessions=100, rate=50.0, bytes_per_session=30_000,
+                             packet_size=3000, duration=1.0, duration_jitter=0.2)
+    return small_scenario(traffic=traffic, session_timeout=0.5, window_length=0.5,
+                          horizon=5.0, **overrides)
+
+
+def test_events_jsonl_keeps_the_key_order_of_every_kind(tmp_path):
+    ops = short_scenario(
+        actions=(Action(at=0.5, op="add", pair=C3), Action(at=1.0, op="remove", pair=C1),
+                 Action(at=1.5, op="rebalance")),
+    )
+    # capacity NFs that overflow, a remove of the last chain that fails, and
+    # a packet with an unknown tag
+    faults = netsim.NetSim(short_scenario(
+        chains=(C1,), nf_mode="capacity", nf_capacity=1_000_000.0, nf_queue_limit=4,
+        actions=(Action(at=0.5, op="remove", pair=C1),),
+    ))
+    stray = packet()
+
+    def send():
+        faults.result.injected_bytes += stray.size
+        faults.transmit("lb1", 1, stray, (99,))
+
+    faults.loop.schedule(0.3, send)
+    seen = {}
+    for i, result in enumerate((netsim.run(ops), faults.run())):
+        cli.write_outputs(result, tmp_path / str(i))
+        with open(tmp_path / str(i) / "events.jsonl") as fh:
+            for line in fh:
+                event = json.loads(line)
+                assert event["t"] == round(event["t"], 6)
+                kind = event["event"]
+                if kind.startswith(("action_", "committed_")):
+                    kind = kind.split("_")[0] + "_*"
+                seen.setdefault(kind, set()).add(tuple(event))
+                if "pair" in event:
+                    assert event["pair"] is None or len(event["pair"]) == 2
+                if kind == "commit":
+                    assert all(len(row) == 3 for row in event["alloc"])
+    assert seen.pop("anomaly") == ANOMALY_KEYS
+    assert seen == {kind: {keys} for kind, keys in EVENT_KEYS.items()}
+
+
+def test_run_result_round_trips_through_pickle():
+    # a plain value, so a run can be shipped from a worker process
+    result = netsim.run(cli.bundled_scenario("static-2").with_seed(1))
+    copy = pickle.loads(pickle.dumps(result))
+    assert type(copy) is netsim.RunResult
+    assert copy == result
+    assert cli.build_report(copy) == cli.build_report(result)

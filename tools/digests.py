@@ -29,7 +29,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_FILES = ("series.csv", "events.jsonl", "report.json")
 WORKLOAD_SEEDS = (1, 2, 3)
-BAND = 0.10  # the CLI's default convergence band
 
 
 def main(argv=None) -> int:
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
             scenario = load()
             for seed in seeds:
                 out = Path(tmp) / name / str(seed)
-                cli.write_outputs(netsim.run(scenario.with_seed(seed)), out, BAND)
+                cli.write_outputs(netsim.run(scenario.with_seed(seed)), out)
                 for file in OUTPUT_FILES:
                     digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
                     print(f"{name} {seed} {file} {digest}", flush=True)
