@@ -9,6 +9,13 @@ slave has confirmed the build does either side start mapping traffic with it
 (commit). A prepare that times out is rolled back and the previous
 generation stays in force.
 
+The master's pending operation is the one judge of lateness: the prepare ack
+and the never-cancelled barrier timer each act only while their op is current
+and its generation still staged, so the first to arrive closes the barrier
+and the other returns without effect. The first handshake the master
+accepts fixes the pair: a later one that names another slave is refused, so
+both balancers of one committed generation are always the same two.
+
 Messages travel over a reliable in-order transport as length-prefixed JSON;
 see ``encode_message`` for the wire layout. Every request gets exactly one
 ``ack``: ``ok``, ``error`` and its result (``generation``, ``window`` or
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import rebalance
 from .balancer import MASTER, SLAVE, Balancer
@@ -165,7 +172,6 @@ class ClusterConfig:
     hash_seed: int
     bucket_count: int
     session_timeout: float
-    window_length: float
     chains: tuple[ChainId, ...]
 
     def validate(self):
@@ -180,33 +186,13 @@ class ClusterConfig:
                 f"{len(self.chains)} chains (need >= {MIN_SLOTS_PER_CHAIN} per chain)"
             )
 
-    def hash_params(self) -> HashParams:
-        return HashParams(self.hash_seed, self.bucket_count)
-
     def to_wire(self) -> dict:
-        return {
-            "hash_seed": self.hash_seed,
-            "bucket_count": self.bucket_count,
-            "session_timeout": self.session_timeout,
-            "window_length": self.window_length,
-            "chains": [chain_to_wire(c) for c in self.chains],
-        }
+        # a ChainId encodes as [forward_tag, reverse_tag]
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_wire(cls, obj) -> "ClusterConfig":
-        return cls(
-            hash_seed=obj["hash_seed"],
-            bucket_count=obj["bucket_count"],
-            session_timeout=obj["session_timeout"],
-            window_length=obj["window_length"],
-            chains=tuple(chain_from_wire(c) for c in obj["chains"]),
-        )
-
-    def initial_allocation(self):
-        """Equal split of the vector over the initial chains."""
-        return rebalance.allocate_buckets(
-            WeightProfile.uniform(self.chains), self.bucket_count
-        )
+        return cls(**{**obj, "chains": tuple(chain_from_wire(c) for c in obj["chains"])})
 
 
 class _Endpoint:
@@ -277,11 +263,19 @@ class _BalancerAgent(_Endpoint):
         else:
             self._on_request(msg)
 
+    def _on_handshake(self, msg, cfg: ClusterConfig):
+        # a repeat with the same config changes nothing
+        if self.config is None:
+            self._configure(cfg)
+        self.ack(msg, generation=self.committed[-1])
+
     def _configure(self, cfg: ClusterConfig):
-        """Build the balancer and install generation 0."""
+        """Build the balancer and install generation 0, split equally over the chains."""
         self.config = cfg
-        self.balancer = Balancer(self.role, cfg.hash_params(), cfg.session_timeout)
-        self._stage(0, cfg.initial_allocation(), None)
+        params = HashParams(cfg.hash_seed, cfg.bucket_count)
+        self.balancer = Balancer(self.role, params, cfg.session_timeout)
+        alloc = rebalance.allocate_buckets(WeightProfile.uniform(cfg.chains), cfg.bucket_count)
+        self._stage(0, alloc, None)
         self._install(0)
 
     def _stage(self, generation: int, alloc, drain: ChainId | None):
@@ -306,12 +300,6 @@ class SlaveAgent(_BalancerAgent):
     """Control-plane face of the slave balancer."""
 
     role = SLAVE
-
-    def _on_handshake(self, msg, cfg):
-        # a repeat with the same config changes nothing
-        if self.config is None:
-            self._configure(cfg)
-        self.ack(msg, generation=self.committed[-1])
 
     def _on_request(self, msg):
         if msg.kind == KIND_ALLOCATION_COMMIT:
@@ -353,7 +341,6 @@ class _PendingOp:
     alloc: list | None = None
     drain: ChainId | None = None
     generation: int = 0
-    timer: object = None
 
 
 class MasterAgent(_BalancerAgent):
@@ -392,30 +379,39 @@ class MasterAgent(_BalancerAgent):
         except ValueError as exc:
             self.ack(msg, ok=False, error=f"ConfigMismatch: {exc}")
             return
-        self.slave_name = msg.payload["slave"]
+        slave = msg.payload["slave"]
+        error = self._pair_error(slave)
+        if error:
+            self.ack(msg, ok=False, error=error)
+            return
 
         def _slave_done(reply):
             if not reply.payload["ok"]:
                 self.ack(msg, ok=False, error=reply.payload["error"])
                 return
-            # a restarted slave holds another vector: refuse, change nothing
+            # another handshake may have fixed the pair while this one was
+            # at the slave; a restarted slave holds another vector
             slave_at = reply.payload["generation"]
             master_at = self.committed[-1] if self.committed else 0
-            if slave_at != master_at:
+            error = self._pair_error(slave)
+            if not error and slave_at != master_at:
                 error = f"GenerationMismatch: slave at {slave_at}, master at {master_at}"
+            if error:
                 self.ack(msg, ok=False, error=error)
                 return
-            # a repeat with the same config keeps the balancer as it is
-            if self.config is None:
-                self._configure(cfg)
-            self.ack(msg, generation=self.committed[-1])
+            self.slave_name = slave  # the pair is fixed from here on
+            _BalancerAgent._on_handshake(self, msg, cfg)
 
         try:
-            self.request(
-                self.slave_name, KIND_HANDSHAKE, {"config": cfg.to_wire()}, _slave_done
-            )
+            self.request(slave, KIND_HANDSHAKE, {"config": cfg.to_wire()}, _slave_done)
         except SlaveUnreachable as exc:
             self.ack(msg, ok=False, error=f"SlaveUnreachable: {exc}")
+
+    def _pair_error(self, slave: str) -> str:
+        """Why a handshake naming `slave` is refused, or "": the first accepted one fixed it."""
+        if self.slave_name in (None, slave):
+            return ""
+        return f"ConfigMismatch: paired with {self.slave_name!r}, not {slave!r}"
 
     # -- op pipeline
 
@@ -493,7 +489,7 @@ class MasterAgent(_BalancerAgent):
             "drain": chain_to_wire(op.drain) if op.drain else None,
         }
         loop = self.transport.loop
-        op.timer = loop.schedule(loop.now + DEFAULT_BARRIER_TIMEOUT, self._on_barrier_timeout, op)
+        loop.schedule(loop.now + DEFAULT_BARRIER_TIMEOUT, self._on_barrier_timeout, op)
         self.request(
             self.slave_name,
             KIND_ALLOCATION_COMMIT,
@@ -501,10 +497,15 @@ class MasterAgent(_BalancerAgent):
             lambda reply: self._on_prepared(op, reply),
         )
 
+    def _barrier_open(self, op) -> bool:
+        """The lateness rule: a prepare ack or barrier timer acts only while its
+        op is current and staged; the first of the two closes it for the other."""
+        staged = self._staged
+        return op is self._current and staged is not None and staged[0] == op.generation
+
     def _on_prepared(self, op, reply):
-        if op is not self._current:
+        if not self._barrier_open(op):
             return  # timed out and rolled back before the ack arrived
-        self.transport.loop.cancel(op.timer)
         if not reply.payload["ok"]:
             self._unstage(op.generation)
             self._finish(op, ok=False, error=reply.payload["error"])
@@ -527,18 +528,15 @@ class MasterAgent(_BalancerAgent):
         self._finish(op, generation=op.generation)
 
     def _on_barrier_timeout(self, op):
-        if op is not self._current:
-            return
+        if not self._barrier_open(op):
+            return  # the prepare was acked or refused in time
         self._unstage(op.generation)
-        try:
-            self.request(
-                self.slave_name,
-                KIND_ALLOCATION_COMMIT,
-                {"phase": PHASE_ABORT, "generation": op.generation},
-                None,
-            )
-        except SlaveUnreachable:
-            pass
+        self.request(
+            self.slave_name,
+            KIND_ALLOCATION_COMMIT,
+            {"phase": PHASE_ABORT, "generation": op.generation},
+            None,
+        )
         self._finish(op, ok=False, error="BarrierTimeout")
 
     def _finish(self, op, ok=True, error="", **result):
@@ -570,8 +568,8 @@ class ManagementSystem(_Endpoint):
     def handshake(self, cfg: ClusterConfig, on_done):
         """Configure both balancers and build their generation-0 vectors.
 
-        Repeating it with the same config changes nothing and acks the
-        current generation; a different config is refused.
+        Repeating it with the same config and slave changes nothing and
+        acks the current generation; a different config or slave is refused.
         """
         cfg.validate()
         self.known |= set(cfg.chains)

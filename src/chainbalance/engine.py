@@ -5,6 +5,10 @@ arrivals in the simulator, control messages between the management system
 and the balancers, and the master's barrier timers. Callbacks with the same
 timestamp run in the order they were scheduled. Library users drive the
 control plane with the same loop: make the calls, then `run()`.
+
+Nothing is cancelled: a stale callback, such as a barrier timer whose
+prepare was acked in time, fires and returns. So after `run()` drains, `now`
+can be such a timer's time, up to the barrier timeout after the last operation.
 """
 
 from __future__ import annotations
@@ -18,25 +22,18 @@ class EventLoop:
 
     def __init__(self):
         self.now = 0.0
-        self._heap = []
+        self._heap = []  # (at, seq, fn, args); seq breaks ties in schedule order
         self._seq = 0
 
     def schedule(self, at: float, fn, *args):
-        entry = [at, self._seq, fn, args, False]
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def cancel(self, entry):
-        entry[4] = True
 
     def run(self, until: float | None = None):
         heap, pop = self._heap, heapq.heappop
         limit = math.inf if until is None else until
         while heap and heap[0][0] <= limit:
-            at, _, fn, args, cancelled = pop(heap)
-            if cancelled:
-                continue
+            at, _, fn, args = pop(heap)
             if at > self.now:
                 self.now = at
             fn(*args)

@@ -554,7 +554,6 @@ class NetSim:
             hash_seed=s.hash_seed,
             bucket_count=s.bucket_count,
             session_timeout=s.session_timeout,
-            window_length=s.window_length,
             chains=s.chains,
         )
         state = {}

@@ -223,6 +223,9 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     nf = _read(top["nf"], NF, f"{name}.nf")
     if nf["mode"] == "capacity" and nf["capacity"] <= 0:
         raise ValidationError("capacity mode needs nf.capacity > 0", location=f"{name}.nf.capacity")
+    for key in ("capacity", "queue_limit"):
+        if nf["mode"] != "capacity" and key in top["nf"]:  # a passthrough NF would ignore it
+            raise ValidationError(f"field {key!r} needs mode 'capacity'", location=f"{name}.nf")
 
     if 2 * top["control_latency"] >= DEFAULT_BARRIER_TIMEOUT:
         # the prepare round trip would never beat the master's barrier timer

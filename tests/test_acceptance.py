@@ -249,7 +249,6 @@ class _AffinityHarness:
                 hash_seed=5,
                 bucket_count=1024,
                 session_timeout=6.0,
-                window_length=5.0,
                 chains=(ChainId(2, 3), ChainId(4, 5)),
             ),
         )

@@ -244,6 +244,10 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
      "horizon: 10.0\nactions:\n  - {at: 2.0, op: rebalance, pair: [40, 41]}\n"),
     ("mini.actions[0]", "pair", "horizon: 10.0\n",
      "horizon: 10.0\nactions:\n  - {at: 2.0, op: rebalance, pair: [2, 3]}\n"),
+    # read only in capacity mode: a passthrough run ignored them and
+    # reported "clean", with no drop even for a 1-packet queue
+    ("mini.nf", "capacity", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  capacity: 1000.0\n"),
+    ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: 1\n"),
 ]
 
 

@@ -27,7 +27,6 @@ def make_config(chains=(C1, C2), bucket_count=1024):
         hash_seed=99,
         bucket_count=bucket_count,
         session_timeout=6.0,
-        window_length=5.0,
         chains=tuple(chains),
     )
 
@@ -266,6 +265,49 @@ def test_barrier_timeout_rolls_back():
     assert master._current is None
 
 
+class PhaseLog(Transport):
+    """Records (send time, phase) of every allocation_commit message."""
+
+    def __init__(self, loop, latency):
+        super().__init__(loop, latency)
+        self.phases = []
+
+    def send(self, src, dst, msg):
+        if msg.kind == "allocation_commit":
+            self.phases.append((self.loop.now, msg.payload["phase"]))
+        super().send(src, dst, msg)
+
+
+def test_barrier_timer_after_prepare_ack_does_nothing():
+    # at 0.3 s per hop the commit's ack arrives after the barrier timer fires,
+    # while the op is still current but its generation is no longer staged
+    latency = 0.3
+    transport = PhaseLog(EventLoop(), latency)
+    ms, master, slave = make_agents(transport)
+    ok(call(ms.handshake, make_config(chains=(C1,))))
+    reply = ok(call(ms.add_chain, C2, now=1.0))
+    assert reply.payload["generation"] == 1
+    assert master.committed == slave.committed == [0, 1]
+    assert master.balancer.buckets == slave.balancer.buckets
+    (prepared_at, prepare), (committed_at, commit) = transport.phases
+    assert (prepare, commit) == ("prepare", "commit")  # and no abort
+    assert committed_at < prepared_at + DEFAULT_BARRIER_TIMEOUT < committed_at + 2 * latency
+
+
+def test_prepare_ack_after_barrier_timeout_is_ignored():
+    # at 0.6 s per hop the prepare's ack arrives after the barrier timer
+    latency = 0.6
+    transport = PhaseLog(EventLoop(), latency)
+    ms, master, slave = make_agents(transport)
+    ok(call(ms.handshake, make_config(chains=(C1,))))
+    assert error_name(call(ms.add_chain, C2, now=1.0)) == "BarrierTimeout"
+    assert [phase for _, phase in transport.phases] == ["prepare", "abort"]
+    assert master.committed == slave.committed == [0]
+    assert master.balancer.buckets == slave.balancer.buckets
+    assert master._staged is None and slave._staged is None
+    assert master._current is None
+
+
 def test_allocation_swap_is_deterministic_across_pairs():
     ms1, master1, slave1 = make_cluster(chains=(C1, C2))
     ms2, master2, slave2 = make_cluster(chains=(C1, C2))
@@ -317,6 +359,43 @@ def test_repeat_handshake_conflicting_config_rejected():
     assert error_name(reply) == "ConfigMismatch"
     assert master.config.bucket_count == slave.config.bucket_count == 1024
     assert len(master.balancer.buckets) == 1024
+
+
+def test_refused_handshake_leaves_the_pair_unchanged():
+    # (a) a second management system names a slave that does not exist
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ghost = ManagementSystem("ms-ghost", master.transport, "master", "ghost")
+    assert error_name(call(ghost.handshake, make_config(chains=(C1, C2)))) == "ConfigMismatch"
+    assert master.slave_name == "slave"
+    assert ok(call(ms.request_rebalance, now=1.0)).payload["generation"] == 1
+
+    # (b) it names a registered second slave, after a commit: the master must
+    # not commit the next generation with a slave the first one never sees
+    ms, master, slave = make_cluster(chains=(C1, C2))
+    ok(call(ms.add_chain, C3, now=1.0))
+    slave2 = SlaveAgent("slave2", master.transport)
+    other = ManagementSystem("ms2", master.transport, "master", "slave2")
+    assert error_name(call(other.handshake, make_config(chains=(C1, C2)))) == "ConfigMismatch"
+    assert slave2.config is None
+    assert ok(call(ms.request_rebalance, now=2.0)).payload["generation"] == 2
+    assert master.committed == slave.committed == [0, 1, 2]
+    assert master.balancer.buckets == slave.balancer.buckets
+
+    # (c) two first handshakes in flight at once: the first accepted fixes
+    # the pair, and the second is refused when its slave's ack comes back
+    ms, master, slave = make_agents()
+    slave2 = SlaveAgent("slave2", master.transport)
+    other = ManagementSystem("ms2", master.transport, "master", "slave2")
+    replies = []
+    ms.handshake(make_config(), on_done=replies.append)
+    other.handshake(make_config(), on_done=replies.append)
+    master.transport.loop.run()
+    assert [r.payload["ok"] for r in replies] == [True, False]
+    assert error_name(replies[1]) == "ConfigMismatch"
+    assert master.slave_name == "slave"
+    assert ok(call(ms.request_rebalance, now=1.0)).payload["generation"] == 1
+    assert master.committed == slave.committed == [0, 1]
+    assert slave2.committed == [0]  # configured by its handshake, never paired
 
 
 def test_restarted_slave_handshake_refused_as_generation_mismatch():

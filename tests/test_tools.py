@@ -49,3 +49,32 @@ def test_digests_prints_every_output_of_every_seed(tmp_path):
         hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
         for file in ("series.csv", "events.jsonl", "report.json")
     ]
+
+
+# the six SPANS targets the program no longer has (ROADMAP item 1); any other
+# name here means a change broke a name bench/tracing.py wraps
+DEAD_SPANS = {
+    "netsim.NetSim._arrive", "netsim.SwitchNode.handle", "netsim.canonical_key",
+    "balancer.canonical_key", "netsim.encode_message", "netsim.decode_message",
+}
+
+
+def run_worker(workload, trace, out):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"),
+         "--workload", str(ROOT / "bench" / "workloads" / f"{workload}.yaml"),
+         "--seed", "1", "--trace", str(trace), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return json.loads(done.stdout)
+
+
+def test_bench_worker_runs_every_workload(tmp_path):
+    # the benchmark imports names from the program; a refactor that drops
+    # one fails the worker's run or its output checks
+    for workload in ("long-flows", "short-flows", "capacity-drain"):
+        assert run_worker(workload, 0, tmp_path / workload)["failures"] == []
+    traced = run_worker("long-flows", 1, tmp_path / "traced")
+    assert traced["failures"] == []
+    assert set(traced["missing"]) <= DEAD_SPANS
