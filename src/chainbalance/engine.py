@@ -6,6 +6,12 @@ and the balancers, and the master's barrier timers. Callbacks with the same
 timestamp run in the order they were scheduled. Library users drive the
 control plane with the same loop: make the calls, then `run()`.
 
+The simulator's data path does not call `schedule`: `NetSim.transmit` and
+`NetSim.inject` push their `(at, seq, fn, args)` entries onto `_heap`
+themselves and take `seq` from `_seq`, the one sequence counter, so a packet
+arrival and a control callback at the same timestamp still run in the order
+they were created. `_seq` is therefore the number of entries ever pushed.
+
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`
 can be such a timer's time, up to the barrier timeout after the last operation.
@@ -22,8 +28,8 @@ class EventLoop:
 
     def __init__(self):
         self.now = 0.0
-        self._heap = []  # (at, seq, fn, args); seq breaks ties in schedule order
-        self._seq = 0
+        self._heap = []  # (at, seq, fn, args); seq breaks ties in push order
+        self._seq = 0  # entries pushed so far, by schedule or by the data path
 
     def schedule(self, at: float, fn, *args):
         heapq.heappush(self._heap, (at, self._seq, fn, args))

@@ -24,11 +24,21 @@ added once per link crossed, in order, so timestamps keep their float bits.
 Among events with the same timestamp, a packet's arrival at a stateful node
 is ordered by when it left the previous stateful node.
 
+A packet makes 4 events: its injection, and its arrivals at the first
+balancer, the NF and the second balancer (an NF in capacity mode adds its
+departure). Its arrival at a host with an empty tag stack makes none:
+`NetSim.transmit` counts the packet's bytes as delivered when it sends the
+packet, if it arrives by the horizon (the test the loop's run applies to
+every event). A tagged arrival at a host is still an event, so its anomaly
+is recorded at arrival time.
+
 The per-packet path is kept to as few Python-level calls as it can be: each
 planned packet enters as one event, `NetSim.inject`, which sends it with an
-empty tag stack and schedules the next planned packet; the balancer nodes
-push and pop by building the next tuple; hosts add delivered bytes directly;
-and chain identities (`ChainId`) hash and compare in C.
+empty tag stack and pushes the next planned packet; `transmit` and `inject`
+push their heap entries themselves, with the loop's one sequence counter,
+instead of calling `EventLoop.schedule`; a passthrough NF does its
+bookkeeping inline; the balancer nodes push and pop by building the next
+tuple; and chain identities (`ChainId`) hash and compare in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Iterator, NamedTuple
 
 from .control import (
@@ -199,20 +210,35 @@ class NfInstance:
         self._queued = 0
 
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        sim = self.sim
         if tags:
-            self.sim.violation("tagged packet reached an NF", packet.session_id, now)
+            sim.violation("tagged packet reached an NF", packet.session_id, now)
         out_port = 2 if port == 1 else 1
         if self.mode == "passthrough":
-            self._forward(packet, out_port, tags, now)
+            # NetSim.note_nf inline, then on at once: no departure event
+            chain, result = self.chain, sim.result
+            seconds = result.series.buckets.get(chain)
+            if seconds is None:
+                seconds = result.series.buckets[chain] = {}
+            second = int(now)
+            seconds[second] = seconds.get(second, 0) + packet.size
+            result.last_packet_on[chain] = now
+            trace = sim.sessions.get(packet.session_id)
+            if trace is not None:
+                trace.nf_chains.add(chain)
+            reclaims = result.reclaims
+            if chain in reclaims and now > reclaims[chain]:
+                sim.violation(f"packet crossed reclaimed chain {chain}", packet.session_id, now)
+            sim.transmit(self.name, out_port, packet, tags)
             return
         if self.queue_limit and self._queued >= self.queue_limit:
-            self.sim.drop(packet, "queue_overflow", self.name, now)
+            sim.drop(packet, "queue_overflow", self.name, now)
             return
         start = max(now, self._busy_until)
         departure = start + packet.size / self.capacity
         self._busy_until = departure
         self._queued += 1
-        self.sim.loop.schedule(departure, self._depart, packet, out_port, tags)
+        sim.loop.schedule(departure, self._depart, packet, out_port, tags)
 
     def _depart(self, packet, out_port, tags):
         self._queued -= 1
@@ -238,14 +264,20 @@ class Unroutable:
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    target: object  # the next stateful node, or an Unroutable
+    # the next stateful node's (or an Unroutable's) bound `handle`; None for
+    # a host reached with an empty tag stack, whose arrival needs no event
+    handle: object
     port: int | None  # the target's ingress port; None for an Unroutable
     tags: tuple[int, ...]  # the tag stack on arrival
     hops: int  # links crossed
 
 
 class HostNode:
-    """Traffic endpoint; counts what finally arrives."""
+    """Traffic endpoint; counts what finally arrives.
+
+    Only a tagged arrival reaches `handle`; `NetSim.transmit` counts an
+    untagged one without an event.
+    """
 
     def __init__(self, name, sim):
         self.name = name
@@ -329,7 +361,7 @@ class RunResult:
     vectors_equal: bool = True
     reconciled_sessions: int = 0
     message_trace: list = field(default_factory=list)
-    scheduled_events: int = 0  # EventLoop.schedule calls, control plane included
+    scheduled_events: int = 0  # heap entries pushed: data path and control plane
 
     @property
     def commits(self) -> list[dict]:
@@ -354,6 +386,7 @@ class NetSim:
         self.links: dict[tuple[str, int], tuple[str, int]] = {}
         self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {}
         self.latency = scenario.link_latency
+        self.horizon = scenario.horizon
 
         pairs = scenario.all_pairs()
         self.chain_by_forward = {c.forward_tag: c for c in pairs}
@@ -432,18 +465,27 @@ class NetSim:
     # -- data plane plumbing
 
     def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
-        """Send a packet out of a stateful node; one event at the next stateful node."""
+        """Send a packet out of a stateful node: push its arrival at the next
+        stateful node, or count it delivered if that is a host and no tag is left."""
         key = (node, port, tags)
         walk = self.walks.get(key)
         if walk is None:
             walk = self.walks[key] = self.compile_walk(*key)
-        target, in_port, tags, hops = walk
+        handle, in_port, tags, hops = walk
+        loop = self.loop
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
-        at = self.loop.now
+        at = loop.now
         for _ in range(hops):
             at += self.latency
-        self.loop.schedule(at, target.handle, packet, in_port, tags, at)
+        if handle is None:
+            if at <= self.horizon:  # what run(until=horizon) would have dispatched
+                self.result.delivered_bytes += packet.size
+            return
+        # EventLoop.schedule inline: the same entry and the same counter
+        seq = loop._seq
+        loop._seq = seq + 1
+        heappush(loop._heap, (at, seq, handle, (packet, in_port, tags, at)))
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port."""
@@ -452,15 +494,17 @@ class NetSim:
             node, port = self.links[(node, port)]
             hops += 1
             reached = self.nodes[node]
+            if isinstance(reached, HostNode) and not tags:
+                return Walk(None, port, tags, hops)
             if not isinstance(reached, TagRouter):
-                return Walk(reached, port, tags, hops)
+                return Walk(reached.handle, port, tags, hops)
             try:
                 port, tags = route(reached, port, tags)
             except NoRoute as exc:
-                return Walk(Unroutable(self, node, f"no_route: {exc}"), None, tags, hops)
+                return Walk(Unroutable(self, node, f"no_route: {exc}").handle, None, tags, hops)
 
     def inject(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
-        """Send one planned packet from its host, then schedule the next.
+        """Send one planned packet from its host, then push the next.
 
         This is the injection event itself: `rest` iterates over the planned
         packets still to come, in injection order.
@@ -471,7 +515,10 @@ class NetSim:
         self.transmit("server" if packet.reverse else "client", 1, packet, ())
         nxt = next(rest, None)
         if nxt is not None:
-            self.loop.schedule(nxt.time, self.inject, nxt, rest)
+            loop = self.loop
+            seq = loop._seq
+            loop._seq = seq + 1
+            heappush(loop._heap, (nxt.time, seq, self.inject, (nxt, rest)))
 
     def record(self, event: str, now: float, **fields) -> dict:
         """Append one events.jsonl entry: t, event, then fields in call order."""

@@ -5,8 +5,10 @@ a paced stream of response bytes from the server, finishing a configurable
 duration after the session started. Everything is derived from one seed so
 a profile always expands to the identical packet schedule. Each session's
 key is packed once here and shared by all of its packets, in both
-directions. A planned packet is a `PlannedPacket` named tuple, and the
-schedule is sorted by (time, session_id, reverse) with a C-level key.
+directions. A planned packet is a `PlannedPacket` named tuple. The schedule
+is in (time, session_id, reverse) order: packets are planned session by
+session, each session's request before its response, so a stable sort on
+time alone gives that order.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class PlannedPacket(NamedTuple):
     reverse: bool
 
 
-# (time, session_id, reverse): the injection order of the whole schedule
-_INJECTION_ORDER = itemgetter(0, 1, 4)
+# stable on time over packets planned in (session_id, reverse) order, this
+# sorts the schedule by (time, session_id, reverse), its injection order
+_INJECTION_ORDER = itemgetter(0)
 
 
 def _chunks(total: int, size: int) -> list[int]:

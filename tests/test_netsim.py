@@ -149,10 +149,24 @@ def test_nf_token_bucket_timing():
 
 
 def test_nf_passthrough_zero_delay():
-    sim = _StubSim()
-    nf = NfInstance("nf", C1, sim, mode="passthrough")
-    nf.handle(packet(), 1, (), 3.5)
-    assert sim.forwarded == [(3.5, 100)]
+    # a passthrough NF books the packet and sends it on within its own
+    # arrival: no departure event, and the bytes land in that second
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+    nf = sim.nodes["nf1"]
+    assert nf.chain == C1 and nf.mode == "passthrough"
+    sent = packet()
+    sim.sessions[sent.session_id] = netsim.SessionTrace(master_chain=C1)
+    sim.loop.now = 3.5
+    nf.handle(sent, 1, (), 3.5)
+    [(at, _, handle, args)] = sim.loop._heap
+    expected = 3.5
+    for _ in range(3):  # nf1 -> cs1 -> es2 -> lb2
+        expected += 0.0013
+    assert (at, handle, args) == (expected, sim.nodes["lb2"].handle,
+                                  (sent, 1, (C1.forward_tag,), expected))
+    assert sim.result.series.buckets == {C1: {3: 100}}
+    assert sim.result.last_packet_on == {C1: 3.5}
+    assert sim.sessions[sent.session_id].nf_chains == {C1}
 
 
 def test_nf_below_capacity_no_queueing():
@@ -379,11 +393,14 @@ def test_compiled_walks_match_hop_by_hop_route():
     for key in keys:
         walk = sim.compile_walk(*key)
         target, port, tags, hops, reason = hop_by_hop(sim, *key)
-        if reason is None:
-            assert (walk.target, walk.port) == (target, port), key
+        if reason is not None:
+            unroutable = walk.handle.__self__
+            assert isinstance(unroutable, Unroutable), key
+            assert (unroutable.switch, unroutable.reason) == (target, reason), key
+        elif isinstance(target, netsim.HostNode) and not tags:
+            assert (walk.handle, walk.port) == (None, port), key  # no event
         else:
-            assert isinstance(walk.target, Unroutable), key
-            assert (walk.target.switch, walk.target.reason) == (target, reason), key
+            assert (walk.handle, walk.port) == (target.handle, port), key
         assert (walk.tags, walk.hops) == (tags, hops), key
         if key in sim.walks:
             assert sim.walks[key] == walk
@@ -391,12 +408,12 @@ def test_compiled_walks_match_hop_by_hop_route():
 
 def test_forward_walks_reach_every_stateful_hop():
     sim = netsim.NetSim(small_scenario())
-    lb1, lb2 = sim.nodes["lb1"], sim.nodes["lb2"]
-    nf1, server = sim.nodes["nf1"], sim.nodes["server"]
-    assert sim.compile_walk("client", 1, ()) == (lb1, 1, (), 2)
-    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (nf1, 1, (), 3)
-    assert sim.compile_walk("nf1", 2, ()) == (lb2, 1, (C1.forward_tag,), 3)
-    assert sim.compile_walk("lb2", 1, ()) == (server, 1, (), 2)
+    lb1, lb2, nf1 = sim.nodes["lb1"], sim.nodes["lb2"], sim.nodes["nf1"]
+    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), 2)
+    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (nf1.handle, 1, (), 3)
+    assert sim.compile_walk("nf1", 2, ()) == (lb2.handle, 1, (C1.forward_tag,), 3)
+    # the server reached with no tag left: counted when sent, no handler
+    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2)
 
 
 def test_unknown_tag_from_master_drops_at_edge_switch():
@@ -433,6 +450,92 @@ def test_unknown_tag_from_master_drops_at_edge_switch():
     assert result.leftover_bytes == 0
 
 
+def schedule_after_handshake(sim, at, fn):
+    """Schedule fn with the traffic, once run() has drained the handshake,
+    so that it runs at `at` among the packets."""
+    schedule_injections = sim._schedule_injections
+
+    def with_fn(packets):
+        schedule_injections(packets)
+        sim.loop.schedule(at, fn)
+
+    sim._schedule_injections = with_fn
+
+
+def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order():
+    # transmit pushes the arrival with the loop's one sequence counter, so it
+    # ties with a scheduled callback exactly as two scheduled callbacks would
+    for packet_first in (True, False):
+        sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+        stray = packet()._replace(session_id=10_000)
+        order = []
+        lb1 = sim.nodes["lb1"]
+        handle = lb1.handle
+
+        def seen(p, port, tags, now):
+            if p is stray:
+                order.append(("packet", now))
+            handle(p, port, tags, now)
+
+        lb1.handle = seen  # before the walk to lb1 is compiled
+
+        def send():
+            sim.result.injected_bytes += stray.size
+            arrival = sim.loop.now
+            for _ in range(sim.compile_walk("client", 1, ()).hops):
+                arrival += 0.0013
+            control = lambda: order.append(("control", sim.loop.now))
+            if packet_first:
+                sim.transmit("client", 1, stray, ())
+                sim.loop.schedule(arrival, control)
+            else:
+                sim.loop.schedule(arrival, control)
+                sim.transmit("client", 1, stray, ())
+
+        schedule_after_handshake(sim, 0.3, send)
+        result = sim.run()
+        kinds = ["packet", "control"] if packet_first else ["control", "packet"]
+        assert [kind for kind, _ in order] == kinds
+        assert order[0][1] == order[1][1]
+        assert result.clean
+
+
+def horizon_run(sent_at, tags=()):
+    """A run that sends one stray packet from the slave to the server at
+    sent_at, over two 0.25 s links, with a 15 s horizon."""
+    sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
+    stray = packet()
+    if tags:
+        sim.nodes["es2"].add(4, tags[-1], 1)  # a rule that lets a tag reach the server
+
+    def send():
+        sim.result.injected_bytes += stray.size
+        sim.transmit("lb2", 1, stray, tags)
+
+    schedule_after_handshake(sim, sent_at, send)
+    return sim.run(), stray
+
+
+def test_clean_host_arrival_at_the_horizon_is_delivered():
+    result, _ = horizon_run(14.5)  # 14.5 + 0.25 + 0.25 == 15.0, exactly
+    assert result.clean
+    assert result.leftover_bytes == 0
+
+
+def test_clean_host_arrival_after_the_horizon_is_left_over():
+    result, stray = horizon_run(14.75)  # arrives at 15.25
+    assert not result.anomalies
+    assert result.leftover_bytes == stray.size
+
+
+def test_tagged_host_arrival_is_recorded_when_it_arrives():
+    result, stray = horizon_run(2.0, tags=(99,))
+    assert result.anomalies == [{"t": 2.5, "event": "anomaly",
+                                 "reason": "tagged packet delivered to a host",
+                                 "session": stray.session_id}]
+    assert result.leftover_bytes == 0
+
+
 def test_failed_action_records_sessionless_anomaly():
     scenario = small_scenario(chains=(C1,), actions=(Action(at=1.0, op="remove", pair=C1),),
                               horizon=3.0)
@@ -444,11 +547,13 @@ def test_failed_action_records_sessionless_anomaly():
 
 
 def test_static_1_event_count_gate():
-    # one event per stateful hop (5 per packet) plus the control plane;
-    # per-link scheduling took 228,864. Tighten this when the count drops.
+    # heap entries: 4 per packet (injection, master, NF, slave) plus the
+    # control plane; a clean arrival at a host takes none. One event per
+    # stateful hop made 104,064 and per-link scheduling 228,864. Tighten this
+    # when the count drops.
     result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
     assert result.packets == 20_800
-    assert result.scheduled_events == 104_064
+    assert result.scheduled_events == 83_264
 
 
 def test_static_1_canonical_key_gate(monkeypatch):
@@ -477,7 +582,9 @@ def test_static_1_python_calls_per_packet_gate():
     # message. The frozen dataclass made 7.0 __hash__ and 1.04 __eq__ calls
     # per packet, and the whole run 36.0 calls per packet. A mutable copy of
     # each planned packet, built to carry its tag list, took it to 22.93; the
-    # planned packet with a tag tuple makes 21.93.
+    # planned packet with a tag tuple made 21.93 (21.97 with the one event
+    # writer). A data path that pushes its heap entries itself, counts clean
+    # host arrivals when sent and books a passthrough NF inline makes 12.97.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -497,7 +604,7 @@ def test_static_1_python_calls_per_packet_gate():
         sys.setprofile(None)
     assert result.packets == 20_800
     assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
-    assert calls.total() <= 22 * result.packets
+    assert calls.total() <= 13 * result.packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

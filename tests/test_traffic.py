@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainbalance.hashing import Endpoint, canonical_key
 from chainbalance.traffic import (
@@ -107,3 +109,51 @@ def test_profile_validation():
         TrafficProfile(sessions=0, rate=75.0, bytes_per_session=1000).validate()
     with pytest.raises(ValueError):
         TrafficProfile(sessions=1, rate=75.0, bytes_per_session=100).validate()
+
+
+# -- injection order
+
+
+def planned_order(profile, seed):
+    """The schedule sorted on the full (time, session_id, reverse) key."""
+    packets = [p for spec in plan_sessions(profile, seed) for p in session_packets(spec)]
+    return sorted(packets, key=lambda p: (p.time, p.session_id, p.reverse))
+
+
+@st.composite
+def tied_profiles(draw):
+    """Small profiles on coarse rates and spacings, so that packets of
+    different sessions, and both directions, often share one timestamp."""
+    request = draw(st.integers(1, 600))
+    return TrafficProfile(
+        sessions=draw(st.integers(1, 12)),
+        rate=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+        bytes_per_session=request + draw(st.integers(1, 2400)),
+        packet_size=draw(st.sampled_from([100, 300, 600])),
+        request_bytes=request,
+        duration=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        duration_jitter=0.0,
+        response_delay=draw(st.sampled_from([0.0, 0.5])),
+        collide_fraction=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+TIED = TrafficProfile(sessions=4, rate=1.0, bytes_per_session=700, packet_size=300,
+                      request_bytes=100, duration=2.0, duration_jitter=0.0,
+                      response_delay=0.0)
+
+
+def test_tied_profile_ties_requests_and_responses_across_sessions():
+    # the example the property below starts from: session i's responses at
+    # i+1 and i+2 fall on the requests of sessions i+1 and i+2
+    packets = generate_traffic(TIED, seed=1)
+    at_one = [(p.session_id, p.reverse) for p in packets if p.time == 1.0]
+    assert at_one == [(0, True), (1, False)]
+    assert packets == planned_order(TIED, 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_profiles(), st.integers(0, 3))
+@example(TIED, 1)
+def test_schedule_is_in_time_session_direction_order(profile, seed):
+    assert generate_traffic(profile, seed) == planned_order(profile, seed)

@@ -17,6 +17,13 @@ Prints one JSON object of best-of-N timings:
   traffic window.
 - ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
   no-op callback, with at most 64 events pending, as in the simulator.
+- ``transmit_us``: one data-path send, ``NetSim.transmit`` from the client
+  to the first balancer over a compiled walk, plus the dispatch of its
+  arrival to a no-op handler, with at most 64 sends pending; this is how
+  the simulator schedules packets, while ``event_dispatch_us`` is how its
+  control plane does.
+- ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
+  whole packet schedule of each ``bench/workloads`` profile at seed 1.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
   byte accounting that ``Balancer.map_packet`` does per packet.
 
@@ -24,7 +31,7 @@ Prints one JSON object of best-of-N timings:
 two versions can be timed by the same script on the same host. That
 checkout must expose the API this script calls (``Balancer.map_packet(key,
 size, now)``, ``canonical_key`` returning bytes, ``engine.EventLoop``, the
-control codec); a checkout from before an API change needs the script from
+control codec, ``NetSim.transmit(node, port, packet, tags)``); a checkout from before an API change needs the script from
 its own tree. Wall-clock figures are noisy; compare runs made back to back,
 never gate on them.
 """
@@ -55,6 +62,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=7, help="timed repetitions per figure")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    from chainbalance import cli, netsim
     from chainbalance.balancer import Balancer
     from chainbalance.control import (
         ControlMessage, alloc_to_wire, decode_message, encode_message, window_to_wire,
@@ -62,6 +70,8 @@ def main(argv=None) -> int:
     from chainbalance.engine import EventLoop
     from chainbalance.hashing import ChainId, Endpoint, HashParams, build_buckets, canonical_key
     from chainbalance.rebalance import TrafficWindow
+    from chainbalance.scenario import parse_scenario
+    from chainbalance.traffic import PlannedPacket, generate_traffic
 
     chains = [ChainId(2, 3), ChainId(4, 5), ChainId(6, 7)]
     server = Endpoint.parse("10.9.9.9", 80)
@@ -151,6 +161,20 @@ def main(argv=None) -> int:
     best = min(seconds(dispatches) for _ in range(args.repeat))
     out["event_dispatch_us"] = round(1e6 * best / (batches * pending), 3)
 
+    sim = netsim.NetSim(cli.bundled_scenario("static-1"))
+    # an instance attribute, so the walk to lb1 ends in a no-op
+    sim.nodes["lb1"].handle = lambda packet, port, tags, now: None
+    planned = PlannedPacket(0.0, 0, keys[0], 100, False)
+
+    def sends():
+        for _ in range(batches):
+            for _ in range(pending):
+                sim.transmit("client", 1, planned, ())
+            sim.loop.run()
+
+    best = min(seconds(sends) for _ in range(args.repeat))
+    out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
+
     counters = dict.fromkeys(chains, 0)
     sequence = [chains[i % len(chains)] for i in range(calls)]
 
@@ -160,6 +184,13 @@ def main(argv=None) -> int:
 
     best = min(seconds(count_bytes) for _ in range(args.repeat))
     out["chain_counter_ns"] = round(1e9 * best / calls, 1)
+
+    out["generate_traffic_ms"] = {}
+    for path in sorted((ROOT / "bench" / "workloads").glob("*.yaml")):
+        traffic = parse_scenario(path).traffic
+        build = functools.partial(generate_traffic, traffic, 1)
+        best = min(seconds(build) for _ in range(args.repeat))
+        out["generate_traffic_ms"][path.stem] = round(1e3 * best, 3)
     print(json.dumps(out, indent=2))
     return 0
 
