@@ -22,23 +22,31 @@ walks are compiled once, by following the switches' `TagRouter` rules with
 event per stateful hop instead of one per link. The link latency is still
 added once per link crossed, in order, so timestamps keep their float bits.
 Among events with the same timestamp, a packet's arrival at a stateful node
-is ordered by when it left the previous stateful node.
+is ordered by when it was sent: when it left the previous node it was an
+event at (for an NF crossed without one, the balancer before it).
 
-A packet makes 4 events: its injection, and its arrivals at the first
-balancer, the NF and the second balancer (an NF in capacity mode adds its
-departure). Its arrival at a host with an empty tag stack makes none:
-`NetSim.transmit` counts the packet's bytes as delivered when it sends the
-packet, if it arrives by the horizon (the test the loop's run applies to
-every event). A tagged arrival at a host is still an event, so its anomaly
-is recorded at arrival time.
+A packet makes 3 events: its injection and its arrivals at the first and
+the second balancer. Its arrival at a host with an empty tag stack makes
+none: `NetSim.transmit` counts the packet's bytes as delivered when it sends
+the packet, if it arrives by the horizon (the test the loop's run applies to
+every event). Nor does its crossing of a passthrough NF: the balancer's walk
+is compiled through the NF to the other balancer, and `transmit` books the
+NF (series second, last packet, the session's chains) at the NF's own
+arrival time, if that is by the horizon, then pushes the arrival beyond.
+That bookkeeping reads nothing that changes with time except the reclaim of
+a removed chain, so an NF arrival is still an event where it could see one:
+on a chain that some remove action names, and for a packet that reaches the
+NF still tagged, whose anomaly is recorded at arrival time. An NF in
+capacity mode is always an event and adds its departure. A tagged arrival at
+a host is still an event too.
 
 The per-packet path is kept to as few Python-level calls as it can be: each
 planned packet enters as one event, `NetSim.inject`, which sends it with an
 empty tag stack and pushes the next planned packet; `transmit` and `inject`
 push their heap entries themselves, with the loop's one sequence counter,
-instead of calling `EventLoop.schedule`; a passthrough NF does its
-bookkeeping inline; the balancer nodes push and pop by building the next
-tuple; and chain identities (`ChainId`) hash and compare in C.
+instead of calling `EventLoop.schedule`; `transmit` books a crossed NF
+inline; the balancer nodes push and pop by building the next tuple; and
+chain identities (`ChainId`) hash and compare in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -191,6 +199,11 @@ def measure_drain(series: ThroughputSeries, victim: ChainId, event_time: float) 
 # -- network nodes ----------------------------------------------------------------
 
 
+def far_port(port: int) -> int:
+    """An NF's other port: what comes in on one side leaves by the other."""
+    return 2 if port == 1 else 1
+
+
 class NfInstance:
     """A chain's network function: pass traffic through, optionally rate-limited.
 
@@ -213,23 +226,9 @@ class NfInstance:
         sim = self.sim
         if tags:
             sim.violation("tagged packet reached an NF", packet.session_id, now)
-        out_port = 2 if port == 1 else 1
+        out_port = far_port(port)
         if self.mode == "passthrough":
-            # NetSim.note_nf inline, then on at once: no departure event
-            chain, result = self.chain, sim.result
-            seconds = result.series.buckets.get(chain)
-            if seconds is None:
-                seconds = result.series.buckets[chain] = {}
-            second = int(now)
-            seconds[second] = seconds.get(second, 0) + packet.size
-            result.last_packet_on[chain] = now
-            trace = sim.sessions.get(packet.session_id)
-            if trace is not None:
-                trace.nf_chains.add(chain)
-            reclaims = result.reclaims
-            if chain in reclaims and now > reclaims[chain]:
-                sim.violation(f"packet crossed reclaimed chain {chain}", packet.session_id, now)
-            sim.transmit(self.name, out_port, packet, tags)
+            self._forward(packet, out_port, tags, now)  # at once: no departure event
             return
         if self.queue_limit and self._queued >= self.queue_limit:
             sim.drop(packet, "queue_overflow", self.name, now)
@@ -265,11 +264,16 @@ class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
     # the next stateful node's (or an Unroutable's) bound `handle`; None for
-    # a host reached with an empty tag stack, whose arrival needs no event
+    # a host reached with an empty tag stack, whose arrival needs no event,
+    # and for a crossing, which goes on by `onward`
     handle: object
     port: int | None  # the target's ingress port; None for an Unroutable
     tags: tuple[int, ...]  # the tag stack on arrival
     hops: int  # links crossed
+    # a crossing: the passthrough NF this walk reaches untagged, booked
+    # without an event, and the NF's own walk on from its far port
+    nf: NfInstance | None = None
+    onward: Walk | None = None
 
 
 class HostNode:
@@ -391,6 +395,8 @@ class NetSim:
         pairs = scenario.all_pairs()
         self.chain_by_forward = {c.forward_tag: c for c in pairs}
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
+        # chains whose NF crossings stay events, to be checked against the reclaim
+        self.removed = {a.pair for a in scenario.actions if a.op == "remove"}
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
@@ -466,12 +472,13 @@ class NetSim:
 
     def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
         """Send a packet out of a stateful node: push its arrival at the next
-        stateful node, or count it delivered if that is a host and no tag is left."""
+        stateful node, or count it delivered if that is a host and no tag is
+        left; a crossing books its NF on the way and pushes the arrival beyond."""
         key = (node, port, tags)
         walk = self.walks.get(key)
         if walk is None:
             walk = self.walks[key] = self.compile_walk(*key)
-        handle, in_port, tags, hops = walk
+        handle, in_port, tags, hops, nf, onward = walk
         loop = self.loop
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
@@ -479,23 +486,53 @@ class NetSim:
         for _ in range(hops):
             at += self.latency
         if handle is None:
-            if at <= self.horizon:  # what run(until=horizon) would have dispatched
-                self.result.delivered_bytes += packet.size
-            return
+            # both tests are what run(until=horizon) would have dispatched
+            if nf is None:
+                if at <= self.horizon:
+                    self.result.delivered_bytes += packet.size
+                return
+            if at > self.horizon:
+                return
+            # NetSim.note_nf inline at the NF's time; a chain no remove action
+            # names is never reclaimed, so there is no reclaim to check
+            chain, result = nf.chain, self.result
+            seconds = result.series.buckets.get(chain)
+            if seconds is None:
+                seconds = result.series.buckets[chain] = {}
+            second = int(at)
+            seconds[second] = seconds.get(second, 0) + packet.size
+            result.last_packet_on[chain] = at
+            trace = self.sessions.get(packet.session_id)
+            if trace is not None:
+                trace.nf_chains.add(chain)
+            handle, in_port, tags, hops, _, _ = onward
+            for _ in range(hops):
+                at += self.latency
         # EventLoop.schedule inline: the same entry and the same counter
         seq = loop._seq
         loop._seq = seq + 1
         heappush(loop._heap, (at, seq, handle, (packet, in_port, tags, at)))
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
-        """Follow the switch rules from a stateful node's egress port."""
+        """Follow the switch rules from a stateful node's egress port.
+
+        Only a balancer's walk reaches an NF untagged. If that NF is a
+        passthrough one whose chain no remove action names, the walk goes on
+        through it: nothing the NF does depends on when the run gets to it,
+        because only the reclaim of a removed chain is read at the NF's time.
+        """
         hops = 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
             reached = self.nodes[node]
-            if isinstance(reached, HostNode) and not tags:
-                return Walk(None, port, tags, hops)
+            if not tags:
+                if isinstance(reached, HostNode):
+                    return Walk(None, port, tags, hops)
+                if (isinstance(reached, NfInstance) and reached.mode == "passthrough"
+                        and reached.chain not in self.removed):
+                    onward = self.compile_walk(node, far_port(port), tags)
+                    return Walk(None, port, tags, hops, reached, onward)
             if not isinstance(reached, TagRouter):
                 return Walk(reached.handle, port, tags, hops)
             try:
@@ -596,6 +633,12 @@ class NetSim:
     # -- run orchestration
 
     def run(self) -> RunResult:
+        if self.loop._heap:
+            # the handshake drains the loop with no time limit, so an entry
+            # pushed before run() would run during it and move `now` ahead
+            raise RuntimeError(
+                f"NetSim.run() needs an empty event loop; it holds {len(self.loop._heap)} entries"
+            )
         s = self.scenario
         cfg = ClusterConfig(
             hash_seed=s.hash_seed,

@@ -22,6 +22,11 @@ Prints one JSON object of best-of-N timings:
   arrival to a no-op handler, with at most 64 sends pending; this is how
   the simulator schedules packets, while ``event_dispatch_us`` is how its
   control plane does.
+- ``crossing_us``: one send from the master with a chain's forward tag,
+  ``NetSim.transmit`` from ``lb1``, until the slave gets the packet (a
+  no-op handler), dispatches included, with at most 64 sends pending; this
+  is the way from one balancer through a passthrough NF to the other that
+  every mapped packet takes.
 - ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
   whole packet schedule of each ``bench/workloads`` profile at seed 1.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
@@ -174,6 +179,22 @@ def main(argv=None) -> int:
 
     best = min(seconds(sends) for _ in range(args.repeat))
     out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
+
+    def crossing_sim():
+        # a fresh run per repetition keeps the sends' times within the horizon
+        sim = netsim.NetSim(cli.bundled_scenario("static-1"))
+        sim.nodes["lb2"].handle = lambda packet, port, tags, now: None
+        return sim
+
+    def crossings(sim):
+        tags = (sim.scenario.chains[0].forward_tag,)
+        for _ in range(batches):
+            for _ in range(pending):
+                sim.transmit("lb1", 1, planned, tags)
+            sim.loop.run()
+
+    best = min(seconds(functools.partial(crossings, crossing_sim())) for _ in range(args.repeat))
+    out["crossing_us"] = round(1e6 * best / (batches * pending), 3)
 
     counters = dict.fromkeys(chains, 0)
     sequence = [chains[i % len(chains)] for i in range(calls)]
