@@ -10,10 +10,13 @@ The simulator's data path does not call `schedule`: `NetSim.transmit` and
 `NetSim.inject` push their `(at, seq, fn, args)` entries onto `_heap`
 themselves and take `seq` from `_seq`, the one sequence counter, so a packet
 arrival and a control callback at the same timestamp still run in the order
-they were created. A packet that crosses a passthrough NF without an event
-has its arrival at the other balancer created when it leaves the first one,
-so among entries with that same timestamp it takes the place of that moment.
-`_seq` is therefore the number of entries ever pushed.
+they were created. A packet crosses an NF without an arrival event: the one
+entry its crossing makes (the arrival at the other balancer after an inline
+leave, a queue drop, or the leave event on a removed chain) is created when
+it leaves the first balancer, so among entries with its timestamp it takes
+the place of that moment. Only a packet that reaches a capacity NF still
+tagged has its departure scheduled with `schedule`. `_seq` is therefore the
+number of entries ever pushed.
 
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`

@@ -29,16 +29,28 @@ A packet makes 3 events: its injection and its arrivals at the first and
 the second balancer. Its arrival at a host with an empty tag stack makes
 none: `NetSim.transmit` counts the packet's bytes as delivered when it sends
 the packet, if it arrives by the horizon (the test the loop's run applies to
-every event). Nor does its crossing of a passthrough NF: the balancer's walk
-is compiled through the NF to the other balancer, and `transmit` books the
-NF (series second, last packet, the session's chains) at the NF's own
-arrival time, if that is by the horizon, then pushes the arrival beyond.
-That bookkeeping reads nothing that changes with time except the reclaim of
-a removed chain, so an NF arrival is still an event where it could see one:
-on a chain that some remove action names, and for a packet that reaches the
-NF still tagged, whose anomaly is recorded at arrival time. An NF in
-capacity mode is always an event and adds its departure. A tagged arrival at
-a host is still an event too.
+every event). Nor does its crossing of an NF, in either mode. Every walk
+into an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
+ones), so an NF gets packets in send order, and a balancer's walk is
+compiled through the NF to the other balancer. At the send, `transmit`
+takes the packet's departure from the NF: its arrival time for a
+passthrough NF, or what a capacity NF's `admit` gives, where a full queue
+drops it by an event at the arrival time, pushed then, in the arrival
+event's place. The leave (series second, last packet, the session's chains)
+is booked inline at the departure time, and the arrival beyond pushed from
+it, except on a chain that a remove action names: the reclaim is the one
+thing the leave reads that changes with time, so there it is a `_depart`
+event at the departure time. A packet that reaches an NF or a host still
+tagged is an arrival event, whose anomaly is recorded at arrival time. No
+scenario makes one at an NF (a balancer sends one tag; the chain's switch
+pops it); a capacity NF queues it on arrival, behind packets sent after it.
+
+Same-instant rule: a departure at exactly an arrival's instant frees its
+queue slot first. Entries pushed at the send take that moment's place among
+entries with their timestamp. For a drop and a removed passthrough chain's
+leave that is the place the arrival event had; a removed capacity chain's
+leave and the arrival beyond an inline leave stand for entries pushed
+later, so only on an exact time tie can they run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be: each
 planned packet enters as one event, `NetSim.inject`, which sends it with an
@@ -61,6 +73,7 @@ generator, so a (scenario, seed) pair always produces the same run.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Iterator, NamedTuple
@@ -210,6 +223,8 @@ class NfInstance:
     Capacity mode is a byte token bucket: each packet occupies the output for
     size/capacity seconds, so the sustained forwarded rate cannot exceed the
     configured capacity. Packets beyond the queue limit are dropped.
+    `NetSim.transmit` calls `admit` at the balancer's send; `handle` is an
+    arrival event, for a packet that reaches the NF still tagged.
     """
 
     def __init__(self, name, chain, sim, mode="passthrough", capacity=0.0, queue_limit=0):
@@ -220,30 +235,40 @@ class NfInstance:
         self.capacity = capacity
         self.queue_limit = queue_limit
         self._busy_until = 0.0
-        self._queued = 0
+        self._departures = deque()  # of the packets queued, in order
+
+    def admit(self, packet: PlannedPacket, now: float) -> float | None:
+        """Queue a packet that reaches the NF at `now`, in arrival order, and
+        return its departure time; None when the queue is full. A departure
+        at or before `now` has freed its slot (the same-instant rule)."""
+        departures = self._departures
+        while departures and departures[0] <= now:
+            departures.popleft()
+        if self.queue_limit and len(departures) >= self.queue_limit:
+            return None
+        start = max(now, self._busy_until)
+        departure = start + packet.size / self.capacity
+        self._busy_until = departure
+        departures.append(departure)
+        return departure
 
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        """The packet arrives now, by an event: admitted now, not at its send."""
         sim = self.sim
         if tags:
             sim.violation("tagged packet reached an NF", packet.session_id, now)
         out_port = far_port(port)
         if self.mode == "passthrough":
-            self._forward(packet, out_port, tags, now)  # at once: no departure event
+            self._depart(packet, out_port, tags, now)
             return
-        if self.queue_limit and self._queued >= self.queue_limit:
+        departure = self.admit(packet, now)
+        if departure is None:
             sim.drop(packet, "queue_overflow", self.name, now)
             return
-        start = max(now, self._busy_until)
-        departure = start + packet.size / self.capacity
-        self._busy_until = departure
-        self._queued += 1
-        sim.loop.schedule(departure, self._depart, packet, out_port, tags)
+        sim.loop.schedule(departure, self._depart, packet, out_port, tags, departure)
 
-    def _depart(self, packet, out_port, tags):
-        self._queued -= 1
-        self._forward(packet, out_port, tags, self.sim.loop.now)
-
-    def _forward(self, packet, out_port, tags, now):
+    def _depart(self, packet: PlannedPacket, out_port: int, tags: tuple[int, ...], now: float):
+        """The packet leaves now: book it, checked against the reclaim, and send it on."""
         self.sim.note_nf(self.chain, packet, now)
         self.sim.transmit(self.name, out_port, packet, tags)
 
@@ -263,17 +288,18 @@ class Unroutable:
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    # the next stateful node's (or an Unroutable's) bound `handle`; None for
-    # a host reached with an empty tag stack, whose arrival needs no event,
-    # and for a crossing, which goes on by `onward`
+    # the handler pushed at the walk's end: a stateful node's (or an
+    # Unroutable's) bound `handle`, or an untagged NF's `_depart` on a removed
+    # chain; None for a host reached untagged, whose arrival needs no event,
+    # and for an NF left inline, which goes on by `onward`
     handle: object
-    port: int | None  # the target's ingress port; None for an Unroutable
+    port: int | None  # the target's ingress port (`_depart`'s far port); None for an Unroutable
     tags: tuple[int, ...]  # the tag stack on arrival
     hops: int  # links crossed
-    # a crossing: the passthrough NF this walk reaches untagged, booked
-    # without an event, and the NF's own walk on from its far port
+    # the NF this walk reaches untagged, and if left inline, its own walk on
     nf: NfInstance | None = None
     onward: Walk | None = None
+    admit: object = None  # a capacity NF's bound `admit`, called at the send
 
 
 class HostNode:
@@ -389,13 +415,14 @@ class NetSim:
         self.nodes: dict[str, object] = {}
         self.links: dict[tuple[str, int], tuple[str, int]] = {}
         self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {}
+        self.nf_hops: dict[str, int] = {}  # links crossed by every walk into each NF
         self.latency = scenario.link_latency
         self.horizon = scenario.horizon
 
         pairs = scenario.all_pairs()
         self.chain_by_forward = {c.forward_tag: c for c in pairs}
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
-        # chains whose NF crossings stay events, to be checked against the reclaim
+        # chains whose NF leaves are events, to be checked against the reclaim
         self.removed = {a.pair for a in scenario.actions if a.op == "remove"}
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
@@ -473,18 +500,33 @@ class NetSim:
     def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
         """Send a packet out of a stateful node: push its arrival at the next
         stateful node, or count it delivered if that is a host and no tag is
-        left; a crossing books its NF on the way and pushes the arrival beyond."""
+        left. An NF reached untagged is crossed here: a capacity NF admits
+        the packet now, then the leave is booked inline and the arrival
+        beyond pushed, or on a removed chain the leave is pushed."""
         key = (node, port, tags)
         walk = self.walks.get(key)
         if walk is None:
             walk = self.walks[key] = self.compile_walk(*key)
-        handle, in_port, tags, hops, nf, onward = walk
+        handle, in_port, tags, hops, nf, onward, admit = walk
         loop = self.loop
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
         at = loop.now
         for _ in range(hops):
             at += self.latency
+        if admit is not None:
+            # run(until=horizon) would not have dispatched the arrival
+            if at > self.horizon:
+                return
+            departure = admit(packet, at)
+            if departure is None:
+                # recorded at the arrival's time, in the place the arrival
+                # event had: it is pushed now, at the send, as that was
+                seq = loop._seq
+                loop._seq = seq + 1
+                heappush(loop._heap, (at, seq, self.drop, (packet, "queue_overflow", nf.name, at)))
+                return
+            at = departure
         if handle is None:
             # both tests are what run(until=horizon) would have dispatched
             if nf is None:
@@ -493,8 +535,8 @@ class NetSim:
                 return
             if at > self.horizon:
                 return
-            # NetSim.note_nf inline at the NF's time; a chain no remove action
-            # names is never reclaimed, so there is no reclaim to check
+            # NetSim.note_nf inline at the NF's leave; a chain no remove
+            # action names is never reclaimed, so there is no reclaim to check
             chain, result = nf.chain, self.result
             seconds = result.series.buckets.get(chain)
             if seconds is None:
@@ -505,7 +547,7 @@ class NetSim:
             trace = self.sessions.get(packet.session_id)
             if trace is not None:
                 trace.nf_chains.add(chain)
-            handle, in_port, tags, hops, _, _ = onward
+            handle, in_port, tags, hops, _, _, _ = onward
             for _ in range(hops):
                 at += self.latency
         # EventLoop.schedule inline: the same entry and the same counter
@@ -516,23 +558,36 @@ class NetSim:
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port.
 
-        Only a balancer's walk reaches an NF untagged. If that NF is a
-        passthrough one whose chain no remove action names, the walk goes on
-        through it: nothing the NF does depends on when the run gets to it,
-        because only the reclaim of a removed chain is read at the NF's time.
+        Only a balancer's walk reaches an NF untagged, and it goes on through
+        the NF. Every walk into one NF must cross the same number of links
+        (3 from a balancer: its edge switch, the chain's switch, the NF), so
+        the NF gets packets in the order the balancers send them, and a
+        capacity NF can admit each at its send. The NF's leave is booked
+        inline unless a remove action names its chain: the reclaim is the
+        one thing it reads whose value depends on when the run gets to it,
+        so there `_depart` is an event at the leave.
         """
         hops = 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
             reached = self.nodes[node]
-            if not tags:
-                if isinstance(reached, HostNode):
-                    return Walk(None, port, tags, hops)
-                if (isinstance(reached, NfInstance) and reached.mode == "passthrough"
-                        and reached.chain not in self.removed):
+            if isinstance(reached, NfInstance):
+                known = self.nf_hops.setdefault(node, hops)
+                if hops != known:
+                    raise RuntimeError(
+                        f"walks into {node} cross {known} and {hops} links; "
+                        "an NF admits in send order only if all cross the same number"
+                    )
+                if not tags:
+                    admit = None if reached.mode == "passthrough" else reached.admit
+                    if reached.chain in self.removed:
+                        return Walk(reached._depart, far_port(port), tags, hops, reached,
+                                    None, admit)
                     onward = self.compile_walk(node, far_port(port), tags)
-                    return Walk(None, port, tags, hops, reached, onward)
+                    return Walk(None, port, tags, hops, reached, onward, admit)
+            elif not tags and isinstance(reached, HostNode):
+                return Walk(None, port, tags, hops)
             if not isinstance(reached, TagRouter):
                 return Walk(reached.handle, port, tags, hops)
             try:

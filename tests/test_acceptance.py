@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from chainbalance.rebalance import (
     redistribute,
     remove_chain,
 )
+from chainbalance.scenario import parse_scenario
 
 SEEDS = (1, 2, 3, 4, 5)
 RUN_CACHE = {}
@@ -409,6 +411,27 @@ def test_outputs_match_pinned_digests(tmp_path, name, seed):
         for output in PINNED_DIGESTS[(name, seed)]
     }
     assert digests == PINNED_DIGESTS[(name, seed)]
+
+
+# The same for the one bench workload whose NFs run in capacity mode (token
+# buckets, 40-packet queues, scale-in 3 -> 2 -> 1); every run pinned above
+# has passthrough NFs. The workload is read from bench/, never written.
+CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "capacity-drain.yaml"
+PINNED_CAPACITY_DIGESTS = {
+    "series.csv": "437e92657e91616125afe90dfaa2804e8c16f51d05792ff424423cae5f3796f0",
+    "events.jsonl": "6c33f7497032c5b2bdd68859edbe7eafb7b4af7f8761c5eb1a0286f3046fed6e",
+    "report.json": "88a3507ed167803c33c9408c891f442ac1cf07693191631c9f9f92c065de3a9a",
+}
+
+
+def test_capacity_drain_outputs_match_pinned_digests(tmp_path):
+    result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
+    write_outputs(result, tmp_path)
+    digests = {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in PINNED_CAPACITY_DIGESTS
+    }
+    assert digests == PINNED_CAPACITY_DIGESTS
 
 
 def test_criterion_8_bucket_allocation():

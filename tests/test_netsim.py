@@ -3,8 +3,11 @@ import math
 import pickle
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbalance import cli, hashing, netsim
 from chainbalance.errors import NeverConverged, NoRoute
@@ -20,7 +23,7 @@ from chainbalance.netsim import (
     measure_drain,
     route,
 )
-from chainbalance.scenario import Action, Scenario
+from chainbalance.scenario import Action, Scenario, parse_scenario
 from chainbalance.traffic import PlannedPacket, TrafficProfile
 
 C1 = ChainId(2, 3)
@@ -190,6 +193,70 @@ def test_nf_queue_overflow_drops():
     assert len(sim.drops) == 2
     sim.loop.run()
     assert len(sim.forwarded) == 3
+
+
+def reference_admission(arrivals, capacity, queue_limit):
+    """An NF's queue as one event per arrival and per departure: a count of
+    queued packets that each departure event takes one from.
+
+    Each arrival is pushed at its own instant, after every departure pushed
+    before it, so a departure at an arrival's instant runs first: the
+    same-instant rule. Returns {arrival index: departure} and the dropped
+    indices."""
+    loop = EventLoop()
+    state = {"busy_until": 0.0, "queued": 0}
+    departures, dropped = {}, set()
+
+    def arrive(i, size):
+        now = loop.now
+        if queue_limit and state["queued"] >= queue_limit:
+            dropped.add(i)
+            return
+        departure = max(now, state["busy_until"]) + size / capacity
+        state["busy_until"] = departure
+        state["queued"] += 1
+        departures[i] = departure
+        loop.schedule(departure, depart)
+
+    def depart():
+        state["queued"] -= 1
+
+    for i, (at, size) in enumerate(arrivals):
+        loop.schedule(at, loop.schedule, at, arrive, i, size)
+    loop.run()
+    return departures, dropped
+
+
+# gaps in 1/256 s and power-of-two capacities make exact ties between a
+# departure and an arrival common; the others make rounded sums
+GAPS = st.one_of(st.integers(0, 6).map(lambda k: k / 256), st.floats(0.0, 0.05))
+CAPACITIES = st.sampled_from([256.0, 1024.0, 4096.0, 1000.0, 3e3, 7777.7])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    steps=st.lists(st.tuples(GAPS, st.integers(1, 64)), min_size=1, max_size=60),
+    start=st.sampled_from([0.0, 0.1, 3.0]),
+    capacity=CAPACITIES,
+    queue_limit=st.integers(0, 6),
+)
+def test_admission_in_arrival_order_matches_departure_events(steps, start, capacity,
+                                                             queue_limit):
+    arrivals, at = [], start
+    for gap, size in steps:
+        at += gap
+        arrivals.append((at, size))
+    expected, expected_dropped = reference_admission(arrivals, capacity, queue_limit)
+    nf = NfInstance("nf", C1, None, mode="capacity", capacity=capacity, queue_limit=queue_limit)
+    departures, dropped = {}, set()
+    for i, (at, size) in enumerate(arrivals):
+        departure = nf.admit(packet()._replace(size=size), at)
+        if departure is None:
+            dropped.add(i)
+        else:
+            departures[i] = departure
+    assert dropped == expected_dropped
+    assert departures == expected  # float equality: the same bits
 
 
 # -- measurement
@@ -397,49 +464,71 @@ def assert_walk_matches_hop_by_hop(sim, key, walk):
         assert (unroutable.switch, unroutable.reason) == (target, reason), key
     elif isinstance(target, netsim.HostNode) and not tags:
         assert (walk.handle, walk.port) == (None, port), key  # no event
-    elif isinstance(target, NfInstance) and not tags and target.chain not in sim.removed:
-        # a crossing: no event at the NF, and on from its far port
-        assert (walk.handle, walk.port, walk.nf) == (None, port, target), key
-        assert_walk_matches_hop_by_hop(sim, (target.name, far_port(port), ()), walk.onward)
+    elif isinstance(target, NfInstance) and not tags:
+        # the NF is crossed: a capacity NF admits at the send, and the leave
+        # is an event only on a chain that a remove action names
+        admit = None if target.mode == "passthrough" else target.admit
+        assert (walk.nf, walk.admit) == (target, admit), key
+        if target.chain in sim.removed:
+            assert (walk.handle, walk.port, walk.onward) == (
+                target._depart, far_port(port), None), key
+        else:
+            assert (walk.handle, walk.port) == (None, port), key
+            assert_walk_matches_hop_by_hop(sim, (target.name, far_port(port), ()), walk.onward)
     else:
         assert (walk.handle, walk.port) == (target.handle, port), key
     if walk.nf is None:
-        assert walk.onward is None, key
+        assert (walk.onward, walk.admit) == (None, None), key
     assert (walk.tags, walk.hops) == (tags, hops), key
 
 
 def test_compiled_walks_match_hop_by_hop_route():
-    # C2 is added and C1 later removed: C2's NF is crossed, C1's stays an event
-    scenario = small_scenario(chains=(C1,), actions=(Action(at=1.0, op="add", pair=C2),
-                                                     Action(at=3.0, op="remove", pair=C1)))
-    sim = netsim.NetSim(scenario)
-    result = sim.run()
-    assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
-        "committed_add", "committed_remove"]
-    keys = walk_keys(sim)
-    assert sim.walks and set(sim.walks) <= keys  # the run compiled only these
-    crossed = set()
-    for key in keys:
-        walk = sim.compile_walk(*key)
-        assert_walk_matches_hop_by_hop(sim, key, walk)
-        if walk.nf is not None:
-            crossed.add((key[0], walk.nf.chain))
-        if key in sim.walks:
-            assert sim.walks[key] == walk
-    assert crossed == {("lb1", C2), ("lb2", C2)}
+    # C2 is added and C1 later removed: C2's NF is left inline, C1's by an
+    # event; in both modes
+    for mode in ("passthrough", "capacity"):
+        nf = {} if mode == "passthrough" else dict(nf_capacity=2e6, nf_queue_limit=8)
+        scenario = small_scenario(chains=(C1,), nf_mode=mode, **nf,
+                                  actions=(Action(at=1.0, op="add", pair=C2),
+                                           Action(at=3.0, op="remove", pair=C1)))
+        sim = netsim.NetSim(scenario)
+        result = sim.run()
+        assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
+            "committed_add", "committed_remove"]
+        keys = walk_keys(sim)
+        assert sim.walks and set(sim.walks) <= keys  # the run compiled only these
+        crossed = set()
+        for key in keys:
+            walk = sim.compile_walk(*key)
+            assert_walk_matches_hop_by_hop(sim, key, walk)
+            if walk.nf is not None:
+                crossed.add((key[0], walk.nf.chain, walk.handle is None))
+            if key in sim.walks:
+                assert sim.walks[key] == walk
+        assert crossed == {("lb1", C2, True), ("lb2", C2, True),
+                           ("lb1", C1, False), ("lb2", C1, False)}, mode
+        assert sim.nf_hops == {"nf1": 3, "nf2": 3}
+
+
+def test_compile_walk_refuses_walks_of_unequal_length_into_an_nf():
+    # the NF admits in send order only if every walk into it is as long
+    sim = netsim.NetSim(small_scenario())
+    sim.compile_walk("lb1", 1, (C1.forward_tag,))
+    assert sim.nf_hops == {"nf1": 3}
+    with pytest.raises(RuntimeError, match="walks into nf1 cross 3 and 1 links"):
+        sim.compile_walk("cs1", 2, ())
 
 
 def test_forward_walks_reach_every_stateful_hop():
     sim = netsim.NetSim(small_scenario())
     lb1, lb2, nf1 = sim.nodes["lb1"], sim.nodes["lb2"], sim.nodes["nf1"]
-    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), 2, None, None)
+    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), 2, None, None, None)
     # the master's send crosses the NF without a handler there and goes on
     # by the NF's own walk to the slave
     onward = sim.compile_walk("nf1", 2, ())
-    assert onward == (lb2.handle, 1, (C1.forward_tag,), 3, None, None)
-    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (None, 1, (), 3, nf1, onward)
+    assert onward == (lb2.handle, 1, (C1.forward_tag,), 3, None, None, None)
+    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (None, 1, (), 3, nf1, onward, None)
     # the server reached with no tag left: counted when sent, no handler
-    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2, None, None)
+    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2, None, None, None)
 
 
 def test_unknown_tag_from_master_drops_at_edge_switch():
@@ -563,46 +652,53 @@ def test_tagged_host_arrival_is_recorded_when_it_arrives():
 
 
 def test_nf_arrival_is_an_event_only_on_a_removed_chain_or_with_tags():
-    # C2 is removed at 2.0, so its NF is read at arrival time against the
-    # reclaim; C1 is never removed, so its NF is crossed without an event
-    sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),)))
-    assert sim.removed == {C2}
-    arrivals, arrived_bytes = Counter(), Counter()
-    for name in ("nf1", "nf2"):
-        nf = sim.nodes[name]
-        handle = nf.handle
+    # C2 is removed at 2.0, so its NF is read against the reclaim by a leave
+    # event; C1 is never removed, so its NF is crossed without an event. A
+    # capacity NF admits at the send either way.
+    for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6, nf_queue_limit=8)):
+        sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),), **nf))
+        assert sim.removed == {C2}
+        arrivals, leaves, left_bytes = Counter(), Counter(), Counter()
+        for name in ("nf1", "nf2"):
+            node = sim.nodes[name]
+            handle, depart = node.handle, node._depart
 
-        def counted(p, port, tags, now, name=name, handle=handle):
-            arrivals[name, tags] += 1
-            arrived_bytes[name] += p.size
-            handle(p, port, tags, now)
+            def arrived(p, port, tags, now, name=name, handle=handle):
+                arrivals[name, tags] += 1
+                handle(p, port, tags, now)
 
-        nf.handle = counted  # before any walk to it is compiled
-    stray = packet()._replace(session_id=10_000)
+            def left(p, port, tags, now, name=name, depart=depart):
+                leaves[name, tags] += 1
+                left_bytes[name] += p.size
+                depart(p, port, tags, now)
 
-    def send():
-        # two C1 tags: the switch before the NF pops one and leaves one
-        sim.result.injected_bytes += stray.size
-        sim.transmit("lb1", 1, stray, (C1.forward_tag, C1.forward_tag))
+            node.handle, node._depart = arrived, left  # before any walk to it is compiled
+        stray = packet()._replace(session_id=10_000)
 
-    schedule_after_handshake(sim, 3.0, send)
-    result = sim.run()
-    # every byte C2 carried went through an NF event, and only the stray
-    # did on C1, which carried traffic too
-    assert arrived_bytes["nf2"] == result.series.total_for(C2) > 0
-    assert arrived_bytes["nf1"] == stray.size < result.series.total_for(C1)
-    assert set(arrivals) == {("nf2", ()), ("nf1", (C1.forward_tag,))}
-    assert arrivals["nf1", (C1.forward_tag,)] == 1
-    arrived = 3.0
-    for _ in range(3):  # lb1 -> es1 -> cs1 -> nf1
-        arrived += 0.001
-    assert result.anomalies[0] == {"t": round(arrived, 6), "event": "anomaly",
-                                   "reason": "tagged packet reached an NF",
-                                   "session": stray.session_id}
-    # the tag left on it routes nowhere from the NF's far side
-    assert [a["reason"] for a in result.anomalies[1:]] == [
-        "no_route: no rule for ingress 3, tag 2"]
-    assert result.leftover_bytes == 0
+        def send(sim=sim, stray=stray):
+            # two C1 tags: the switch before the NF pops one and leaves one
+            sim.result.injected_bytes += stray.size
+            sim.transmit("lb1", 1, stray, (C1.forward_tag, C1.forward_tag))
+
+        schedule_after_handshake(sim, 3.0, send)
+        result = sim.run()
+        # every byte C2 carried went through a leave event, and only the
+        # stray did on C1, which carried traffic too; the stray alone
+        # arrived by an event
+        assert left_bytes["nf2"] == result.series.total_for(C2) > 0, nf
+        assert left_bytes["nf1"] == stray.size < result.series.total_for(C1), nf
+        assert set(leaves) == {("nf2", ()), ("nf1", (C1.forward_tag,))}, nf
+        assert arrivals == {("nf1", (C1.forward_tag,)): 1}, nf
+        arrived = 3.0
+        for _ in range(3):  # lb1 -> es1 -> cs1 -> nf1
+            arrived += 0.001
+        assert result.anomalies[0] == {"t": round(arrived, 6), "event": "anomaly",
+                                       "reason": "tagged packet reached an NF",
+                                       "session": stray.session_id}, nf
+        # the tag left on it routes nowhere from the NF's far side
+        assert [a["reason"] for a in result.anomalies[1:]] == [
+            "no_route: no rule for ingress 3, tag 2"], nf
+        assert result.leftover_bytes == 0, nf
 
 
 def test_packets_in_flight_to_a_reclaimed_chain_are_caught_at_the_nf():
@@ -678,6 +774,20 @@ def test_static_1_event_count_gate():
     result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
     assert result.packets == 20_800
     assert result.scheduled_events == 62_464
+
+
+CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "capacity-drain.yaml"
+
+
+def test_capacity_drain_event_count_gate():
+    # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1,
+    # so one chain is never removed): an NF crossing is admitted at the send;
+    # its leave takes one event on a removed chain and none on the kept one.
+    # An arrival and a departure event per crossing made 157,906.
+    result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
+    assert result.packets == 32_000
+    assert sum(1 for e in result.events if e["event"] == "drop") == 1_218
+    assert result.scheduled_events == 108_431
 
 
 def test_static_1_canonical_key_gate(monkeypatch):

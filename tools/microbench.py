@@ -27,6 +27,9 @@ Prints one JSON object of best-of-N timings:
   no-op handler), dispatches included, with at most 64 sends pending; this
   is the way from one balancer through a passthrough NF to the other that
   every mapped packet takes.
+- ``capacity_crossing_us``: the same send through a capacity NF (15 MB/s,
+  a 64-packet queue that the 64 pending sends fill without a drop, on a
+  chain no remove action names), until the slave gets the packet.
 - ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
   whole packet schedule of each ``bench/workloads`` profile at seed 1.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
@@ -44,6 +47,7 @@ never gate on them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -180,9 +184,9 @@ def main(argv=None) -> int:
     best = min(seconds(sends) for _ in range(args.repeat))
     out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
 
-    def crossing_sim():
+    def crossing_sim(**nf):
         # a fresh run per repetition keeps the sends' times within the horizon
-        sim = netsim.NetSim(cli.bundled_scenario("static-1"))
+        sim = netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
         sim.nodes["lb2"].handle = lambda packet, port, tags, now: None
         return sim
 
@@ -195,6 +199,10 @@ def main(argv=None) -> int:
 
     best = min(seconds(functools.partial(crossings, crossing_sim())) for _ in range(args.repeat))
     out["crossing_us"] = round(1e6 * best / (batches * pending), 3)
+    capacity = dict(nf_mode="capacity", nf_capacity=15e6, nf_queue_limit=pending)
+    best = min(seconds(functools.partial(crossings, crossing_sim(**capacity)))
+               for _ in range(args.repeat))
+    out["capacity_crossing_us"] = round(1e6 * best / (batches * pending), 3)
 
     counters = dict.fromkeys(chains, 0)
     sequence = [chains[i % len(chains)] for i in range(calls)]
