@@ -23,16 +23,21 @@ event per stateful hop instead of one per link. The link latency is still
 added once per link crossed, in order, so timestamps keep their float bits.
 Among events with the same timestamp, a packet's arrival at a stateful node
 is ordered by when it was sent: when it left the previous node it was an
-event at (for an NF crossed without one, the balancer before it).
+event at (for an NF crossed without one, the balancer before it). A planned
+packet's arrival at its first balancer is the exception (see below).
 
-A packet makes 3 events: its injection and its arrivals at the first and
-the second balancer. Its arrival at a host with an empty tag stack makes
-none: `NetSim.transmit` counts the packet's bytes as delivered when it sends
-the packet, if it arrives by the horizon (the test the loop's run applies to
-every event). Nor does its crossing of an NF, in either mode. Every walk
-into an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
-ones), so an NF gets packets in send order, and a balancer's walk is
-compiled through the NF to the other balancer. At the send, `transmit`
+A packet makes 2 events: its arrivals at the first and the second balancer.
+Its injection makes none: the walk from a host to its balancer is always the
+same, so the planned packet's one entry is its arrival at the balancer
+(`NetSim._push_arrival`): its planned time, or the handshake's end if that
+is later, plus the latency once per link. Its arrival at a host with an
+empty tag stack makes none either: `NetSim.transmit` counts the packet's
+bytes as delivered when it sends the packet, if it arrives by the horizon
+(the test the loop's run applies to every event). Nor does its crossing of
+an NF, in either mode. Every walk into an NF crosses 3 links from a
+balancer (`compile_walk` refuses unequal ones), so an NF gets packets in
+send order, and a balancer's walk is compiled through the NF to the other
+balancer. At the send, `transmit`
 takes the packet's departure from the NF: its arrival time for a
 passthrough NF, or what a capacity NF's `admit` gives, where a full queue
 drops it by an event at the arrival time, pushed then, in the arrival
@@ -52,13 +57,21 @@ leave that is the place the arrival event had; a removed capacity chain's
 leave and the arrival beyond an inline leave stand for entries pushed
 later, so only on an exact time tie can they run earlier.
 
+Same-instant rule for planned packets: an arrival at the first balancer
+takes its sequence number from `PLANNED_SEQ` up, in plan order, below every
+number the loop hands out, so it runs first at its instant. It is pushed
+only when the previous planned packet arrives, and arrival times rise in
+plan order, so no entry is ever pushed into the loop's past. A packet
+planned by the horizon whose arrival falls after it is counted injected
+and left over, as one sent within the run but never received.
+
 The per-packet path is kept to as few Python-level calls as it can be: each
-planned packet enters as one event, `NetSim.inject`, which sends it with an
-empty tag stack and pushes the next planned packet; `transmit` and `inject`
-push their heap entries themselves, with the loop's one sequence counter,
-instead of calling `EventLoop.schedule`; `transmit` books a crossed NF
-inline; the balancer nodes push and pop by building the next tuple; and
-chain identities (`ChainId`) hash and compare in C.
+planned packet enters as one event, `NetSim.inject`, which pushes the next
+planned packet's arrival and calls its balancer's `handle`; `transmit` and
+`inject` push their heap entries themselves (`transmit` with the loop's one
+sequence counter) instead of calling `EventLoop.schedule`; `transmit` books
+a crossed NF inline; the balancer nodes push and pop by building the next
+tuple; and chain identities (`ChainId`) hash and compare in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -72,6 +85,7 @@ generator, so a (scenario, seed) pair always produces the same run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,6 +100,10 @@ from .errors import NeverConverged, NoRoute
 from .hashing import ChainId
 from .scenario import Scenario
 from .traffic import PlannedPacket, generate_traffic
+
+# the heap sequence number of the first planned packet's arrival at its
+# balancer; the next ones count up from it, below every one the loop hands out
+PLANNED_SEQ = -2**62
 
 # -- tag routing ----------------------------------------------------------------
 
@@ -427,6 +445,7 @@ class NetSim:
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
+        self._plan_seq = PLANNED_SEQ  # the next planned arrival's sequence number
 
         self._build_control()
         self._build_topology(pairs)
@@ -595,22 +614,45 @@ class NetSim:
             except NoRoute as exc:
                 return Walk(Unroutable(self, node, f"no_route: {exc}").handle, None, tags, hops)
 
-    def inject(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
-        """Send one planned packet from its host, then push the next.
+    def inject(self, packet: PlannedPacket, at: float, rest: Iterator[PlannedPacket]):
+        """A planned packet arrives at its first balancer: push the next
+        planned packet's arrival, then hand this one to the balancer.
 
-        This is the injection event itself: `rest` iterates over the planned
-        packets still to come, in injection order.
+        This is the planned packet's one heap entry before the balancer
+        sends it on; `rest` iterates over the planned packets still to
+        come, in plan order.
         """
         result = self.result
         result.injected_bytes += packet.size
         result.packets += 1
-        self.transmit("server" if packet.reverse else "client", 1, packet, ())
         nxt = next(rest, None)
         if nxt is not None:
-            loop = self.loop
-            seq = loop._seq
-            loop._seq = seq + 1
-            heappush(loop._heap, (nxt.time, seq, self.inject, (nxt, rest)))
+            # _push_arrival inline, a Python call less per packet
+            arrival = nxt.time
+            if arrival < self._start:
+                arrival = self._start
+            for latency in self._first_hop[nxt.reverse][3]:
+                arrival += latency
+            if arrival <= self.horizon:
+                seq = self._plan_seq
+                self._plan_seq = seq + 1
+                heappush(self.loop._heap, (arrival, seq, self.inject, (nxt, arrival, rest)))
+            else:
+                self._sent_after_horizon(nxt, rest)
+        handle, port, tags, _ = self._first_hop[packet.reverse]
+        handle(packet, port, tags, at)
+
+    def _sent_after_horizon(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
+        """`packet` reaches its balancer after the horizon, and so does every
+        later planned packet: none gets an entry. Those planned by the
+        horizon were sent within the run, so they count as injected, and
+        are left over."""
+        result = self.result
+        for p in itertools.chain((packet,), rest):
+            if p.time > self.horizon:
+                break
+            result.injected_bytes += p.size
+            result.packets += 1
 
     def record(self, event: str, now: float, **fields) -> dict:
         """Append one events.jsonl entry: t, event, then fields in call order."""
@@ -741,10 +783,40 @@ class NetSim:
             self.loop.schedule(nxt, self._stats_poll)
 
     def _schedule_injections(self, packets):
+        """Push the first planned packet's arrival at its balancer; each
+        arrival pushes the next (`inject`). Called once the handshake is
+        done: no packet is sent before it ends."""
+        self._start = self.loop.now
+        first_hop = []
+        for host in ("client", "server"):
+            key = (host, 1, ())
+            walk = self.walks.get(key)
+            if walk is None:
+                walk = self.walks[key] = self.compile_walk(*key)
+            # the balancer's handle, port and tags, and one latency per link
+            first_hop.append((walk.handle, walk.port, walk.tags, (self.latency,) * walk.hops))
+        self._first_hop = tuple(first_hop)  # indexed by PlannedPacket.reverse
         rest = iter(packets)
         first = next(rest, None)
         if first is not None:
-            self.loop.schedule(first.time, self.inject, first, rest)
+            self._push_arrival(first, rest)
+
+    def _push_arrival(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
+        """Push a planned packet's arrival at its first balancer: sent at its
+        planned time, or when the handshake ended if that is later, then one
+        latency per link of its host's walk (never hops * latency, so the
+        time has the float bits of a send from the host)."""
+        at = packet.time
+        if at < self._start:
+            at = self._start
+        for latency in self._first_hop[packet.reverse][3]:
+            at += latency
+        if at > self.horizon:
+            self._sent_after_horizon(packet, rest)
+            return
+        seq = self._plan_seq
+        self._plan_seq = seq + 1
+        heappush(self.loop._heap, (at, seq, self.inject, (packet, at, rest)))
 
     def _sweep(self):
         now = self.loop.now
@@ -816,7 +888,7 @@ class NetSim:
                      "session": sid}
                 )
         result.message_trace = self.transport.trace
-        result.scheduled_events = self.loop._seq
+        result.scheduled_events = self.loop._seq + self._plan_seq - PLANNED_SEQ
         return result
 
 

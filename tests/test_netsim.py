@@ -615,6 +615,116 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order()
         assert result.clean
 
 
+def with_plan(sim, plan_for):
+    """Hand run() the planned packets `plan_for(packets, start)` returns
+    instead of the scenario's, where `start` is when the handshake ended."""
+    schedule_injections = sim._schedule_injections
+    sim._schedule_injections = lambda packets: schedule_injections(
+        plan_for(packets, sim.loop.now))
+
+
+def first_hop_arrivals(sim):
+    """(packet, time) of every untagged arrival at either balancer, in order."""
+    arrivals = []
+    for name in ("lb1", "lb2"):
+        node = sim.nodes[name]
+
+        def seen(p, port, tags, now, handle=node.handle):
+            if not tags:
+                arrivals.append((p, now))
+            handle(p, port, tags, now)
+
+        node.handle = seen  # before the walks to the balancers are compiled
+    return arrivals
+
+
+def test_planned_arrival_runs_before_a_callback_at_its_instant():
+    # the callback is pushed before the run sends any packet, and the planned
+    # packet's arrival only when the packet planned before it arrives; the
+    # arrival still runs first
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+    arrivals = first_hop_arrivals(sim)
+    targets = []
+
+    def plan_for(packets, start):
+        target = next(p for p in packets[10:] if not p.reverse)
+        arrival = max(target.time, start)
+        for _ in range(2):  # client -> es1 -> lb1
+            arrival += 0.0013
+        sim.loop.schedule(arrival, lambda: arrivals.append(("control", sim.loop.now)))
+        targets.append((target, arrival))
+        return packets
+
+    with_plan(sim, plan_for)
+    result = sim.run()
+    (target, arrival), = targets
+    assert arrivals.index((target, arrival)) < arrivals.index(("control", arrival))
+    assert result.clean
+
+
+def test_stats_request_at_a_planned_arrival_counts_the_packet_in_the_closing_window():
+    # the first poll (0.5 s) reaches the master at 0.625 and the master's
+    # stats_request the slave at 0.75, where the slave closes its window. A
+    # reverse packet planned at 0.6875 reaches the slave at 0.6875 + 2 *
+    # 0.03125 == 0.75 too: its entry is pushed after the request's, and it
+    # still runs first, so the closing window counts its bytes
+    sim = netsim.NetSim(small_scenario(link_latency=0.03125, control_latency=0.125,
+                                       window_length=1.0))
+    stray = packet()._replace(time=0.6875, reverse=True)
+    arrivals = first_hop_arrivals(sim)
+    with_plan(sim, lambda packets, start: [stray])
+    result = sim.run()
+    assert arrivals == [(stray, 0.75)]
+    stats = [e for e in result.events if e["event"] == "stats"]
+    assert sum(n for _, n in stats[0]["bytes"]) == stray.size
+    assert sum(n for e in stats[1:] for _, n in e["bytes"]) == 0
+    assert result.clean
+
+
+def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it():
+    # sessions start every millisecond and the handshake takes four control
+    # hops (0.004 s): the packets planned before it ends are sent when it
+    # ends, and reach the master one latency per link later, in plan order
+    traffic = TrafficProfile(sessions=20, rate=1000.0, bytes_per_session=30_000,
+                             packet_size=3000, duration_jitter=0.4)
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013, traffic=traffic))
+    arrivals = first_hop_arrivals(sim)
+    starts = []
+    with_plan(sim, lambda packets, start: starts.append(start) or packets)
+    result = sim.run()
+    start = starts[0]
+    assert start == 0.004
+    early = [(p, now) for p, now in arrivals if p.time < start]
+    assert [p.session_id for p, _ in early] == [0, 1, 2, 3]
+    assert {now for _, now in early} == {(start + 0.0013) + 0.0013}
+    assert result.clean
+
+
+@pytest.mark.parametrize("with_traffic", [True, False])
+def test_planned_packets_at_the_horizon(with_traffic):
+    # 0.25 s links, 15 s horizon. Planned at 14.5, a packet reaches the
+    # master at the horizon and is handled; planned at 14.75 or at 15.0, it
+    # was sent within the run but reaches the master after it: injected, and
+    # left over. One planned after 15.0 was never sent. Without the traffic,
+    # the first planned packet is the one that arrives late.
+    scenario = small_scenario(link_latency=0.25, horizon=15.0)
+    base = netsim.run(scenario)
+    base_packets, base_bytes = (base.packets, base.injected_bytes) if with_traffic else (0, 0)
+    sim = netsim.NetSim(scenario)
+    times = (14.5, 14.75, 15.0, math.nextafter(15.0, math.inf))[0 if with_traffic else 1:]
+    late = [packet()._replace(time=t, session_id=10_000 + i) for i, t in enumerate(times)]
+    arrivals = first_hop_arrivals(sim)
+    with_plan(sim, lambda packets, start: (packets if with_traffic else []) + late)
+    result = sim.run()
+    handled = [p for p, _ in arrivals if p.session_id >= 10_000]
+    assert handled == (late[:1] if with_traffic else [])
+    sent = len(times) - 1
+    assert result.packets == base_packets + sent
+    assert result.injected_bytes == base_bytes + sent * 100
+    assert result.leftover_bytes == sent * 100
+    assert not result.anomalies
+
+
 def horizon_run(sent_at, tags=()):
     """A run that sends one stray packet from the slave to the server at
     sent_at, over two 0.25 s links, with a 15 s horizon."""
@@ -767,13 +877,15 @@ def test_failed_action_records_sessionless_anomaly():
 
 
 def test_static_1_event_count_gate():
-    # heap entries: 3 per packet (injection, master, slave) plus the control
-    # plane; neither a clean arrival at a host nor a passthrough NF crossing
-    # takes one. 4 per packet made 83,264, one event per stateful hop 104,064
-    # and per-link scheduling 228,864. Tighten this when the count drops.
+    # heap entries: 2 per packet (its arrivals at the master and the slave)
+    # plus 64 of the control plane; neither the injection, a clean arrival at
+    # a host nor a passthrough NF crossing takes one. 3 per packet (an
+    # injection event too) made 62,464, 4 per packet 83,264, one event per
+    # stateful hop 104,064 and per-link scheduling 228,864. Tighten this when
+    # the count drops.
     result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
     assert result.packets == 20_800
-    assert result.scheduled_events == 62_464
+    assert result.scheduled_events == 2 * 20_800 + 64 == 41_664
 
 
 CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "capacity-drain.yaml"
@@ -782,12 +894,14 @@ CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" 
 def test_capacity_drain_event_count_gate():
     # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1,
     # so one chain is never removed): an NF crossing is admitted at the send;
-    # its leave takes one event on a removed chain and none on the kept one.
-    # An arrival and a departure event per crossing made 157,906.
+    # its leave takes one event on a removed chain and none on the kept one,
+    # and the packet's injection is its arrival at the first balancer. An
+    # injection event per packet made 108,431, and an arrival and a departure
+    # event per crossing 157,906.
     result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
     assert result.packets == 32_000
     assert sum(1 for e in result.events if e["event"] == "drop") == 1_218
-    assert result.scheduled_events == 108_431
+    assert result.scheduled_events == 76_431
 
 
 def test_static_1_canonical_key_gate(monkeypatch):
@@ -819,7 +933,9 @@ def test_static_1_python_calls_per_packet_gate():
     # planned packet with a tag tuple made 21.93 (21.97 with the one event
     # writer). A data path that pushes its heap entries itself, counts clean
     # host arrivals when sent and books a passthrough NF inline made 12.97;
-    # compiling the balancer's send through the NF makes 10.97.
+    # compiling the balancer's send through the NF made 10.97, and a planned
+    # packet whose injection is its arrival at the first balancer (no send
+    # from the host) makes 9.97.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -839,7 +955,7 @@ def test_static_1_python_calls_per_packet_gate():
         sys.setprofile(None)
     assert result.packets == 20_800
     assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
-    assert calls.total() <= 11 * result.packets
+    assert calls.total() <= 10 * result.packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

@@ -18,10 +18,17 @@ Prints one JSON object of best-of-N timings:
 - ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
   no-op callback, with at most 64 events pending, as in the simulator.
 - ``transmit_us``: one data-path send, ``NetSim.transmit`` from the client
-  to the first balancer over a compiled walk, plus the dispatch of its
-  arrival to a no-op handler, with at most 64 sends pending; this is how
-  the simulator schedules packets, while ``event_dispatch_us`` is how its
-  control plane does.
+  to the first balancer over a compiled two-link walk, plus the dispatch of
+  its arrival to a no-op handler, with at most 64 sends pending. It times
+  the push and dispatch that every balancer's send makes; a planned packet
+  takes no such send (see ``injection_us``), and the control plane
+  schedules by ``event_dispatch_us``.
+- ``injection_us``: one planned packet from its heap entry to its
+  balancer's handler (a no-op), the next planned packet's arrival pushed
+  on the way, in batches of 64 planned packets handed to
+  ``NetSim._schedule_injections``; this is how the simulator brings in its
+  traffic plan. On a checkout where the injection is an event of its own,
+  the same call times that event, its send and the arrival's dispatch.
 - ``crossing_us``: one send from the master with a chain's forward tag,
   ``NetSim.transmit`` from ``lb1``, until the slave gets the packet (a
   no-op handler), dispatches included, with at most 64 sends pending; this
@@ -183,6 +190,29 @@ def main(argv=None) -> int:
 
     best = min(seconds(sends) for _ in range(args.repeat))
     out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
+
+    def injection_sim():
+        # a fresh simulator per repetition, with no-op balancers, and the
+        # plans built beforehand: 10 ms apart, so each batch is planned after
+        # the last arrival of the one before and none is sent late
+        sim = netsim.NetSim(cli.bundled_scenario("static-1"))
+        for name in ("lb1", "lb2"):
+            sim.nodes[name].handle = lambda packet, port, tags, now: None
+        plans = [
+            [planned._replace(time=b * 0.01 + i * 1e-6, reverse=bool(i & 1))
+             for i in range(pending)]
+            for b in range(batches)
+        ]
+        return sim, plans
+
+    def injections(sim, plans):
+        for plan in plans:
+            sim._schedule_injections(plan)
+            sim.loop.run()
+
+    best = min(seconds(functools.partial(injections, *injection_sim()))
+               for _ in range(args.repeat))
+    out["injection_us"] = round(1e6 * best / (batches * pending), 3)
 
     def crossing_sim(**nf):
         # a fresh run per repetition keeps the sends' times within the horizon
