@@ -1,7 +1,7 @@
 """Command-line front end: run scenario files, reports, and the bundled suite.
 
-Exit codes: 0 when the run finished with zero invariant violations and zero
-routing anomalies, 1 otherwise, 2 for unusable input.
+Exit codes: 0 when the run finished with zero invariant violations, 1
+otherwise, 2 for unusable input.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ A packet crosses an NF without an arrival event: the one entry its crossing
 makes (the arrival at the other balancer after an inline leave, a queue
 drop, or the leave event on a removed chain) is created when it leaves the
 first balancer, so among entries with its timestamp it takes the place of
-that moment. Only a packet that reaches a capacity NF still tagged has its
-departure scheduled with `schedule`. `_seq` is therefore the number of
-entries ever pushed, planned arrivals aside.
+that moment. `schedule` and the data path take their `seq` from `_seq`
+alike, so it is the number of entries ever pushed, planned arrivals aside.
 
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`

@@ -17,10 +17,14 @@ it from event to event, outermost tag last.
 
 Switches hold no state: a packet's path through them depends only on where
 it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
-walks are compiled once, by following the switches' `TagRouter` rules with
-`route()`, into a table keyed on (node, port, tags), so each packet costs one
-event per stateful hop instead of one per link. The link latency is still
-added once per link crossed, in order, so timestamps keep their float bits.
+walks form a finite set known when the topology is wired: a balancer only
+pushes the tag of a declared chain. So `NetSim` compiles every one of them
+when it is built, by following the switches' `TagRouter` rules with
+`route()`, into a table keyed on (node, port, tags), and refuses a miswired
+topology there (`NoRoute`): a missing rule, or a walk that ends still tagged
+at a host or an NF. Each packet costs one event per stateful hop instead of
+one per link. The link latency is still added once per link crossed, in
+order, so timestamps keep their float bits.
 Among events with the same timestamp, a packet's arrival at a stateful node
 is ordered by when it was sent: when it left the previous node it was an
 event at (for an NF crossed without one, the balancer before it). A planned
@@ -45,10 +49,7 @@ event's place. The leave (series second, last packet, the session's chains)
 is booked inline at the departure time, and the arrival beyond pushed from
 it, except on a chain that a remove action names: the reclaim is the one
 thing the leave reads that changes with time, so there it is a `_depart`
-event at the departure time. A packet that reaches an NF or a host still
-tagged is an arrival event, whose anomaly is recorded at arrival time. No
-scenario makes one at an NF (a balancer sends one tag; the chain's switch
-pops it); a capacity NF queues it on arrival, behind packets sent after it.
+event at the departure time.
 
 Same-instant rule: a departure at exactly an arrival's instant frees its
 queue slot first. Entries pushed at the send take that moment's place among
@@ -104,6 +105,9 @@ from .traffic import PlannedPacket, generate_traffic
 # the heap sequence number of the first planned packet's arrival at its
 # balancer; the next ones count up from it, below every one the loop hands out
 PLANNED_SEQ = -2**62
+# the traffic endpoints, in PlannedPacket.reverse order; no node object
+# stands for them, since their arrivals are counted at the send
+HOSTS = ("client", "server")
 
 # -- tag routing ----------------------------------------------------------------
 
@@ -241,8 +245,7 @@ class NfInstance:
     Capacity mode is a byte token bucket: each packet occupies the output for
     size/capacity seconds, so the sustained forwarded rate cannot exceed the
     configured capacity. Packets beyond the queue limit are dropped.
-    `NetSim.transmit` calls `admit` at the balancer's send; `handle` is an
-    arrival event, for a packet that reaches the NF still tagged.
+    `NetSim.transmit` calls `admit` at the balancer's send.
     """
 
     def __init__(self, name, chain, sim, mode="passthrough", capacity=0.0, queue_limit=0):
@@ -270,48 +273,20 @@ class NfInstance:
         departures.append(departure)
         return departure
 
-    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
-        """The packet arrives now, by an event: admitted now, not at its send."""
-        sim = self.sim
-        if tags:
-            sim.violation("tagged packet reached an NF", packet.session_id, now)
-        out_port = far_port(port)
-        if self.mode == "passthrough":
-            self._depart(packet, out_port, tags, now)
-            return
-        departure = self.admit(packet, now)
-        if departure is None:
-            sim.drop(packet, "queue_overflow", self.name, now)
-            return
-        sim.loop.schedule(departure, self._depart, packet, out_port, tags, departure)
-
     def _depart(self, packet: PlannedPacket, out_port: int, tags: tuple[int, ...], now: float):
         """The packet leaves now: book it, checked against the reclaim, and send it on."""
         self.sim.note_nf(self.chain, packet, now)
         self.sim.transmit(self.name, out_port, packet, tags)
 
 
-class Unroutable:
-    """End of a walk that no switch rule matches: the packet drops at that switch."""
-
-    def __init__(self, sim, switch: str, reason: str):
-        self.sim = sim
-        self.switch = switch
-        self.reason = reason
-
-    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
-        self.sim.drop(packet, self.reason, self.switch, now)
-
-
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    # the handler pushed at the walk's end: a stateful node's (or an
-    # Unroutable's) bound `handle`, or an untagged NF's `_depart` on a removed
-    # chain; None for a host reached untagged, whose arrival needs no event,
-    # and for an NF left inline, which goes on by `onward`
+    # the handler pushed at the walk's end: a balancer's bound `handle`, or
+    # an NF's `_depart` on a removed chain; None for a host, whose arrival
+    # needs no event, and for an NF left inline, which goes on by `onward`
     handle: object
-    port: int | None  # the target's ingress port (`_depart`'s far port); None for an Unroutable
+    port: int  # the target's ingress port (`_depart`'s far port)
     tags: tuple[int, ...]  # the tag stack on arrival
     hops: int  # links crossed
     # the NF this walk reaches untagged, and if left inline, its own walk on
@@ -320,30 +295,13 @@ class Walk(NamedTuple):
     admit: object = None  # a capacity NF's bound `admit`, called at the send
 
 
-class HostNode:
-    """Traffic endpoint; counts what finally arrives.
-
-    Only a tagged arrival reaches `handle`; `NetSim.transmit` counts an
-    untagged one without an event.
-    """
-
-    def __init__(self, name, sim):
-        self.name = name
-        self.sim = sim
-
-    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
-        if tags:
-            self.sim.violation("tagged packet delivered to a host", packet.session_id, now)
-        self.sim.result.delivered_bytes += packet.size
-
-
 class BalancerNode:
     """Network adapter around one balancer.
 
-    Untagged packets are new work: map the session, push the chain's tag and
-    hand the packet back to the switch. Tagged packets already crossed the
-    other balancer; strip the tag (the master also reconciles its table with
-    the observed chain) and pass them along.
+    A packet without a tag is new work: map the session, push the chain's
+    tag and hand the packet back to the switch. One with a tag already
+    crossed the other balancer; strip the tag (the master also reconciles
+    its table with the observed chain) and pass it along.
     """
 
     def __init__(self, name, agent, sim, is_master: bool):
@@ -354,16 +312,8 @@ class BalancerNode:
 
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
         if tags:
-            tag = tags[-1]
-            chain = (
-                self.sim.chain_by_reverse.get(tag)
-                if self.is_master
-                else self.sim.chain_by_forward.get(tag)
-            )
-            if chain is None:
-                self.sim.drop(packet, f"unknown tag {tag}", self.name, now)
-                return
             if self.is_master:
+                chain = self.sim.chain_by_reverse[tags[-1]]
                 held = self.agent.balancer.reconcile(packet.key, chain, now)
                 if held is not None and held != chain:
                     self.sim.note_reconcile(packet, held, chain, now)
@@ -432,13 +382,11 @@ class NetSim:
         self.loop = EventLoop()
         self.nodes: dict[str, object] = {}
         self.links: dict[tuple[str, int], tuple[str, int]] = {}
-        self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {}
         self.nf_hops: dict[str, int] = {}  # links crossed by every walk into each NF
         self.latency = scenario.link_latency
         self.horizon = scenario.horizon
 
         pairs = scenario.all_pairs()
-        self.chain_by_forward = {c.forward_tag: c for c in pairs}
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
         # chains whose NF leaves are events, to be checked against the reclaim
         self.removed = {a.pair for a in scenario.actions if a.op == "remove"}
@@ -449,6 +397,7 @@ class NetSim:
 
         self._build_control()
         self._build_topology(pairs)
+        self._compile_walks(pairs)
 
     # -- construction
 
@@ -476,8 +425,6 @@ class NetSim:
             es2.add(4, chain.reverse_tag, 4 + i)
             es2.add(4 + i, chain.forward_tag, 3)
 
-        self.nodes["client"] = HostNode("client", self)
-        self.nodes["server"] = HostNode("server", self)
         self.nodes["es1"] = es1
         self.nodes["es2"] = es2
         self.nodes["lb1"] = BalancerNode("lb1", self.master_agent, self, is_master=True)
@@ -514,6 +461,28 @@ class NetSim:
         self._wire(a, pa, b, pb)
         self._wire(b, pb, a, pa)
 
+    def _compile_walks(self, pairs):
+        """Compile every walk a run can take; a miswired topology raises here.
+
+        A host sends untagged, and so does a balancer that pops the tag; a
+        balancer that maps pushes a tag of a chain in `pairs`. An NF sends
+        only its leave events, on a chain that a remove action names.
+        """
+        keys = [(node, 1, ()) for node in (*HOSTS, "lb1", "lb2")]
+        keys += [("lb1", 1, (c.forward_tag,)) for c in pairs]
+        keys += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
+        keys += [(name, port, ()) for name, nf in self.nodes.items()
+                 if isinstance(nf, NfInstance) and nf.chain in self.removed for port in (1, 2)]
+        self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {
+            key: self.compile_walk(*key) for key in keys
+        }
+        # per host, indexed by PlannedPacket.reverse: the balancer's handle,
+        # port and tags, and one latency per link
+        self._first_hop = tuple(
+            (walk.handle, walk.port, walk.tags, (self.latency,) * walk.hops)
+            for walk in (self.walks[(host, 1, ())] for host in HOSTS)
+        )
+
     # -- data plane plumbing
 
     def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
@@ -522,11 +491,7 @@ class NetSim:
         left. An NF reached untagged is crossed here: a capacity NF admits
         the packet now, then the leave is booked inline and the arrival
         beyond pushed, or on a removed chain the leave is pushed."""
-        key = (node, port, tags)
-        walk = self.walks.get(key)
-        if walk is None:
-            walk = self.walks[key] = self.compile_walk(*key)
-        handle, in_port, tags, hops, nf, onward, admit = walk
+        handle, in_port, tags, hops, nf, onward, admit = self.walks[(node, port, tags)]
         loop = self.loop
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
@@ -543,7 +508,7 @@ class NetSim:
                 # event had: it is pushed now, at the send, as that was
                 seq = loop._seq
                 loop._seq = seq + 1
-                heappush(loop._heap, (at, seq, self.drop, (packet, "queue_overflow", nf.name, at)))
+                heappush(loop._heap, (at, seq, self.drop, (packet, nf.name, at)))
                 return
             at = departure
         if handle is None:
@@ -577,42 +542,41 @@ class NetSim:
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port.
 
-        Only a balancer's walk reaches an NF untagged, and it goes on through
-        the NF. Every walk into one NF must cross the same number of links
-        (3 from a balancer: its edge switch, the chain's switch, the NF), so
-        the NF gets packets in the order the balancers send them, and a
-        capacity NF can admit each at its send. The NF's leave is booked
-        inline unless a remove action names its chain: the reclaim is the
-        one thing it reads whose value depends on when the run gets to it,
-        so there `_depart` is an event at the leave.
+        Raises NoRoute where no rule matches, and where the walk ends still
+        tagged at a host or an NF. Only a balancer's walk reaches an NF, and
+        it goes on through the NF. Every walk into one NF must cross the same
+        number of links (3 from a balancer: its edge switch, the chain's
+        switch, the NF), so the NF gets packets in the order the balancers
+        send them, and a capacity NF can admit each at its send. The NF's
+        leave is booked inline unless a remove action names its chain: the
+        reclaim is the one thing it reads whose value depends on when the
+        run gets to it, so there `_depart` is an event at the leave.
         """
         hops = 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
-            reached = self.nodes[node]
-            if isinstance(reached, NfInstance):
-                known = self.nf_hops.setdefault(node, hops)
-                if hops != known:
-                    raise RuntimeError(
-                        f"walks into {node} cross {known} and {hops} links; "
-                        "an NF admits in send order only if all cross the same number"
-                    )
-                if not tags:
-                    admit = None if reached.mode == "passthrough" else reached.admit
-                    if reached.chain in self.removed:
-                        return Walk(reached._depart, far_port(port), tags, hops, reached,
-                                    None, admit)
-                    onward = self.compile_walk(node, far_port(port), tags)
-                    return Walk(None, port, tags, hops, reached, onward, admit)
-            elif not tags and isinstance(reached, HostNode):
-                return Walk(None, port, tags, hops)
-            if not isinstance(reached, TagRouter):
-                return Walk(reached.handle, port, tags, hops)
-            try:
+            reached = self.nodes.get(node)  # None for a host
+            if isinstance(reached, TagRouter):
                 port, tags = route(reached, port, tags)
-            except NoRoute as exc:
-                return Walk(Unroutable(self, node, f"no_route: {exc}").handle, None, tags, hops)
+                continue
+            if isinstance(reached, BalancerNode):
+                return Walk(reached.handle, port, tags, hops)
+            if tags:
+                raise NoRoute(f"a walk ends at {node} with tags {list(tags)} left")
+            if reached is None:
+                return Walk(None, port, tags, hops)
+            known = self.nf_hops.setdefault(node, hops)
+            if hops != known:
+                raise RuntimeError(
+                    f"walks into {node} cross {known} and {hops} links; "
+                    "an NF admits in send order only if all cross the same number"
+                )
+            admit = None if reached.mode == "passthrough" else reached.admit
+            if reached.chain in self.removed:
+                return Walk(reached._depart, far_port(port), tags, hops, reached, None, admit)
+            onward = self.compile_walk(node, far_port(port), tags)
+            return Walk(None, port, tags, hops, reached, onward, admit)
 
     def inject(self, packet: PlannedPacket, at: float, rest: Iterator[PlannedPacket]):
         """A planned packet arrives at its first balancer: push the next
@@ -660,12 +624,10 @@ class NetSim:
         self.result.events.append(entry)
         return entry
 
-    def drop(self, packet: PlannedPacket, reason: str, where: str, now: float):
+    def drop(self, packet: PlannedPacket, nf: str, now: float):
+        """A full queue at the named NF drops the packet."""
         self.result.dropped_bytes += packet.size
-        kind = "drop" if reason == "queue_overflow" else "anomaly"
-        entry = self.record(kind, now, reason=reason, node=where, session=packet.session_id)
-        if kind == "anomaly":
-            self.result.anomalies.append(entry)
+        self.record("drop", now, reason="queue_overflow", node=nf, session=packet.session_id)
 
     def violation(self, what: str, session_id: int, now: float):
         """Record an invariant violation; session -1 means no session."""
@@ -787,15 +749,6 @@ class NetSim:
         arrival pushes the next (`inject`). Called once the handshake is
         done: no packet is sent before it ends."""
         self._start = self.loop.now
-        first_hop = []
-        for host in ("client", "server"):
-            key = (host, 1, ())
-            walk = self.walks.get(key)
-            if walk is None:
-                walk = self.walks[key] = self.compile_walk(*key)
-            # the balancer's handle, port and tags, and one latency per link
-            first_hop.append((walk.handle, walk.port, walk.tags, (self.latency,) * walk.hops))
-        self._first_hop = tuple(first_hop)  # indexed by PlannedPacket.reverse
         rest = iter(packets)
         first = next(rest, None)
         if first is not None:

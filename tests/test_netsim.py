@@ -17,7 +17,6 @@ from chainbalance.netsim import (
     NfInstance,
     TagRouter,
     far_port,
-    Unroutable,
     ThroughputSeries,
     measure_convergence,
     measure_drain,
@@ -119,36 +118,13 @@ def test_pop_rule_must_match_a_tag():
         TagRouter().add(1, None, 2, "pop")
 
 
-# -- NF surrogate
-
-
-class _StubSim:
-    def __init__(self):
-        self.loop = EventLoop()
-        self.forwarded = []
-        self.drops = []
-
-    def note_nf(self, chain, p, now):
-        self.forwarded.append((now, p.size))
-
-    def transmit(self, name, port, p, tags):
-        pass
-
-    def drop(self, p, reason, where, now):
-        self.drops.append((now, reason))
-
-    def violation(self, what, session_id, now):
-        raise AssertionError(what)
+# -- NF admission
 
 
 def test_nf_token_bucket_timing():
-    sim = _StubSim()
-    nf = NfInstance("nf", C1, sim, mode="capacity", capacity=100.0)
-    for _ in range(10):
-        nf.handle(packet(), 1, (), 0.0)
-    sim.loop.run()
-    departures = [t for t, _ in sim.forwarded]
-    assert len(departures) == 10
+    nf = NfInstance("nf", C1, None, mode="capacity", capacity=100.0)
+    departures = [nf.admit(packet(), 0.0) for _ in range(10)]
+    assert None not in departures
     assert departures[-1] == pytest.approx(10.0)
     assert departures[0] == pytest.approx(1.0)
 
@@ -178,21 +154,15 @@ def test_nf_passthrough_zero_delay():
 
 
 def test_nf_below_capacity_no_queueing():
-    sim = _StubSim()
-    nf = NfInstance("nf", C1, sim, mode="capacity", capacity=10_000.0)
-    nf.handle(packet(), 1, (), 0.0)
-    sim.loop.run()
-    assert sim.forwarded[0][0] == pytest.approx(100 / 10_000.0)
+    nf = NfInstance("nf", C1, None, mode="capacity", capacity=10_000.0)
+    assert nf.admit(packet(), 0.0) == pytest.approx(100 / 10_000.0)
 
 
 def test_nf_queue_overflow_drops():
-    sim = _StubSim()
-    nf = NfInstance("nf", C1, sim, mode="capacity", capacity=100.0, queue_limit=3)
-    for _ in range(5):
-        nf.handle(packet(), 1, (), 0.0)
-    assert len(sim.drops) == 2
-    sim.loop.run()
-    assert len(sim.forwarded) == 3
+    nf = NfInstance("nf", C1, None, mode="capacity", capacity=100.0, queue_limit=3)
+    departures = [nf.admit(packet(), 0.0) for _ in range(5)]
+    assert departures.count(None) == 2
+    assert departures[:3] == pytest.approx([1.0, 2.0, 3.0])
 
 
 def reference_admission(arrivals, capacity, queue_limit):
@@ -429,42 +399,43 @@ def test_stats_polls_conserve_mapped_bytes():
 
 def hop_by_hop(sim, node, port, tags):
     """Reference walk: one link and one route() call at a time, as a packet
-    crossing the switches would see it."""
+    crossing the switches would see it. Returns the node reached (None for
+    a host), its name, ingress port, tag stack and links crossed, or the
+    reason a miswired topology is refused."""
     hops = 0
     while True:
         node, port = sim.links[(node, port)]
         hops += 1
-        switch = sim.nodes[node]
+        switch = sim.nodes.get(node)
         if not isinstance(switch, TagRouter):
-            return switch, port, tags, hops, None
+            break
         try:
             port, tags = route(switch, port, tags)
         except NoRoute as exc:
-            return node, None, tags, hops, f"no_route: {exc}"
+            return str(exc)
+    if tags and not isinstance(switch, netsim.BalancerNode):
+        return f"a walk ends at {node} with tags {list(tags)} left"
+    return switch, node, port, tags, hops
 
 
 def walk_keys(sim):
-    """Every (stateful node, egress port, tag stack) a packet can leave by,
+    """Every (stateful node, egress port, tag stack) a packet could leave by,
     including tags no rule knows."""
-    tags = [()] + [(t,) for c in sim.chain_by_forward.values()
+    tags = [()] + [(t,) for c in sim.scenario.all_pairs()
                    for t in (c.forward_tag, c.reverse_tag)] + [(99,)]
     return {
         (node, port, t)
         for (node, port) in sim.links
-        if not isinstance(sim.nodes[node], TagRouter)
+        if not isinstance(sim.nodes.get(node), TagRouter)
         for t in tags
     }
 
 
 def assert_walk_matches_hop_by_hop(sim, key, walk):
-    target, port, tags, hops, reason = hop_by_hop(sim, *key)
-    if reason is not None:
-        unroutable = walk.handle.__self__
-        assert isinstance(unroutable, Unroutable), key
-        assert (unroutable.switch, unroutable.reason) == (target, reason), key
-    elif isinstance(target, netsim.HostNode) and not tags:
-        assert (walk.handle, walk.port) == (None, port), key  # no event
-    elif isinstance(target, NfInstance) and not tags:
+    target, name, port, tags, hops = hop_by_hop(sim, *key)
+    if target is None:
+        assert (walk.handle, walk.port) == (None, port), key  # a host: no event
+    elif isinstance(target, NfInstance):
         # the NF is crossed: a capacity NF admits at the send, and the leave
         # is an event only on a chain that a remove action names
         admit = None if target.mode == "passthrough" else target.admit
@@ -474,12 +445,24 @@ def assert_walk_matches_hop_by_hop(sim, key, walk):
                 target._depart, far_port(port), None), key
         else:
             assert (walk.handle, walk.port) == (None, port), key
-            assert_walk_matches_hop_by_hop(sim, (target.name, far_port(port), ()), walk.onward)
+            assert_walk_matches_hop_by_hop(sim, (name, far_port(port), ()), walk.onward)
     else:
         assert (walk.handle, walk.port) == (target.handle, port), key
     if walk.nf is None:
         assert (walk.onward, walk.admit) == (None, None), key
     assert (walk.tags, walk.hops) == (tags, hops), key
+
+
+class ReadKeys(dict):
+    """A walk table that notes every key read from it."""
+
+    def __init__(self, walks):
+        super().__init__(walks)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def test_compiled_walks_match_hop_by_hop_route():
@@ -491,31 +474,102 @@ def test_compiled_walks_match_hop_by_hop_route():
                                   actions=(Action(at=1.0, op="add", pair=C2),
                                            Action(at=3.0, op="remove", pair=C1)))
         sim = netsim.NetSim(scenario)
+        compiled = dict(sim.walks)
+        sim.walks = ReadKeys(compiled)
         result = sim.run()
         assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
             "committed_add", "committed_remove"]
-        keys = walk_keys(sim)
-        assert sim.walks and set(sim.walks) <= keys  # the run compiled only these
+        # the run adds no walk and reads every one compiled, but the hosts'
+        # (the first hop, read when the simulator is built)
+        assert sim.walks == compiled
+        assert sim.walks.read == set(compiled) - {("client", 1, ()), ("server", 1, ())}
         crossed = set()
-        for key in keys:
+        for key in walk_keys(sim):
+            reference = hop_by_hop(sim, *key)
+            if isinstance(reference, str):
+                # a stray no run makes: no rule, or a tag left at a host or
+                # an NF; the build refuses such a walk
+                assert key not in compiled, key
+                with pytest.raises(NoRoute) as refused:
+                    sim.compile_walk(*key)
+                assert str(refused.value) == reference, key
+                continue
             walk = sim.compile_walk(*key)
             assert_walk_matches_hop_by_hop(sim, key, walk)
             if walk.nf is not None:
                 crossed.add((key[0], walk.nf.chain, walk.handle is None))
-            if key in sim.walks:
-                assert sim.walks[key] == walk
+            if key in compiled:
+                assert compiled[key] == walk
         assert crossed == {("lb1", C2, True), ("lb2", C2, True),
                            ("lb1", C1, False), ("lb2", C1, False)}, mode
         assert sim.nf_hops == {"nf1": 3, "nf2": 3}
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+
+
+def test_build_compiles_exactly_the_walks_a_run_can_take():
+    # a host and a balancer that pops send untagged; the master pushes a
+    # forward tag and the slave a reverse tag of a declared or added chain;
+    # an NF sends by itself only on a chain a remove action names, from
+    # either port. Construction only, on every bundled scenario and workload.
+    scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
+    scenarios += [parse_scenario(path) for path in sorted(WORKLOADS.glob("*.yaml"))]
+    assert len(scenarios) == 12
+    for scenario in scenarios:
+        sim = netsim.NetSim(scenario)
+        pairs = scenario.all_pairs()
+        removed = {a.pair for a in scenario.actions if a.op == "remove"}
+        assert set(sim.walks) == (
+            {(node, 1, ()) for node in ("client", "server", "lb1", "lb2")}
+            | {("lb1", 1, (c.forward_tag,)) for c in pairs}
+            | {("lb2", 1, (c.reverse_tag,)) for c in pairs}
+            | {(f"nf{i}", port, ()) for i, c in enumerate(pairs, start=1) if c in removed
+               for port in (1, 2)}
+        ), scenario.name
+
+
 def test_compile_walk_refuses_walks_of_unequal_length_into_an_nf():
     # the NF admits in send order only if every walk into it is as long
     sim = netsim.NetSim(small_scenario())
-    sim.compile_walk("lb1", 1, (C1.forward_tag,))
-    assert sim.nf_hops == {"nf1": 3}
+    assert sim.nf_hops == {"nf1": 3, "nf2": 3}  # compiled when built
     with pytest.raises(RuntimeError, match="walks into nf1 cross 3 and 1 links"):
         sim.compile_walk("cs1", 2, ())
+
+
+# (switch, ingress port, tag, out port, action or None to delete the rule),
+# and the refusal; C1's tags are 2 and 3, C2's 4 and 5
+MISWIRINGS = {
+    # the master pushes C2's tag, but es1 has no rule for it
+    "edge_switch_lacks_a_chain_rule": (("es1", 4, 4, None, None),
+                                       "no rule for ingress 4, tag 4"),
+    "chain_switch_lacks_its_pop_rule": (("cs1", 1, 2, None, None),
+                                        "no rule for ingress 1, tag 2"),
+    # forwarded without the pop, the packet would reach the NF tagged
+    "chain_switch_leaves_the_tag_on": (("cs1", 1, 2, 2, "none"),
+                                       "a walk ends at nf1 with tags [2] left"),
+    "a_tag_reaches_the_server": (("es2", 4, 3, 1, "none"),
+                                 "a walk ends at server with tags [3] left"),
+}
+
+
+@pytest.mark.parametrize("name", MISWIRINGS)
+def test_miswired_topology_is_refused_at_build(name, monkeypatch):
+    (switch, in_port, tag, out_port, action), refusal = MISWIRINGS[name]
+    build = netsim.NetSim._build_topology
+
+    def build_then_rewire(sim, pairs):
+        build(sim, pairs)
+        router = sim.nodes[switch]
+        if action is None:
+            del router.rules[(in_port, tag)]
+        else:
+            router.add(in_port, tag, out_port, action)
+
+    monkeypatch.setattr(netsim.NetSim, "_build_topology", build_then_rewire)
+    with pytest.raises(NoRoute) as refused:
+        netsim.NetSim(small_scenario())
+    assert str(refused.value) == refusal
 
 
 def test_forward_walks_reach_every_stateful_hop():
@@ -531,40 +585,6 @@ def test_forward_walks_reach_every_stateful_hop():
     assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2, None, None, None)
 
 
-def test_unknown_tag_from_master_drops_at_edge_switch():
-    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    stray = packet()
-    sent_at = 0.3
-
-    def send():
-        sim.result.injected_bytes += stray.size  # what inject() books for a new packet
-        sim.transmit("lb1", 1, stray, (99,))
-
-    drops = []
-    book_drop = sim.drop
-
-    def drop(p, reason, where, now):
-        drops.append((p, reason, where, now))
-        book_drop(p, reason, where, now)
-
-    sim.drop = drop
-    schedule_after_handshake(sim, sent_at, send)
-    result = sim.run()
-    assert len(drops) == 1
-    dropped, reason, where, dropped_at = drops[0]
-    assert dropped is stray
-    assert (reason, where) == ("no_route: no rule for ingress 4, tag 99", "es1")
-    # the latency of each link crossed, added in order: the same float bits
-    # as one event per link
-    expected = sent_at
-    for _ in range(sim.compile_walk("lb1", 1, (99,)).hops):
-        expected += 0.0013
-    assert dropped_at == expected
-    assert [e["reason"] for e in result.anomalies] == [reason]
-    assert result.dropped_bytes == stray.size
-    assert result.leftover_bytes == 0
-
-
 def schedule_after_handshake(sim, at, fn):
     """Schedule fn with the traffic, once run() has drained the handshake,
     so that it runs at `at` among the packets."""
@@ -577,27 +597,38 @@ def schedule_after_handshake(sim, at, fn):
     sim._schedule_injections = with_fn
 
 
-def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order():
+def watch_balancers(monkeypatch, seen):
+    """Call seen(node, packet, port, tags, now) at every balancer arrival,
+    before the balancer handles it. It patches the class, so install it
+    before the simulator is built: the walks bind the handler then."""
+    handle = netsim.BalancerNode.handle
+
+    def watched(node, p, port, tags, now):
+        seen(node, p, port, tags, now)
+        handle(node, p, port, tags, now)
+
+    monkeypatch.setattr(netsim.BalancerNode, "handle", watched)
+
+
+def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(monkeypatch):
     # transmit pushes the arrival with the loop's one sequence counter, so it
     # ties with a scheduled callback exactly as two scheduled callbacks would
+    stray = packet()._replace(session_id=10_000)
+    order = []
+
+    def seen(node, p, port, tags, now):
+        if p is stray and node.name == "lb1":
+            order.append(("packet", now))
+
+    watch_balancers(monkeypatch, seen)
     for packet_first in (True, False):
+        order.clear()
         sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-        stray = packet()._replace(session_id=10_000)
-        order = []
-        lb1 = sim.nodes["lb1"]
-        handle = lb1.handle
-
-        def seen(p, port, tags, now):
-            if p is stray:
-                order.append(("packet", now))
-            handle(p, port, tags, now)
-
-        lb1.handle = seen  # before the walk to lb1 is compiled
 
         def send():
             sim.result.injected_bytes += stray.size
             arrival = sim.loop.now
-            for _ in range(sim.compile_walk("client", 1, ()).hops):
+            for _ in range(sim.walks[("client", 1, ())].hops):
                 arrival += 0.0013
             control = lambda: order.append(("control", sim.loop.now))
             if packet_first:
@@ -623,27 +654,25 @@ def with_plan(sim, plan_for):
         plan_for(packets, sim.loop.now))
 
 
-def first_hop_arrivals(sim):
-    """(packet, time) of every untagged arrival at either balancer, in order."""
+def first_hop_arrivals(monkeypatch):
+    """(packet, time) of every untagged arrival at either balancer, in order,
+    of the simulators built after this call."""
     arrivals = []
-    for name in ("lb1", "lb2"):
-        node = sim.nodes[name]
 
-        def seen(p, port, tags, now, handle=node.handle):
-            if not tags:
-                arrivals.append((p, now))
-            handle(p, port, tags, now)
+    def seen(node, p, port, tags, now):
+        if not tags:
+            arrivals.append((p, now))
 
-        node.handle = seen  # before the walks to the balancers are compiled
+    watch_balancers(monkeypatch, seen)
     return arrivals
 
 
-def test_planned_arrival_runs_before_a_callback_at_its_instant():
+def test_planned_arrival_runs_before_a_callback_at_its_instant(monkeypatch):
     # the callback is pushed before the run sends any packet, and the planned
     # packet's arrival only when the packet planned before it arrives; the
     # arrival still runs first
+    arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    arrivals = first_hop_arrivals(sim)
     targets = []
 
     def plan_for(packets, start):
@@ -662,16 +691,17 @@ def test_planned_arrival_runs_before_a_callback_at_its_instant():
     assert result.clean
 
 
-def test_stats_request_at_a_planned_arrival_counts_the_packet_in_the_closing_window():
+def test_stats_request_at_a_planned_arrival_counts_the_packet_in_the_closing_window(
+        monkeypatch):
     # the first poll (0.5 s) reaches the master at 0.625 and the master's
     # stats_request the slave at 0.75, where the slave closes its window. A
     # reverse packet planned at 0.6875 reaches the slave at 0.6875 + 2 *
     # 0.03125 == 0.75 too: its entry is pushed after the request's, and it
     # still runs first, so the closing window counts its bytes
+    arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(small_scenario(link_latency=0.03125, control_latency=0.125,
                                        window_length=1.0))
     stray = packet()._replace(time=0.6875, reverse=True)
-    arrivals = first_hop_arrivals(sim)
     with_plan(sim, lambda packets, start: [stray])
     result = sim.run()
     assert arrivals == [(stray, 0.75)]
@@ -681,14 +711,14 @@ def test_stats_request_at_a_planned_arrival_counts_the_packet_in_the_closing_win
     assert result.clean
 
 
-def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it():
+def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it(monkeypatch):
     # sessions start every millisecond and the handshake takes four control
     # hops (0.004 s): the packets planned before it ends are sent when it
     # ends, and reach the master one latency per link later, in plan order
     traffic = TrafficProfile(sessions=20, rate=1000.0, bytes_per_session=30_000,
                              packet_size=3000, duration_jitter=0.4)
+    arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(small_scenario(link_latency=0.0013, traffic=traffic))
-    arrivals = first_hop_arrivals(sim)
     starts = []
     with_plan(sim, lambda packets, start: starts.append(start) or packets)
     result = sim.run()
@@ -701,7 +731,7 @@ def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it():
 
 
 @pytest.mark.parametrize("with_traffic", [True, False])
-def test_planned_packets_at_the_horizon(with_traffic):
+def test_planned_packets_at_the_horizon(with_traffic, monkeypatch):
     # 0.25 s links, 15 s horizon. Planned at 14.5, a packet reaches the
     # master at the horizon and is handled; planned at 14.75 or at 15.0, it
     # was sent within the run but reaches the master after it: injected, and
@@ -710,10 +740,10 @@ def test_planned_packets_at_the_horizon(with_traffic):
     scenario = small_scenario(link_latency=0.25, horizon=15.0)
     base = netsim.run(scenario)
     base_packets, base_bytes = (base.packets, base.injected_bytes) if with_traffic else (0, 0)
+    arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(scenario)
     times = (14.5, 14.75, 15.0, math.nextafter(15.0, math.inf))[0 if with_traffic else 1:]
     late = [packet()._replace(time=t, session_id=10_000 + i) for i, t in enumerate(times)]
-    arrivals = first_hop_arrivals(sim)
     with_plan(sim, lambda packets, start: (packets if with_traffic else []) + late)
     result = sim.run()
     handled = [p for p, _ in arrivals if p.session_id >= 10_000]
@@ -725,17 +755,15 @@ def test_planned_packets_at_the_horizon(with_traffic):
     assert not result.anomalies
 
 
-def horizon_run(sent_at, tags=()):
+def horizon_run(sent_at):
     """A run that sends one stray packet from the slave to the server at
     sent_at, over two 0.25 s links, with a 15 s horizon."""
     sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
     stray = packet()
-    if tags:
-        sim.nodes["es2"].add(4, tags[-1], 1)  # a rule that lets a tag reach the server
 
     def send():
         sim.result.injected_bytes += stray.size
-        sim.transmit("lb2", 1, stray, tags)
+        sim.transmit("lb2", 1, stray, ())
 
     schedule_after_handshake(sim, sent_at, send)
     return sim.run(), stray
@@ -753,62 +781,32 @@ def test_clean_host_arrival_after_the_horizon_is_left_over():
     assert result.leftover_bytes == stray.size
 
 
-def test_tagged_host_arrival_is_recorded_when_it_arrives():
-    result, stray = horizon_run(2.0, tags=(99,))
-    assert result.anomalies == [{"t": 2.5, "event": "anomaly",
-                                 "reason": "tagged packet delivered to a host",
-                                 "session": stray.session_id}]
-    assert result.leftover_bytes == 0
-
-
-def test_nf_arrival_is_an_event_only_on_a_removed_chain_or_with_tags():
+def test_nf_leave_is_an_event_only_on_a_removed_chain(monkeypatch):
     # C2 is removed at 2.0, so its NF is read against the reclaim by a leave
     # event; C1 is never removed, so its NF is crossed without an event. A
     # capacity NF admits at the send either way.
+    leaves, left_bytes = Counter(), Counter()
+    depart = NfInstance._depart
+
+    def left(node, p, port, tags, now):
+        leaves[node.name, tags] += 1
+        left_bytes[node.name] += p.size
+        depart(node, p, port, tags, now)
+
+    # on the class, before the simulators are built: the walks bind it then
+    monkeypatch.setattr(NfInstance, "_depart", left)
     for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6, nf_queue_limit=8)):
+        leaves.clear()
+        left_bytes.clear()
         sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),), **nf))
         assert sim.removed == {C2}
-        arrivals, leaves, left_bytes = Counter(), Counter(), Counter()
-        for name in ("nf1", "nf2"):
-            node = sim.nodes[name]
-            handle, depart = node.handle, node._depart
-
-            def arrived(p, port, tags, now, name=name, handle=handle):
-                arrivals[name, tags] += 1
-                handle(p, port, tags, now)
-
-            def left(p, port, tags, now, name=name, depart=depart):
-                leaves[name, tags] += 1
-                left_bytes[name] += p.size
-                depart(p, port, tags, now)
-
-            node.handle, node._depart = arrived, left  # before any walk to it is compiled
-        stray = packet()._replace(session_id=10_000)
-
-        def send(sim=sim, stray=stray):
-            # two C1 tags: the switch before the NF pops one and leaves one
-            sim.result.injected_bytes += stray.size
-            sim.transmit("lb1", 1, stray, (C1.forward_tag, C1.forward_tag))
-
-        schedule_after_handshake(sim, 3.0, send)
         result = sim.run()
-        # every byte C2 carried went through a leave event, and only the
-        # stray did on C1, which carried traffic too; the stray alone
-        # arrived by an event
+        # every byte C2 carried went through a leave event, and none on C1,
+        # which carried traffic too
         assert left_bytes["nf2"] == result.series.total_for(C2) > 0, nf
-        assert left_bytes["nf1"] == stray.size < result.series.total_for(C1), nf
-        assert set(leaves) == {("nf2", ()), ("nf1", (C1.forward_tag,))}, nf
-        assert arrivals == {("nf1", (C1.forward_tag,)): 1}, nf
-        arrived = 3.0
-        for _ in range(3):  # lb1 -> es1 -> cs1 -> nf1
-            arrived += 0.001
-        assert result.anomalies[0] == {"t": round(arrived, 6), "event": "anomaly",
-                                       "reason": "tagged packet reached an NF",
-                                       "session": stray.session_id}, nf
-        # the tag left on it routes nowhere from the NF's far side
-        assert [a["reason"] for a in result.anomalies[1:]] == [
-            "no_route: no rule for ingress 3, tag 2"], nf
-        assert result.leftover_bytes == 0, nf
+        assert set(leaves) == {("nf2", ())}, nf
+        assert result.series.total_for(C1) > 0, nf
+        assert result.clean, nf
 
 
 def test_packets_in_flight_to_a_reclaimed_chain_are_caught_at_the_nf():
@@ -888,7 +886,7 @@ def test_static_1_event_count_gate():
     assert result.scheduled_events == 2 * 20_800 + 64 == 41_664
 
 
-CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "capacity-drain.yaml"
+CAPACITY_DRAIN = WORKLOADS / "capacity-drain.yaml"
 
 
 def test_capacity_drain_event_count_gate():
@@ -969,9 +967,8 @@ EVENT_KEYS = {
     "action_*": ("t", "event", "pair"),
     "committed_*": ("t", "event", "generation", "vectors_equal"),
     "reclaim": ("t", "event", "pair"),
+    "anomaly": ("t", "event", "reason", "session"),
 }
-# an anomaly names the node only when a packet dropped there
-ANOMALY_KEYS = {("t", "event", "reason", "node", "session"), ("t", "event", "reason", "session")}
 
 
 def short_scenario(**overrides):
@@ -986,21 +983,13 @@ def test_events_jsonl_keeps_the_key_order_of_every_kind(tmp_path):
         actions=(Action(at=0.5, op="add", pair=C3), Action(at=1.0, op="remove", pair=C1),
                  Action(at=1.5, op="rebalance")),
     )
-    # capacity NFs that overflow, a remove of the last chain that fails, and
-    # a packet with an unknown tag
-    faults = netsim.NetSim(short_scenario(
+    # capacity NFs that overflow, and a remove of the last chain that fails
+    faults = short_scenario(
         chains=(C1,), nf_mode="capacity", nf_capacity=1_000_000.0, nf_queue_limit=4,
         actions=(Action(at=0.5, op="remove", pair=C1),),
-    ))
-    stray = packet()
-
-    def send():
-        faults.result.injected_bytes += stray.size
-        faults.transmit("lb1", 1, stray, (99,))
-
-    schedule_after_handshake(faults, 0.3, send)
+    )
     seen = {}
-    for i, result in enumerate((netsim.run(ops), faults.run())):
+    for i, result in enumerate((netsim.run(ops), netsim.run(faults))):
         cli.write_outputs(result, tmp_path / str(i))
         with open(tmp_path / str(i) / "events.jsonl") as fh:
             for line in fh:
@@ -1014,7 +1003,6 @@ def test_events_jsonl_keeps_the_key_order_of_every_kind(tmp_path):
                     assert event["pair"] is None or len(event["pair"]) == 2
                 if kind == "commit":
                     assert all(len(row) == 3 for row in event["alloc"])
-    assert seen.pop("anomaly") == ANOMALY_KEYS
     assert seen == {kind: {keys} for kind, keys in EVENT_KEYS.items()}
 
 

@@ -177,9 +177,10 @@ def main(argv=None) -> int:
     best = min(seconds(dispatches) for _ in range(args.repeat))
     out["event_dispatch_us"] = round(1e6 * best / (batches * pending), 3)
 
+    # every balancer a no-op: set on the class before any simulator is
+    # built, since a simulator binds its handlers into its walks then
+    netsim.BalancerNode.handle = lambda node, packet, port, tags, now: None
     sim = netsim.NetSim(cli.bundled_scenario("static-1"))
-    # an instance attribute, so the walk to lb1 ends in a no-op
-    sim.nodes["lb1"].handle = lambda packet, port, tags, now: None
     planned = PlannedPacket(0.0, 0, keys[0], 100, False)
 
     def sends():
@@ -192,12 +193,10 @@ def main(argv=None) -> int:
     out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
 
     def injection_sim():
-        # a fresh simulator per repetition, with no-op balancers, and the
-        # plans built beforehand: 10 ms apart, so each batch is planned after
-        # the last arrival of the one before and none is sent late
+        # a fresh simulator per repetition, and the plans built beforehand:
+        # 10 ms apart, so each batch is planned after the last arrival of the
+        # one before and none is sent late
         sim = netsim.NetSim(cli.bundled_scenario("static-1"))
-        for name in ("lb1", "lb2"):
-            sim.nodes[name].handle = lambda packet, port, tags, now: None
         plans = [
             [planned._replace(time=b * 0.01 + i * 1e-6, reverse=bool(i & 1))
              for i in range(pending)]
@@ -216,9 +215,7 @@ def main(argv=None) -> int:
 
     def crossing_sim(**nf):
         # a fresh run per repetition keeps the sends' times within the horizon
-        sim = netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
-        sim.nodes["lb2"].handle = lambda packet, port, tags, now: None
-        return sim
+        return netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
 
     def crossings(sim):
         tags = (sim.scenario.chains[0].forward_tag,)
