@@ -1,26 +1,21 @@
-"""Discrete-event engine: one time-ordered queue of callbacks.
+"""Discrete-event engine: one dispatch loop over two time-ordered queues.
 
 Everything that happens at a point in simulated time runs from here: packet
 arrivals in the simulator, control messages between the management system
-and the balancers, and the master's barrier timers. Callbacks with the same
-timestamp run in the order they were scheduled. Library users drive the
+and the balancers, and the master's barrier timers. Library users drive the
 control plane with the same loop: make the calls, then `run()`.
 
-The simulator's data path does not call `schedule`: `NetSim.transmit`
-pushes its `(at, seq, fn, args)` entries onto `_heap` itself and takes `seq`
-from `_seq`, the one sequence counter, so a packet arrival and a control
-callback at the same timestamp still run in the order they were created.
-The one exception is a planned packet's arrival at its first balancer,
-which `NetSim.inject` pushes with a negative `seq` of its own, increasing in
-plan order (`netsim.PLANNED_SEQ`): it runs before every other entry of its
-instant, and takes nothing from `_seq`.
+The first queue is a heap of callbacks. Entries with the same timestamp run
+in the order they were pushed, and `schedule` refuses one earlier than
+`now`. The simulator's data path does not call `schedule`: it pushes its
+`(at, seq, fn, args)` entries onto `_heap` itself and takes `seq` from
+`_seq`, the one sequence counter, so a packet arrival and a control
+callback at the same timestamp still run in the order they were created,
+and `_seq` is the number of entries ever pushed.
 
-A packet crosses an NF without an arrival event: the one entry its crossing
-makes (the arrival at the other balancer after an inline leave, a queue
-drop, or the leave event on a removed chain) is created when it leaves the
-first balancer, so among entries with its timestamp it takes the place of
-that moment. `schedule` and the data path take their `seq` from `_seq`
-alike, so it is the number of entries ever pushed, planned arrivals aside.
+The second is the stream of planned arrivals that the simulator hands to
+`run`, already in time order; it never enters the heap. An arrival runs
+before every heap entry of its instant, and arrivals run in stream order.
 
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`
@@ -38,20 +33,34 @@ class EventLoop:
 
     def __init__(self):
         self.now = 0.0
-        # (at, seq, fn, args); seq breaks ties in push order, except that the
-        # simulator's planned arrivals carry negative seqs and so run first
-        self._heap = []
-        self._seq = 0  # entries pushed so far, by schedule or by NetSim.transmit
+        self._heap = []  # (at, seq, fn, args); seq breaks ties in push order
+        self._seq = 0  # entries pushed so far, by schedule or by the data path
 
     def schedule(self, at: float, fn, *args):
+        if at < self.now:
+            raise ValueError(f"cannot schedule at {at}, before now ({self.now})")
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
-    def run(self, until: float | None = None):
+    def run(self, until: float | None = None, arrivals=()):
+        """Dispatch every entry due by `until` (no limit when None), merged
+        with `arrivals`: `(at, fn, args)` in time order, each run before the
+        heap's entries at its `at`. The first arrival after `until` ends the
+        stream; it and the ones after it do not run."""
         heap, pop = self._heap, heapq.heappop
         limit = math.inf if until is None else until
+        for at, fn, args in arrivals:
+            if at > limit:
+                break
+            while heap and heap[0][0] < at:
+                due, _, call, params = pop(heap)
+                self.now = due
+                call(*params)
+            if at < self.now:
+                raise ValueError(f"arrival at {at} is out of time order (now {self.now})")
+            self.now = at
+            fn(*args)
         while heap and heap[0][0] <= limit:
             at, _, fn, args = pop(heap)
-            if at > self.now:
-                self.now = at
+            self.now = at
             fn(*args)

@@ -20,59 +20,50 @@ it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
 walks form a finite set known when the topology is wired: a balancer only
 pushes the tag of a declared chain. So `NetSim` compiles every one of them
 when it is built, by following the switches' `TagRouter` rules with
-`route()`, into a table keyed on (node, port, tags), and refuses a miswired
-topology there (`NoRoute`): a missing rule, or a walk that ends still tagged
-at a host or an NF. Each packet costs one event per stateful hop instead of
-one per link. The link latency is still added once per link crossed, in
-order, so timestamps keep their float bits.
-Among events with the same timestamp, a packet's arrival at a stateful node
-is ordered by when it was sent: when it left the previous node it was an
-event at (for an NF crossed without one, the balancer before it). A planned
-packet's arrival at its first balancer is the exception (see below).
+`route()`, and refuses a miswired topology there (`NoRoute`): a missing
+rule, or a walk that ends still tagged at a host or an NF. The link latency
+is still added once per link crossed, in order, so timestamps keep their
+float bits. Among events with the same timestamp, a packet's arrival at a
+stateful node is ordered by when it was sent.
 
-A packet makes 2 events: its arrivals at the first and the second balancer.
-Its injection makes none: the walk from a host to its balancer is always the
-same, so the planned packet's one entry is its arrival at the balancer
-(`NetSim._push_arrival`): its planned time, or the handshake's end if that
-is later, plus the latency once per link. Its arrival at a host with an
-empty tag stack makes none either: `NetSim.transmit` counts the packet's
-bytes as delivered when it sends the packet, if it arrives by the horizon
-(the test the loop's run applies to every event). Nor does its crossing of
-an NF, in either mode. Every walk into an NF crosses 3 links from a
-balancer (`compile_walk` refuses unequal ones), so an NF gets packets in
-send order, and a balancer's walk is compiled through the NF to the other
-balancer. At the send, `transmit`
-takes the packet's departure from the NF: its arrival time for a
-passthrough NF, or what a capacity NF's `admit` gives, where a full queue
-drops it by an event at the arrival time, pushed then, in the arrival
-event's place. The leave (series second, last packet, the session's chains)
-is booked inline at the departure time, and the arrival beyond pushed from
-it, except on a chain that a remove action names: the reclaim is the one
-thing the leave reads that changes with time, so there it is a `_depart`
-event at the departure time.
+Past a chain that no remove action names, and if no queue drops it, a
+forward packet makes no heap entry, and a reverse packet one: its arrival
+at the master, whose reconcile touches the session table. The walks are
+compiled through every hop that reads no state that changes with time:
+- A planned packet's arrival at its first balancer is an entry of the event
+  loop's arrival stream (`NetSim._arrivals`), not of its heap: its planned
+  time, or the handshake's end if that is later, plus one latency per link.
+  Both host walks cross as many links (the build refuses others), so the
+  arrivals rise in plan order, and each runs first at its instant. One that
+  falls after the horizon ends the stream; the packets planned by the
+  horizon from there on were sent but never received, and are left over.
+- A packet that reaches a host with no tag left is counted delivered when
+  it is sent, if it arrives by the horizon (the test the loop's run applies
+  to every event). So is one that reaches the slave with a forward tag: the
+  slave's pop is part of the walk to the server. The master counts its
+  delivery to the client after the reconcile, from the compiled host walk.
+- An NF is crossed at the balancer's send, in either mode. Every walk into
+  an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
+  ones), so an NF gets packets in send order. A capacity NF's `admit` gives
+  the departure, or a drop by an event at the arrival time, pushed at the
+  send in the arrival's place. The leave (series second, last packet, the
+  session's chains) is booked inline at the departure time, and the walk
+  goes on, except on a chain that a remove action names: the reclaim is the
+  one thing the leave reads that changes with time, so there it is a
+  `_depart` event at the departure time.
 
 Same-instant rule: a departure at exactly an arrival's instant frees its
 queue slot first. Entries pushed at the send take that moment's place among
 entries with their timestamp. For a drop and a removed passthrough chain's
 leave that is the place the arrival event had; a removed capacity chain's
-leave and the arrival beyond an inline leave stand for entries pushed
-later, so only on an exact time tie can they run earlier.
+leave and the master's arrival beyond an inline leave stand for entries
+pushed later, so only on an exact time tie can they run earlier.
 
-Same-instant rule for planned packets: an arrival at the first balancer
-takes its sequence number from `PLANNED_SEQ` up, in plan order, below every
-number the loop hands out, so it runs first at its instant. It is pushed
-only when the previous planned packet arrives, and arrival times rise in
-plan order, so no entry is ever pushed into the loop's past. A packet
-planned by the horizon whose arrival falls after it is counted injected
-and left over, as one sent within the run but never received.
-
-The per-packet path is kept to as few Python-level calls as it can be: each
-planned packet enters as one event, `NetSim.inject`, which pushes the next
-planned packet's arrival and calls its balancer's `handle`; `transmit` and
-`inject` push their heap entries themselves (`transmit` with the loop's one
-sequence counter) instead of calling `EventLoop.schedule`; `transmit` books
-a crossed NF inline; the balancer nodes push and pop by building the next
-tuple; and chain identities (`ChainId`) hash and compare in C.
+The per-packet path is kept to as few Python-level calls as it can be:
+`transmit` pushes its heap entries itself, with the loop's one sequence
+counter, instead of calling `EventLoop.schedule`; a mapping balancer finds
+its send's walk by chain; and chain identities (`ChainId`) hash and compare
+in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -86,12 +77,11 @@ generator, so a (scenario, seed) pair always produces the same run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .control import (
     ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport, alloc_to_wire,
@@ -102,9 +92,6 @@ from .hashing import ChainId
 from .scenario import Scenario
 from .traffic import PlannedPacket, generate_traffic
 
-# the heap sequence number of the first planned packet's arrival at its
-# balancer; the next ones count up from it, below every one the loop hands out
-PLANNED_SEQ = -2**62
 # the traffic endpoints, in PlannedPacket.reverse order; no node object
 # stands for them, since their arrivals are counted at the send
 HOSTS = ("client", "server")
@@ -275,8 +262,9 @@ class NfInstance:
 
     def _depart(self, packet: PlannedPacket, out_port: int, tags: tuple[int, ...], now: float):
         """The packet leaves now: book it, checked against the reclaim, and send it on."""
-        self.sim.note_nf(self.chain, packet, now)
-        self.sim.transmit(self.name, out_port, packet, tags)
+        sim = self.sim
+        sim.note_nf(self.chain, packet, now)
+        sim.transmit(sim.walks[(self.name, out_port, tags)], packet, now)
 
 
 class Walk(NamedTuple):
@@ -298,10 +286,13 @@ class Walk(NamedTuple):
 class BalancerNode:
     """Network adapter around one balancer.
 
-    A packet without a tag is new work: map the session, push the chain's
-    tag and hand the packet back to the switch. One with a tag already
-    crossed the other balancer; strip the tag (the master also reconciles
-    its table with the observed chain) and pass it along.
+    A packet without a tag is new work: map the session and send the packet
+    along the walk of the chain's tag (`sends`, compiled by `NetSim`). Only
+    the master is sent a tagged packet, a reverse packet the slave mapped
+    (the slave's pop of a forward tag is compiled into the walks): it
+    reconciles its table with the observed chain and counts the packet
+    delivered to the client, one latency per link of `delivery` later, if
+    that is by the horizon.
     """
 
     def __init__(self, name, agent, sim, is_master: bool):
@@ -309,20 +300,24 @@ class BalancerNode:
         self.agent = agent
         self.sim = sim
         self.is_master = is_master
+        self.sends: dict[ChainId, Walk] = {}
+        self.delivery: tuple[float, ...] = ()
 
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
+        sim = self.sim
         if tags:
-            if self.is_master:
-                chain = self.sim.chain_by_reverse[tags[-1]]
-                held = self.agent.balancer.reconcile(packet.key, chain, now)
-                if held is not None and held != chain:
-                    self.sim.note_reconcile(packet, held, chain, now)
-            tags = tags[:-1]
-        else:
-            chain = self.agent.balancer.map_packet(packet.key, packet.size, now)
-            self.sim.note_mapped(self, packet, chain, now)
-            tags = (chain.forward_tag if self.is_master else chain.reverse_tag,)
-        self.sim.transmit(self.name, 1, packet, tags)
+            chain = sim.chain_by_reverse[tags[-1]]
+            held = self.agent.balancer.reconcile(packet.key, chain, now)
+            if held is not None and held != chain:
+                sim.note_reconcile(packet, held, chain, now)
+            for latency in self.delivery:
+                now += latency
+            if now <= sim.horizon:
+                sim.result.delivered_bytes += packet.size
+            return
+        chain = self.agent.balancer.map_packet(packet.key, packet.size, now)
+        sim.note_mapped(self, packet, chain, now)
+        sim.transmit(self.sends[chain], packet, now)
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -359,7 +354,8 @@ class RunResult:
     vectors_equal: bool = True
     reconciled_sessions: int = 0
     message_trace: list = field(default_factory=list)
-    scheduled_events: int = 0  # heap entries pushed: data path and control plane
+    # planned arrivals run, plus heap entries pushed: data path and control plane
+    scheduled_events: int = 0
 
     @property
     def commits(self) -> list[dict]:
@@ -393,7 +389,6 @@ class NetSim:
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
-        self._plan_seq = PLANNED_SEQ  # the next planned arrival's sequence number
 
         self._build_control()
         self._build_topology(pairs)
@@ -462,42 +457,47 @@ class NetSim:
         self._wire(b, pb, a, pa)
 
     def _compile_walks(self, pairs):
-        """Compile every walk a run can take; a miswired topology raises here.
+        """Compile every walk a run looks up; a miswired topology raises here.
 
-        A host sends untagged, and so does a balancer that pops the tag; a
-        balancer that maps pushes a tag of a chain in `pairs`. An NF sends
-        only its leave events, on a chain that a remove action names.
+        A host and the master, once it reconciled, send untagged; a balancer
+        that maps pushes a tag of a chain in `pairs`. An NF sends only its
+        leave events, on a chain that a remove action names.
         """
-        keys = [(node, 1, ()) for node in (*HOSTS, "lb1", "lb2")]
+        keys = [(node, 1, ()) for node in (*HOSTS, "lb1")]
         keys += [("lb1", 1, (c.forward_tag,)) for c in pairs]
         keys += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
         keys += [(name, port, ()) for name, nf in self.nodes.items()
                  if isinstance(nf, NfInstance) and nf.chain in self.removed for port in (1, 2)]
-        self.walks: dict[tuple[str, int, tuple[int, ...]], Walk] = {
-            key: self.compile_walk(*key) for key in keys
-        }
-        # per host, indexed by PlannedPacket.reverse: the balancer's handle,
-        # port and tags, and one latency per link
-        self._first_hop = tuple(
-            (walk.handle, walk.port, walk.tags, (self.latency,) * walk.hops)
-            for walk in (self.walks[(host, 1, ())] for host in HOSTS)
-        )
+        walks = self.walks = {key: self.compile_walk(*key) for key in keys}
+        client, server = (walks[(host, 1, ())] for host in HOSTS)
+        if client.hops != server.hops:
+            raise RuntimeError(
+                f"the client's walk crosses {client.hops} links and the server's "
+                f"{server.hops}; planned arrivals keep plan order only if both cross as many"
+            )
+        # per host, indexed by PlannedPacket.reverse: the balancer's handle, port and tags
+        self._first_hop = tuple((walk.handle, walk.port, walk.tags) for walk in (client, server))
+        self._host_latencies = (self.latency,) * client.hops
+        lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
+        lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
+        lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
+        lb1.delivery = (self.latency,) * walks[("lb1", 1, ())].hops
 
     # -- data plane plumbing
 
-    def transmit(self, node: str, port: int, packet: PlannedPacket, tags: tuple[int, ...]):
-        """Send a packet out of a stateful node: push its arrival at the next
-        stateful node, or count it delivered if that is a host and no tag is
-        left. An NF reached untagged is crossed here: a capacity NF admits
-        the packet now, then the leave is booked inline and the arrival
-        beyond pushed, or on a removed chain the leave is pushed."""
-        handle, in_port, tags, hops, nf, onward, admit = self.walks[(node, port, tags)]
-        loop = self.loop
+    def transmit(self, walk: Walk, packet: PlannedPacket, now: float):
+        """Send a packet out of a stateful node at `now` along a compiled walk:
+        push its arrival at the next stateful node, or count it delivered if
+        that is a host. An NF reached untagged is crossed here: a capacity NF
+        admits the packet now, then the leave is booked inline and the walk
+        goes on, or on a removed chain the leave is pushed."""
+        handle, in_port, tags, hops, nf, onward, admit = walk
+        latency = self.latency
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never hops * latency)
-        at = loop.now
+        at = now
         for _ in range(hops):
-            at += self.latency
+            at += latency
         if admit is not None:
             # run(until=horizon) would not have dispatched the arrival
             if at > self.horizon:
@@ -506,17 +506,13 @@ class NetSim:
             if departure is None:
                 # recorded at the arrival's time, in the place the arrival
                 # event had: it is pushed now, at the send, as that was
+                loop = self.loop
                 seq = loop._seq
                 loop._seq = seq + 1
                 heappush(loop._heap, (at, seq, self.drop, (packet, nf.name, at)))
                 return
             at = departure
-        if handle is None:
-            # both tests are what run(until=horizon) would have dispatched
-            if nf is None:
-                if at <= self.horizon:
-                    self.result.delivered_bytes += packet.size
-                return
+        if handle is None and nf is not None:
             if at > self.horizon:
                 return
             # NetSim.note_nf inline at the NF's leave; a chain no remove
@@ -533,8 +529,14 @@ class NetSim:
                 trace.nf_chains.add(chain)
             handle, in_port, tags, hops, _, _, _ = onward
             for _ in range(hops):
-                at += self.latency
+                at += latency
+        if handle is None:
+            # what run(until=horizon) would have dispatched
+            if at <= self.horizon:
+                self.result.delivered_bytes += packet.size
+            return
         # EventLoop.schedule inline: the same entry and the same counter
+        loop = self.loop
         seq = loop._seq
         loop._seq = seq + 1
         heappush(loop._heap, (at, seq, handle, (packet, in_port, tags, at)))
@@ -542,28 +544,36 @@ class NetSim:
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port.
 
-        Raises NoRoute where no rule matches, and where the walk ends still
-        tagged at a host or an NF. Only a balancer's walk reaches an NF, and
-        it goes on through the NF. Every walk into one NF must cross the same
-        number of links (3 from a balancer: its edge switch, the chain's
-        switch, the NF), so the NF gets packets in the order the balancers
-        send them, and a capacity NF can admit each at its send. The NF's
-        leave is booked inline unless a remove action names its chain: the
-        reclaim is the one thing it reads whose value depends on when the
-        run gets to it, so there `_depart` is an event at the leave.
+        Raises NoRoute, naming the walk's start, where no rule matches and
+        where the walk ends still tagged at a host or an NF. A walk that
+        reaches the slave with a forward tag goes on from the slave's egress
+        without it: the pop reads no state. Only a balancer's walk reaches an
+        NF, and it goes on through the NF. Every walk into one NF must cross
+        the same number of links (3 from a balancer: its edge switch, the
+        chain's switch, the NF), so the NF gets packets in the order the
+        balancers send them, and a capacity NF can admit each at its send.
+        The NF's leave is booked inline unless a remove action names its
+        chain: the reclaim is the one thing it reads whose value depends on
+        when the run gets to it, so there `_depart` is an event at the leave.
         """
-        hops = 0
+        start, hops = f"the walk from {node} port {port} with tags {list(tags)}", 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
             reached = self.nodes.get(node)  # None for a host
             if isinstance(reached, TagRouter):
-                port, tags = route(reached, port, tags)
+                try:
+                    port, tags = route(reached, port, tags)
+                except NoRoute as exc:
+                    raise NoRoute(f"switch {node}: {exc}, on {start}") from None
                 continue
             if isinstance(reached, BalancerNode):
+                if tags and not reached.is_master:
+                    port, tags = 1, tags[:-1]  # the slave pops: on from its egress
+                    continue
                 return Walk(reached.handle, port, tags, hops)
             if tags:
-                raise NoRoute(f"a walk ends at {node} with tags {list(tags)} left")
+                raise NoRoute(f"{start} ends at {node} with tags {list(tags)} left")
             if reached is None:
                 return Walk(None, port, tags, hops)
             known = self.nf_hops.setdefault(node, hops)
@@ -578,41 +588,38 @@ class NetSim:
             onward = self.compile_walk(node, far_port(port), tags)
             return Walk(None, port, tags, hops, reached, onward, admit)
 
-    def inject(self, packet: PlannedPacket, at: float, rest: Iterator[PlannedPacket]):
-        """A planned packet arrives at its first balancer: push the next
-        planned packet's arrival, then hand this one to the balancer.
-
-        This is the planned packet's one heap entry before the balancer
-        sends it on; `rest` iterates over the planned packets still to
-        come, in plan order.
-        """
+    def inject(self, packet: PlannedPacket, at: float):
+        """A planned packet arrives at its first balancer at `at`: count it
+        injected and hand it to the balancer. `run` calls it once per planned
+        packet, as an entry of the event loop's arrival stream."""
         result = self.result
         result.injected_bytes += packet.size
         result.packets += 1
-        nxt = next(rest, None)
-        if nxt is not None:
-            # _push_arrival inline, a Python call less per packet
-            arrival = nxt.time
-            if arrival < self._start:
-                arrival = self._start
-            for latency in self._first_hop[nxt.reverse][3]:
-                arrival += latency
-            if arrival <= self.horizon:
-                seq = self._plan_seq
-                self._plan_seq = seq + 1
-                heappush(self.loop._heap, (arrival, seq, self.inject, (nxt, arrival, rest)))
-            else:
-                self._sent_after_horizon(nxt, rest)
-        handle, port, tags, _ = self._first_hop[packet.reverse]
+        handle, port, tags = self._first_hop[packet.reverse]
         handle(packet, port, tags, at)
 
-    def _sent_after_horizon(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
-        """`packet` reaches its balancer after the horizon, and so does every
-        later planned packet: none gets an entry. Those planned by the
+    def _arrivals(self, packets, start: float):
+        """The event loop's arrival stream: each planned packet's `inject`
+        at its arrival at its first balancer, sent at its planned time or at
+        `start`, when the handshake ended, if that is later, then one latency
+        per link (never hops * latency, so the time has the float bits of a
+        send from the host)."""
+        inject, latencies = self.inject, self._host_latencies
+        for packet in packets:
+            at = packet.time
+            if at < start:
+                at = start
+            for latency in latencies:
+                at += latency
+            yield at, inject, (packet, at)
+
+    def _sent_after_horizon(self, packets):
+        """The first of `packets` reached its balancer after the horizon, and
+        so did every later one: none was injected. Those planned by the
         horizon were sent within the run, so they count as injected, and
         are left over."""
         result = self.result
-        for p in itertools.chain((packet,), rest):
+        for p in packets:
             if p.time > self.horizon:
                 break
             result.injected_bytes += p.size
@@ -718,16 +725,19 @@ class NetSim:
         if not state["ok"]:
             raise RuntimeError(f"handshake failed: {state['error']}")
 
+        # no packet is sent, and nothing scheduled, before the handshake ends
+        start = self.loop.now
         packets = generate_traffic(s.traffic, s.seed)
-        self._schedule_injections(packets)
         for action in s.actions:
-            self.loop.schedule(action.at, self._fire_action, action)
-        self.loop.schedule(1.0, self._sweep)
+            self.loop.schedule(max(action.at, start), self._fire_action, action)
+        self.loop.schedule(max(1.0, start), self._sweep)
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
-        self.loop.schedule(0.5 * s.window_length, self._stats_poll)
-        self.loop.run(until=s.horizon)
-        return self._finalize()
+        self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
+        self.loop.run(until=s.horizon, arrivals=self._arrivals(packets, start))
+        arrived = self.result.packets
+        self._sent_after_horizon(packets[arrived:])
+        return self._finalize(arrived)
 
     def _stats_poll(self):
         now = self.loop.now
@@ -743,33 +753,6 @@ class NetSim:
         nxt = now + self.scenario.window_length
         if nxt <= self.scenario.horizon:
             self.loop.schedule(nxt, self._stats_poll)
-
-    def _schedule_injections(self, packets):
-        """Push the first planned packet's arrival at its balancer; each
-        arrival pushes the next (`inject`). Called once the handshake is
-        done: no packet is sent before it ends."""
-        self._start = self.loop.now
-        rest = iter(packets)
-        first = next(rest, None)
-        if first is not None:
-            self._push_arrival(first, rest)
-
-    def _push_arrival(self, packet: PlannedPacket, rest: Iterator[PlannedPacket]):
-        """Push a planned packet's arrival at its first balancer: sent at its
-        planned time, or when the handshake ended if that is later, then one
-        latency per link of its host's walk (never hops * latency, so the
-        time has the float bits of a send from the host)."""
-        at = packet.time
-        if at < self._start:
-            at = self._start
-        for latency in self._first_hop[packet.reverse][3]:
-            at += latency
-        if at > self.horizon:
-            self._sent_after_horizon(packet, rest)
-            return
-        seq = self._plan_seq
-        self._plan_seq = seq + 1
-        heappush(self.loop._heap, (at, seq, self.inject, (packet, at, rest)))
 
     def _sweep(self):
         now = self.loop.now
@@ -818,8 +801,9 @@ class NetSim:
 
         self.ms.poll_path_active(pair, now=now, on_done=_answer)
 
-    def _finalize(self) -> RunResult:
-        """Judge the sessions and fill in the facts known only at the end."""
+    def _finalize(self, arrived: int) -> RunResult:
+        """Judge the sessions and fill in the facts known only at the end;
+        `arrived` planned arrivals ran."""
         result = self.result
         for sid, trace in self.sessions.items():
             if trace.reconciled:
@@ -841,7 +825,7 @@ class NetSim:
                      "session": sid}
                 )
         result.message_trace = self.transport.trace
-        result.scheduled_events = self.loop._seq + self._plan_seq - PLANNED_SEQ
+        result.scheduled_events = self.loop._seq + arrived
         return result
 
 

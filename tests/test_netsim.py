@@ -23,7 +23,7 @@ from chainbalance.netsim import (
     route,
 )
 from chainbalance.scenario import Action, Scenario, parse_scenario
-from chainbalance.traffic import PlannedPacket, TrafficProfile
+from chainbalance.traffic import PlannedPacket, TrafficProfile, generate_traffic
 
 C1 = ChainId(2, 3)
 C2 = ChainId(4, 5)
@@ -129,28 +129,41 @@ def test_nf_token_bucket_timing():
     assert departures[0] == pytest.approx(1.0)
 
 
+def send(sim, node, port, p, tags):
+    """Send a packet out of a stateful node now, along its compiled walk."""
+    sim.transmit(sim.compile_walk(node, port, tags), p, sim.loop.now)
+
+
 def test_nf_passthrough_zero_delay():
-    # the master's send crosses a passthrough NF with no event there and no
-    # departure: the NF books the packet at its own arrival time, and the
-    # one entry pushed is the arrival at the slave
-    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    assert sim.nodes["nf1"].chain == C1 and sim.nodes["nf1"].mode == "passthrough"
-    sent = packet()
-    sim.sessions[sent.session_id] = netsim.SessionTrace(master_chain=C1)
-    sim.loop.now = 3.5
-    sim.transmit("lb1", 1, sent, (C1.forward_tag,))
-    [(at, _, handle, args)] = sim.loop._heap
+    # a balancer's send crosses a passthrough NF with no event there and no
+    # departure: the NF books the packet at its own arrival time. From the
+    # slave, the one entry pushed is the arrival at the master; from the
+    # master, the walk goes on through the slave's pop and counts the packet
+    # delivered to the server, with no entry
     at_nf = 3.5
-    for _ in range(3):  # lb1 -> es1 -> cs1 -> nf1
+    for _ in range(3):  # lb -> es -> cs1 -> nf1
         at_nf += 0.0013
-    expected = at_nf
-    for _ in range(3):  # nf1 -> cs1 -> es2 -> lb2
-        expected += 0.0013
-    assert (at, handle, args) == (expected, sim.nodes["lb2"].handle,
-                                  (sent, 1, (C1.forward_tag,), expected))
-    assert sim.result.series.buckets == {C1: {3: 100}}
-    assert sim.result.last_packet_on == {C1: at_nf}
-    assert sim.sessions[sent.session_id].nf_chains == {C1}
+    beyond = at_nf
+    for _ in range(3):  # nf1 -> cs1 -> es -> lb
+        beyond += 0.0013
+    for node, tags in (("lb2", (C1.reverse_tag,)), ("lb1", (C1.forward_tag,))):
+        sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+        assert sim.nodes["nf1"].chain == C1 and sim.nodes["nf1"].mode == "passthrough"
+        sent = packet()
+        sim.sessions[sent.session_id] = netsim.SessionTrace(master_chain=C1)
+        sim.loop.now = 3.5
+        send(sim, node, 1, sent, tags)
+        if node == "lb2":
+            [(at, _, handle, args)] = sim.loop._heap
+            assert (at, handle, args) == (beyond, sim.nodes["lb1"].handle,
+                                          (sent, 1, (C1.reverse_tag,), beyond))
+            assert sim.result.delivered_bytes == 0
+        else:
+            assert sim.loop._heap == []
+            assert sim.result.delivered_bytes == sent.size
+        assert sim.result.series.buckets == {C1: {3: 100}}
+        assert sim.result.last_packet_on == {C1: at_nf}
+        assert sim.sessions[sent.session_id].nf_chains == {C1}
 
 
 def test_nf_below_capacity_no_queueing():
@@ -399,22 +412,27 @@ def test_stats_polls_conserve_mapped_bytes():
 
 def hop_by_hop(sim, node, port, tags):
     """Reference walk: one link and one route() call at a time, as a packet
-    crossing the switches would see it. Returns the node reached (None for
-    a host), its name, ingress port, tag stack and links crossed, or the
-    reason a miswired topology is refused."""
+    crossing the switches would see it, and on through the slave when it
+    gets a tag, which it pops. Returns the node reached (None for a host),
+    its name, ingress port, tag stack and links crossed, or the reason a
+    miswired topology is refused."""
+    start = f"the walk from {node} port {port} with tags {list(tags)}"
     hops = 0
     while True:
         node, port = sim.links[(node, port)]
         hops += 1
         switch = sim.nodes.get(node)
+        if isinstance(switch, netsim.BalancerNode) and not switch.is_master and tags:
+            port, tags = 1, tags[:-1]
+            continue
         if not isinstance(switch, TagRouter):
             break
         try:
             port, tags = route(switch, port, tags)
         except NoRoute as exc:
-            return str(exc)
+            return f"switch {node}: {exc}, on {start}"
     if tags and not isinstance(switch, netsim.BalancerNode):
-        return f"a walk ends at {node} with tags {list(tags)} left"
+        return f"{start} ends at {node} with tags {list(tags)} left"
     return switch, node, port, tags, hops
 
 
@@ -479,10 +497,16 @@ def test_compiled_walks_match_hop_by_hop_route():
         result = sim.run()
         assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
             "committed_add", "committed_remove"]
-        # the run adds no walk and reads every one compiled, but the hosts'
-        # (the first hop, read when the simulator is built)
+        # the run adds no walk. By key it reads only the leaves of C1's NF;
+        # the others were read when the simulator was built: the hosts' (the
+        # first hop), the master's delivery, and each balancer's send, which
+        # it holds by chain
         assert sim.walks == compiled
-        assert sim.walks.read == set(compiled) - {("client", 1, ()), ("server", 1, ())}
+        assert sim.walks.read == {("nf1", 1, ()), ("nf1", 2, ())}
+        lb1, lb2 = sim.nodes["lb1"], sim.nodes["lb2"]
+        assert lb1.sends == {c: compiled[("lb1", 1, (c.forward_tag,))] for c in (C1, C2)}
+        assert lb2.sends == {c: compiled[("lb2", 1, (c.reverse_tag,))] for c in (C1, C2)}
+        assert lb1.delivery == (scenario.link_latency,) * compiled[("lb1", 1, ())].hops
         crossed = set()
         for key in walk_keys(sim):
             reference = hop_by_hop(sim, *key)
@@ -509,8 +533,9 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 def test_build_compiles_exactly_the_walks_a_run_can_take():
-    # a host and a balancer that pops send untagged; the master pushes a
-    # forward tag and the slave a reverse tag of a declared or added chain;
+    # a host and the master after its reconcile send untagged (the slave's
+    # pop is part of the walks that reach it); the master pushes a forward
+    # tag and the slave a reverse tag of a declared or added chain;
     # an NF sends by itself only on a chain a remove action names, from
     # either port. Construction only, on every bundled scenario and workload.
     scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
@@ -521,7 +546,7 @@ def test_build_compiles_exactly_the_walks_a_run_can_take():
         pairs = scenario.all_pairs()
         removed = {a.pair for a in scenario.actions if a.op == "remove"}
         assert set(sim.walks) == (
-            {(node, 1, ()) for node in ("client", "server", "lb1", "lb2")}
+            {(node, 1, ()) for node in ("client", "server", "lb1")}
             | {("lb1", 1, (c.forward_tag,)) for c in pairs}
             | {("lb2", 1, (c.reverse_tag,)) for c in pairs}
             | {(f"nf{i}", port, ()) for i, c in enumerate(pairs, start=1) if c in removed
@@ -537,19 +562,43 @@ def test_compile_walk_refuses_walks_of_unequal_length_into_an_nf():
         sim.compile_walk("cs1", 2, ())
 
 
+def test_build_refuses_host_walks_of_unequal_length(monkeypatch):
+    # planned arrivals rise in plan order only if both hosts' walks to their
+    # balancers cross as many links: a switch spliced in before es1 makes the
+    # client's 3 links against the server's 2
+    build = netsim.NetSim._build_topology
+
+    def build_then_splice(sim, pairs):
+        build(sim, pairs)
+        splice = sim.nodes["xs"] = TagRouter()
+        splice.add(1, None, 2)
+        splice.add(2, None, 1)
+        sim._cable("client", 1, "xs", 1)
+        sim._cable("xs", 2, "es1", 1)
+
+    monkeypatch.setattr(netsim.NetSim, "_build_topology", build_then_splice)
+    with pytest.raises(RuntimeError, match="client's walk crosses 3 links and the server's 2"):
+        netsim.NetSim(small_scenario())
+
+
 # (switch, ingress port, tag, out port, action or None to delete the rule),
-# and the refusal; C1's tags are 2 and 3, C2's 4 and 5
+# and the refusal, which names the switch and the walk's start; C1's tags
+# are 2 and 3, C2's 4 and 5
 MISWIRINGS = {
     # the master pushes C2's tag, but es1 has no rule for it
-    "edge_switch_lacks_a_chain_rule": (("es1", 4, 4, None, None),
-                                       "no rule for ingress 4, tag 4"),
-    "chain_switch_lacks_its_pop_rule": (("cs1", 1, 2, None, None),
-                                        "no rule for ingress 1, tag 2"),
+    "edge_switch_lacks_a_chain_rule": (
+        ("es1", 4, 4, None, None),
+        "switch es1: no rule for ingress 4, tag 4, on the walk from lb1 port 1 with tags [4]"),
+    "chain_switch_lacks_its_pop_rule": (
+        ("cs1", 1, 2, None, None),
+        "switch cs1: no rule for ingress 1, tag 2, on the walk from lb1 port 1 with tags [2]"),
     # forwarded without the pop, the packet would reach the NF tagged
-    "chain_switch_leaves_the_tag_on": (("cs1", 1, 2, 2, "none"),
-                                       "a walk ends at nf1 with tags [2] left"),
-    "a_tag_reaches_the_server": (("es2", 4, 3, 1, "none"),
-                                 "a walk ends at server with tags [3] left"),
+    "chain_switch_leaves_the_tag_on": (
+        ("cs1", 1, 2, 2, "none"),
+        "the walk from lb1 port 1 with tags [2] ends at nf1 with tags [2] left"),
+    "a_tag_reaches_the_server": (
+        ("es2", 4, 3, 1, "none"),
+        "the walk from lb2 port 1 with tags [3] ends at server with tags [3] left"),
 }
 
 
@@ -574,27 +623,33 @@ def test_miswired_topology_is_refused_at_build(name, monkeypatch):
 
 def test_forward_walks_reach_every_stateful_hop():
     sim = netsim.NetSim(small_scenario())
-    lb1, lb2, nf1 = sim.nodes["lb1"], sim.nodes["lb2"], sim.nodes["nf1"]
+    lb1, nf1 = sim.nodes["lb1"], sim.nodes["nf1"]
     assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), 2, None, None, None)
     # the master's send crosses the NF without a handler there and goes on
-    # by the NF's own walk to the slave
+    # by the NF's own walk, through the slave's pop, to the server: counted
+    # when sent, no handler
     onward = sim.compile_walk("nf1", 2, ())
-    assert onward == (lb2.handle, 1, (C1.forward_tag,), 3, None, None, None)
+    assert onward == (None, 1, (), 5, None, None, None)
     assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (None, 1, (), 3, nf1, onward, None)
-    # the server reached with no tag left: counted when sent, no handler
     assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2, None, None, None)
+    # the slave's send reaches the master tagged: its one handler on the way
+    back = sim.compile_walk("nf1", 1, ())
+    assert back == (lb1.handle, 1, (C1.reverse_tag,), 3, None, None, None)
+    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (None, 2, (), 3, nf1, back, None)
 
 
-def schedule_after_handshake(sim, at, fn):
+def with_plan(monkeypatch, sim, plan_for):
+    """Hand sim.run() the planned packets `plan_for(packets, start)` returns
+    instead of the scenario's, where `start` is when the handshake ended:
+    run() calls generate_traffic once the handshake is done."""
+    monkeypatch.setattr(netsim, "generate_traffic", lambda traffic, seed: plan_for(
+        generate_traffic(traffic, seed), sim.loop.now))
+
+
+def schedule_after_handshake(monkeypatch, sim, at, fn):
     """Schedule fn with the traffic, once run() has drained the handshake,
     so that it runs at `at` among the packets."""
-    schedule_injections = sim._schedule_injections
-
-    def with_fn(packets):
-        schedule_injections(packets)
-        sim.loop.schedule(at, fn)
-
-    sim._schedule_injections = with_fn
+    with_plan(monkeypatch, sim, lambda packets, start: sim.loop.schedule(at, fn) or packets)
 
 
 def watch_balancers(monkeypatch, seen):
@@ -625,33 +680,25 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
         order.clear()
         sim = netsim.NetSim(small_scenario(link_latency=0.0013))
 
-        def send():
+        def send_stray():
             sim.result.injected_bytes += stray.size
             arrival = sim.loop.now
             for _ in range(sim.walks[("client", 1, ())].hops):
                 arrival += 0.0013
             control = lambda: order.append(("control", sim.loop.now))
             if packet_first:
-                sim.transmit("client", 1, stray, ())
+                send(sim, "client", 1, stray, ())
                 sim.loop.schedule(arrival, control)
             else:
                 sim.loop.schedule(arrival, control)
-                sim.transmit("client", 1, stray, ())
+                send(sim, "client", 1, stray, ())
 
-        schedule_after_handshake(sim, 0.3, send)
+        schedule_after_handshake(monkeypatch, sim, 0.3, send_stray)
         result = sim.run()
         kinds = ["packet", "control"] if packet_first else ["control", "packet"]
         assert [kind for kind, _ in order] == kinds
         assert order[0][1] == order[1][1]
         assert result.clean
-
-
-def with_plan(sim, plan_for):
-    """Hand run() the planned packets `plan_for(packets, start)` returns
-    instead of the scenario's, where `start` is when the handshake ended."""
-    schedule_injections = sim._schedule_injections
-    sim._schedule_injections = lambda packets: schedule_injections(
-        plan_for(packets, sim.loop.now))
 
 
 def first_hop_arrivals(monkeypatch):
@@ -684,7 +731,7 @@ def test_planned_arrival_runs_before_a_callback_at_its_instant(monkeypatch):
         targets.append((target, arrival))
         return packets
 
-    with_plan(sim, plan_for)
+    with_plan(monkeypatch, sim, plan_for)
     result = sim.run()
     (target, arrival), = targets
     assert arrivals.index((target, arrival)) < arrivals.index(("control", arrival))
@@ -702,7 +749,7 @@ def test_stats_request_at_a_planned_arrival_counts_the_packet_in_the_closing_win
     sim = netsim.NetSim(small_scenario(link_latency=0.03125, control_latency=0.125,
                                        window_length=1.0))
     stray = packet()._replace(time=0.6875, reverse=True)
-    with_plan(sim, lambda packets, start: [stray])
+    with_plan(monkeypatch, sim, lambda packets, start: [stray])
     result = sim.run()
     assert arrivals == [(stray, 0.75)]
     stats = [e for e in result.events if e["event"] == "stats"]
@@ -720,7 +767,7 @@ def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it(mon
     arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(small_scenario(link_latency=0.0013, traffic=traffic))
     starts = []
-    with_plan(sim, lambda packets, start: starts.append(start) or packets)
+    with_plan(monkeypatch, sim, lambda packets, start: starts.append(start) or packets)
     result = sim.run()
     start = starts[0]
     assert start == 0.004
@@ -744,7 +791,7 @@ def test_planned_packets_at_the_horizon(with_traffic, monkeypatch):
     sim = netsim.NetSim(scenario)
     times = (14.5, 14.75, 15.0, math.nextafter(15.0, math.inf))[0 if with_traffic else 1:]
     late = [packet()._replace(time=t, session_id=10_000 + i) for i, t in enumerate(times)]
-    with_plan(sim, lambda packets, start: (packets if with_traffic else []) + late)
+    with_plan(monkeypatch, sim, lambda packets, start: (packets if with_traffic else []) + late)
     result = sim.run()
     handled = [p for p, _ in arrivals if p.session_id >= 10_000]
     assert handled == (late[:1] if with_traffic else [])
@@ -755,28 +802,28 @@ def test_planned_packets_at_the_horizon(with_traffic, monkeypatch):
     assert not result.anomalies
 
 
-def horizon_run(sent_at):
+def horizon_run(monkeypatch, sent_at):
     """A run that sends one stray packet from the slave to the server at
     sent_at, over two 0.25 s links, with a 15 s horizon."""
     sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
     stray = packet()
 
-    def send():
+    def send_stray():
         sim.result.injected_bytes += stray.size
-        sim.transmit("lb2", 1, stray, ())
+        send(sim, "lb2", 1, stray, ())
 
-    schedule_after_handshake(sim, sent_at, send)
+    schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
     return sim.run(), stray
 
 
-def test_clean_host_arrival_at_the_horizon_is_delivered():
-    result, _ = horizon_run(14.5)  # 14.5 + 0.25 + 0.25 == 15.0, exactly
+def test_clean_host_arrival_at_the_horizon_is_delivered(monkeypatch):
+    result, _ = horizon_run(monkeypatch, 14.5)  # 14.5 + 0.25 + 0.25 == 15.0, exactly
     assert result.clean
     assert result.leftover_bytes == 0
 
 
-def test_clean_host_arrival_after_the_horizon_is_left_over():
-    result, stray = horizon_run(14.75)  # arrives at 15.25
+def test_clean_host_arrival_after_the_horizon_is_left_over(monkeypatch):
+    result, stray = horizon_run(monkeypatch, 14.75)  # arrives at 15.25
     assert not result.anomalies
     assert result.leftover_bytes == stray.size
 
@@ -830,29 +877,48 @@ def test_packets_in_flight_to_a_reclaimed_chain_are_caught_at_the_nf():
     (14.25, True),  # 14.25 + 3 * 0.25 == 15.0, exactly the horizon
     (math.nextafter(14.25, math.inf), False),  # reaches the NF just after it
 ])
-def test_nf_crossing_at_the_horizon(sent_at, booked):
-    sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
-    stray = packet()._replace(session_id=10_000)
-    pushed = []
+def test_nf_crossing_at_the_horizon(sent_at, booked, monkeypatch):
+    # from either balancer: the slave's send pushes the master's arrival
+    # beyond the NF only if the NF books the packet; the master's goes on
+    # through the slave's pop to the server and pushes nothing
+    for node, tag, beyond in (("lb2", C1.reverse_tag, 1), ("lb1", C1.forward_tag, 0)):
+        sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
+        stray = packet()._replace(session_id=10_000)
+        pushed = []
 
-    def send():
-        sim.result.injected_bytes += stray.size
-        before = sim.loop._seq
-        sim.transmit("lb1", 1, stray, (C1.forward_tag,))
-        pushed.append(sim.loop._seq - before)
+        def send_stray():
+            sim.result.injected_bytes += stray.size
+            before = sim.loop._seq
+            send(sim, node, 1, stray, (tag,))
+            pushed.append(sim.loop._seq - before)
 
-    schedule_after_handshake(sim, sent_at, send)
-    result = sim.run()
-    assert not result.anomalies
-    assert result.leftover_bytes == stray.size  # the slave would get it after the horizon
-    if booked:
-        assert result.series.bytes_at(C1, 15) == stray.size
-        assert result.last_packet_on[C1] == 15.0
-        assert pushed == [1]
-    else:
-        assert result.series.bytes_at(C1, 15) == 0
-        assert result.last_packet_on[C1] < 15.0
-        assert pushed == [0]
+        schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
+        result = sim.run()
+        assert not result.anomalies
+        # the node beyond the NF would get it after the horizon
+        assert result.leftover_bytes == stray.size
+        if booked:
+            assert result.series.bytes_at(C1, 15) == stray.size
+            assert result.last_packet_on[C1] == 15.0
+            assert pushed == [beyond]
+        else:
+            assert result.series.bytes_at(C1, 15) == 0
+            assert result.last_packet_on[C1] < 15.0
+            assert pushed == [0]
+
+
+def test_entries_due_before_the_handshake_ends_run_when_it_ends():
+    # four control hops of 0.3 s: the handshake ends at 1.2, after the
+    # action (0.0) and the first session sweep (1.0) are due; the loop
+    # refuses an entry in its past, so run() schedules both at 1.2
+    scenario = small_scenario(control_latency=0.3,
+                              actions=(Action(at=0.0, op="add", pair=C3),))
+    result = netsim.run(scenario)
+    [fired] = [e for e in result.events if e["event"] == "action_add"]
+    assert fired["t"] == 1.2
+    assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
+        "committed_add"]
+    assert result.clean
 
 
 def test_run_refuses_a_loop_that_already_holds_entries():
@@ -875,15 +941,17 @@ def test_failed_action_records_sessionless_anomaly():
 
 
 def test_static_1_event_count_gate():
-    # heap entries: 2 per packet (its arrivals at the master and the slave)
-    # plus 64 of the control plane; neither the injection, a clean arrival at
-    # a host nor a passthrough NF crossing takes one. 3 per packet (an
-    # injection event too) made 62,464, 4 per packet 83,264, one event per
-    # stateful hop 104,064 and per-link scheduling 228,864. Tighten this when
-    # the count drops.
+    # planned arrivals plus heap entries: each packet's arrival at its first
+    # balancer, each reverse packet's arrival at the master (800 sessions of
+    # one request and 25 response packets), and 64 of the control plane;
+    # neither a clean arrival at a host, the slave's pop nor a passthrough NF
+    # crossing takes one. An arrival at the slave for each forward packet too
+    # made 41,664, 3 per packet (an injection event too) 62,464, 4 per
+    # packet 83,264, one event per stateful hop 104,064 and per-link
+    # scheduling 228,864. Tighten this when the count drops.
     result = netsim.run(cli.bundled_scenario("static-1").with_seed(1))
     assert result.packets == 20_800
-    assert result.scheduled_events == 2 * 20_800 + 64 == 41_664
+    assert result.scheduled_events == 20_800 + 25 * 800 + 64 == 40_864
 
 
 CAPACITY_DRAIN = WORKLOADS / "capacity-drain.yaml"
@@ -893,13 +961,25 @@ def test_capacity_drain_event_count_gate():
     # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1,
     # so one chain is never removed): an NF crossing is admitted at the send;
     # its leave takes one event on a removed chain and none on the kept one,
-    # and the packet's injection is its arrival at the first balancer. An
-    # injection event per packet made 108,431, and an arrival and a departure
-    # event per crossing 157,906.
+    # the packet's injection is its arrival at the first balancer, and the
+    # slave's pop of a forward packet takes none. An arrival at the slave per
+    # forward packet made 76,431, an injection event per packet 108,431, and
+    # an arrival and a departure event per crossing 157,906.
     result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
     assert result.packets == 32_000
     assert sum(1 for e in result.events if e["event"] == "drop") == 1_218
-    assert result.scheduled_events == 76_431
+    assert result.scheduled_events == 74_455
+
+
+def test_short_flows_event_count_gate():
+    # planned arrivals plus heap entries on the workload of 3-packet
+    # sessions (one request, two responses): each packet's arrival at its
+    # first balancer, each response's arrival at the master, and 2,937 of
+    # the control plane. An arrival at the slave per request too made 38,937.
+    result = netsim.run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
+    assert result.packets == 18_000
+    assert len(result.session_starts) == 6_000
+    assert result.scheduled_events == 18_000 + 2 * 6_000 + 2_937 == 32_937
 
 
 def test_static_1_canonical_key_gate(monkeypatch):
@@ -931,9 +1011,11 @@ def test_static_1_python_calls_per_packet_gate():
     # planned packet with a tag tuple made 21.93 (21.97 with the one event
     # writer). A data path that pushes its heap entries itself, counts clean
     # host arrivals when sent and books a passthrough NF inline made 12.97;
-    # compiling the balancer's send through the NF made 10.97, and a planned
+    # compiling the balancer's send through the NF made 10.97, a planned
     # packet whose injection is its arrival at the first balancer (no send
-    # from the host) makes 9.97.
+    # from the host) 9.97, and with that arrival an entry of the loop's
+    # arrival stream, the slave's pop and the master's delivery compiled
+    # into the walks, it makes 9.93.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name

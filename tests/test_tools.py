@@ -22,16 +22,16 @@ def test_microbench_runs_and_reports_every_figure():
     figures = json.loads(done.stdout)
     assert set(figures) == {
         "python", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
-        "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us", "transmit_us",
-        "injection_us", "crossing_us", "capacity_crossing_us", "chain_counter_ns",
-        "generate_traffic_ms",
+        "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
+        "arrival_dispatch_us", "transmit_us", "crossing_us", "capacity_crossing_us",
+        "chain_counter_ns", "generate_traffic_ms",
     }
     for name in ("build_buckets_ms", "build_buckets_again_ms"):
         assert set(figures[name]) == {"1024", "65536"}
     assert set(figures["codec_round_trip_us"]) == {"allocation_commit_prepare", "stats_ack"}
     assert figures["map_packet_hit_us"] > 0 and figures["map_packet_miss_us"] > 0
     assert figures["event_dispatch_us"] > 0 and figures["chain_counter_ns"] > 0
-    assert figures["transmit_us"] > 0 and figures["injection_us"] > 0
+    assert figures["transmit_us"] > 0 and figures["arrival_dispatch_us"] > 0
     assert figures["crossing_us"] > 0 and figures["capacity_crossing_us"] > 0
     assert set(figures["generate_traffic_ms"]) == {"long-flows", "short-flows", "capacity-drain"}
     assert all(ms > 0 for ms in figures["generate_traffic_ms"].values())

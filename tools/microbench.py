@@ -17,26 +17,22 @@ Prints one JSON object of best-of-N timings:
   traffic window.
 - ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
   no-op callback, with at most 64 events pending, as in the simulator.
-- ``transmit_us``: one data-path send, ``NetSim.transmit`` from the client
-  to the first balancer over a compiled two-link walk, plus the dispatch of
-  its arrival to a no-op handler, with at most 64 sends pending. It times
-  the push and dispatch that every balancer's send makes; a planned packet
-  takes no such send (see ``injection_us``), and the control plane
-  schedules by ``event_dispatch_us``.
-- ``injection_us``: one planned packet from its heap entry to its
-  balancer's handler (a no-op), the next planned packet's arrival pushed
-  on the way, in batches of 64 planned packets handed to
-  ``NetSim._schedule_injections``; this is how the simulator brings in its
-  traffic plan. On a checkout where the injection is an event of its own,
-  the same call times that event, its send and the arrival's dispatch.
-- ``crossing_us``: one send from the master with a chain's forward tag,
-  ``NetSim.transmit`` from ``lb1``, until the slave gets the packet (a
-  no-op handler), dispatches included, with at most 64 sends pending; this
-  is the way from one balancer through a passthrough NF to the other that
-  every mapped packet takes.
+- ``arrival_dispatch_us``: one entry of the arrival stream that
+  ``EventLoop.run`` merges with its heap, dispatched to a no-op callback,
+  in streams of 64 with one heap entry pending beyond them; this is how
+  the loop brings in each planned packet (``NetSim.inject``).
+- ``transmit_us``: one data-path send, ``NetSim.transmit`` along the
+  client's compiled two-link walk to a no-op handler, plus the dispatch of
+  the arrival it pushes, with at most 64 sends pending. It times the push
+  and dispatch of a send that ends in an event.
+- ``crossing_us``: one send from the slave with a chain's reverse tag,
+  ``NetSim.transmit`` along the slave's compiled walk through a passthrough
+  NF, until the master gets the packet (a no-op handler), dispatches
+  included, with at most 64 sends pending; this is the way from one
+  balancer through an NF to the other that every reverse packet takes.
 - ``capacity_crossing_us``: the same send through a capacity NF (15 MB/s,
   a 64-packet queue that the 64 pending sends fill without a drop, on a
-  chain no remove action names), until the slave gets the packet.
+  chain no remove action names), until the master gets the packet.
 - ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
   whole packet schedule of each ``bench/workloads`` profile at seed 1.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
@@ -46,9 +42,11 @@ Prints one JSON object of best-of-N timings:
 two versions can be timed by the same script on the same host. That
 checkout must expose the API this script calls (``Balancer.map_packet(key,
 size, now)``, ``canonical_key`` returning bytes, ``engine.EventLoop``, the
-control codec, ``NetSim.transmit(node, port, packet, tags)``); a checkout from before an API change needs the script from
-its own tree. Wall-clock figures are noisy; compare runs made back to back,
-never gate on them.
+control codec, ``EventLoop.run(until, arrivals)``, ``NetSim.transmit(walk,
+packet, now)`` and the ``Walk`` of ``NetSim.walks`` and
+``BalancerNode.sends``); a checkout from before an API change needs the
+script from its own tree. Wall-clock figures are noisy; compare runs made
+back to back, never gate on them.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -177,57 +176,52 @@ def main(argv=None) -> int:
     best = min(seconds(dispatches) for _ in range(args.repeat))
     out["event_dispatch_us"] = round(1e6 * best / (batches * pending), 3)
 
-    # every balancer a no-op: set on the class before any simulator is
-    # built, since a simulator binds its handlers into its walks then
-    netsim.BalancerNode.handle = lambda node, packet, port, tags, now: None
+    noop = lambda *args: None
+
+    def arrival_dispatches(streams):
+        loop = EventLoop()
+        loop.schedule(math.inf, noop)  # one entry pending, as the merge meets it
+        for stream in streams:
+            loop.run(until=1.0, arrivals=stream)
+
+    # a fresh loop and prebuilt streams per repetition: 64 no-op arrivals a
+    # stream, 1 us apart, each stream after the one before
+    best = min(seconds(functools.partial(arrival_dispatches, [
+        [((b * pending + i) * 1e-6, noop, ()) for i in range(pending)] for b in range(batches)
+    ])) for _ in range(args.repeat))
+    out["arrival_dispatch_us"] = round(1e6 * best / (batches * pending), 3)
+
     sim = netsim.NetSim(cli.bundled_scenario("static-1"))
     planned = PlannedPacket(0.0, 0, keys[0], 100, False)
+    # the compiled walk with a no-op at its end: the send's push and dispatch only
+    to_noop = sim.walks[("client", 1, ())]._replace(handle=noop)
 
     def sends():
         for _ in range(batches):
             for _ in range(pending):
-                sim.transmit("client", 1, planned, ())
+                sim.transmit(to_noop, planned, sim.loop.now)
             sim.loop.run()
 
     best = min(seconds(sends) for _ in range(args.repeat))
     out["transmit_us"] = round(1e6 * best / (batches * pending), 3)
 
-    def injection_sim():
-        # a fresh simulator per repetition, and the plans built beforehand:
-        # 10 ms apart, so each batch is planned after the last arrival of the
-        # one before and none is sent late
-        sim = netsim.NetSim(cli.bundled_scenario("static-1"))
-        plans = [
-            [planned._replace(time=b * 0.01 + i * 1e-6, reverse=bool(i & 1))
-             for i in range(pending)]
-            for b in range(batches)
-        ]
-        return sim, plans
-
-    def injections(sim, plans):
-        for plan in plans:
-            sim._schedule_injections(plan)
-            sim.loop.run()
-
-    best = min(seconds(functools.partial(injections, *injection_sim()))
-               for _ in range(args.repeat))
-    out["injection_us"] = round(1e6 * best / (batches * pending), 3)
-
     def crossing_sim(**nf):
         # a fresh run per repetition keeps the sends' times within the horizon
-        return netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
+        sim = netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
+        walk = sim.nodes["lb2"].sends[sim.scenario.chains[0]]
+        return sim, walk._replace(onward=walk.onward._replace(handle=noop))
 
-    def crossings(sim):
-        tags = (sim.scenario.chains[0].forward_tag,)
+    def crossings(sim, walk):
         for _ in range(batches):
             for _ in range(pending):
-                sim.transmit("lb1", 1, planned, tags)
+                sim.transmit(walk, planned, sim.loop.now)
             sim.loop.run()
 
-    best = min(seconds(functools.partial(crossings, crossing_sim())) for _ in range(args.repeat))
+    best = min(seconds(functools.partial(crossings, *crossing_sim()))
+               for _ in range(args.repeat))
     out["crossing_us"] = round(1e6 * best / (batches * pending), 3)
     capacity = dict(nf_mode="capacity", nf_capacity=15e6, nf_queue_limit=pending)
-    best = min(seconds(functools.partial(crossings, crossing_sim(**capacity)))
+    best = min(seconds(functools.partial(crossings, *crossing_sim(**capacity)))
                for _ in range(args.repeat))
     out["capacity_crossing_us"] = round(1e6 * best / (batches * pending), 3)
 
