@@ -5,10 +5,10 @@ function here must be bit-for-bit deterministic across processes and
 hosts: no per-process hash randomization, no library RNG.
 
 Primitives:
-    canonical_key — pack the two endpoints of a flow into one `bytes` key
-    hash_key      — FNV-1a over the key bytes, finished with a 64-bit mixer
-    build_buckets — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
-    lookup        — table[index[hash_key(k) mod L]]
+    canonical_key       — pack the two endpoints of a flow into one `bytes` key
+    hash_key            — FNV-1a over the key bytes, finished with a 64-bit mixer
+    build_buckets       — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
+    BucketVector.lookup — table[index[hash_key(k) mod L]]
 
 A session key is one `bytes` value: the flow's lo endpoint then its hi
 endpoint by `Endpoint` order, each as address bytes plus a 2-byte big-endian

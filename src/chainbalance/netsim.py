@@ -26,10 +26,10 @@ is still added once per link crossed, in order, so timestamps keep their
 float bits. Among events with the same timestamp, a packet's arrival at a
 stateful node is ordered by when it was sent.
 
-Past a chain that no remove action names, and if no queue drops it, a
-forward packet makes no heap entry, and a reverse packet one: its arrival
-at the master, whose reconcile touches the session table. The walks are
-compiled through every hop that reads no state that changes with time:
+If no queue drops it, a forward packet makes no heap entry, and a reverse
+packet one: its arrival at the master, whose reconcile touches the session
+table. The walks are compiled through every hop that reads no state that
+changes with time:
 - A planned packet's arrival at its first balancer is an entry of the event
   loop's arrival stream (`NetSim._arrivals`), not of its heap: its planned
   time, or the handshake's end if that is later, plus one latency per link.
@@ -48,16 +48,19 @@ compiled through every hop that reads no state that changes with time:
   the departure, or a drop by an event at the arrival time, pushed at the
   send in the arrival's place. The leave (series second, last packet, the
   session's chains) is booked inline at the departure time, and the walk
-  goes on, except on a chain that a remove action names: the reclaim is the
-  one thing the leave reads that changes with time, so there it is a
-  `_depart` event at the departure time.
+  goes on.
+
+No packet may leave a chain's NF after its reclaim. An NF whose chain a
+remove action names keeps the leaves it has booked in `in_flight`. When
+`_poll_path` records the reclaim, it pushes a `violation` at the departure
+time of each later one; a leave booked after the reclaim is read against
+`result.reclaims` and pushes its own.
 
 Same-instant rule: a departure at exactly an arrival's instant frees its
 queue slot first. Entries pushed at the send take that moment's place among
-entries with their timestamp. For a drop and a removed passthrough chain's
-leave that is the place the arrival event had; a removed capacity chain's
-leave and the master's arrival beyond an inline leave stand for entries
-pushed later, so only on an exact time tie can they run earlier.
+entries with their timestamp. For a drop that is the place the arrival
+event had. The master's arrival beyond an NF stands for an entry pushed at
+the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
 `transmit` pushes its heap entries itself, with the loop's one sequence
@@ -146,11 +149,6 @@ class ThroughputSeries:
     chains: tuple[ChainId, ...]
     buckets: dict[ChainId, dict[int, int]] = field(default_factory=dict)
 
-    def add(self, chain: ChainId, now: float, size: int):
-        per_chain = self.buckets.setdefault(chain, {})
-        second = int(now)
-        per_chain[second] = per_chain.get(second, 0) + size
-
     def last_second(self) -> int:
         seconds = [s for per in self.buckets.values() for s in per]
         return max(seconds) if seconds else 0
@@ -235,21 +233,22 @@ class NfInstance:
     `NetSim.transmit` calls `admit` at the balancer's send.
     """
 
-    def __init__(self, name, chain, sim, mode="passthrough", capacity=0.0, queue_limit=0):
+    def __init__(self, name, chain, mode="passthrough", capacity=0.0, queue_limit=0,
+                 in_flight=None):
         self.name = name
         self.chain = chain
-        self.sim = sim
         self.mode = mode
         self.capacity = capacity
         self.queue_limit = queue_limit
+        self.in_flight = in_flight  # NetSim's, on a chain a remove action names
         self._busy_until = 0.0
-        self._departures = deque()  # of the packets queued, in order
+        self._queued = deque()  # departure times of the packets queued, in order
 
     def admit(self, packet: PlannedPacket, now: float) -> float | None:
         """Queue a packet that reaches the NF at `now`, in arrival order, and
         return its departure time; None when the queue is full. A departure
         at or before `now` has freed its slot (the same-instant rule)."""
-        departures = self._departures
+        departures = self._queued
         while departures and departures[0] <= now:
             departures.popleft()
         if self.queue_limit and len(departures) >= self.queue_limit:
@@ -260,24 +259,18 @@ class NfInstance:
         departures.append(departure)
         return departure
 
-    def _depart(self, packet: PlannedPacket, out_port: int, tags: tuple[int, ...], now: float):
-        """The packet leaves now: book it, checked against the reclaim, and send it on."""
-        sim = self.sim
-        sim.note_nf(self.chain, packet, now)
-        sim.transmit(sim.walks[(self.name, out_port, tags)], packet, now)
-
 
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    # the handler pushed at the walk's end: a balancer's bound `handle`, or
-    # an NF's `_depart` on a removed chain; None for a host, whose arrival
-    # needs no event, and for an NF left inline, which goes on by `onward`
+    # the handler pushed at the walk's end: a balancer's bound `handle`;
+    # None for a host, whose arrival needs no event, and for an NF, which
+    # the walk crosses and goes on by `onward`
     handle: object
-    port: int  # the target's ingress port (`_depart`'s far port)
+    port: int  # the target's ingress port
     tags: tuple[int, ...]  # the tag stack on arrival
     hops: int  # links crossed
-    # the NF this walk reaches untagged, and if left inline, its own walk on
+    # the NF this walk reaches untagged, and the NF's own walk on
     nf: NfInstance | None = None
     onward: Walk | None = None
     admit: object = None  # a capacity NF's bound `admit`, called at the send
@@ -384,8 +377,9 @@ class NetSim:
 
         pairs = scenario.all_pairs()
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
-        # chains whose NF leaves are events, to be checked against the reclaim
-        self.removed = {a.pair for a in scenario.actions if a.op == "remove"}
+        # per chain a remove action names, (departure, session_id) of the
+        # leaves its NF has booked and not yet made, for the reclaim check
+        self.in_flight = {a.pair: deque() for a in scenario.actions if a.op == "remove"}
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
@@ -441,8 +435,9 @@ class NetSim:
             cs_name, nf_name = f"cs{i}", f"nf{i}"
             self.nodes[cs_name] = cs
             self.nodes[nf_name] = NfInstance(
-                nf_name, chain, self,
+                nf_name, chain,
                 mode=s.nf_mode, capacity=s.nf_capacity, queue_limit=s.nf_queue_limit,
+                in_flight=self.in_flight.get(chain),
             )
             self._cable("es1", 4 + i, cs_name, 1)
             self._cable(cs_name, 2, nf_name, 1)
@@ -460,14 +455,12 @@ class NetSim:
         """Compile every walk a run looks up; a miswired topology raises here.
 
         A host and the master, once it reconciled, send untagged; a balancer
-        that maps pushes a tag of a chain in `pairs`. An NF sends only its
-        leave events, on a chain that a remove action names.
+        that maps pushes a tag of a chain in `pairs`. An NF sends nothing by
+        itself: a balancer's walk goes on through it.
         """
         keys = [(node, 1, ()) for node in (*HOSTS, "lb1")]
         keys += [("lb1", 1, (c.forward_tag,)) for c in pairs]
         keys += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
-        keys += [(name, port, ()) for name, nf in self.nodes.items()
-                 if isinstance(nf, NfInstance) and nf.chain in self.removed for port in (1, 2)]
         walks = self.walks = {key: self.compile_walk(*key) for key in keys}
         client, server = (walks[(host, 1, ())] for host in HOSTS)
         if client.hops != server.hops:
@@ -490,7 +483,7 @@ class NetSim:
         push its arrival at the next stateful node, or count it delivered if
         that is a host. An NF reached untagged is crossed here: a capacity NF
         admits the packet now, then the leave is booked inline and the walk
-        goes on, or on a removed chain the leave is pushed."""
+        goes on."""
         handle, in_port, tags, hops, nf, onward, admit = walk
         latency = self.latency
         # one addition per link, as one event per link made, so that
@@ -512,11 +505,10 @@ class NetSim:
                 heappush(loop._heap, (at, seq, self.drop, (packet, nf.name, at)))
                 return
             at = departure
-        if handle is None and nf is not None:
+        if nf is not None:
             if at > self.horizon:
                 return
-            # NetSim.note_nf inline at the NF's leave; a chain no remove
-            # action names is never reclaimed, so there is no reclaim to check
+            # the NF's leave, booked at its departure time
             chain, result = nf.chain, self.result
             seconds = result.series.buckets.get(chain)
             if seconds is None:
@@ -527,6 +519,17 @@ class NetSim:
             trace = self.sessions.get(packet.session_id)
             if trace is not None:
                 trace.nf_chains.add(chain)
+            in_flight = nf.in_flight
+            if in_flight is not None:
+                # kept for the reclaim check, pruned to the leaves after this
+                # send (a reclaim still to come is no earlier), or checked now
+                reclaim = result.reclaims.get(chain)
+                if reclaim is None:
+                    while in_flight and in_flight[0][0] <= now:
+                        in_flight.popleft()
+                    in_flight.append((at, packet.session_id))
+                else:
+                    self._flag_crossings(chain, reclaim, ((at, packet.session_id),))
             handle, in_port, tags, hops, _, _, _ = onward
             for _ in range(hops):
                 at += latency
@@ -552,9 +555,6 @@ class NetSim:
         the same number of links (3 from a balancer: its edge switch, the
         chain's switch, the NF), so the NF gets packets in the order the
         balancers send them, and a capacity NF can admit each at its send.
-        The NF's leave is booked inline unless a remove action names its
-        chain: the reclaim is the one thing it reads whose value depends on
-        when the run gets to it, so there `_depart` is an event at the leave.
         """
         start, hops = f"the walk from {node} port {port} with tags {list(tags)}", 0
         while True:
@@ -583,8 +583,6 @@ class NetSim:
                     "an NF admits in send order only if all cross the same number"
                 )
             admit = None if reached.mode == "passthrough" else reached.admit
-            if reached.chain in self.removed:
-                return Walk(reached._depart, far_port(port), tags, hops, reached, None, admit)
             onward = self.compile_walk(node, far_port(port), tags)
             return Walk(None, port, tags, hops, reached, onward, admit)
 
@@ -682,15 +680,12 @@ class NetSim:
         self.record("reconcile", now, session=packet.session_id,
                     old_chain=old.forward_tag, new_chain=new.forward_tag)
 
-    def note_nf(self, chain: ChainId, packet: PlannedPacket, now: float):
-        result = self.result
-        result.series.add(chain, now, packet.size)
-        result.last_packet_on[chain] = now
-        trace = self.sessions.get(packet.session_id)
-        if trace is not None:
-            trace.nf_chains.add(chain)
-        if chain in result.reclaims and now > result.reclaims[chain]:
-            self.violation(f"packet crossed reclaimed chain {chain}", packet.session_id, now)
+    def _flag_crossings(self, chain: ChainId, reclaim: float, leaves):
+        """Push a violation at each of the chain's NF leaves after its reclaim."""
+        for departure, session_id in leaves:
+            if departure > reclaim:
+                self.loop.schedule(departure, self.violation,
+                                   f"packet crossed reclaimed chain {chain}", session_id, departure)
 
     def _on_commit(self, generation, alloc, drain):
         self.record("commit", self.loop.now, generation=generation,
@@ -796,8 +791,9 @@ class NetSim:
                     self.loop.now + self.scenario.poll_interval, self._poll_path, pair
                 )
             else:
-                self.result.reclaims[pair] = self.loop.now
-                self.record("reclaim", self.loop.now, pair=list(pair))
+                reclaim = self.result.reclaims[pair] = self.loop.now
+                self.record("reclaim", reclaim, pair=list(pair))
+                self._flag_crossings(pair, reclaim, self.in_flight[pair])
 
         self.ms.poll_path_active(pair, now=now, on_done=_answer)
 

@@ -122,7 +122,7 @@ def test_pop_rule_must_match_a_tag():
 
 
 def test_nf_token_bucket_timing():
-    nf = NfInstance("nf", C1, None, mode="capacity", capacity=100.0)
+    nf = NfInstance("nf", C1, mode="capacity", capacity=100.0)
     departures = [nf.admit(packet(), 0.0) for _ in range(10)]
     assert None not in departures
     assert departures[-1] == pytest.approx(10.0)
@@ -167,12 +167,12 @@ def test_nf_passthrough_zero_delay():
 
 
 def test_nf_below_capacity_no_queueing():
-    nf = NfInstance("nf", C1, None, mode="capacity", capacity=10_000.0)
+    nf = NfInstance("nf", C1, mode="capacity", capacity=10_000.0)
     assert nf.admit(packet(), 0.0) == pytest.approx(100 / 10_000.0)
 
 
 def test_nf_queue_overflow_drops():
-    nf = NfInstance("nf", C1, None, mode="capacity", capacity=100.0, queue_limit=3)
+    nf = NfInstance("nf", C1, mode="capacity", capacity=100.0, queue_limit=3)
     departures = [nf.admit(packet(), 0.0) for _ in range(5)]
     assert departures.count(None) == 2
     assert departures[:3] == pytest.approx([1.0, 2.0, 3.0])
@@ -230,7 +230,7 @@ def test_admission_in_arrival_order_matches_departure_events(steps, start, capac
         at += gap
         arrivals.append((at, size))
     expected, expected_dropped = reference_admission(arrivals, capacity, queue_limit)
-    nf = NfInstance("nf", C1, None, mode="capacity", capacity=capacity, queue_limit=queue_limit)
+    nf = NfInstance("nf", C1, mode="capacity", capacity=capacity, queue_limit=queue_limit)
     departures, dropped = {}, set()
     for i, (at, size) in enumerate(arrivals):
         departure = nf.admit(packet()._replace(size=size), at)
@@ -248,7 +248,8 @@ def test_admission_in_arrival_order_matches_departure_events(steps, start, capac
 def make_series(rows):
     series = ThroughputSeries((C1, C2))
     for chain, sec, size in rows:
-        series.add(chain, float(sec), size)
+        per_chain = series.buckets.setdefault(chain, {})
+        per_chain[sec] = per_chain.get(sec, 0) + size
     return series
 
 
@@ -454,16 +455,12 @@ def assert_walk_matches_hop_by_hop(sim, key, walk):
     if target is None:
         assert (walk.handle, walk.port) == (None, port), key  # a host: no event
     elif isinstance(target, NfInstance):
-        # the NF is crossed: a capacity NF admits at the send, and the leave
-        # is an event only on a chain that a remove action names
+        # the NF is crossed: a capacity NF admits at the send, the leave is
+        # booked inline, and the walk goes on from the NF's far port
         admit = None if target.mode == "passthrough" else target.admit
         assert (walk.nf, walk.admit) == (target, admit), key
-        if target.chain in sim.removed:
-            assert (walk.handle, walk.port, walk.onward) == (
-                target._depart, far_port(port), None), key
-        else:
-            assert (walk.handle, walk.port) == (None, port), key
-            assert_walk_matches_hop_by_hop(sim, (name, far_port(port), ()), walk.onward)
+        assert (walk.handle, walk.port) == (None, port), key
+        assert_walk_matches_hop_by_hop(sim, (name, far_port(port), ()), walk.onward)
     else:
         assert (walk.handle, walk.port) == (target.handle, port), key
     if walk.nf is None:
@@ -484,8 +481,8 @@ class ReadKeys(dict):
 
 
 def test_compiled_walks_match_hop_by_hop_route():
-    # C2 is added and C1 later removed: C2's NF is left inline, C1's by an
-    # event; in both modes
+    # C2 is added and C1 later removed: both NFs are crossed the same way,
+    # in both modes
     for mode in ("passthrough", "capacity"):
         nf = {} if mode == "passthrough" else dict(nf_capacity=2e6, nf_queue_limit=8)
         scenario = small_scenario(chains=(C1,), nf_mode=mode, **nf,
@@ -497,12 +494,11 @@ def test_compiled_walks_match_hop_by_hop_route():
         result = sim.run()
         assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
             "committed_add", "committed_remove"]
-        # the run adds no walk. By key it reads only the leaves of C1's NF;
-        # the others were read when the simulator was built: the hosts' (the
-        # first hop), the master's delivery, and each balancer's send, which
-        # it holds by chain
+        # the run adds no walk and reads none by key: all were read when the
+        # simulator was built: the hosts' (the first hop), the master's
+        # delivery, and each balancer's send, which it holds by chain
         assert sim.walks == compiled
-        assert sim.walks.read == {("nf1", 1, ()), ("nf1", 2, ())}
+        assert sim.walks.read == set()
         lb1, lb2 = sim.nodes["lb1"], sim.nodes["lb2"]
         assert lb1.sends == {c: compiled[("lb1", 1, (c.forward_tag,))] for c in (C1, C2)}
         assert lb2.sends == {c: compiled[("lb2", 1, (c.reverse_tag,))] for c in (C1, C2)}
@@ -521,11 +517,10 @@ def test_compiled_walks_match_hop_by_hop_route():
             walk = sim.compile_walk(*key)
             assert_walk_matches_hop_by_hop(sim, key, walk)
             if walk.nf is not None:
-                crossed.add((key[0], walk.nf.chain, walk.handle is None))
+                crossed.add((key[0], walk.nf.chain))
             if key in compiled:
                 assert compiled[key] == walk
-        assert crossed == {("lb1", C2, True), ("lb2", C2, True),
-                           ("lb1", C1, False), ("lb2", C1, False)}, mode
+        assert crossed == {("lb1", C2), ("lb2", C2), ("lb1", C1), ("lb2", C1)}, mode
         assert sim.nf_hops == {"nf1": 3, "nf2": 3}
 
 
@@ -535,22 +530,19 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 def test_build_compiles_exactly_the_walks_a_run_can_take():
     # a host and the master after its reconcile send untagged (the slave's
     # pop is part of the walks that reach it); the master pushes a forward
-    # tag and the slave a reverse tag of a declared or added chain;
-    # an NF sends by itself only on a chain a remove action names, from
-    # either port. Construction only, on every bundled scenario and workload.
+    # tag and the slave a reverse tag of a declared or added chain; an NF
+    # sends nothing by itself, even on a chain a remove action names.
+    # Construction only, on every bundled scenario and workload.
     scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
     scenarios += [parse_scenario(path) for path in sorted(WORKLOADS.glob("*.yaml"))]
     assert len(scenarios) == 12
     for scenario in scenarios:
         sim = netsim.NetSim(scenario)
         pairs = scenario.all_pairs()
-        removed = {a.pair for a in scenario.actions if a.op == "remove"}
         assert set(sim.walks) == (
             {(node, 1, ()) for node in ("client", "server", "lb1")}
             | {("lb1", 1, (c.forward_tag,)) for c in pairs}
             | {("lb2", 1, (c.reverse_tag,)) for c in pairs}
-            | {(f"nf{i}", port, ()) for i, c in enumerate(pairs, start=1) if c in removed
-               for port in (1, 2)}
         ), scenario.name
 
 
@@ -828,49 +820,99 @@ def test_clean_host_arrival_after_the_horizon_is_left_over(monkeypatch):
     assert result.leftover_bytes == stray.size
 
 
-def test_nf_leave_is_an_event_only_on_a_removed_chain(monkeypatch):
-    # C2 is removed at 2.0, so its NF is read against the reclaim by a leave
-    # event; C1 is never removed, so its NF is crossed without an event. A
-    # capacity NF admits at the send either way.
-    leaves, left_bytes = Counter(), Counter()
-    depart = NfInstance._depart
-
-    def left(node, p, port, tags, now):
-        leaves[node.name, tags] += 1
-        left_bytes[node.name] += p.size
-        depart(node, p, port, tags, now)
-
-    # on the class, before the simulators are built: the walks bind it then
-    monkeypatch.setattr(NfInstance, "_depart", left)
-    for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6, nf_queue_limit=8)):
-        leaves.clear()
-        left_bytes.clear()
+def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain():
+    # C2 is removed at 2.0 and C1 kept: either NF is crossed at the
+    # balancer's send and its leave booked inline. The only entry a crossing
+    # pushes is the master's arrival beyond the NF, on a slave's send whose
+    # leave is booked by the horizon. In both modes; a capacity NF with no
+    # queue limit drops nothing.
+    for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6)):
         sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),), **nf))
-        assert sim.removed == {C2}
+        assert sim.nodes["nf1"].in_flight is None
+        assert sim.nodes["nf2"].in_flight is sim.in_flight[C2]
+        transmit, series = sim.transmit, sim.result.series
+        crossed = Counter()
+
+        def counted(walk, p, now):
+            if walk.nf is None:
+                return transmit(walk, p, now)
+            chain = walk.nf.chain
+            before, total = sim.loop._seq, series.total_for(chain)
+            transmit(walk, p, now)
+            booked = series.total_for(chain) - total
+            assert booked in (0, p.size)
+            pushed = sim.loop._seq - before
+            assert pushed == (1 if booked and walk.onward.handle is not None else 0), nf
+            crossed[chain] += booked
+
+        sim.transmit = counted
         result = sim.run()
-        # every byte C2 carried went through a leave event, and none on C1,
-        # which carried traffic too
-        assert left_bytes["nf2"] == result.series.total_for(C2) > 0, nf
-        assert set(leaves) == {("nf2", ())}, nf
-        assert result.series.total_for(C1) > 0, nf
+        assert result.reclaims[C2] > 2.0, nf
+        # every byte either chain carried was booked by a crossing
+        assert crossed[C2] == result.series.total_for(C2) > 0, nf
+        assert crossed[C1] == result.series.total_for(C1) > 0, nf
         assert result.clean, nf
+
+
+# the reclaim of C2 and the time of every "packet crossed reclaimed chain"
+# anomaly, for the run below in each NF mode, as the simulator gave them
+# when each leave on a removed chain was a heap event read at the NF
+IN_FLIGHT_CROSSINGS = {
+    "passthrough": (2.514, [
+        2.514362, 2.521317, 2.529046, 2.543333, 2.548745, 2.570616, 2.578191, 2.578371,
+        2.601682, 2.601889, 2.621047, 2.6296, 2.631752, 2.641938, 2.672022, 2.675365,
+        2.675587, 2.676841, 2.703333, 2.716227, 2.721012, 2.721633, 2.730739,
+    ]),
+    "capacity": (2.514, [
+        2.514888, 2.522388, 2.529888, 2.537388, 2.544333, 2.556245, 2.578116, 2.585691,
+        2.593191, 2.609182, 2.616682, 2.628547, 2.6371, 2.6446, 2.6521, 2.679522,
+        2.687022, 2.694522, 2.702022, 2.704333, 2.723727, 2.731227, 2.738727, 2.746227,
+    ]),
+}
 
 
 def test_packets_in_flight_to_a_reclaimed_chain_are_caught_at_the_nf():
     # 0.25 s links: packets the master sends to C2 before the reclaim reach
-    # its NF after it, and the NF flags each at its arrival time
-    result = netsim.run(small_scenario(
-        link_latency=0.25, session_timeout=0.5, horizon=20.0,
-        actions=(Action(at=2.0, op="remove", pair=C2),),
-    ))
-    assert result.reclaims[C2] == pytest.approx(2.514)
-    crossed = [a for a in result.anomalies
-               if a["reason"] == "packet crossed reclaimed chain (4,5)"]
-    assert [a["t"] for a in crossed] == [
-        2.514362, 2.521317, 2.529046, 2.543333, 2.548745, 2.570616, 2.578191, 2.578371,
-        2.601682, 2.601889, 2.621047, 2.6296, 2.631752, 2.641938, 2.672022, 2.675365,
-        2.675587, 2.676841, 2.703333, 2.716227, 2.721012, 2.721633, 2.730739,
-    ]
+    # its NF after it. Each leave is booked at the send, before the reclaim,
+    # and flagged when the reclaim is recorded, at its departure time
+    for mode, (reclaim, times) in IN_FLIGHT_CROSSINGS.items():
+        nf = {} if mode == "passthrough" else dict(nf_mode="capacity", nf_capacity=4e5)
+        result = netsim.run(small_scenario(
+            link_latency=0.25, session_timeout=0.5, horizon=20.0,
+            actions=(Action(at=2.0, op="remove", pair=C2),), **nf,
+        ))
+        assert result.reclaims[C2] == pytest.approx(reclaim), mode
+        crossed = [a for a in result.anomalies
+                   if a["reason"] == "packet crossed reclaimed chain (4,5)"]
+        assert [a["t"] for a in crossed] == times, mode
+        stamps = [e["t"] for e in result.events]
+        assert stamps == sorted(stamps), mode
+
+
+def test_leave_booked_after_the_reclaim_is_caught_at_its_departure(monkeypatch):
+    # a stray the master sends to C2 a second after C2's reclaim: its leave
+    # is booked once the reclaim is recorded, so it is read against
+    # result.reclaims at the send, and flagged at its departure from the NF
+    scenario = small_scenario(actions=(Action(at=1.0, op="remove", pair=C2),), horizon=20.0)
+    reclaim = netsim.run(scenario).reclaims[C2]
+    sim = netsim.NetSim(scenario)
+    stray = packet()._replace(session_id=10_000)
+    sent_at = math.ceil(reclaim) + 1.0
+
+    def send_stray():
+        sim.result.injected_bytes += stray.size
+        send(sim, "lb1", 1, stray, (C2.forward_tag,))
+
+    schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
+    result = sim.run()
+    assert result.reclaims[C2] == reclaim < sent_at
+    departure = sent_at
+    for _ in range(3):  # lb1 -> es1 -> cs2 -> nf2
+        departure += scenario.link_latency
+    assert [(a["reason"], a["session"], a["t"]) for a in result.anomalies] == [
+        ("packet crossed reclaimed chain (4,5)", 10_000, round(departure, 6))]
+    stamps = [e["t"] for e in result.events]
+    assert stamps == sorted(stamps)
 
 
 @pytest.mark.parametrize("sent_at, booked", [
@@ -958,28 +1000,44 @@ CAPACITY_DRAIN = WORKLOADS / "capacity-drain.yaml"
 
 
 def test_capacity_drain_event_count_gate():
-    # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1,
-    # so one chain is never removed): an NF crossing is admitted at the send;
-    # its leave takes one event on a removed chain and none on the kept one,
-    # the packet's injection is its arrival at the first balancer, and the
-    # slave's pop of a forward packet takes none. An arrival at the slave per
-    # forward packet made 76,431, an injection event per packet 108,431, and
-    # an arrival and a departure event per crossing 157,906.
+    # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1):
+    # each packet's arrival at its first balancer, each reverse packet's
+    # arrival at the master (28,806 of 30,000: the others are dropped or
+    # reach it after the horizon), one event per queue drop, and 342 of the
+    # control plane. An NF crossing is admitted at the send and its leave
+    # booked inline on a removed chain too. A leave event on the removed
+    # chains made 74,455, an arrival at the slave per forward packet too
+    # 76,431, an injection event per packet 108,431, and an arrival and a
+    # departure event per crossing 157,906.
     result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
     assert result.packets == 32_000
     assert sum(1 for e in result.events if e["event"] == "drop") == 1_218
-    assert result.scheduled_events == 74_455
+    assert result.scheduled_events == 32_000 + 28_806 + 1_218 + 342 == 62_366
 
 
 def test_short_flows_event_count_gate():
     # planned arrivals plus heap entries on the workload of 3-packet
     # sessions (one request, two responses): each packet's arrival at its
-    # first balancer, each response's arrival at the master, and 2,937 of
-    # the control plane. An arrival at the slave per request too made 38,937.
+    # first balancer, each response's arrival at the master, and 122 of the
+    # control plane. A leave event per crossing of the removed chain made
+    # 32,937, and an arrival at the slave per request too 38,937.
     result = netsim.run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
     assert result.packets == 18_000
     assert len(result.session_starts) == 6_000
-    assert result.scheduled_events == 18_000 + 2 * 6_000 + 2_937 == 32_937
+    assert result.scheduled_events == 18_000 + 2 * 6_000 + 122 == 30_122
+
+
+def test_long_flows_event_count_gate():
+    # planned arrivals plus heap entries on the workload of 16-packet
+    # sessions (one request, 15 responses) that adds two passthrough chains
+    # and removes one: each packet's arrival at its first balancer, each
+    # response's arrival at the master, and 329 of the control plane; no
+    # NF crossing takes one, on the removed chain either. A leave event per
+    # crossing of the removed chain made 58,405.
+    result = netsim.run(parse_scenario(WORKLOADS / "long-flows.yaml").with_seed(1))
+    assert result.packets == 28_800
+    assert len(result.session_starts) == 1_800
+    assert result.scheduled_events == 28_800 + 15 * 1_800 + 329 == 56_129
 
 
 def test_static_1_canonical_key_gate(monkeypatch):

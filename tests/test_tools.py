@@ -57,12 +57,13 @@ def test_digests_prints_every_output_of_every_seed(tmp_path):
     ]
 
 
-# the eight SPANS targets the program no longer has (ROADMAP item 1); any
+# the ten SPANS targets the program no longer has (ROADMAP item 1); any
 # other name here means a change broke a name bench/tracing.py wraps
 DEAD_SPANS = {
     "netsim.NetSim._arrive", "netsim.SwitchNode.handle", "netsim.canonical_key",
     "balancer.canonical_key", "netsim.encode_message", "netsim.decode_message",
     "netsim.HostNode.handle", "netsim.NfInstance.handle",
+    "netsim.NfInstance._depart", "netsim.NetSim.note_nf",
 }
 
 

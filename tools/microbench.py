@@ -31,8 +31,8 @@ Prints one JSON object of best-of-N timings:
   included, with at most 64 sends pending; this is the way from one
   balancer through an NF to the other that every reverse packet takes.
 - ``capacity_crossing_us``: the same send through a capacity NF (15 MB/s,
-  a 64-packet queue that the 64 pending sends fill without a drop, on a
-  chain no remove action names), until the master gets the packet.
+  a 64-packet queue that the 64 pending sends fill without a drop), until
+  the master gets the packet.
 - ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
   whole packet schedule of each ``bench/workloads`` profile at seed 1.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
