@@ -22,9 +22,11 @@ per-chain dicts, sets and comparisons of the packet path run in C.
 Vector layout: `table` holds the live chains sorted by forward tag, `tally`
 their slot counts, and `index` one small int per slot pointing into `table`
 (bytes up to 256 chains, array('H') beyond). Chains, counts and equality
-therefore cost O(chains), never O(L). The shuffle order depends only on
-(seed XOR generation, L), so it is computed once per generation and shared
-by every vector built for it, on the master and the slave alike.
+therefore cost O(chains), never O(L). The index depends only on the slot
+runs (each live chain's table position and count, in allocation order) and
+on seed XOR generation, so each committed generation is shuffled once: the
+Fisher-Yates swaps run on the filled slots themselves, and the master's and
+the slave's vectors of that generation share the one index.
 
 The shuffle's SplitMix64 draws are computed a block of `_LANES` at a time in
 one Python int, one draw per 128-bit lane: every state, xor-shift and
@@ -220,26 +222,30 @@ def _splitmix_block(state: int, count: int) -> array:
 
 
 @lru_cache(maxsize=2)
-def _shuffle_order(state: int, length: int) -> array:
-    """Slot k of the shuffled vector takes pre-shuffle slot order[k].
+def _shuffled_index(runs: tuple[tuple[int, int], ...], state: int) -> bytes | array:
+    """The slot index of a vector filled with `runs` and shuffled from `state`.
 
-    Runs the Fisher-Yates swaps of `build_buckets` over slot positions:
-    swap i (from L-1 down to 1) takes SplitMix64 draw L-i mod (i+1). The
-    draws come a block at a time from `_splitmix_block`, so only the
-    modulo and the swap run per slot. The master and the slave build each
-    generation's vector from the same (seed XOR generation, L), so the
-    cache lets the second build reuse the first one's order. Every caller
-    gets the same array: read it, never mutate it.
+    `runs` holds one (table position, slot count) per live chain, in
+    allocation order; the slots are filled run by run, then shuffled in
+    place by Fisher-Yates: swap i (from L-1 down to 1) takes SplitMix64
+    draw L-i mod (i+1). The draws come a block at a time from
+    `_splitmix_block`, so only the modulo and the swap run per slot. The
+    master and the slave build each generation from the same runs and
+    seed XOR generation, so the cache hands the second build the first
+    one's index. Every caller gets the same object: read it, never mutate it.
     """
-    order = array("I", range(length))
+    slots: list[int] = []
+    for position, count in runs:
+        slots += [position] * count
+    length = len(slots)
     for done in range(0, length - 1, _LANES):
         top = length - 1 - done
         count = min(_LANES, top)
         draws = _splitmix_block((state + done * _GAMMA) & MASK64, count)
         for i, z in zip(range(top, top - count, -1), draws):
             j = z % (i + 1)
-            order[i], order[j] = order[j], order[i]
-    return order
+            slots[i], slots[j] = slots[j], slots[i]
+    return bytes(slots) if len(runs) <= 256 else array("H", slots)
 
 
 def build_buckets(
@@ -247,12 +253,14 @@ def build_buckets(
     params: HashParams,
     generation: int,
 ) -> BucketVector:
-    """Fill one slot run per chain, then Fisher-Yates shuffle.
+    """Fill one slot run per chain, then Fisher-Yates shuffle the slots.
 
     The shuffle is driven by SplitMix64 seeded with seed XOR generation,
     with the swap index drawn as next() mod (i+1) for i from L-1 down to 1.
     Both balancers must call this with an identically ordered alloc to get
-    bit-identical vectors.
+    bit-identical vectors; the second call for a generation reuses the
+    first one's shuffled index (see `_shuffled_index`), so each generation
+    is shuffled once for both.
     """
     total = sum(count for _, count in alloc)
     if total != params.bucket_count:
@@ -265,20 +273,12 @@ def build_buckets(
     if len(set(ids)) != len(ids):
         raise AllocationMismatch("duplicate chain in allocation")
 
-    # slots are filled in allocation order, each holding its chain's position
-    # in the sorted table; zero-count chains take no slot and no table entry
+    # one slot run per chain, in allocation order, each slot holding its
+    # chain's position in the sorted table; zero-count chains take no slot
+    # and no table entry
     table = tuple(sorted(chain for chain, count in alloc if count))
     position = {chain: i for i, chain in enumerate(table)}
-    tally = [0] * len(table)
-    filled: list[int] = []
-    for chain, count in alloc:
-        if count:
-            i = position[chain]
-            tally[i] = count
-            filled.extend([i] * count)
-
-    order = _shuffle_order((params.seed ^ generation) & MASK64, params.bucket_count)
-    gathered = map(filled.__getitem__, order)
-    index = bytes(gathered) if len(table) <= 256 else array("H", gathered)
-    return BucketVector(table, index, tuple(tally), params.seed, generation)
-
+    runs = tuple((position[chain], count) for chain, count in alloc if count)
+    tally = tuple(count for _, count in sorted(runs))
+    index = _shuffled_index(runs, (params.seed ^ generation) & MASK64)
+    return BucketVector(table, index, tally, params.seed, generation)

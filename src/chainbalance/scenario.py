@@ -100,7 +100,10 @@ TOP = {
     "control_latency": _period(Scenario.control_latency),
     "poll_interval": _period(Scenario.poll_interval),
 }
-HASH = {"seed": Field(int, low=0, high=MASK64), "buckets": Field(int)}
+# 16 times the largest vector of any bundled scenario or bench workload: the
+# vector is built slot by slot, so a larger one is refused, never allocated
+MAX_BUCKETS = 2**20
+HASH = {"seed": Field(int, low=0, high=MASK64), "buckets": Field(int, high=MAX_BUCKETS)}
 # read off the profile, whose defaults are the schema's; its ranges live in validate()
 TRAFFIC = {
     f.name: Field(get_type_hints(TrafficProfile)[f.name], f.default)

@@ -413,25 +413,40 @@ def test_outputs_match_pinned_digests(tmp_path, name, seed):
     assert digests == PINNED_DIGESTS[(name, seed)]
 
 
-# The same for the one bench workload whose NFs run in capacity mode (token
-# buckets, 40-packet queues, scale-in 3 -> 2 -> 1); every run pinned above
-# has passthrough NFs. The workload is read from bench/, never written.
-CAPACITY_DRAIN = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "capacity-drain.yaml"
+# The same for two bench workloads, read from bench/, never written:
+# capacity-drain, the one whose NFs run in capacity mode (token buckets,
+# 40-packet queues, scale-in 3 -> 2 -> 1), since every run pinned above has
+# passthrough NFs; and short-flows, the one run at L=65536 and the one with
+# a rebalance action.
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 PINNED_CAPACITY_DIGESTS = {
     "series.csv": "437e92657e91616125afe90dfaa2804e8c16f51d05792ff424423cae5f3796f0",
     "events.jsonl": "6c33f7497032c5b2bdd68859edbe7eafb7b4af7f8761c5eb1a0286f3046fed6e",
     "report.json": "88a3507ed167803c33c9408c891f442ac1cf07693191631c9f9f92c065de3a9a",
 }
+PINNED_SHORT_FLOWS_DIGESTS = {
+    "series.csv": "60049d7f137e8220df6a0034f10570c1826d03048d77e4970d6849550b8bd77b",
+    "events.jsonl": "0c3e13794520626d87464d4d50b7c4f2e3219222eb70e0e5b839805f8c1648fa",
+    "report.json": "378d79a6794cae2d23ee63409c0281cf2a513d154c8780beec1d3c91e7abf472",
+}
+
+
+def workload_digests(tmp_path, name):
+    """sha256 of each output of the named workload's run at seed 1."""
+    result = netsim.run(parse_scenario(WORKLOADS / f"{name}.yaml").with_seed(1))
+    write_outputs(result, tmp_path)
+    return {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in ("series.csv", "events.jsonl", "report.json")
+    }
 
 
 def test_capacity_drain_outputs_match_pinned_digests(tmp_path):
-    result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
-    write_outputs(result, tmp_path)
-    digests = {
-        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
-        for output in PINNED_CAPACITY_DIGESTS
-    }
-    assert digests == PINNED_CAPACITY_DIGESTS
+    assert workload_digests(tmp_path, "capacity-drain") == PINNED_CAPACITY_DIGESTS
+
+
+def test_short_flows_outputs_match_pinned_digests(tmp_path):
+    assert workload_digests(tmp_path, "short-flows") == PINNED_SHORT_FLOWS_DIGESTS
 
 
 def test_criterion_8_bucket_allocation():

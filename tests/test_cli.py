@@ -201,6 +201,9 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     ("mini.traffic", "collide_fraction", "  rate: 75.0\n", "  rate: 75.0\n  collide_fraction: x\n"),
     ("mini.hash", "seed", "  seed: 7\n", "  seed: -1\n"),
     ("mini.hash", "seed", "  seed: 7\n", f"  seed: {2**64}\n"),
+    # a vector this long was allocated slot by slot, a list entry per bucket
+    ("mini.hash", "buckets", "  buckets: 256\n", f"  buckets: {2**20 + 1}\n"),
+    ("mini.hash", "buckets", "  buckets: 256\n", f"  buckets: {10**12}\n"),
     ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: x\n"),
     ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: -1\n"),
     ("mini.nf", "capacity", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  capacity: x\n"),
@@ -266,6 +269,16 @@ def test_run_rejects_malformed_optional_field(tmp_path, capsys, where, key, line
     assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
     assert f"{where}: field {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_parse_accepts_the_largest_bucket_count():
+    # parsed only; a vector this long is never built here
+    mapping = {
+        "hash": {"seed": 7, "buckets": 2**20},
+        "chains": [[2, 3]],
+        "traffic": {"sessions": 40, "rate": 75.0, "bytes_per_session": 15000},
+    }
+    assert scenario_from_mapping(mapping, name_hint="wide").bucket_count == 2**20
 
 
 def test_parse_required_keys_only_takes_declared_defaults():

@@ -24,7 +24,7 @@ from chainbalance.hashing import (
     Endpoint,
     HashParams,
     _from_lanes,
-    _shuffle_order,
+    _shuffled_index,
     _splitmix_block,
     build_buckets,
     canonical_key,
@@ -242,11 +242,14 @@ def test_low_words_read_the_lanes_in_either_byte_order(byteorder):
 
 
 def test_shuffle_order_line_events_gate():
-    # work counter, not wall time: Python line events while one L=65536 order
-    # is drawn. Drawing SplitMix64 one state at a time took 393,214 (6.0 per
+    # work counter, not wall time: Python line events while one L=65536
+    # index is filled from three slot runs, as a commit builds it, and
+    # shuffled. Drawing SplitMix64 one state at a time took 393,214 (6.0 per
     # slot); the lane-block draw leaves the loop header, the modulo and the
     # swap per slot.
     length = 65536
+    third = length // 3
+    runs = ((0, third), (1, length - 2 * third), (2, third))
     lines = 0
 
     def trace(frame, event, arg):
@@ -257,16 +260,18 @@ def test_shuffle_order_line_events_gate():
 
     sys.settrace(trace)
     try:
-        order = _shuffle_order.__wrapped__(12345, length)
+        index = _shuffled_index.__wrapped__(runs, 12345)
     finally:
         sys.settrace(None)
-    assert sorted(order) == list(range(length))
+    filled = [position for position, count in runs for _ in range(count)]
+    assert list(index) == reference_shuffle(filled, 12345, 0)
     assert lines <= 3.5 * length
 
 
 def test_slave_reuses_the_masters_order():
-    # work counter: one order per committed generation, generation 0 included;
-    # the slave's build of each generation hits the master's cached order
+    # work counter: one shuffle per committed generation, generation 0
+    # included; the slave's build of each generation hits the master's
+    # cached index, so both vectors hold the one index object
     scenario = scenario_from_mapping({
         "name": "orders",
         "hash": {"seed": 7, "buckets": 256},
@@ -279,11 +284,31 @@ def test_slave_reuses_the_masters_order():
         ],
         "horizon": 4.0,
     })
-    _shuffle_order.cache_clear()
-    result = netsim.run(scenario)
+    sim = netsim.NetSim(scenario)
+    shared = []
+
+    def check(at_generation):
+        master, slave = sim.master_agent.balancer.buckets, sim.slave_agent.balancer.buckets
+        assert master.generation == slave.generation == at_generation
+        shared.append(master.index is slave.index)
+
+    fire, done = sim._fire_action, sim._action_done
+
+    def fired(action):
+        check(len(shared) // 2)  # the last commit's generation, 0 at the first action
+        fire(action)
+
+    def acked(action, reply):
+        done(action, reply)
+        check(len(shared) // 2 + 1)
+
+    sim._fire_action, sim._action_done = fired, acked
+    _shuffled_index.cache_clear()
+    result = sim.run()
     assert [c["generation"] for c in result.commits] == [1, 2, 3]
     assert result.clean
-    assert _shuffle_order.cache_info().misses == len(scenario.actions) + 1
+    assert _shuffled_index.cache_info().misses == len(scenario.actions) + 1
+    assert shared == [True] * 2 * len(scenario.actions)
 
 
 def test_lookup_single_chain():

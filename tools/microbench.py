@@ -9,8 +9,10 @@ Prints one JSON object of best-of-N timings:
   call passes a session key packed beforehand, as the simulator's balancer
   nodes do.
 - ``build_buckets_ms[L]``: one ``build_buckets`` call for a 3-chain allocation
-  at a generation not built before, and ``build_buckets_again_ms[L]`` for a
-  second build of the same generation, as the slave does after the master.
+  at a generation not built before, which fills and shuffles the slots, and
+  ``build_buckets_again_ms[L]`` for a second build of the same generation, as
+  the slave does after the master: a cache hit that reuses the first build's
+  shuffled index and only checks the allocation and packs the table.
 - ``codec_round_trip_us``: one ``encode_message`` + ``decode_message`` round
   trip, as the control transport makes per message, for a 5-chain
   ``allocation_commit`` prepare and for a stats ``ack`` carrying a 5-chain
