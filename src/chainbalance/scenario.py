@@ -104,6 +104,10 @@ TOP = {
 # vector is built slot by slot, so a larger one is refused, never allocated
 MAX_BUCKETS = 2**20
 HASH = {"seed": Field(int, low=0, high=MASK64), "buckets": Field(int, high=MAX_BUCKETS)}
+# about 250 times the most periods of any bundled scenario or bench workload
+# (66 s of 0.25 s drain polls): each stats window, drain poll and 1 s session
+# sweep in the horizon is control work, so a run with more is refused
+MAX_PERIODS = 2**16
 # read off the profile, whose defaults are the schema's; its ranges live in validate()
 TRAFFIC = {
     f.name: Field(get_type_hints(TrafficProfile)[f.name], f.default)
@@ -177,6 +181,13 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
         raise ValidationError("scenario document must be a mapping", location=name_hint)
     name = _field(obj, "name", TOP["name"]._replace(default=name_hint), name_hint)
     top = _read(obj, TOP, name)
+    horizon = top["horizon"]
+    for key, period in (("horizon", 1.0), ("window", top["window"]),
+                        ("poll_interval", top["poll_interval"])):
+        if horizon / period > MAX_PERIODS:
+            raise ValidationError(f"field {key!r} must leave at most {MAX_PERIODS} periods of "
+                                  f"{period:g} s in the horizon, got {horizon / period:g}",
+                                  location=name)
 
     chains = [_parse_pair(p, f"{name}.chains[{i}]") for i, p in enumerate(top["chains"])]
     if not chains:

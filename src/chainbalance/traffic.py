@@ -3,17 +3,17 @@
 Sessions mimic fixed-rate HTTP fetches: a short client request followed by
 a paced stream of response bytes from the server, finishing a configurable
 duration after the session started. Everything is derived from one seed so
-a profile always expands to the identical packet schedule. Each session's
-key is packed once here and shared by all of its packets, in both
-directions. A planned packet is a `PlannedPacket` named tuple. The schedule
-is in (time, session_id, reverse) order: packets are planned session by
-session, each session's request before its response, so a stable sort on
-time alone gives that order.
+a profile always expands to the identical packet schedule. The plan is built
+in one pass: every session carries the profile's byte counts, cut into
+packets once per plan, and draws only its client and its duration. A
+client's key is packed when it is first drawn and shared by all packets of
+its sessions, in both directions. Packets are planned session by session,
+each session's request before its response, so a stable sort on time alone
+puts the schedule in (time, session_id, reverse) order.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,6 +22,10 @@ from typing import NamedTuple
 from .hashing import Endpoint, canonical_key
 
 SERVER = Endpoint.parse("10.99.0.1", 80)
+# about 10 times the largest bundled plan (13,500 sessions of 16 packets):
+# the plan is built packet by packet before the run starts, so a larger one
+# is refused, never allocated
+MAX_PLAN_PACKETS = 2**21
 
 
 @dataclass(frozen=True)
@@ -57,21 +61,12 @@ class TrafficProfile:
         for key, holds, bound in rules:
             if not holds:
                 raise ValueError(f"field {key!r} must be {bound}, got {getattr(self, key)}")
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """One planned session; packet times are fully determined by these fields."""
-
-    session_id: int
-    client: Endpoint
-    server: Endpoint
-    start: float
-    request_bytes: int
-    response_bytes: int
-    packet_size: int
-    duration: float
-    response_delay: float
+        # the plan's size, checked only once packet_size is known to be positive
+        request, response = self.request_bytes, self.bytes_per_session - self.request_bytes
+        per_session = -(-request // self.packet_size) - (-response // self.packet_size)
+        if self.sessions * per_session > MAX_PLAN_PACKETS:
+            raise ValueError(f"field 'sessions' times {per_session} packets per session must be"
+                             f" at most {MAX_PLAN_PACKETS}, got {self.sessions}")
 
 
 class PlannedPacket(NamedTuple):
@@ -90,22 +85,22 @@ _INJECTION_ORDER = itemgetter(0)
 
 
 def _chunks(total: int, size: int) -> list[int]:
-    n = math.ceil(total / size)
-    sizes = [size] * (n - 1)
-    sizes.append(total - size * (n - 1))
-    return sizes
+    n = -(-total // size)
+    return [size] * (n - 1) + [total - size * (n - 1)]
 
 
-def plan_sessions(profile: TrafficProfile, seed: int) -> list[SessionSpec]:
-    """Lay out session start times, endpoints and durations for a profile."""
+def generate_traffic(profile: TrafficProfile, seed: int) -> list[PlannedPacket]:
+    """Full two-direction packet schedule for a profile, ordered by time."""
     profile.validate()
-    rng = random.Random(seed)
+    p, rng = profile, random.Random(seed)
+    forward = list(enumerate(_chunks(p.request_bytes, p.packet_size)))
+    reverse = list(enumerate(_chunks(p.bytes_per_session - p.request_bytes, p.packet_size), 1))
     used: set[tuple[bytes, int]] = set()
-    pool: list[Endpoint] = []
-    specs = []
-    for i in range(profile.sessions):
-        if pool and rng.random() < profile.collide_fraction:
-            client = rng.choice(pool)
+    pool: list[bytes] = []  # the key of every client drawn so far
+    packets: list[PlannedPacket] = []
+    for sid in range(p.sessions):
+        if pool and rng.random() < p.collide_fraction:
+            key = rng.choice(pool)
         else:
             while True:
                 address = bytes([10, 0, rng.randrange(256), 1 + rng.randrange(254)])
@@ -113,44 +108,13 @@ def plan_sessions(profile: TrafficProfile, seed: int) -> list[SessionSpec]:
                 if (address, port) not in used:
                     break
             used.add((address, port))
-            client = Endpoint(address, port)
-            pool.append(client)
-        duration = profile.duration + rng.uniform(-profile.duration_jitter, profile.duration_jitter)
-        specs.append(
-            SessionSpec(
-                session_id=i,
-                client=client,
-                server=SERVER,
-                start=i / profile.rate,
-                request_bytes=profile.request_bytes,
-                response_bytes=profile.bytes_per_session - profile.request_bytes,
-                packet_size=profile.packet_size,
-                duration=duration,
-                response_delay=profile.response_delay,
-            )
-        )
-    return specs
-
-
-def session_packets(spec: SessionSpec) -> list[PlannedPacket]:
-    """Expand one session into its forward request and paced reverse response."""
-    key = canonical_key(spec.client, spec.server)
-    sid, start = spec.session_id, spec.start
-    packets = []
-    for i, size in enumerate(_chunks(spec.request_bytes, spec.packet_size)):
-        packets.append(PlannedPacket(start + i * 1e-4, sid, key, size, False))
-    sizes = _chunks(spec.response_bytes, spec.packet_size)
-    spacing = (spec.duration - spec.response_delay) / len(sizes)
-    first = start + spec.response_delay
-    for i, size in enumerate(sizes):
-        packets.append(PlannedPacket(first + (i + 1) * spacing, sid, key, size, True))
-    return packets
-
-
-def generate_traffic(profile: TrafficProfile, seed: int) -> list[PlannedPacket]:
-    """Full two-direction packet schedule for a profile, ordered by time."""
-    packets: list[PlannedPacket] = []
-    for spec in plan_sessions(profile, seed):
-        packets.extend(session_packets(spec))
+            key = canonical_key(Endpoint(address, port), SERVER)
+            pool.append(key)
+        duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
+        start = sid / p.rate
+        packets += [PlannedPacket(start + i * 1e-4, sid, key, size, False) for i, size in forward]
+        spacing = (duration - p.response_delay) / len(reverse)
+        first = start + p.response_delay
+        packets += [PlannedPacket(first + k * spacing, sid, key, size, True) for k, size in reverse]
     packets.sort(key=_INJECTION_ORDER)
     return packets

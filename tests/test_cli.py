@@ -251,6 +251,18 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     # reported "clean", with no drop even for a 1-packet queue
     ("mini.nf", "capacity", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  capacity: 1000.0\n"),
     ("mini.nf", "queue_limit", "horizon: 10.0\n", "horizon: 10.0\nnf:\n  queue_limit: 1\n"),
+    # one period past MAX_PERIODS: a 1e-9 s window parsed, and its run would
+    # schedule 1e10 stats polls; the 1 s session sweep spans the horizon
+    ("mini", "window", "horizon: 10.0\n", f"horizon: 10.0\nwindow: {10.0 / (2**16 + 1)!r}\n"),
+    ("mini", "window", "horizon: 10.0\n", "horizon: 10.0\nwindow: 1.0e-9\n"),
+    ("mini", "poll_interval", "horizon: 10.0\n",
+     f"horizon: 10.0\npoll_interval: {10.0 / (2**16 + 1)!r}\n"),
+    ("mini", "horizon", "horizon: 10.0\n", f"horizon: {2.0**16 + 1}\n"),
+    # a plan just past MAX_PLAN_PACKETS (6 packets a session), and one that
+    # parsed clean and would have been built until memory ran out
+    ("mini.traffic", "sessions", "  sessions: 40\n", "  sessions: 349526\n"),
+    ("mini.traffic", "sessions", "  sessions: 40\n  rate: 75.0\n  bytes_per_session: 15000\n",
+     "  sessions: 1000000000\n  rate: 75.0\n  bytes_per_session: 1000000000000\n"),
 ]
 
 
@@ -279,6 +291,29 @@ def test_parse_accepts_the_largest_bucket_count():
         "traffic": {"sessions": 40, "rate": 75.0, "bytes_per_session": 15000},
     }
     assert scenario_from_mapping(mapping, name_hint="wide").bucket_count == 2**20
+
+
+AT_THE_BOUNDS = [  # top-level keys and traffic keys of scenarios that just fit
+    ({"horizon": 2.0**16, "poll_interval": 1.0}, {}),
+    ({"horizon": 10.0, "window": 10.0 / 2**16}, {}),
+    ({"horizon": 10.0, "poll_interval": 10.0 / 2**16}, {}),
+    # 2**21 planned packets: one request and 15 response packets a session
+    ({}, {"sessions": 2**21 // 16, "bytes_per_session": 45_400}),
+]
+
+
+@pytest.mark.parametrize("top, traffic", AT_THE_BOUNDS)
+def test_parse_accepts_a_scenario_at_each_bound(top, traffic):
+    # parsed only; no such plan is built and no such run simulated here
+    mapping = {
+        "hash": {"seed": 7, "buckets": 256},
+        "chains": [[2, 3]],
+        "traffic": {"sessions": 40, "rate": 75.0, "bytes_per_session": 15000, **traffic},
+        **top,
+    }
+    scenario = scenario_from_mapping(mapping, name_hint="edge")
+    assert scenario.horizon == top.get("horizon", 60.0)
+    assert scenario.traffic.sessions == traffic.get("sessions", 40)
 
 
 def test_parse_required_keys_only_takes_declared_defaults():

@@ -1073,7 +1073,8 @@ def test_static_1_python_calls_per_packet_gate():
     # packet whose injection is its arrival at the first balancer (no send
     # from the host) 9.97, and with that arrival an entry of the loop's
     # arrival stream, the slave's pop and the master's delivery compiled
-    # into the walks, it makes 9.93.
+    # into the walks, 9.93; planning the traffic in one pass, with no
+    # per-session record, makes it 9.86.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name

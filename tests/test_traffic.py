@@ -1,52 +1,50 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainbalance.hashing import Endpoint, canonical_key
-from chainbalance.traffic import (
-    SERVER,
-    SessionSpec,
-    TrafficProfile,
-    generate_traffic,
-    plan_sessions,
-    session_packets,
-)
+from chainbalance.scenario import parse_scenario
+from chainbalance.traffic import SERVER, TrafficProfile, generate_traffic
 
-CLIENT = Endpoint.parse("10.0.0.1", 5000)
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
+
+
+def sessions(packets):
+    """session_id -> its packets, in plan order."""
+    by_session = {}
+    for p in packets:
+        by_session.setdefault(p.session_id, []).append(p)
+    return by_session
 
 
 def test_session_packet_arithmetic():
     # 1000 request bytes at packet size 500 -> two forward packets, and the
     # response expands independently
-    spec = SessionSpec(
-        session_id=0,
-        client=CLIENT,
-        server=SERVER,
-        start=0.0,
-        request_bytes=1000,
-        response_bytes=1500,
-        packet_size=500,
-        duration=6.0,
-        response_delay=0.02,
-    )
-    packets = session_packets(spec)
+    profile = TrafficProfile(sessions=1, rate=1.0, bytes_per_session=2500, packet_size=500,
+                             request_bytes=1000)
+    packets = generate_traffic(profile, seed=1)
     forward = [p for p in packets if not p.reverse]
     reverse = [p for p in packets if p.reverse]
     assert len(forward) == 2
     assert sum(p.size for p in forward) == 1000
     assert len(reverse) == 3
     assert sum(p.size for p in reverse) == 1500
-    # both directions carry the one key of the session
-    assert {p.key for p in packets} == {canonical_key(CLIENT, SERVER)}
+    # both directions carry the one key of the session, the client's
+    # endpoint packed before the server's
+    (key,) = {p.key for p in packets}
+    assert len(key) == 12 and key.endswith(SERVER_BYTES)
 
 
 def test_response_finishes_at_duration():
-    spec = SessionSpec(
-        session_id=0, client=CLIENT, server=SERVER, start=10.0,
-        request_bytes=400, response_bytes=74_600, packet_size=3000,
-        duration=6.0, response_delay=0.02,
-    )
-    packets = session_packets(spec)
+    # the second session starts at 1 / rate = 10 s
+    profile = TrafficProfile(sessions=2, rate=0.1, bytes_per_session=75_000, packet_size=3000,
+                             request_bytes=400, duration=6.0, duration_jitter=0.0,
+                             response_delay=0.02)
+    packets = sessions(generate_traffic(profile, seed=1))[1]
+    assert len(packets) == 1 + 25
     assert packets[-1].time == pytest.approx(16.0)
     assert min(p.time for p in packets) == 10.0
 
@@ -66,30 +64,33 @@ def test_stream_is_time_ordered_and_conserves_bytes():
 
 
 def test_unique_four_tuples_by_default():
-    specs = plan_sessions(
+    packets = generate_traffic(
         TrafficProfile(sessions=500, rate=100.0, bytes_per_session=5_000), seed=2
     )
-    keys = {(s.client.address, s.client.port) for s in specs}
+    keys = {p.key for p in packets}
     assert len(keys) == 500
-    assert all(s.server == SERVER for s in specs)
+    assert all(key.endswith(SERVER_BYTES) for key in keys)
 
 
 def test_collision_toggle_shares_endpoints():
-    specs = plan_sessions(
+    packets = generate_traffic(
         TrafficProfile(
             sessions=500, rate=100.0, bytes_per_session=5_000, collide_fraction=0.5
         ),
         seed=2,
     )
-    keys = {(s.client.address, s.client.port) for s in specs}
-    assert len(keys) < 400  # a solid fraction reused an earlier endpoint
+    assert len(sessions(packets)) == 500
+    assert len({p.key for p in packets}) < 400  # a solid fraction reused an earlier endpoint
 
 
 def test_start_spacing_follows_rate():
-    specs = plan_sessions(
+    packets = generate_traffic(
         TrafficProfile(sessions=10, rate=75.0, bytes_per_session=5_000), seed=1
     )
-    gaps = [b.start - a.start for a, b in zip(specs, specs[1:])]
+    # a session starts with its first request packet
+    starts = [own[0].time for _, own in sorted(sessions(packets).items())]
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
+    assert len(gaps) == 9
     assert all(g == pytest.approx(1 / 75.0) for g in gaps)
 
 
@@ -98,9 +99,12 @@ def test_duration_jitter_bounds_and_median():
         sessions=1001, rate=100.0, bytes_per_session=5_000,
         duration=6.0, duration_jitter=0.4,
     )
-    specs = plan_sessions(profile, seed=3)
-    durations = sorted(s.duration for s in specs)
-    assert durations[0] >= 5.6 and durations[-1] <= 6.4
+    # a session lasts from its first request packet to its last response packet
+    durations = sorted(
+        own[-1].time - own[0].time for own in sessions(generate_traffic(profile, seed=3)).values()
+    )
+    assert len(durations) == 1001
+    assert durations[0] >= 5.6 - 1e-9 and durations[-1] <= 6.4 + 1e-9
     assert durations[len(durations) // 2] == pytest.approx(6.0, abs=0.1)
 
 
@@ -114,9 +118,8 @@ def test_profile_validation():
 # -- injection order
 
 
-def planned_order(profile, seed):
+def planned_order(packets):
     """The schedule sorted on the full (time, session_id, reverse) key."""
-    packets = [p for spec in plan_sessions(profile, seed) for p in session_packets(spec)]
     return sorted(packets, key=lambda p: (p.time, p.session_id, p.reverse))
 
 
@@ -149,11 +152,55 @@ def test_tied_profile_ties_requests_and_responses_across_sessions():
     packets = generate_traffic(TIED, seed=1)
     at_one = [(p.session_id, p.reverse) for p in packets if p.time == 1.0]
     assert at_one == [(0, True), (1, False)]
-    assert packets == planned_order(TIED, 1)
+    assert packets == planned_order(packets)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tied_profiles(), st.integers(0, 3))
 @example(TIED, 1)
 def test_schedule_is_in_time_session_direction_order(profile, seed):
-    assert generate_traffic(profile, seed) == planned_order(profile, seed)
+    packets = generate_traffic(profile, seed)
+    assert packets == planned_order(packets)
+
+
+# -- pinned plans
+
+PINNED_PROFILES = {
+    "collide-half": TrafficProfile(sessions=200, rate=50.0, bytes_per_session=6_000,
+                                   packet_size=1_500, collide_fraction=0.5),
+    "collide-all": TrafficProfile(sessions=200, rate=50.0, bytes_per_session=6_000,
+                                  packet_size=1_500, collide_fraction=1.0),
+    "multi-packet-request": TrafficProfile(sessions=100, rate=20.0, bytes_per_session=9_000,
+                                           packet_size=1_000, request_bytes=2_500),
+    "tied": TIED,
+    "short-flows": parse_scenario(WORKLOADS / "short-flows.yaml").traffic,
+}
+# sha256 of repr(generate_traffic(profile, seed)), taken from the two-stage
+# builder (a per-session record expanded into packets) that the one-pass
+# plan replaced: every packet's time, session, key, size and direction
+PINNED_PLANS = {
+    ("collide-half", 0): "8662f07360eac5786ad51f0f7137adc15274cdbc3f8f6f63d7b5824ac3657099",
+    ("collide-half", 1): "08e762eb3230bc9bf04f0705701e70eef17f0faa88f981a160036325237cedaf",
+    ("collide-half", 2): "d31154d2176f4df883d435a5920692c63995976918da95230b5560360f7ddb36",
+    ("collide-all", 0): "d3a18476a12b292c5fd6eb6ab0be74301610dba6cd96127bf1471ee419bca4af",
+    ("collide-all", 1): "73ca02a8a9ce2e3713947bb5ead60df06644b819bd5dde24ebe734d65ccd899f",
+    ("collide-all", 2): "9531aa9d66039e482e78baee38c36724947b12765f35bc7d3a0a16f348c09d98",
+    ("multi-packet-request", 0):
+        "3c76e091e6f819f57896bb277c4124d5f45f3ced8d6946cebb847a6b4757db71",
+    ("multi-packet-request", 1):
+        "e9b47a35728506d06df3bdc40c516e6167b9e72999a1d345b8aedf2315bf5ecb",
+    ("multi-packet-request", 2):
+        "288ad06665e00d5f7df45cb2cbb121c80fea62af4cc715dd57504c2b0a9d9fc2",
+    ("tied", 0): "4099fc2e6ea5037e95de063a55e8168567b6b7f76810a5ecf2180a2eee6e4b40",
+    ("tied", 1): "d8829b8d6c3a378a2d8d3ed7d0cd51d75dfba6ab7bb2326c8edcb7dd09a79da1",
+    ("tied", 2): "dbd57eddc0ff5c043f3474438e2a04e028035b54b8c1490a22ca67c19e00dbe8",
+    ("short-flows", 0): "4f9e26afa122f69d9e5a5cc7675af7ed21929f5153ba70f7cb3c46a2901c58e5",
+    ("short-flows", 1): "f92e3e34bce85ae58fe9a5fab0d361f8a723d8ae02ecd374a63d3f14ff6477e5",
+    ("short-flows", 2): "da489adbafe4a104f88489e4efa61f51f4084ea6419c6268de4df4e5ba61d87a",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_PLANS), ids=lambda v: str(v))
+def test_plan_matches_pinned_digest(name, seed):
+    plan = generate_traffic(PINNED_PROFILES[name], seed)
+    assert hashlib.sha256(repr(plan).encode()).hexdigest() == PINNED_PLANS[name, seed]
