@@ -61,11 +61,13 @@ class Balancer:
 
         An active session (last packet less than the timeout ago) keeps its
         stored chain, even one that is draining; anything else is mapped
-        through the current bucket vector and recorded.
+        through the current bucket vector and recorded. A hit never moves
+        the timestamp back: the simulator may have set it ahead of `now`.
         """
         record = self.table.get(key)
         if record is not None and record.last_timestamp + self.session_timeout > now:
-            record.last_timestamp = now
+            if now > record.last_timestamp:
+                record.last_timestamp = now
             chain = record.assigned
         else:
             if self.buckets is None:
@@ -81,8 +83,8 @@ class Balancer:
         Master-side correction for the rare case where the slave assigned a
         session before this balancer learned of it (or after a re-shuffle
         diverged the two tables). Seeing the packet also refreshes the
-        session timestamp. Returns the chain the table held before, or None
-        when it held no record of the session.
+        session timestamp, never backward. Returns the chain the table held
+        before, or None when it held no record of the session.
         """
         if self.role != MASTER:
             raise ValueError("reconcile is a master-side operation")
@@ -92,7 +94,8 @@ class Balancer:
             return None
         held = record.assigned
         record.assigned = observed
-        record.last_timestamp = now
+        if now > record.last_timestamp:
+            record.last_timestamp = now
         return held
 
     # -- vector management -------------------------------------------------

@@ -11,7 +11,10 @@ in the order they were pushed, and `schedule` refuses one earlier than
 `(at, seq, fn, args)` entries onto `_heap` itself and takes `seq` from
 `_seq`, the one sequence counter, so a packet arrival and a control
 callback at the same timestamp still run in the order they were created,
-and `_seq` is the number of entries ever pushed.
+and `_seq` is the number of entries ever pushed. A forward packet makes no
+such entry, and a reverse packet one only when the master's arrival is not
+settled at the slave's send; queue drops and crossings of a reclaimed chain
+make one each.
 
 The second is the stream of planned arrivals that the simulator hands to
 `run`, already in time order; it never enters the heap. An arrival runs

@@ -27,9 +27,9 @@ float bits. Among events with the same timestamp, a packet's arrival at a
 stateful node is ordered by when it was sent.
 
 If no queue drops it, a forward packet makes no heap entry, and a reverse
-packet one: its arrival at the master, whose reconcile touches the session
-table. The walks are compiled through every hop that reads no state that
-changes with time:
+packet one only if its arrival at the master is not settled at the slave's
+send (below). The walks are compiled through every hop that reads no state
+that changes with time:
 - A planned packet's arrival at its first balancer is an entry of the event
   loop's arrival stream (`NetSim._arrivals`), not of its heap: its planned
   time, or the handshake's end if that is later, plus one latency per link.
@@ -40,8 +40,8 @@ changes with time:
 - A packet that reaches a host with no tag left is counted delivered when
   it is sent, if it arrives by the horizon (the test the loop's run applies
   to every event). So is one that reaches the slave with a forward tag: the
-  slave's pop is part of the walk to the server. The master counts its
-  delivery to the client after the reconcile, from the compiled host walk.
+  slave's pop is part of the walk to the server. The master's send to the
+  client is the compiled walk `to_client`.
 - An NF is crossed at the balancer's send, in either mode. Every walk into
   an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
   ones), so an NF gets packets in send order. A capacity NF's `admit` gives
@@ -49,6 +49,19 @@ changes with time:
   send in the arrival's place. The leave (series second, last packet, the
   session's chains) is booked inline at the departure time, and the walk
   goes on.
+- The master's arrival at `m` of a reverse packet the slave sent on chain
+  c at `a` is settled at the send when its reconcile could change only
+  the timestamp: the master's record holds c and is active at `m`, and
+  `a + timeout > m`, so the slave's record, just refreshed, outlives the
+  trip and no packet of the key is mapped to another chain before `m`. It
+  is booked then: the timestamp is raised to `m` (a balancer never moves
+  it back, and every reader before `m` sees the record active either way)
+  and the send to the client goes on. A capacity NF can hold a packet for
+  longer than the timeout, so that one the slave sent earlier on another
+  chain arrives after `a`; while such an arrival is pending (`_late`),
+  none is settled. An unsettled arrival, such as a session's divergent
+  first response, takes a heap entry, where `BalancerNode.handle`
+  reconciles; one after the horizon takes none.
 
 No packet may leave a chain's NF after its reclaim. An NF whose chain a
 remove action names keeps the leaves it has booked in `in_flight`. When
@@ -59,14 +72,15 @@ time of each later one; a leave booked after the reclaim is read against
 Same-instant rule: a departure at exactly an arrival's instant frees its
 queue slot first. Entries pushed at the send take that moment's place among
 entries with their timestamp. For a drop that is the place the arrival
-event had. The master's arrival beyond an NF stands for an entry pushed at
-the leave, so only on an exact time tie can it run earlier.
+event had. The master's unsettled arrival beyond an NF stands for an entry
+pushed at the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
-`transmit` pushes its heap entries itself, with the loop's one sequence
-counter, instead of calling `EventLoop.schedule`; a mapping balancer finds
-its send's walk by chain; and chain identities (`ChainId`) hash and compare
-in C.
+`inject` maps each planned packet at its first balancer and sends it in one
+call; `transmit` pushes its heap entries itself, with the loop's one
+sequence counter, instead of calling `EventLoop.schedule`; a mapping
+balancer finds its send's walk by chain; and chain identities (`ChainId`)
+hash and compare in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -92,7 +106,7 @@ from .control import (
 from .engine import EventLoop
 from .errors import NeverConverged, NoRoute
 from .hashing import ChainId
-from .scenario import Scenario
+from .scenario import SWEEP_PERIOD, Scenario
 from .traffic import PlannedPacket, generate_traffic
 
 # the traffic endpoints, in PlannedPacket.reverse order; no node object
@@ -279,13 +293,13 @@ class Walk(NamedTuple):
 class BalancerNode:
     """Network adapter around one balancer.
 
-    A packet without a tag is new work: map the session and send the packet
-    along the walk of the chain's tag (`sends`, compiled by `NetSim`). Only
-    the master is sent a tagged packet, a reverse packet the slave mapped
-    (the slave's pop of a forward tag is compiled into the walks): it
-    reconciles its table with the observed chain and counts the packet
-    delivered to the client, one latency per link of `delivery` later, if
-    that is by the horizon.
+    `NetSim.inject` maps each planned packet at its first balancer and sends
+    it along the walk of the chain's tag (`sends`, compiled by `NetSim`).
+    The one event a balancer handles is the master's arrival of a reverse
+    packet the slave mapped that `NetSim.transmit` could not settle at the
+    slave's send (the slave's pop of a forward tag is compiled into the
+    walks): the master reconciles its table with the observed chain and
+    sends the packet to the client.
     """
 
     def __init__(self, name, agent, sim, is_master: bool):
@@ -294,23 +308,14 @@ class BalancerNode:
         self.sim = sim
         self.is_master = is_master
         self.sends: dict[ChainId, Walk] = {}
-        self.delivery: tuple[float, ...] = ()
 
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
         sim = self.sim
-        if tags:
-            chain = sim.chain_by_reverse[tags[-1]]
-            held = self.agent.balancer.reconcile(packet.key, chain, now)
-            if held is not None and held != chain:
-                sim.note_reconcile(packet, held, chain, now)
-            for latency in self.delivery:
-                now += latency
-            if now <= sim.horizon:
-                sim.result.delivered_bytes += packet.size
-            return
-        chain = self.agent.balancer.map_packet(packet.key, packet.size, now)
-        sim.note_mapped(self, packet, chain, now)
-        sim.transmit(self.sends[chain], packet, now)
+        chain = sim.chain_by_reverse[tags[-1]]
+        held = self.agent.balancer.reconcile(packet.key, chain, now)
+        if held is not None and held != chain:
+            sim.note_reconcile(packet, held, chain, now)
+        sim.transmit(sim.to_client, packet, now)
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -383,6 +388,9 @@ class NetSim:
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         self.sessions: dict[int, SessionTrace] = {}
+        # the latest master arrival pushed on a trip no shorter than the
+        # session timeout; none is settled at its send until then
+        self._late = -math.inf
 
         self._build_control()
         self._build_topology(pairs)
@@ -468,13 +476,13 @@ class NetSim:
                 f"the client's walk crosses {client.hops} links and the server's "
                 f"{server.hops}; planned arrivals keep plan order only if both cross as many"
             )
-        # per host, indexed by PlannedPacket.reverse: the balancer's handle, port and tags
-        self._first_hop = tuple((walk.handle, walk.port, walk.tags) for walk in (client, server))
         self._host_latencies = (self.latency,) * client.hops
         lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
         lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
         lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
-        lb1.delivery = (self.latency,) * walks[("lb1", 1, ())].hops
+        # the balancer a planned packet reaches first, by PlannedPacket.reverse
+        self._first_balancer = (lb1, lb2)
+        self.to_client = walks[("lb1", 1, ())]  # the master's send to the client
 
     # -- data plane plumbing
 
@@ -483,7 +491,8 @@ class NetSim:
         push its arrival at the next stateful node, or count it delivered if
         that is a host. An NF reached untagged is crossed here: a capacity NF
         admits the packet now, then the leave is booked inline and the walk
-        goes on."""
+        goes on. The master's arrival beyond it is booked here too if it is
+        settled (see the module docstring)."""
         handle, in_port, tags, hops, nf, onward, admit = walk
         latency = self.latency
         # one addition per link, as one event per link made, so that
@@ -533,6 +542,25 @@ class NetSim:
             handle, in_port, tags, hops, _, _, _ = onward
             for _ in range(hops):
                 at += latency
+            if handle is not None:
+                # the master's arrival, which run(until=horizon) would not
+                # dispatch after the horizon
+                if at > self.horizon:
+                    return
+                timeout = self.scenario.session_timeout
+                if now + timeout <= at:
+                    if at > self._late:
+                        self._late = at
+                elif self._late < now:
+                    balancer = self.master_agent.balancer  # None before run()
+                    record = None if balancer is None else balancer.table.get(packet.key)
+                    if (record is not None and record.assigned == chain
+                            and record.last_timestamp + timeout > at):
+                        if at > record.last_timestamp:
+                            record.last_timestamp = at
+                        handle, in_port, tags, hops, _, _, _ = self.to_client
+                        for _ in range(hops):
+                            at += latency
         if handle is None:
             # what run(until=horizon) would have dispatched
             if at <= self.horizon:
@@ -588,13 +616,22 @@ class NetSim:
 
     def inject(self, packet: PlannedPacket, at: float):
         """A planned packet arrives at its first balancer at `at`: count it
-        injected and hand it to the balancer. `run` calls it once per planned
-        packet, as an entry of the event loop's arrival stream."""
+        injected, map it and send it on. `run` calls it once per planned
+        packet, as an entry of the event loop's arrival stream. The slave's
+        map is noted only where `note_mapped` has something to record: a
+        session's first map there, or a map to a reclaimed chain."""
         result = self.result
         result.injected_bytes += packet.size
         result.packets += 1
-        handle, port, tags = self._first_hop[packet.reverse]
-        handle(packet, port, tags, at)
+        node = self._first_balancer[packet.reverse]
+        chain = node.agent.balancer.map_packet(packet.key, packet.size, at)
+        if node.is_master:
+            self.note_mapped(node, packet, chain, at)
+        else:
+            trace = self.sessions.get(packet.session_id)
+            if trace is None or trace.slave_chain is None or chain in result.reclaims:
+                self.note_mapped(node, packet, chain, at)
+        self.transmit(node.sends[chain], packet, at)
 
     def _arrivals(self, packets, start: float):
         """The event loop's arrival stream: each planned packet's `inject`
@@ -725,7 +762,7 @@ class NetSim:
         packets = generate_traffic(s.traffic, s.seed)
         for action in s.actions:
             self.loop.schedule(max(action.at, start), self._fire_action, action)
-        self.loop.schedule(max(1.0, start), self._sweep)
+        self.loop.schedule(max(SWEEP_PERIOD, start), self._sweep)
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
         self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
@@ -754,8 +791,8 @@ class NetSim:
         for agent in (self.master_agent, self.slave_agent):
             if agent.balancer is not None:
                 agent.balancer.expire_sessions(now)
-        if now + 1.0 <= self.scenario.horizon:
-            self.loop.schedule(now + 1.0, self._sweep)
+        if now + SWEEP_PERIOD <= self.scenario.horizon:
+            self.loop.schedule(now + SWEEP_PERIOD, self._sweep)
 
     def _fire_action(self, action):
         now = self.loop.now

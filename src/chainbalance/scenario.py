@@ -104,8 +104,10 @@ TOP = {
 # vector is built slot by slot, so a larger one is refused, never allocated
 MAX_BUCKETS = 2**20
 HASH = {"seed": Field(int, low=0, high=MASK64), "buckets": Field(int, high=MAX_BUCKETS)}
+# seconds between two session sweeps of both balancers' tables
+SWEEP_PERIOD = 1.0
 # about 250 times the most periods of any bundled scenario or bench workload
-# (66 s of 0.25 s drain polls): each stats window, drain poll and 1 s session
+# (66 s of 0.25 s drain polls): each stats window, drain poll and session
 # sweep in the horizon is control work, so a run with more is refused
 MAX_PERIODS = 2**16
 # read off the profile, whose defaults are the schema's; its ranges live in validate()
@@ -182,7 +184,7 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     name = _field(obj, "name", TOP["name"]._replace(default=name_hint), name_hint)
     top = _read(obj, TOP, name)
     horizon = top["horizon"]
-    for key, period in (("horizon", 1.0), ("window", top["window"]),
+    for key, period in (("horizon", SWEEP_PERIOD), ("window", top["window"]),
                         ("poll_interval", top["poll_interval"])):
         if horizon / period > MAX_PERIODS:
             raise ValidationError(f"field {key!r} must leave at most {MAX_PERIODS} periods of "

@@ -231,6 +231,24 @@ def test_reconcile_overwrites_divergent_assignment():
     assert b.table[key].last_timestamp == 2.0
 
 
+def test_hit_and_reconcile_never_move_the_timestamp_back():
+    # the simulator may set a record's timestamp ahead of the loop's time (a
+    # master arrival booked at the slave's send); a packet read at an
+    # earlier `now` keeps it, and still reconciles the chain
+    b = make_balancer()
+    key, size, _ = packet(9000, t=0.0)
+    chain = b.map_packet(key, size, 1.0)
+    b.table[key].last_timestamp = 4.0
+    assert b.map_packet(key, size, 2.0) == chain
+    assert b.table[key].last_timestamp == 4.0
+    other = C1 if chain == C2 else C2
+    assert b.reconcile(key, other, now=3.0) == chain
+    assert (b.table[key].assigned, b.table[key].last_timestamp) == (other, 4.0)
+    # a later `now` still moves it forward
+    assert b.map_packet(key, size, 5.0) == other
+    assert b.table[key].last_timestamp == 5.0
+
+
 def test_reconcile_is_master_only():
     b = make_balancer(role="slave")
     key = canonical_key(Endpoint.parse("10.0.0.1", 9000), Endpoint.parse("10.9.9.9", 80))

@@ -23,8 +23,8 @@ def test_microbench_runs_and_reports_every_figure():
     assert set(figures) == {
         "python", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
         "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
-        "arrival_dispatch_us", "transmit_us", "crossing_us", "capacity_crossing_us",
-        "chain_counter_ns", "generate_traffic_ms",
+        "arrival_dispatch_us", "transmit_us", "crossing_us", "booked_crossing_us",
+        "capacity_crossing_us", "chain_counter_ns", "generate_traffic_ms",
     }
     for name in ("build_buckets_ms", "build_buckets_again_ms"):
         assert set(figures[name]) == {"1024", "65536"}
@@ -33,6 +33,7 @@ def test_microbench_runs_and_reports_every_figure():
     assert figures["event_dispatch_us"] > 0 and figures["chain_counter_ns"] > 0
     assert figures["transmit_us"] > 0 and figures["arrival_dispatch_us"] > 0
     assert figures["crossing_us"] > 0 and figures["capacity_crossing_us"] > 0
+    assert figures["booked_crossing_us"] > 0
     assert set(figures["generate_traffic_ms"]) == {"long-flows", "short-flows", "capacity-drain"}
     assert all(ms > 0 for ms in figures["generate_traffic_ms"].values())
 
