@@ -28,6 +28,9 @@ CRITERIA = {
     "wall_s": 30.0,  # one desk-scale run, wall clock
     "band": 0.10,  # converged: every live share within this fraction of 1/N
 }
+# one encoder for every events.jsonl line: json.dumps with separators
+# builds a new one per call
+EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 STEADY_INTERVAL = (5.0, 14.0)  # covers the bulk of a static desk-scale run
 SCENARIO_ORDER = (
     "static-1",
@@ -143,8 +146,9 @@ def write_outputs(result: RunResult, out_dir: Path, band: float = CRITERIA["band
         for row in result.series.csv_rows():
             fh.write(row + "\n")
     with open(out_dir / "events.jsonl", "w", newline="\n") as fh:
+        encode = EVENT_ENCODER.encode
         for event in result.events:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+            fh.write(encode(event) + "\n")
     report = build_report(result, band)
     with open(out_dir / "report.json", "w", newline="\n") as fh:
         json.dump(report, fh, indent=2)

@@ -34,9 +34,12 @@ that changes with time:
   loop's arrival stream (`NetSim._arrivals`), not of its heap: its planned
   time, or the handshake's end if that is later, plus one latency per link.
   Both host walks cross as many links (the build refuses others), so the
-  arrivals rise in plan order, and each runs first at its instant. One that
-  falls after the horizon ends the stream; the packets planned by the
-  horizon from there on were sent but never received, and are left over.
+  arrivals rise in plan order, and each runs first at its instant. The
+  traffic plan is a stream planned as it is iterated (`traffic`), so a run
+  holds one window of it, never the whole plan, and iterates it once. An
+  arrival after the horizon ends the stream; the packets planned by the
+  horizon from there on, read from the rest of the same stream, were sent
+  but never received, and are left over.
 - A packet that reaches a host with no tag left is counted delivered when
   it is sent, if it arrives by the horizon (the test the loop's run applies
   to every event). So is one that reaches the slave with a forward tag: the
@@ -94,8 +97,10 @@ generator, so a (scenario, seed) pair always produces the same run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import NamedTuple
@@ -325,7 +330,7 @@ class BalancerNode:
 class SessionTrace:
     master_chain: ChainId | None
     slave_chain: ChainId | None = None
-    nf_chains: set = field(default_factory=set)
+    nf_chains: tuple = ()  # each chain whose NF it crossed, first crossing first
     reconciled: bool = False
     expiry_gap: bool = False
     last_master_seen: float = 0.0
@@ -526,8 +531,8 @@ class NetSim:
             seconds[second] = seconds.get(second, 0) + packet.size
             result.last_packet_on[chain] = at
             trace = self.sessions.get(packet.session_id)
-            if trace is not None:
-                trace.nf_chains.add(chain)
+            if trace is not None and chain not in trace.nf_chains:
+                trace.nf_chains += (chain,)
             in_flight = nf.in_flight
             if in_flight is not None:
                 # kept for the reclaim check, pruned to the leaves after this
@@ -633,20 +638,28 @@ class NetSim:
                 self.note_mapped(node, packet, chain, at)
         self.transmit(node.sends[chain], packet, at)
 
-    def _arrivals(self, packets, start: float):
+    def _arrivals(self, plan, start: float):
         """The event loop's arrival stream: each planned packet's `inject`
         at its arrival at its first balancer, sent at its planned time or at
         `start`, when the handshake ended, if that is later, then one latency
         per link (never hops * latency, so the time has the float bits of a
-        send from the host)."""
+        send from the host).
+
+        The loop stops taking arrivals at the first one after the horizon,
+        and this generator waits at that packet's yield. `run` then sends it
+        True: the packet and the rest of the plan go to `_sent_after_horizon`,
+        from the same iterator, so the plan is iterated once."""
         inject, latencies = self.inject, self._host_latencies
+        packets = iter(plan)
         for packet in packets:
             at = packet.time
             if at < start:
                 at = start
             for latency in latencies:
                 at += latency
-            yield at, inject, (packet, at)
+            if (yield at, inject, (packet, at)):
+                self._sent_after_horizon(itertools.chain((packet,), packets))
+                return
 
     def _sent_after_horizon(self, packets):
         """The first of `packets` reached its balancer after the horizon, and
@@ -759,16 +772,20 @@ class NetSim:
 
         # no packet is sent, and nothing scheduled, before the handshake ends
         start = self.loop.now
-        packets = generate_traffic(s.traffic, s.seed)
+        plan = generate_traffic(s.traffic, s.seed)
         for action in s.actions:
             self.loop.schedule(max(action.at, start), self._fire_action, action)
         self.loop.schedule(max(SWEEP_PERIOD, start), self._sweep)
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
         self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
-        self.loop.run(until=s.horizon, arrivals=self._arrivals(packets, start))
+        arrivals = self._arrivals(plan, start)
+        self.loop.run(until=s.horizon, arrivals=arrivals)
         arrived = self.result.packets
-        self._sent_after_horizon(packets[arrived:])
+        # ends the stream; where it stopped at the horizon, counts what was
+        # sent but not received
+        with suppress(StopIteration):
+            arrivals.send(True)
         return self._finalize(arrived)
 
     def _stats_poll(self):

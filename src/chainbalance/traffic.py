@@ -3,29 +3,50 @@
 Sessions mimic fixed-rate HTTP fetches: a short client request followed by
 a paced stream of response bytes from the server, finishing a configurable
 duration after the session started. Everything is derived from one seed so
-a profile always expands to the identical packet schedule. The plan is built
-in one pass: every session carries the profile's byte counts, cut into
-packets once per plan, and draws only its client and its duration. A
-client's key is packed when it is first drawn and shared by all packets of
-its sessions, in both directions. Packets are planned session by session,
-each session's request before its response, so a stable sort on time alone
-puts the schedule in (time, session_id, reverse) order.
+a profile always expands to the identical packet schedule. Every session
+carries the profile's byte counts, cut into packets once per plan, and
+draws only its client and its duration. A client's key is packed when it
+is first drawn and shared by all packets of its sessions, in both
+directions.
+
+The schedule is never held whole: `generate_traffic` returns a plan that
+knows its length and plans the sessions as it is iterated, in session_id
+order, one window of WINDOW_SESSIONS session starts at a time. A window's
+edge is the start of the next window's first session (no edge after the
+last session). Session i starts at i / rate and none of its packets is
+earlier, so no packet of a later window is earlier than the edge. Each
+window plans its sessions, then takes from every session with a packet due
+in it, in session_id order, its request packets and then its response
+packets that fall before the edge, and sorts them stably on time. A window
+so holds, in plan order, exactly the packets of the whole plan that fall
+between the last edge and its own, and its stable sort puts them in the
+(time, session_id, reverse) order that a stable sort of the whole plan
+gives. The rest of a direction's packets wait in its cursor, filed under
+the window its next packet falls in, so a window visits only the sessions
+it takes packets from. What outlives the windows is one cursor per
+direction of each unfinished session, and the key of every client drawn,
+which keeps the clients distinct.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .hashing import Endpoint, canonical_key
 
 SERVER = Endpoint.parse("10.99.0.1", 80)
 # about 10 times the largest bundled plan (13,500 sessions of 16 packets):
-# the plan is built packet by packet before the run starts, so a larger one
-# is refused, never allocated
+# the plan is never allocated whole, but every packet is one run's work, so
+# a larger plan is refused, never run
 MAX_PLAN_PACKETS = 2**21
+# session starts per window of the plan's stream; a window holds the packets
+# due before its edge, a few per unfinished session
+WINDOW_SESSIONS = 256
 
 
 @dataclass(frozen=True)
@@ -62,11 +83,17 @@ class TrafficProfile:
             if not holds:
                 raise ValueError(f"field {key!r} must be {bound}, got {getattr(self, key)}")
         # the plan's size, checked only once packet_size is known to be positive
+        if self.planned_packets > MAX_PLAN_PACKETS:
+            raise ValueError(f"field 'sessions' times {self.planned_packets // self.sessions}"
+                             f" packets per session must be at most {MAX_PLAN_PACKETS},"
+                             f" got {self.sessions}")
+
+    @property
+    def planned_packets(self) -> int:
+        """Packets in the plan: each session's request and its response, each
+        cut into packet_size chunks."""
         request, response = self.request_bytes, self.bytes_per_session - self.request_bytes
-        per_session = -(-request // self.packet_size) - (-response // self.packet_size)
-        if self.sessions * per_session > MAX_PLAN_PACKETS:
-            raise ValueError(f"field 'sessions' times {per_session} packets per session must be"
-                             f" at most {MAX_PLAN_PACKETS}, got {self.sessions}")
+        return self.sessions * (-(-request // self.packet_size) - (-response // self.packet_size))
 
 
 class PlannedPacket(NamedTuple):
@@ -82,6 +109,7 @@ class PlannedPacket(NamedTuple):
 # stable on time over packets planned in (session_id, reverse) order, this
 # sorts the schedule by (time, session_id, reverse), its injection order
 _INJECTION_ORDER = itemgetter(0)
+_PLAN_ORDER = itemgetter(0)  # a cursor's: 2 * session_id + reverse
 
 
 def _chunks(total: int, size: int) -> list[int]:
@@ -89,32 +117,107 @@ def _chunks(total: int, size: int) -> list[int]:
     return [size] * (n - 1) + [total - size * (n - 1)]
 
 
-def generate_traffic(profile: TrafficProfile, seed: int) -> list[PlannedPacket]:
-    """Full two-direction packet schedule for a profile, ordered by time."""
-    profile.validate()
-    p, rng = profile, random.Random(seed)
-    forward = list(enumerate(_chunks(p.request_bytes, p.packet_size)))
-    reverse = list(enumerate(_chunks(p.bytes_per_session - p.request_bytes, p.packet_size), 1))
-    used: set[tuple[bytes, int]] = set()
-    pool: list[bytes] = []  # the key of every client drawn so far
-    packets: list[PlannedPacket] = []
-    for sid in range(p.sessions):
-        if pool and rng.random() < p.collide_fraction:
-            key = rng.choice(pool)
-        else:
-            while True:
-                address = bytes([10, 0, rng.randrange(256), 1 + rng.randrange(254)])
-                port = rng.randrange(1024, 65536)
-                if (address, port) not in used:
-                    break
-            used.add((address, port))
-            key = canonical_key(Endpoint(address, port), SERVER)
-            pool.append(key)
-        duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
-        start = sid / p.rate
-        packets += [PlannedPacket(start + i * 1e-4, sid, key, size, False) for i, size in forward]
-        spacing = (duration - p.response_delay) / len(reverse)
-        first = start + p.response_delay
-        packets += [PlannedPacket(first + k * spacing, sid, key, size, True) for k, size in reverse]
-    packets.sort(key=_INJECTION_ORDER)
-    return packets
+class TrafficPlan:
+    """A profile's packet schedule at one seed, planned as it is iterated.
+
+    `len()` is the number of packets, known from the profile alone. Each
+    iteration plans the sessions afresh, in session_id order with the same
+    draws, and yields the packets in (time, session_id, reverse) order, one
+    window of WINDOW_SESSIONS session starts at a time (see the module
+    docstring)."""
+
+    __slots__ = ("profile", "seed")
+
+    def __init__(self, profile: TrafficProfile, seed: int):
+        profile.validate()
+        self.profile, self.seed = profile, seed
+
+    def __len__(self) -> int:
+        return self.profile.planned_packets
+
+    def __iter__(self) -> Iterator[PlannedPacket]:
+        # the packets of each window are handed on in C, with no Python
+        # frame resumed per packet
+        return itertools.chain.from_iterable(self._windows())
+
+    def _windows(self) -> Iterator[list[PlannedPacket]]:
+        """Each window's packets, in (time, session_id, reverse) order."""
+        p, rng = self.profile, random.Random(self.seed)
+        rate, sessions = p.rate, p.sessions
+        forward = list(enumerate(_chunks(p.request_bytes, p.packet_size)))
+        reverse = list(enumerate(_chunks(p.bytes_per_session - p.request_bytes, p.packet_size), 1))
+        # the key of every client drawn so far, as a dict's keys: a set's
+        # table takes about twice the memory, and this outlives the windows
+        used: dict[bytes, None] = {}
+        pool: list[bytes] = []  # the same keys, in draw order
+        last = (sessions - 1) // WINDOW_SESSIONS  # the last window, which has no edge
+        # due[j]: a cursor per direction of each session whose next packet
+        # falls in window j, [plan order, time of step 0, spacing, next
+        # packet, (step, size) of each packet, session_id, key, reverse]
+        due: list[list[list]] = [[] for _ in range(last + 1)]
+        for j in range(last + 1):
+            begin, stop = j * WINDOW_SESSIONS, (j + 1) * WINDOW_SESSIONS
+            # the start of the next window's first session: no packet of a
+            # later session is earlier
+            edge = stop / rate if j < last else math.inf
+            following = (stop + WINDOW_SESSIONS) / rate if j + 1 < last else math.inf
+            # filed from different windows, they are taken in plan order,
+            # before the sessions planned now
+            cursors, due[j] = due[j], None
+            cursors.sort(key=_PLAN_ORDER)
+            # a new list frees the last window's packets before any is planned
+            window: list[PlannedPacket] = []
+            append = window.append
+            for sid in range(begin, min(stop, sessions)):
+                if pool and rng.random() < p.collide_fraction:
+                    key = rng.choice(pool)
+                else:
+                    while True:
+                        address = bytes([10, 0, rng.randrange(256), 1 + rng.randrange(254)])
+                        port = rng.randrange(1024, 65536)
+                        key = canonical_key(Endpoint(address, port), SERVER)
+                        if key not in used:
+                            break
+                    used[key] = None
+                    pool.append(key)
+                duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
+                start = sid / rate
+                spacing = (duration - p.response_delay) / len(reverse)
+                cursors.append([2 * sid, start, 1e-4, 0, forward, sid, key, False])
+                cursors.append([2 * sid + 1, start + p.response_delay, spacing, 0, reverse, sid,
+                                key, True])
+            for cursor in cursors:
+                _, first, spacing, i, steps, session_id, key, backward = cursor
+                n = len(steps)
+                while i < n:
+                    k, size = steps[i]
+                    at = first + k * spacing
+                    if at >= edge:
+                        break
+                    append(PlannedPacket(at, session_id, key, size, backward))
+                    i += 1
+                if i == n:
+                    continue
+                # file it under the first window whose edge is above its next
+                # packet: most often the next one; else estimated from the
+                # session it starts with, then checked against the edges
+                cursor[3] = i
+                if at < following:
+                    due[j + 1].append(cursor)
+                    continue
+                due_in = last
+                if at * rate < sessions:
+                    due_in = max(j + 2, min(int(at * rate) // WINDOW_SESSIONS, last))
+                while due_in < last and at >= (due_in + 1) * WINDOW_SESSIONS / rate:
+                    due_in += 1
+                while due_in > j + 2 and at < due_in * WINDOW_SESSIONS / rate:
+                    due_in -= 1
+                due[due_in].append(cursor)
+            window.sort(key=_INJECTION_ORDER)
+            yield window
+
+
+def generate_traffic(profile: TrafficProfile, seed: int) -> TrafficPlan:
+    """The two-direction packet schedule of a profile at a seed, yielded in
+    time order as it is iterated; raises ValueError on a bad profile."""
+    return TrafficPlan(profile, seed)

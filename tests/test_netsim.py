@@ -165,7 +165,7 @@ def test_nf_passthrough_zero_delay():
             assert sim.result.delivered_bytes == sent.size
         assert sim.result.series.buckets == {C1: {3: 100}}
         assert sim.result.last_packet_on == {C1: at_nf}
-        assert sim.sessions[sent.session_id].nf_chains == {C1}
+        assert sim.sessions[sent.session_id].nf_chains == (C1,)
 
 
 @pytest.mark.parametrize("case, settled", [
@@ -675,7 +675,7 @@ def with_plan(monkeypatch, sim, plan_for):
     instead of the scenario's, where `start` is when the handshake ended:
     run() calls generate_traffic once the handshake is done."""
     monkeypatch.setattr(netsim, "generate_traffic", lambda traffic, seed: plan_for(
-        generate_traffic(traffic, seed), sim.loop.now))
+        list(generate_traffic(traffic, seed)), sim.loop.now))
 
 
 def schedule_after_handshake(monkeypatch, sim, at, fn):

@@ -1,15 +1,27 @@
+import dataclasses
 import hashlib
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainbalance import netsim
+from chainbalance.hashing import Endpoint, canonical_key
 from chainbalance.scenario import parse_scenario
-from chainbalance.traffic import SERVER, TrafficProfile, generate_traffic
+from chainbalance.traffic import (
+    SERVER, WINDOW_SESSIONS, PlannedPacket, TrafficProfile, generate_traffic,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
+
+
+def plan(profile, seed):
+    """The whole schedule, iterated into a list."""
+    return list(generate_traffic(profile, seed))
 
 
 def sessions(packets):
@@ -25,7 +37,7 @@ def test_session_packet_arithmetic():
     # response expands independently
     profile = TrafficProfile(sessions=1, rate=1.0, bytes_per_session=2500, packet_size=500,
                              request_bytes=1000)
-    packets = generate_traffic(profile, seed=1)
+    packets = plan(profile, seed=1)
     forward = [p for p in packets if not p.reverse]
     reverse = [p for p in packets if p.reverse]
     assert len(forward) == 2
@@ -43,7 +55,7 @@ def test_response_finishes_at_duration():
     profile = TrafficProfile(sessions=2, rate=0.1, bytes_per_session=75_000, packet_size=3000,
                              request_bytes=400, duration=6.0, duration_jitter=0.0,
                              response_delay=0.02)
-    packets = sessions(generate_traffic(profile, seed=1))[1]
+    packets = sessions(plan(profile, seed=1))[1]
     assert len(packets) == 1 + 25
     assert packets[-1].time == pytest.approx(16.0)
     assert min(p.time for p in packets) == 10.0
@@ -51,32 +63,28 @@ def test_response_finishes_at_duration():
 
 def test_same_seed_same_stream():
     profile = TrafficProfile(sessions=50, rate=75.0, bytes_per_session=10_000)
-    assert generate_traffic(profile, seed=4) == generate_traffic(profile, seed=4)
-    assert generate_traffic(profile, seed=4) != generate_traffic(profile, seed=5)
+    assert plan(profile, seed=4) == plan(profile, seed=4)
+    assert plan(profile, seed=4) != plan(profile, seed=5)
 
 
 def test_stream_is_time_ordered_and_conserves_bytes():
     profile = TrafficProfile(sessions=100, rate=50.0, bytes_per_session=20_000)
-    packets = generate_traffic(profile, seed=9)
+    packets = plan(profile, seed=9)
     times = [p.time for p in packets]
     assert times == sorted(times)
     assert sum(p.size for p in packets) == 100 * 20_000
 
 
 def test_unique_four_tuples_by_default():
-    packets = generate_traffic(
-        TrafficProfile(sessions=500, rate=100.0, bytes_per_session=5_000), seed=2
-    )
+    packets = plan(TrafficProfile(sessions=500, rate=100.0, bytes_per_session=5_000), seed=2)
     keys = {p.key for p in packets}
     assert len(keys) == 500
     assert all(key.endswith(SERVER_BYTES) for key in keys)
 
 
 def test_collision_toggle_shares_endpoints():
-    packets = generate_traffic(
-        TrafficProfile(
-            sessions=500, rate=100.0, bytes_per_session=5_000, collide_fraction=0.5
-        ),
+    packets = plan(
+        TrafficProfile(sessions=500, rate=100.0, bytes_per_session=5_000, collide_fraction=0.5),
         seed=2,
     )
     assert len(sessions(packets)) == 500
@@ -84,9 +92,7 @@ def test_collision_toggle_shares_endpoints():
 
 
 def test_start_spacing_follows_rate():
-    packets = generate_traffic(
-        TrafficProfile(sessions=10, rate=75.0, bytes_per_session=5_000), seed=1
-    )
+    packets = plan(TrafficProfile(sessions=10, rate=75.0, bytes_per_session=5_000), seed=1)
     # a session starts with its first request packet
     starts = [own[0].time for _, own in sorted(sessions(packets).items())]
     gaps = [b - a for a, b in zip(starts, starts[1:])]
@@ -101,7 +107,7 @@ def test_duration_jitter_bounds_and_median():
     )
     # a session lasts from its first request packet to its last response packet
     durations = sorted(
-        own[-1].time - own[0].time for own in sessions(generate_traffic(profile, seed=3)).values()
+        own[-1].time - own[0].time for own in sessions(plan(profile, seed=3)).values()
     )
     assert len(durations) == 1001
     assert durations[0] >= 5.6 - 1e-9 and durations[-1] <= 6.4 + 1e-9
@@ -149,7 +155,7 @@ TIED = TrafficProfile(sessions=4, rate=1.0, bytes_per_session=700, packet_size=3
 def test_tied_profile_ties_requests_and_responses_across_sessions():
     # the example the property below starts from: session i's responses at
     # i+1 and i+2 fall on the requests of sessions i+1 and i+2
-    packets = generate_traffic(TIED, seed=1)
+    packets = plan(TIED, seed=1)
     at_one = [(p.session_id, p.reverse) for p in packets if p.time == 1.0]
     assert at_one == [(0, True), (1, False)]
     assert packets == planned_order(packets)
@@ -159,7 +165,7 @@ def test_tied_profile_ties_requests_and_responses_across_sessions():
 @given(tied_profiles(), st.integers(0, 3))
 @example(TIED, 1)
 def test_schedule_is_in_time_session_direction_order(profile, seed):
-    packets = generate_traffic(profile, seed)
+    packets = plan(profile, seed)
     assert packets == planned_order(packets)
 
 
@@ -175,9 +181,10 @@ PINNED_PROFILES = {
     "tied": TIED,
     "short-flows": parse_scenario(WORKLOADS / "short-flows.yaml").traffic,
 }
-# sha256 of repr(generate_traffic(profile, seed)), taken from the two-stage
-# builder (a per-session record expanded into packets) that the one-pass
-# plan replaced: every packet's time, session, key, size and direction
+# sha256 of repr(list(generate_traffic(profile, seed))), taken from the
+# two-stage builder (a per-session record expanded into packets) that the
+# one-pass plan replaced: every packet's time, session, key, size and
+# direction
 PINNED_PLANS = {
     ("collide-half", 0): "8662f07360eac5786ad51f0f7137adc15274cdbc3f8f6f63d7b5824ac3657099",
     ("collide-half", 1): "08e762eb3230bc9bf04f0705701e70eef17f0faa88f981a160036325237cedaf",
@@ -202,5 +209,136 @@ PINNED_PLANS = {
 
 @pytest.mark.parametrize("name, seed", sorted(PINNED_PLANS), ids=lambda v: str(v))
 def test_plan_matches_pinned_digest(name, seed):
-    plan = generate_traffic(PINNED_PROFILES[name], seed)
-    assert hashlib.sha256(repr(plan).encode()).hexdigest() == PINNED_PLANS[name, seed]
+    packets = plan(PINNED_PROFILES[name], seed)
+    assert hashlib.sha256(repr(packets).encode()).hexdigest() == PINNED_PLANS[name, seed]
+
+
+def test_len_counts_the_packets_iterated():
+    profiles = list(PINNED_PROFILES.values()) + [
+        parse_scenario(WORKLOADS / f"{name}.yaml").traffic
+        for name in ("long-flows", "capacity-drain")
+    ]
+    for profile in profiles:
+        stream = generate_traffic(profile, 1)
+        assert len(stream) == sum(1 for _ in stream) == len(plan(profile, 1))
+
+
+# -- the stream, one window at a time
+
+
+def reference_plan(profile, seed):
+    """The schedule built whole: every session's packets in plan order, then
+    one stable sort on time. The stream yields exactly this."""
+    p, rng = profile, random.Random(seed)
+
+    def chunks(total):
+        n = -(-total // p.packet_size)
+        return [p.packet_size] * (n - 1) + [total - p.packet_size * (n - 1)]
+
+    forward = list(enumerate(chunks(p.request_bytes)))
+    reverse = list(enumerate(chunks(p.bytes_per_session - p.request_bytes), 1))
+    used, pool, packets = set(), [], []
+    for sid in range(p.sessions):
+        if pool and rng.random() < p.collide_fraction:
+            key = rng.choice(pool)
+        else:
+            while True:
+                address = bytes([10, 0, rng.randrange(256), 1 + rng.randrange(254)])
+                port = rng.randrange(1024, 65536)
+                if (address, port) not in used:
+                    break
+            used.add((address, port))
+            key = canonical_key(Endpoint(address, port), SERVER)
+            pool.append(key)
+        duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
+        start = sid / p.rate
+        packets += [PlannedPacket(start + i * 1e-4, sid, key, size, False) for i, size in forward]
+        spacing = (duration - p.response_delay) / len(reverse)
+        first = start + p.response_delay
+        packets += [PlannedPacket(first + k * spacing, sid, key, size, True) for k, size in reverse]
+    packets.sort(key=lambda packet: packet.time)
+    return packets
+
+
+# a window's edge is 2.0 s: the session starting there ties with responses of
+# four earlier sessions, a quarter window apart, whose 0.5 s spacing lands on it
+EDGE = TrafficProfile(sessions=2 * WINDOW_SESSIONS + 1, rate=WINDOW_SESSIONS / 2.0,
+                      bytes_per_session=1300, packet_size=300, request_bytes=100,
+                      duration=2.0, duration_jitter=0.0, response_delay=0.0)
+
+
+def test_packets_on_a_window_edge_keep_their_order():
+    packets = plan(EDGE, seed=1)
+    at_edge = [(p.session_id, p.reverse) for p in packets if p.time == 2.0]
+    earlier = [(WINDOW_SESSIONS * quarter // 4, True) for quarter in range(4)]
+    assert at_edge == earlier + [(WINDOW_SESSIONS, False)]
+    assert packets == reference_plan(EDGE, 1)
+
+
+# 0.5 s windows: session 0's responses (1.25, 1.5, 1.75, 2.0) come due in
+# window 2 and again in window 3, where they tie at 1.75 with the first
+# response of the session that starts window 1, due there straight from its
+# request
+REFILED = TrafficProfile(sessions=4 * WINDOW_SESSIONS, rate=2.0 * WINDOW_SESSIONS,
+                         bytes_per_session=1300, packet_size=300, request_bytes=100,
+                         duration=2.0, duration_jitter=0.0, response_delay=1.0)
+
+
+@st.composite
+def windowed_profiles(draw):
+    """Profiles from under one window to three, on power-of-two rates and
+    spacings, so that packets of earlier sessions often fall exactly on a
+    window's edge, the start of a later session."""
+    request = draw(st.integers(1, 600))
+    response_delay = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    return TrafficProfile(
+        sessions=draw(st.integers(1, 3 * WINDOW_SESSIONS + 1)),
+        rate=draw(st.sampled_from([1.0, 64.0, 128.0, 256.0, 512.0])),
+        bytes_per_session=request + draw(st.integers(1, 1200)),
+        packet_size=draw(st.sampled_from([200, 300, 600])),
+        request_bytes=request,
+        duration=response_delay + draw(st.sampled_from([1.0, 2.0, 4.0])),
+        duration_jitter=draw(st.sampled_from([0.0, 0.0, 0.25])),
+        response_delay=response_delay,
+        collide_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(windowed_profiles(), st.integers(0, 3))
+@example(TIED, 1)
+@example(EDGE, 2)
+@example(dataclasses.replace(EDGE, collide_fraction=1.0), 1)
+@example(REFILED, 1)
+def test_stream_matches_the_whole_plan_sorted(profile, seed):
+    assert plan(profile, seed) == reference_plan(profile, seed)
+
+
+def traced_peak(fn) -> int:
+    """The most bytes allocated at once while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_longer_plan_streams_in_the_same_memory():
+    # four times the sessions at the same rate: the same windows, and only
+    # what the stream keeps of every session (its client's key) grows; the
+    # whole plan grew fourfold
+    profile = parse_scenario(WORKLOADS / "long-flows.yaml").traffic
+    longer = dataclasses.replace(profile, sessions=4 * profile.sessions)
+
+    def iterate(traffic):
+        for _ in generate_traffic(traffic, 1):
+            pass
+
+    assert traced_peak(lambda: iterate(longer)) <= 1.5 * traced_peak(lambda: iterate(profile))
+
+
+def test_long_flows_run_never_holds_the_whole_plan():
+    # with the plan built whole before the first packet moved, it peaked at 5.3 MB
+    sim = netsim.NetSim(parse_scenario(WORKLOADS / "long-flows.yaml"))
+    assert traced_peak(sim.run) <= 3_000_000

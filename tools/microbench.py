@@ -41,8 +41,12 @@ Prints one JSON object of best-of-N timings:
 - ``capacity_crossing_us``: the ``crossing_us`` send through a capacity NF
   (15 MB/s, a 64-packet queue that the 64 pending sends fill without a
   drop), until the master gets the packet.
-- ``generate_traffic_ms[workload]``: one ``generate_traffic`` call, the
-  whole packet schedule of each ``bench/workloads`` profile at seed 1.
+- ``generate_traffic_ms[workload]``: one ``generate_traffic`` call and one
+  iteration of the plan it returns, the whole packet schedule of each
+  ``bench/workloads`` profile at seed 1. The plan is planned as it is
+  iterated, so building it alone costs next to nothing; timing the
+  iteration too keeps a ``--src`` comparison with a checkout whose plan is
+  a list fair.
 - ``chain_counter_ns``: one ``dict[ChainId]`` get plus set, the per-chain
   byte accounting that ``Balancer.map_packet`` does per packet.
 
@@ -255,11 +259,14 @@ def main(argv=None) -> int:
     best = min(seconds(count_bytes) for _ in range(args.repeat))
     out["chain_counter_ns"] = round(1e9 * best / calls, 1)
 
+    def plan_packets(traffic):
+        for _ in generate_traffic(traffic, 1):
+            pass
+
     out["generate_traffic_ms"] = {}
     for path in sorted((ROOT / "bench" / "workloads").glob("*.yaml")):
         traffic = parse_scenario(path).traffic
-        build = functools.partial(generate_traffic, traffic, 1)
-        best = min(seconds(build) for _ in range(args.repeat))
+        best = min(seconds(functools.partial(plan_packets, traffic)) for _ in range(args.repeat))
         out["generate_traffic_ms"][path.stem] = round(1e3 * best, 3)
     print(json.dumps(out, indent=2))
     return 0
