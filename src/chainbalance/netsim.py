@@ -21,10 +21,11 @@ walks form a finite set known when the topology is wired: a balancer only
 pushes the tag of a declared chain. So `NetSim` compiles every one of them
 when it is built, by following the switches' `TagRouter` rules with
 `route()`, and refuses a miswired topology there (`NoRoute`): a missing
-rule, or a walk that ends still tagged at a host or an NF. The link latency
-is still added once per link crossed, in order, so timestamps keep their
-float bits. Among events with the same timestamp, a packet's arrival at a
-stateful node is ordered by when it was sent.
+rule, or a walk that ends still tagged at a host or an NF. A compiled walk
+carries the latency of each link it crosses (`Walk.links`), and a send adds
+them once per link, in order, so timestamps keep their float bits. Among
+events with the same timestamp, a packet's arrival at a stateful node is
+ordered by when it was sent.
 
 If no queue drops it, a forward packet makes no heap entry, and a reverse
 packet one only if its arrival at the master is not settled at the slave's
@@ -79,11 +80,13 @@ event had. The master's unsettled arrival beyond an NF stands for an entry
 pushed at the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
-`inject` maps each planned packet at its first balancer and sends it in one
-call; `transmit` pushes its heap entries itself, with the loop's one
-sequence counter, instead of calling `EventLoop.schedule`; a mapping
-balancer finds its send's walk by chain; and chain identities (`ChainId`)
-hash and compare in C.
+the traffic plan builds each packet in C (`traffic`); `inject` maps each
+planned packet at its first balancer and sends it in one call; `transmit`
+pushes its heap entries itself, with the loop's one sequence counter,
+instead of calling `EventLoop.schedule`, and walks each compiled walk's
+`links` with no `range()` built per segment; a mapping balancer finds its
+send's walk by chain; and chain identities (`ChainId`) hash and compare in
+C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -288,7 +291,9 @@ class Walk(NamedTuple):
     handle: object
     port: int  # the target's ingress port
     tags: tuple[int, ...]  # the tag stack on arrival
-    hops: int  # links crossed
+    # the latency of each link crossed, in order: a send adds them one at a
+    # time, so timestamps keep the float bits of one event per link
+    links: tuple[float, ...]
     # the NF this walk reaches untagged, and the NF's own walk on
     nf: NfInstance | None = None
     onward: Walk | None = None
@@ -384,6 +389,7 @@ class NetSim:
         self.nf_hops: dict[str, int] = {}  # links crossed by every walk into each NF
         self.latency = scenario.link_latency
         self.horizon = scenario.horizon
+        self.session_timeout = scenario.session_timeout
 
         pairs = scenario.all_pairs()
         self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
@@ -476,12 +482,12 @@ class NetSim:
         keys += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
         walks = self.walks = {key: self.compile_walk(*key) for key in keys}
         client, server = (walks[(host, 1, ())] for host in HOSTS)
-        if client.hops != server.hops:
+        if len(client.links) != len(server.links):
             raise RuntimeError(
-                f"the client's walk crosses {client.hops} links and the server's "
-                f"{server.hops}; planned arrivals keep plan order only if both cross as many"
+                f"the client's walk crosses {len(client.links)} links and the server's "
+                f"{len(server.links)}; planned arrivals keep plan order only if both cross as many"
             )
-        self._host_latencies = (self.latency,) * client.hops
+        self._host_latencies = client.links
         lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
         lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
         lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
@@ -498,12 +504,11 @@ class NetSim:
         admits the packet now, then the leave is booked inline and the walk
         goes on. The master's arrival beyond it is booked here too if it is
         settled (see the module docstring)."""
-        handle, in_port, tags, hops, nf, onward, admit = walk
-        latency = self.latency
+        handle, in_port, tags, links, nf, onward, admit = walk
         # one addition per link, as one event per link made, so that
-        # timestamps keep their float bits (never hops * latency)
+        # timestamps keep their float bits (never a link count * latency)
         at = now
-        for _ in range(hops):
+        for latency in links:
             at += latency
         if admit is not None:
             # run(until=horizon) would not have dispatched the arrival
@@ -544,15 +549,15 @@ class NetSim:
                     in_flight.append((at, packet.session_id))
                 else:
                     self._flag_crossings(chain, reclaim, ((at, packet.session_id),))
-            handle, in_port, tags, hops, _, _, _ = onward
-            for _ in range(hops):
+            handle, in_port, tags, links, _, _, _ = onward
+            for latency in links:
                 at += latency
             if handle is not None:
                 # the master's arrival, which run(until=horizon) would not
                 # dispatch after the horizon
                 if at > self.horizon:
                     return
-                timeout = self.scenario.session_timeout
+                timeout = self.session_timeout
                 if now + timeout <= at:
                     if at > self._late:
                         self._late = at
@@ -563,8 +568,8 @@ class NetSim:
                             and record.last_timestamp + timeout > at):
                         if at > record.last_timestamp:
                             record.last_timestamp = at
-                        handle, in_port, tags, hops, _, _, _ = self.to_client
-                        for _ in range(hops):
+                        handle, in_port, tags, links, _, _, _ = self.to_client
+                        for latency in links:
                             at += latency
         if handle is None:
             # what run(until=horizon) would have dispatched
@@ -604,11 +609,11 @@ class NetSim:
                 if tags and not reached.is_master:
                     port, tags = 1, tags[:-1]  # the slave pops: on from its egress
                     continue
-                return Walk(reached.handle, port, tags, hops)
+                return Walk(reached.handle, port, tags, (self.latency,) * hops)
             if tags:
                 raise NoRoute(f"{start} ends at {node} with tags {list(tags)} left")
             if reached is None:
-                return Walk(None, port, tags, hops)
+                return Walk(None, port, tags, (self.latency,) * hops)
             known = self.nf_hops.setdefault(node, hops)
             if hops != known:
                 raise RuntimeError(
@@ -617,7 +622,7 @@ class NetSim:
                 )
             admit = None if reached.mode == "passthrough" else reached.admit
             onward = self.compile_walk(node, far_port(port), tags)
-            return Walk(None, port, tags, hops, reached, onward, admit)
+            return Walk(None, port, tags, (self.latency,) * hops, reached, onward, admit)
 
     def inject(self, packet: PlannedPacket, at: float):
         """A planned packet arrives at its first balancer at `at`: count it
@@ -642,8 +647,8 @@ class NetSim:
         """The event loop's arrival stream: each planned packet's `inject`
         at its arrival at its first balancer, sent at its planned time or at
         `start`, when the handshake ended, if that is later, then one latency
-        per link (never hops * latency, so the time has the float bits of a
-        send from the host).
+        per link of the client's walk (never a link count * latency, so the
+        time has the float bits of a send from the host).
 
         The loop stops taking arrivals at the first one after the horizon,
         and this generator waits at that packet's yield. `run` then sends it
@@ -701,7 +706,7 @@ class NetSim:
                 self.record("session_start", now, session=packet.session_id,
                             chain=chain.forward_tag)
             else:
-                if now >= trace.last_master_seen + self.scenario.session_timeout:
+                if now >= trace.last_master_seen + self.session_timeout:
                     trace.expiry_gap = True
                 trace.last_master_seen = now
                 trace.master_chain = chain

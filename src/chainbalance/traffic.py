@@ -26,6 +26,12 @@ the window its next packet falls in, so a window visits only the sessions
 it takes packets from. What outlives the windows is one cursor per
 direction of each unfinished session, and the key of every client drawn,
 which keeps the clients distinct.
+
+A planned packet costs no Python frame: it is built by `tuple.__new__` on
+`PlannedPacket`, in C, where the NamedTuple's own constructor is a Python
+function (it also checks the field count, which the one call site fixes at
+five). The RNG's methods are bound once per iteration; the draws, their order
+and every float expression are those of a plan built one call at a time.
 """
 
 from __future__ import annotations
@@ -143,6 +149,8 @@ class TrafficPlan:
     def _windows(self) -> Iterator[list[PlannedPacket]]:
         """Each window's packets, in (time, session_id, reverse) order."""
         p, rng = self.profile, random.Random(self.seed)
+        draw, randrange, choice, uniform = rng.random, rng.randrange, rng.choice, rng.uniform
+        new = tuple.__new__  # builds a PlannedPacket in C (see the module docstring)
         rate, sessions = p.rate, p.sessions
         forward = list(enumerate(_chunks(p.request_bytes, p.packet_size)))
         reverse = list(enumerate(_chunks(p.bytes_per_session - p.request_bytes, p.packet_size), 1))
@@ -169,18 +177,18 @@ class TrafficPlan:
             window: list[PlannedPacket] = []
             append = window.append
             for sid in range(begin, min(stop, sessions)):
-                if pool and rng.random() < p.collide_fraction:
-                    key = rng.choice(pool)
+                if pool and draw() < p.collide_fraction:
+                    key = choice(pool)
                 else:
                     while True:
-                        address = bytes([10, 0, rng.randrange(256), 1 + rng.randrange(254)])
-                        port = rng.randrange(1024, 65536)
+                        address = bytes([10, 0, randrange(256), 1 + randrange(254)])
+                        port = randrange(1024, 65536)
                         key = canonical_key(Endpoint(address, port), SERVER)
                         if key not in used:
                             break
                     used[key] = None
                     pool.append(key)
-                duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
+                duration = p.duration + uniform(-p.duration_jitter, p.duration_jitter)
                 start = sid / rate
                 spacing = (duration - p.response_delay) / len(reverse)
                 cursors.append([2 * sid, start, 1e-4, 0, forward, sid, key, False])
@@ -194,7 +202,7 @@ class TrafficPlan:
                     at = first + k * spacing
                     if at >= edge:
                         break
-                    append(PlannedPacket(at, session_id, key, size, backward))
+                    append(new(PlannedPacket, (at, session_id, key, size, backward)))
                     i += 1
                 if i == n:
                     continue

@@ -168,6 +168,34 @@ def test_nf_passthrough_zero_delay():
         assert sim.sessions[sent.session_id].nf_chains == (C1,)
 
 
+def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
+    # pinned float bits, with links of 0.001 and sends at 1.0: a passthrough
+    # crossing from the master books its NF leave three additions later, at
+    # 1.0 + 0.001 + 0.001 + 0.001, never at 1.0 + 3 * 0.001 = 1.003
+    sim = netsim.NetSim(small_scenario(link_latency=0.001))
+    sim.loop.now = 1.0
+    send(sim, "lb1", 1, packet(), (C1.forward_tag,))
+    leave = sim.result.last_packet_on[C1]
+    assert leave == 1.0029999999999997
+    assert leave != 1.0 + 3 * 0.001  # 1.003
+    # the slave's settled send: the master's arrival is six additions later
+    # (not 1.006), and the client's two more, by a horizon the multiplied
+    # time 1.0079999999999993 would be past
+    sim = netsim.NetSim(small_scenario(link_latency=0.001))
+    master = sim.master_agent.balancer = Balancer("master", HashParams(7, 256), 6.0)
+    sent = packet()._replace(reverse=True)
+    master.reconcile(sent.key, C1, 1.0)
+    sim.loop.now, sim.horizon = 1.0, 1.0079999999999991
+    send(sim, "lb2", 1, sent, (C1.reverse_tag,))
+    assert master.table[sent.key].last_timestamp == 1.0059999999999993
+    assert sim.loop._heap == [] and sim.result.delivered_bytes == sent.size
+    # a planned packet sent from the client at 1.0 reaches the master two
+    # additions later (not 1.002)
+    sim = netsim.NetSim(small_scenario(link_latency=0.001))
+    with_plan(monkeypatch, sim, lambda packets, start: [packet()._replace(time=1.0)])
+    assert sim.run().session_starts[0][0] == 1.0019999999999998
+
+
 @pytest.mark.parametrize("case, settled", [
     ("the record holds the chain", True),
     ("no record", False),
@@ -505,7 +533,7 @@ def assert_walk_matches_hop_by_hop(sim, key, walk):
         assert (walk.handle, walk.port) == (target.handle, port), key
     if walk.nf is None:
         assert (walk.onward, walk.admit) == (None, None), key
-    assert (walk.tags, walk.hops) == (tags, hops), key
+    assert (walk.tags, walk.links) == (tags, (sim.latency,) * hops), key
 
 
 class ReadKeys(dict):
@@ -586,6 +614,26 @@ def test_build_compiles_exactly_the_walks_a_run_can_take():
         ), scenario.name
 
 
+def test_every_compiled_walk_carries_one_latency_per_link_crossed():
+    # construction only, on every bundled scenario and workload: each walk
+    # the build compiles, and the NF's walk on from each one that crosses an
+    # NF, holds the scenario's link latency once per link the reference
+    # walk crosses
+    scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
+    scenarios += [parse_scenario(path) for path in sorted(WORKLOADS.glob("*.yaml"))]
+    scenarios.append(small_scenario(link_latency=0.0013))
+    for scenario in scenarios:
+        sim = netsim.NetSim(scenario)
+        pending = list(sim.walks.items())
+        while pending:
+            key, walk = pending.pop()
+            *_, hops = hop_by_hop(sim, *key)
+            assert walk.links == (scenario.link_latency,) * hops, (scenario.name, key)
+            if walk.nf is not None:
+                pending.append(((walk.nf.name, far_port(walk.port), ()), walk.onward))
+        assert sim._host_latencies == sim.walks[("client", 1, ())].links
+
+
 def test_compile_walk_refuses_walks_of_unequal_length_into_an_nf():
     # the NF admits in send order only if every walk into it is as long
     sim = netsim.NetSim(small_scenario())
@@ -654,20 +702,23 @@ def test_miswired_topology_is_refused_at_build(name, monkeypatch):
 
 
 def test_forward_walks_reach_every_stateful_hop():
-    sim = netsim.NetSim(small_scenario())
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
     lb1, nf1 = sim.nodes["lb1"], sim.nodes["nf1"]
-    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), 2, None, None, None)
+    two, three, five = ((0.0013,) * n for n in (2, 3, 5))  # a walk's links
+    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), two, None, None, None)
     # the master's send crosses the NF without a handler there and goes on
     # by the NF's own walk, through the slave's pop, to the server: counted
     # when sent, no handler
     onward = sim.compile_walk("nf1", 2, ())
-    assert onward == (None, 1, (), 5, None, None, None)
-    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (None, 1, (), 3, nf1, onward, None)
-    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), 2, None, None, None)
+    assert onward == (None, 1, (), five, None, None, None)
+    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (
+        None, 1, (), three, nf1, onward, None)
+    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), two, None, None, None)
     # the slave's send reaches the master tagged: its one handler on the way
     back = sim.compile_walk("nf1", 1, ())
-    assert back == (lb1.handle, 1, (C1.reverse_tag,), 3, None, None, None)
-    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (None, 2, (), 3, nf1, back, None)
+    assert back == (lb1.handle, 1, (C1.reverse_tag,), three, None, None, None)
+    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (
+        None, 2, (), three, nf1, back, None)
 
 
 def with_plan(monkeypatch, sim, plan_for):
@@ -1225,7 +1276,9 @@ def test_static_1_python_calls_per_packet_gate():
     # per-session record, 9.86. Booking the master's settled arrival at the
     # slave's send (no heap entry, handler or reconcile per response) and
     # mapping each planned packet in `inject`, which notes the slave's map
-    # only when it records something, makes it 6.01.
+    # only when it records something, made it 5.93; building each planned
+    # packet in C, with no Python-level PlannedPacket constructor, makes it
+    # 4.93.
     sim = netsim.NetSim(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -1245,7 +1298,7 @@ def test_static_1_python_calls_per_packet_gate():
         sys.setprofile(None)
     assert result.packets == 20_800
     assert {name: n for name, n in calls.items() if name != "other"} == {"__new__": 14}
-    assert calls.total() <= 6.1 * result.packets
+    assert calls.total() <= 5.0 * result.packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

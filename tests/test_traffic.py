@@ -275,6 +275,16 @@ def test_packets_on_a_window_edge_keep_their_order():
     assert packets == reference_plan(EDGE, 1)
 
 
+def test_every_packet_is_a_whole_planned_packet():
+    # the plan builds each packet with tuple.__new__, which skips the
+    # NamedTuple constructor's check of the field count
+    profiles = [parse_scenario(WORKLOADS / f"{name}.yaml").traffic
+                for name in ("long-flows", "short-flows", "capacity-drain")]
+    for profile in profiles + [TIED, EDGE]:
+        for p in generate_traffic(profile, 1):
+            assert type(p) is PlannedPacket and len(p) == 5 and p == PlannedPacket(*p), p
+
+
 # 0.5 s windows: session 0's responses (1.25, 1.5, 1.75, 2.0) come due in
 # window 2 and again in window 3, where they tie at 1.75 with the first
 # response of the session that starts window 1, due there straight from its
