@@ -128,11 +128,12 @@ class Balancer:
 
     def path_active(self, chain: ChainId, now: float) -> bool:
         """True while any session assigned to this chain is still active."""
-        return any(
-            record.assigned == chain
-            and record.last_timestamp + self.session_timeout > now
-            for record in self.table.values()
-        )
+        # a plain loop: a generator in any() resumes a Python frame per record
+        timeout = self.session_timeout
+        for record in self.table.values():
+            if record.assigned == chain and record.last_timestamp + timeout > now:
+                return True
+        return False
 
     def snapshot_window(self, now: float) -> TrafficWindow:
         """Return the bytes counted since the last snapshot and start anew."""

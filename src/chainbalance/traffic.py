@@ -32,6 +32,19 @@ A planned packet costs no Python frame: it is built by `tuple.__new__` on
 function (it also checks the field count, which the one call site fixes at
 five). The RNG's methods are bound once per iteration; the draws, their order
 and every float expression are those of a plan built one call at a time.
+
+A client costs no Python frame either. Its address 10.0.a.b and its port are
+`randrange(256)`, `1 + randrange(254)` and `randrange(1024, 65536)` as
+CPython 3.10-3.13 draw them (`Random._randbelow_with_getrandbits`), written
+out as C-level `getrandbits` calls with rejection: 9 bits until below 256,
+8 bits until below 254 (then + 1), 16 bits until below 64512 (then + 1024).
+The plan so fixes that algorithm: a CPython that draws `randrange` otherwise
+fails a named test in `tests/test_traffic.py` rather than moving the plan. Its
+key is packed straight from the draws: every 10.0.a.b client sorts below
+SERVER (10.99.0.1:80), so the key is the client's address and big-endian port
+followed by SERVER's, which is `hashing.canonical_key` of the two. A
+session's duration is `uniform(-jitter, jitter)` written out as its
+documented expression, `a + (b - a) * random()`.
 """
 
 from __future__ import annotations
@@ -43,9 +56,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .hashing import Endpoint, canonical_key
+from .hashing import Endpoint
 
 SERVER = Endpoint.parse("10.99.0.1", 80)
+# SERVER as the hi half of a client's key: every 10.0.x.y client is below it
+_SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
 # about 10 times the largest bundled plan (13,500 sessions of 16 packets):
 # the plan is never allocated whole, but every packet is one run's work, so
 # a larger plan is refused, never run
@@ -149,7 +164,9 @@ class TrafficPlan:
     def _windows(self) -> Iterator[list[PlannedPacket]]:
         """Each window's packets, in (time, session_id, reverse) order."""
         p, rng = self.profile, random.Random(self.seed)
-        draw, randrange, choice, uniform = rng.random, rng.randrange, rng.choice, rng.uniform
+        draw, getrandbits, choice = rng.random, rng.getrandbits, rng.choice
+        server = _SERVER_BYTES
+        low, span = -p.duration_jitter, p.duration_jitter - -p.duration_jitter
         new = tuple.__new__  # builds a PlannedPacket in C (see the module docstring)
         rate, sessions = p.rate, p.sessions
         forward = list(enumerate(_chunks(p.request_bytes, p.packet_size)))
@@ -180,15 +197,27 @@ class TrafficPlan:
                 if pool and draw() < p.collide_fraction:
                     key = choice(pool)
                 else:
+                    # randrange(256), 1 + randrange(254) and randrange(1024,
+                    # 65536), drawn as CPython draws them (see the module
+                    # docstring)
                     while True:
-                        address = bytes([10, 0, randrange(256), 1 + randrange(254)])
-                        port = randrange(1024, 65536)
-                        key = canonical_key(Endpoint(address, port), SERVER)
+                        a = getrandbits(9)
+                        while a >= 256:
+                            a = getrandbits(9)
+                        b = getrandbits(8)
+                        while b >= 254:
+                            b = getrandbits(8)
+                        port = getrandbits(16)
+                        while port >= 64512:
+                            port = getrandbits(16)
+                        port += 1024
+                        key = bytes((10, 0, a, b + 1, port >> 8, port & 0xFF)) + server
                         if key not in used:
                             break
                     used[key] = None
                     pool.append(key)
-                duration = p.duration + uniform(-p.duration_jitter, p.duration_jitter)
+                # uniform(-jitter, jitter)
+                duration = p.duration + (low + span * draw())
                 start = sid / rate
                 spacing = (duration - p.response_delay) / len(reverse)
                 cursors.append([2 * sid, start, 1e-4, 0, forward, sid, key, False])

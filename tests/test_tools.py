@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -12,20 +13,29 @@ from chainbalance import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_microbench_runs_and_reports_every_figure():
-    # one timed repetition (about a second); the figures themselves are noise
+def run_microbench(*args):
+    # one timed repetition (about two seconds); the figures themselves are noise
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "microbench.py"), "--repeat", "1"],
+        [sys.executable, str(ROOT / "tools" / "microbench.py"), "--repeat", "1", *args],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    figures = json.loads(done.stdout)
-    assert set(figures) == {
-        "python", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
-        "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
-        "arrival_dispatch_us", "transmit_us", "crossing_us", "booked_crossing_us",
-        "capacity_crossing_us", "chain_counter_ns", "generate_traffic_ms",
-    }
+    return json.loads(done.stdout)
+
+
+FIGURES = {
+    "python", "missing", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
+    "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
+    "arrival_dispatch_us", "transmit_us", "crossing_us", "booked_crossing_us",
+    "capacity_crossing_us", "chain_counter_ns", "generate_traffic_ms", "client_draw_us",
+    "hash_key_us",
+}
+
+
+def test_microbench_runs_and_reports_every_figure():
+    figures = run_microbench()
+    assert set(figures) == FIGURES
+    assert figures["missing"] == {}
     for name in ("build_buckets_ms", "build_buckets_again_ms"):
         assert set(figures[name]) == {"1024", "65536"}
     assert set(figures["codec_round_trip_us"]) == {"allocation_commit_prepare", "stats_ack"}
@@ -36,6 +46,34 @@ def test_microbench_runs_and_reports_every_figure():
     assert figures["booked_crossing_us"] > 0
     assert set(figures["generate_traffic_ms"]) == {"long-flows", "short-flows", "capacity-drain"}
     assert all(ms > 0 for ms in figures["generate_traffic_ms"].values())
+    assert set(figures["client_draw_us"]) == {"randrange", "getrandbits"}
+    assert set(figures["hash_key_us"]) == {"miss", "hit"}
+    assert all(us > 0 for name in ("client_draw_us", "hash_key_us")
+               for us in figures[name].values())
+
+
+def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
+    # a checkout from before the packed session key, whose map_packet takes a
+    # packet, and without traffic.SERVER: the figures that call either print
+    # null and name the error, and every other figure is timed
+    shutil.copytree(ROOT / "src" / "chainbalance", tmp_path / "chainbalance")
+    with open(tmp_path / "chainbalance" / "balancer.py", "a") as source:
+        source.write("\n\ndef map_packet(self, packet):\n    return None\n\n\n"
+                     "Balancer.map_packet = map_packet\n")
+    with open(tmp_path / "chainbalance" / "traffic.py", "a") as source:
+        source.write("\n\ndel SERVER\n")
+    figures = run_microbench("--src", str(tmp_path))
+    assert set(figures) == FIGURES
+    lacking = {
+        "map_packet_hit_us": "TypeError: map_packet() takes 2 positional arguments",
+        "map_packet_miss_us": "TypeError: map_packet() takes 2 positional arguments",
+        "client_draw_us": "ImportError: cannot import name 'SERVER'",
+    }
+    assert set(figures["missing"]) == set(lacking)
+    for name, error in lacking.items():
+        assert figures[name] is None
+        assert figures["missing"][name].startswith(error), figures["missing"]
+    assert all(figures[name] is not None for name in FIGURES - set(lacking))
 
 
 def test_digests_prints_every_output_of_every_seed(tmp_path):

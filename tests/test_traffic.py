@@ -3,12 +3,13 @@ import hashlib
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainbalance import netsim
+from chainbalance import netsim, traffic
 from chainbalance.hashing import Endpoint, canonical_key
 from chainbalance.scenario import parse_scenario
 from chainbalance.traffic import (
@@ -211,6 +212,71 @@ PINNED_PLANS = {
 def test_plan_matches_pinned_digest(name, seed):
     packets = plan(PINNED_PROFILES[name], seed)
     assert hashlib.sha256(repr(packets).encode()).hexdigest() == PINNED_PLANS[name, seed]
+
+
+# -- how a client is drawn and packed
+
+
+def below(getrandbits, bits, bound):
+    """getrandbits(bits), drawn again until it is below bound."""
+    value = getrandbits(bits)
+    while value >= bound:
+        value = getrandbits(bits)
+    return value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([0.0, 0.1, 0.5, 3.0]))
+@example(0, 0.5)
+def test_client_draws_are_those_of_randrange_and_uniform(seed, jitter):
+    # the plan draws each client with getrandbits and rejection, and each
+    # duration with uniform's expression; CPython 3.10-3.13 draw randrange and
+    # uniform so. A CPython that draws them otherwise fails here, by name,
+    # where it would otherwise move every plan
+    rng, twin = random.Random(seed), random.Random(seed)
+    low, span = -jitter, jitter - -jitter
+    for _ in range(200):
+        assert below(rng.getrandbits, 9, 256) == twin.randrange(256)
+        assert 1 + below(rng.getrandbits, 8, 254) == 1 + twin.randrange(254)
+        assert 1024 + below(rng.getrandbits, 16, 64512) == twin.randrange(1024, 65536)
+        assert low + span * rng.random() == twin.uniform(-jitter, jitter)
+    assert rng.getstate() == twin.getstate()
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose getrandbits answers from `script`, checking each
+    call's bit count; its other draws are those of its seed."""
+
+    script: list[tuple[int, int]] = []
+
+    def getrandbits(self, k):
+        bits, value = self.script.pop(0)
+        assert k == bits
+        return value
+
+
+ONE_SESSION = TrafficProfile(sessions=1, rate=1.0, bytes_per_session=2, packet_size=1,
+                             request_bytes=1, duration=1.0, duration_jitter=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 255), st.integers(1, 254), st.integers(1024, 65535))
+@example(0, 1, 1024)
+@example(255, 254, 65535)
+@example(0, 254, 65535)
+@example(255, 1, 1024)
+def test_packed_client_key_is_the_canonical_key(a, b, port):
+    # the plan's draws are scripted: each is refused once at or above its
+    # bound (256, 254, 64512) and then gives the client 10.0.a.b:port, whose
+    # key the plan packs without canonical_key
+    ScriptedRandom.script = [(9, 256 + a), (9, a), (8, 254 + b % 2), (8, b - 1),
+                             (16, 64512 + port % 1024), (16, port - 1024)]
+    with mock.patch.object(traffic.random, "Random", ScriptedRandom):
+        packets = plan(ONE_SESSION, 0)
+    assert ScriptedRandom.script == []
+    client = Endpoint(bytes([10, 0, a, b]), port)
+    assert client < SERVER
+    assert [p.key for p in packets] == [canonical_key(client, SERVER)] * 2
 
 
 def test_len_counts_the_packets_iterated():
