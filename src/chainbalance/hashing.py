@@ -6,7 +6,7 @@ hosts: no per-process hash randomization, no library RNG.
 
 Primitives:
     canonical_key       — pack the two endpoints of a flow into one `bytes` key
-    hash_key            — FNV-1a over the key bytes, finished with a 64-bit mixer; memoised
+    hash_key            — FNV-1a over the key bytes, finished with a 64-bit mixer
     build_buckets       — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
     BucketVector.lookup — table[index[hash_key(k) mod L]]
 
@@ -15,14 +15,6 @@ endpoint by `Endpoint` order, each as address bytes plus a 2-byte big-endian
 port, so 12 bytes for IPv4 and 36 for IPv6. It is computed once per
 session, where the traffic is planned, and both balancers key their tables
 and hash with it.
-
-`hash_key` is memoised by `functools.lru_cache` at a fixed size,
-HASH_CACHE_SIZE keys. That is safe because it is a pure function of its
-`bytes` argument: a hit returns the very int a miss computes, so no output
-depends on what the cache holds. The master maps a session's first request
-and the slave its first response, a few hundred keys later at the bundled
-rates, so the slave's hash of the key is a hit and each session is hashed
-once for both balancers.
 
 A chain is a `ChainId`, a tuple of (forward tag, reverse tag), so the
 per-chain dicts, sets and comparisons of the packet path run in C.
@@ -65,13 +57,6 @@ TAG_MIN = 2
 TAG_MAX = 4094  # 12-bit field, 0/1 reserved, 4095 reserved
 
 DEFAULT_BUCKET_COUNT = 1024
-
-# keys `hash_key` remembers, the least recently hashed evicted first. It
-# must exceed the hashes made between the master's map of a session and the
-# slave's: up to 634 on the bench's short-flows (1000 sessions/s, the first
-# response up to 0.31 s after the request), 136 on long-flows. A larger
-# cache holds more memory for no more hits
-HASH_CACHE_SIZE = 640
 
 # SplitMix64 in lanes: draw k of a block sits in bits [128k, 128k + 64) of
 # one int, the upper 64 bits of its lane zero, so a lane holds a full product
@@ -168,12 +153,8 @@ def canonical_key(a: Endpoint, b: Endpoint) -> bytes:
     return lo.address + lo.port.to_bytes(2, "big") + hi.address + hi.port.to_bytes(2, "big")
 
 
-@lru_cache(maxsize=HASH_CACHE_SIZE)
 def hash_key(key: bytes) -> int:
-    """Map a session key to a 64-bit integer, identically on every host.
-
-    Memoised (see the module docstring): the slave's map of a session the
-    master mapped moments before is a cache hit."""
+    """Map a session key to a 64-bit integer, identically on every host."""
     h = _FNV_OFFSET
     for byte in key:
         h = ((h ^ byte) * _FNV_PRIME) & MASK64

@@ -53,22 +53,20 @@ Prints one JSON object of best-of-N timings:
   into its session key with ``SERVER``, in the two ways a plan can: with
   ``randrange``, ``Endpoint`` and ``canonical_key`` (``randrange``), and with
   ``getrandbits`` and rejection, packed straight into bytes
-  (``getrandbits``, as ``traffic.TrafficPlan`` does). Both give the same keys,
-  which the script checks.
-- ``hash_key_us``: one ``hash_key`` call on a key not hashed before
-  (``miss``) and on a key hashed 64 calls before (``hit``), as the slave
-  hashes a key the master hashed moments before; without a memoised
-  ``hash_key`` both compute the hash.
+  (``getrandbits``, timing a copy of ``traffic.TrafficPlan``'s inlined draw).
+- ``hash_key_us``: one ``hash_key`` call on a session key.
 
 ``--src`` imports chainbalance from another checkout's ``src`` directory, so
-two versions can be timed by the same script on the same host. A figure
-whose API that checkout lacks (``Balancer.map_packet(key, size, now)``,
-``canonical_key`` returning bytes, ``EventLoop.run(until, arrivals)``,
-``NetSim.transmit(walk, packet, now)``, the ``Walk`` of ``NetSim.walks`` and
-``BalancerNode.sends``, ...) prints ``null``, and ``missing`` maps its name
-to the error that names what is missing; without ``--src`` that error is
-raised. Wall-clock figures are noisy; compare runs made back to back, never
-gate on them.
+two versions can be timed by the same script on the same host. Before a
+figure is timed, the names it calls are looked up (``ROWS``): each class and
+function, and the leading parameter names of those whose signature has
+changed, such as ``Balancer.map_packet(key, size, now)``,
+``EventLoop.run(until, arrivals)`` and ``NetSim.transmit(walk, packet,
+now)``. A figure whose names the other checkout lacks prints ``null``, and
+``missing`` maps its name to those names; without ``--src`` the script exits
+naming them. An error raised while a figure is timed is raised, so a fault
+in either checkout is never taken for a missing API. Wall-clock figures are
+noisy; compare runs made back to back, never gate on them.
 """
 
 from __future__ import annotations
@@ -76,6 +74,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
+import inspect
 import itertools
 import json
 import math
@@ -332,14 +332,16 @@ def client_draw_us(repeat):
 
     server = SERVER.address + SERVER.port.to_bytes(2, "big")
 
-    def by_randrange(rng, keys):
+    def by_randrange(rng):
         randrange = rng.randrange
         for _ in range(CALLS):
             address = bytes([10, 0, randrange(256), 1 + randrange(254)])
             port = randrange(1024, 65536)
-            keys.append(canonical_key(Endpoint(address, port), SERVER))
+            canonical_key(Endpoint(address, port), SERVER)
 
-    def by_getrandbits(rng, keys):
+    def by_getrandbits(rng):
+        # a copy of traffic.TrafficPlan._windows' draw, which is inlined
+        # there; tests/test_traffic.py checks that one against randrange
         getrandbits = rng.getrandbits
         for _ in range(CALLS):
             a = getrandbits(9)
@@ -352,63 +354,85 @@ def client_draw_us(repeat):
             while port >= 64512:
                 port = getrandbits(16)
             port += 1024
-            keys.append(bytes((10, 0, a, b + 1, port >> 8, port & 0xFF)) + server)
+            bytes((10, 0, a, b + 1, port >> 8, port & 0xFF)) + server
 
-    figures, drawn = {}, {}
-    for label, draw in (("randrange", by_randrange), ("getrandbits", by_getrandbits)):
-        best = math.inf
-        for seed in range(repeat):
-            keys = []
-            best = min(best, seconds(functools.partial(draw, random.Random(seed), keys)))
-        drawn[label] = keys
-        figures[label] = round(1e6 * best / CALLS, 3)
-    if drawn["randrange"] != drawn["getrandbits"]:
-        raise AssertionError("getrandbits drew other clients than randrange")
-    return figures
+    return {
+        label: round(1e6 * min(seconds(functools.partial(draw, random.Random(seed)))
+                               for seed in range(repeat)) / CALLS, 3)
+        for label, draw in (("randrange", by_randrange), ("getrandbits", by_getrandbits))
+    }
 
 
 def hash_key_us(repeat):
     from chainbalance.hashing import hash_key
 
-    batch = 64  # keys hashed between a key's first hash and its second
-
-    def misses(keys):
+    def hashes(keys):
         for key in keys:
             hash_key(key)
 
-    def hits(keys):
-        spent = 0.0
-        for start in range(0, len(keys), batch):
-            chunk = keys[start:start + batch]
-            misses(chunk)
-            spent += seconds(functools.partial(misses, chunk))
-        return spent
-
-    # fresh keys per repetition (a third octet of its own), so that no miss
-    # finds a key an earlier repetition hashed
-    miss_s = min(seconds(functools.partial(misses, session_keys(CALLS, 1 + r)))
-                 for r in range(repeat))
-    hit_s = min(hits(session_keys(CALLS, 101 + r)) for r in range(repeat))
-    return {"miss": round(1e6 * miss_s / CALLS, 3), "hit": round(1e6 * hit_s / CALLS, 3)}
+    keys = session_keys(CALLS)
+    best = min(seconds(functools.partial(hashes, keys)) for _ in range(repeat))
+    return round(1e6 * best / CALLS, 3)
 
 
-# the names of each timing function's figures, which it returns in this
-# order (one figure, or a tuple of them)
+# each row: the names of a timing function's figures, which it returns in
+# this order (one figure, or a tuple of them), the API it needs (see
+# `lacking`), and the function
+KEYS = ("hashing.canonical_key", "hashing.Endpoint")
+BALANCER = ("balancer.Balancer.map_packet(key, size, now)", "balancer.Balancer.stage_allocation",
+            "balancer.Balancer.install", "hashing.HashParams", "hashing.ChainId", *KEYS)
+SIM = ("netsim.NetSim.transmit(walk, packet, now)", "netsim.NetSim.compile_walk",
+       "netsim.Walk.handle", "traffic.PlannedPacket", "cli.bundled_scenario", *KEYS)
+CROSSING = (*SIM, "netsim.BalancerNode", "netsim.Walk.onward", "netsim.Walk.nf")
 ROWS = (
-    (("map_packet_hit_us", "map_packet_miss_us"), map_packet_figures),
-    (("build_buckets_ms", "build_buckets_again_ms"), build_buckets_figures),
-    (("codec_round_trip_us",), codec_round_trip_us),
-    (("event_dispatch_us",), event_dispatch_us),
-    (("arrival_dispatch_us",), arrival_dispatch_us),
-    (("transmit_us",), transmit_us),
-    (("crossing_us",), lambda repeat: crossings_us(repeat, crossing_sim)),
-    (("booked_crossing_us",), lambda repeat: crossings_us(repeat, booked_sim)),
-    (("capacity_crossing_us",), lambda repeat: crossings_us(repeat, capacity_sim)),
-    (("chain_counter_ns",), chain_counter_ns),
-    (("generate_traffic_ms",), generate_traffic_ms),
-    (("client_draw_us",), client_draw_us),
-    (("hash_key_us",), hash_key_us),
+    (("map_packet_hit_us", "map_packet_miss_us"), BALANCER, map_packet_figures),
+    (("build_buckets_ms", "build_buckets_again_ms"),
+     ("hashing.build_buckets(alloc, params, generation)", "hashing.HashParams", "hashing.ChainId"),
+     build_buckets_figures),
+    (("codec_round_trip_us",),
+     ("control.ControlMessage", "control.alloc_to_wire", "control.window_to_wire",
+      "control.encode_message(msg)", "control.decode_message(data)",
+      "rebalance.TrafficWindow", "hashing.ChainId"),
+     codec_round_trip_us),
+    (("event_dispatch_us",), ("engine.EventLoop.schedule(at, fn)", "engine.EventLoop.run"),
+     event_dispatch_us),
+    (("arrival_dispatch_us",), ("engine.EventLoop.run(until, arrivals)",), arrival_dispatch_us),
+    (("transmit_us",), SIM, transmit_us),
+    (("crossing_us",), CROSSING, lambda repeat: crossings_us(repeat, crossing_sim)),
+    (("booked_crossing_us",),
+     (*CROSSING, "balancer.Balancer.reconcile(key, observed, now)", "hashing.HashParams"),
+     lambda repeat: crossings_us(repeat, booked_sim)),
+    (("capacity_crossing_us",), CROSSING, lambda repeat: crossings_us(repeat, capacity_sim)),
+    (("chain_counter_ns",), ("hashing.ChainId",), chain_counter_ns),
+    (("generate_traffic_ms",), ("traffic.generate_traffic(profile, seed)", "scenario.parse_scenario"),
+     generate_traffic_ms),
+    (("client_draw_us",), ("traffic.SERVER", *KEYS), client_draw_us),
+    (("hash_key_us",), ("hashing.hash_key(key)", *KEYS), hash_key_us),
 )
+
+
+def lacking(need):
+    """`need` if the imported chainbalance lacks it, else None.
+
+    `need` names an attribute of a chainbalance module, "module.name" or
+    "module.Class.name", and may end in "(a, b)": the names of the
+    parameters the callable must take first, after self."""
+    path, _, params = need.partition("(")
+    module, *names = path.split(".")
+    try:
+        found = importlib.import_module(f"chainbalance.{module}")
+    except ImportError:
+        return need
+    for name in names:
+        if not hasattr(found, name):
+            return need
+        found = getattr(found, name)
+    if params:
+        wanted = [param.strip() for param in params.rstrip(")").split(",")]
+        taken = [name for name in inspect.signature(found).parameters if name != "self"]
+        if taken[:len(wanted)] != wanted:
+            return need
+    return None
 
 
 def main(argv=None) -> int:
@@ -418,18 +442,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src or str(ROOT / "src"))
     out = {"python": sys.version.split()[0], "missing": {}}
-    for names, timed in ROWS:
-        try:
+    for names, needs, timed in ROWS:
+        lacked = [need for need in needs if lacking(need)]
+        if not lacked:
             figures = timed(args.repeat)
-        except (ImportError, AttributeError, TypeError) as missing:
-            # another checkout's API: its figures print null and say what is missing
-            if args.src is None:
-                raise
-            figures = (None,) * len(names)
-            out["missing"].update(dict.fromkeys(names, f"{type(missing).__name__}: {missing}"))
+            out.update(zip(names, figures if len(names) > 1 else (figures,)))
+        elif args.src is None:
+            raise SystemExit(f"this checkout lacks {', '.join(lacked)}, which {names[0]} needs")
         else:
-            figures = figures if len(names) > 1 else (figures,)
-        out.update(zip(names, figures))
+            # another checkout's API: its figures print null and say what it lacks
+            out.update(dict.fromkeys(names))
+            out["missing"].update(dict.fromkeys(names, lacked))
     print(json.dumps(out, indent=2))
     return 0
 
