@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import pickle
@@ -461,6 +462,40 @@ def test_collision_stress_run_stays_clean():
     result = netsim.run(scenario)
     assert result.clean
     assert result.leftover_bytes == 0
+
+
+COLLIDING = TrafficProfile(sessions=200, rate=100.0, bytes_per_session=20_000, packet_size=3000,
+                           duration_jitter=0.4, collide_fraction=0.3)
+# sha256 of the three outputs of two colliding runs, the one kind of run in
+# which a record per session and a table entry per key differ: no bundled
+# scenario or bench workload shares a key between sessions. The second adds
+# a chain and removes one while keys are shared, so sessions diverge,
+# reconcile and cross two chains (108 divergences, 46 anomalies)
+PINNED_COLLIDING_DIGESTS = {
+    "static": {
+        "series.csv": "771a9d8308a757fc3fc9667d520569392d922441936ec1ecad24cf375ced0332",
+        "events.jsonl": "2923c7d19fcfbe50fa831683b3af7e224361735f6f03dd7f015a5e44c9c124a1",
+        "report.json": "4d2597c1fd4723215a3960829a4e9b0cc763220c699970415cfa27c0aaa04f5e",
+    },
+    "add-remove": {
+        "series.csv": "4660b57b4b51c09a41ebcba4ba6802cd2b988ae96cbbb39200124b361e00ac13",
+        "events.jsonl": "4e085d678acb04bf92c79eefe43d18ba17512c757a81bcec24b376b0e2ebd0d7",
+        "report.json": "e61741641b6e846755eded33f1c445a73bc5ec3ed8824765a314dfc461ebda9c",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COLLIDING_DIGESTS))
+def test_colliding_run_outputs_match_pinned_digests(case, tmp_path):
+    actions = ()
+    if case == "add-remove":
+        actions = (Action(at=1.0, op="add", pair=C3), Action(at=1.5, op="remove", pair=C1))
+    result = netsim.run(small_scenario(traffic=COLLIDING, actions=actions, horizon=12.0))
+    cli.write_outputs(result, tmp_path)
+    assert {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in ("series.csv", "events.jsonl", "report.json")
+    } == PINNED_COLLIDING_DIGESTS[case]
 
 
 def test_stats_polls_conserve_mapped_bytes():
