@@ -2,12 +2,14 @@
 
 A balancer answers one question per packet: which chain carries this
 session? The caller names the session by its packed key (see `hashing`),
-computed once per session and identical for both directions. Known active
-sessions keep their stored chain no matter what happened to the bucket
-vector in between; everything else is a single array read at hash(key)
-mod L. Re-shuffles replace the vector wholesale: a replacement is built
-aside and installed with one assignment. A balancer is driven from one
-thread (the simulator's event loop, or the caller) and takes no locks.
+identical for both directions, and may pass the key's `hash_key` too: the
+simulator's traffic plan computes it once per session, for both balancers.
+Known active sessions keep their stored chain no matter what happened to
+the bucket vector in between; everything else is a single array read at
+hash(key) mod L, hashing the key only when no hash was passed. Re-shuffles
+replace the vector wholesale: a replacement is built aside and installed
+with one assignment. A balancer is driven from one thread (the simulator's
+event loop, or the caller) and takes no locks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ SLAVE = "slave"
 class SessionRecord:
     last_timestamp: float
     assigned: ChainId
+
+
+# builds a SessionRecord in C, with no Python-level __init__ call; the
+# attributes are set after it
+_new_record = object.__new__
 
 
 class Balancer:
@@ -56,13 +63,15 @@ class Balancer:
 
     # -- traffic path ------------------------------------------------------
 
-    def map_packet(self, key: bytes, size: int, now: float) -> ChainId:
+    def map_packet(self, key: bytes, size: int, now: float,
+                   key_hash: int | None = None) -> ChainId:
         """Return the chain for a packet of session `key` and account its size.
 
         An active session (last packet less than the timeout ago) keeps its
         stored chain, even one that is draining; anything else is mapped
-        through the current bucket vector and recorded. A hit never moves
-        the timestamp back: the simulator may have set it ahead of `now`.
+        through the current bucket vector, by `key_hash` when the caller
+        passes `hash_key(key)`, and recorded. A hit never moves the
+        timestamp back: the simulator may have set it ahead of `now`.
         """
         record = self.table.get(key)
         if record is not None and record.last_timestamp + self.session_timeout > now:
@@ -72,8 +81,10 @@ class Balancer:
         else:
             if self.buckets is None:
                 raise NoLiveChains("no bucket vector installed")
-            chain = self.buckets.lookup(key)
-            self.table[key] = SessionRecord(now, chain)
+            chain = self.buckets.lookup(key, key_hash)
+            record = self.table[key] = _new_record(SessionRecord)
+            record.last_timestamp = now
+            record.assigned = chain
         self.counters[chain] = self.counters.get(chain, 0) + size
         return chain
 

@@ -8,13 +8,14 @@ Primitives:
     canonical_key       — pack the two endpoints of a flow into one `bytes` key
     hash_key            — FNV-1a over the key bytes, finished with a 64-bit mixer
     build_buckets       — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
-    BucketVector.lookup — table[index[hash_key(k) mod L]]
+    BucketVector.lookup — table[index[h mod L]], h = hash_key(k) unless passed in
 
 A session key is one `bytes` value: the flow's lo endpoint then its hi
 endpoint by `Endpoint` order, each as address bytes plus a 2-byte big-endian
-port, so 12 bytes for IPv4 and 36 for IPv6. It is computed once per
-session, where the traffic is planned, and both balancers key their tables
-and hash with it.
+port, so 12 bytes for IPv4 and 36 for IPv6. The traffic plan packs each
+client's key once, and hashes it once per session, into the session's
+record (`traffic.Session`). Both balancers key their tables with the key and
+map a new session by the carried hash.
 
 A chain is a `ChainId`, a tuple of (forward tag, reverse tag), so the
 per-chain dicts, sets and comparisons of the packet path run in C.
@@ -188,9 +189,13 @@ class BucketVector:
         """The chain id of every slot, in slot order."""
         return tuple(map(self.table.__getitem__, self.index))
 
-    def lookup(self, key: bytes) -> ChainId:
+    def lookup(self, key: bytes, key_hash: int | None = None) -> ChainId:
+        """The chain of the key's slot; `key_hash`, when given, is
+        hash_key(key), computed by the caller beforehand."""
+        if key_hash is None:
+            key_hash = hash_key(key)
         index = self.index
-        return self.table[index[hash_key(key) % len(index)]]
+        return self.table[index[key_hash % len(index)]]
 
     def chains(self) -> tuple[ChainId, ...]:
         """Distinct chains present, ordered by forward tag."""

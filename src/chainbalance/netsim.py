@@ -11,9 +11,12 @@ passed through the slave on their way to the server. Reverse packets mirror
 this through the slave, which maps them with its own copy of the bucket
 vector; the master observes them coming back and corrects its session table
 if the two sides ever diverged. The packet in flight is the traffic plan's
-`PlannedPacket` itself, so neither balancer derives the session key from
-addresses; its stack of routing tags is an immutable tuple handed along with
-it from event to event, outermost tag last.
+`PlannedPacket` itself. It carries its session's record (`traffic.Session`),
+so neither balancer derives the session key from addresses or hashes it:
+both map a new session by the hash the plan computed once. The simulator
+keeps the session's trace on that same record, read off the packet with no
+lookup. A packet's stack of routing tags is an immutable tuple handed along
+with it from event to event, outermost tag last.
 
 Switches hold no state: a packet's path through them depends only on where
 it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
@@ -81,12 +84,12 @@ pushed at the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
 the traffic plan builds each packet in C (`traffic`); `inject` maps each
-planned packet at its first balancer and sends it in one call; `transmit`
-pushes its heap entries itself, with the loop's one sequence counter,
-instead of calling `EventLoop.schedule`, and walks each compiled walk's
-`links` with no `range()` built per segment; a mapping balancer finds its
-send's walk by chain; and chain identities (`ChainId`) hash and compare in
-C.
+planned packet at its first balancer, by the hash its session's record
+carries, and sends it in one call; `transmit` pushes its heap entries
+itself, with the loop's one sequence counter, instead of calling
+`EventLoop.schedule`, and walks each compiled walk's `links` with no
+`range()` built per segment; a mapping balancer finds its send's walk by
+chain; and chain identities (`ChainId`) hash and compare in C.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -115,7 +118,7 @@ from .engine import EventLoop
 from .errors import NeverConverged, NoRoute
 from .hashing import ChainId
 from .scenario import SWEEP_PERIOD, Scenario
-from .traffic import PlannedPacket, generate_traffic
+from .traffic import PlannedPacket, Session, generate_traffic
 
 # the traffic endpoints, in PlannedPacket.reverse order; no node object
 # stands for them, since their arrivals are counted at the send
@@ -322,23 +325,13 @@ class BalancerNode:
     def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
         sim = self.sim
         chain = sim.chain_by_reverse[tags[-1]]
-        held = self.agent.balancer.reconcile(packet.key, chain, now)
+        held = self.agent.balancer.reconcile(packet.session.key, chain, now)
         if held is not None and held != chain:
             sim.note_reconcile(packet, held, chain, now)
         sim.transmit(sim.to_client, packet, now)
 
 
 # -- the simulation ----------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class SessionTrace:
-    master_chain: ChainId | None
-    slave_chain: ChainId | None = None
-    nf_chains: tuple = ()  # each chain whose NF it crossed, first crossing first
-    reconciled: bool = False
-    expiry_gap: bool = False
-    last_master_seen: float = 0.0
 
 
 @dataclass
@@ -398,7 +391,10 @@ class NetSim:
         self.in_flight = {a.pair: deque() for a in scenario.actions if a.op == "remove"}
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
-        self.sessions: dict[int, SessionTrace] = {}
+        # every session a balancer mapped, in the order first mapped, which
+        # is the order `_finalize` judges them in; a session's trace is kept
+        # on its record
+        self.sessions: list[Session] = []
         # the latest master arrival pushed on a trip no shorter than the
         # session timeout; none is settled at its send until then
         self._late = -math.inf
@@ -535,9 +531,9 @@ class NetSim:
             second = int(at)
             seconds[second] = seconds.get(second, 0) + packet.size
             result.last_packet_on[chain] = at
-            trace = self.sessions.get(packet.session_id)
-            if trace is not None and chain not in trace.nf_chains:
-                trace.nf_chains += (chain,)
+            session = packet.session
+            if chain not in session.nf_chains:
+                session.nf_chains += (chain,)
             in_flight = nf.in_flight
             if in_flight is not None:
                 # kept for the reclaim check, pruned to the leaves after this
@@ -546,9 +542,9 @@ class NetSim:
                 if reclaim is None:
                     while in_flight and in_flight[0][0] <= now:
                         in_flight.popleft()
-                    in_flight.append((at, packet.session_id))
+                    in_flight.append((at, session.session_id))
                 else:
-                    self._flag_crossings(chain, reclaim, ((at, packet.session_id),))
+                    self._flag_crossings(chain, reclaim, ((at, session.session_id),))
             handle, in_port, tags, links, _, _, _ = onward
             for latency in links:
                 at += latency
@@ -563,7 +559,7 @@ class NetSim:
                         self._late = at
                 elif self._late < now:
                     balancer = self.master_agent.balancer  # None before run()
-                    record = None if balancer is None else balancer.table.get(packet.key)
+                    record = None if balancer is None else balancer.table.get(session.key)
                     if (record is not None and record.assigned == chain
                             and record.last_timestamp + timeout > at):
                         if at > record.last_timestamp:
@@ -626,21 +622,19 @@ class NetSim:
 
     def inject(self, packet: PlannedPacket, at: float):
         """A planned packet arrives at its first balancer at `at`: count it
-        injected, map it and send it on. `run` calls it once per planned
-        packet, as an entry of the event loop's arrival stream. The slave's
-        map is noted only where `note_mapped` has something to record: a
-        session's first map there, or a map to a reclaimed chain."""
+        injected, map it by its session's key and hash, and send it on. `run`
+        calls it once per planned packet, as an entry of the event loop's
+        arrival stream. The slave's map is noted only where `note_mapped` has
+        something to record: a session's first map there, or a map to a
+        reclaimed chain."""
         result = self.result
         result.injected_bytes += packet.size
         result.packets += 1
+        session = packet.session
         node = self._first_balancer[packet.reverse]
-        chain = node.agent.balancer.map_packet(packet.key, packet.size, at)
-        if node.is_master:
+        chain = node.agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
+        if node.is_master or session.slave_chain is None or chain in result.reclaims:
             self.note_mapped(node, packet, chain, at)
-        else:
-            trace = self.sessions.get(packet.session_id)
-            if trace is None or trace.slave_chain is None or chain in result.reclaims:
-                self.note_mapped(node, packet, chain, at)
         self.transmit(node.sends[chain], packet, at)
 
     def _arrivals(self, plan, start: float):
@@ -687,7 +681,8 @@ class NetSim:
     def drop(self, packet: PlannedPacket, nf: str, now: float):
         """A full queue at the named NF drops the packet."""
         self.result.dropped_bytes += packet.size
-        self.record("drop", now, reason="queue_overflow", node=nf, session=packet.session_id)
+        self.record("drop", now, reason="queue_overflow", node=nf,
+                    session=packet.session.session_id)
 
     def violation(self, what: str, session_id: int, now: float):
         """Record an invariant violation; session -1 means no session."""
@@ -696,43 +691,43 @@ class NetSim:
     # -- bookkeeping hooks
 
     def note_mapped(self, node: BalancerNode, packet: PlannedPacket, chain: ChainId, now: float):
-        trace = self.sessions.get(packet.session_id)
+        """Trace a balancer's map of the packet's session. A session no
+        balancer mapped yet holds neither chain; its first map adds it to
+        `sessions`."""
+        session = packet.session
         if node.is_master:
-            if trace is None:
-                self.sessions[packet.session_id] = SessionTrace(
-                    master_chain=chain, last_master_seen=now
-                )
-                self.result.session_starts.append((now, packet.session_id, chain))
-                self.record("session_start", now, session=packet.session_id,
+            if session.master_chain is None and session.slave_chain is None:
+                session.master_chain = chain
+                session.last_master_seen = now
+                self.sessions.append(session)
+                self.result.session_starts.append((now, session.session_id, chain))
+                self.record("session_start", now, session=session.session_id,
                             chain=chain.forward_tag)
             else:
-                if now >= trace.last_master_seen + self.session_timeout:
-                    trace.expiry_gap = True
-                trace.last_master_seen = now
-                trace.master_chain = chain
-        else:
-            if trace is not None and trace.slave_chain is None:
-                trace.slave_chain = chain
-                if chain != trace.master_chain:
-                    self.result.divergences += 1
-                    self.record("divergence", now, session=packet.session_id,
-                                master_chain=trace.master_chain.forward_tag,
-                                slave_chain=chain.forward_tag)
-            elif trace is None:
+                if now >= session.last_master_seen + self.session_timeout:
+                    session.expiry_gap = True
+                session.last_master_seen = now
+                session.master_chain = chain
+        elif session.slave_chain is None:
+            session.slave_chain = chain
+            if session.master_chain is None:
                 # reverse packet arrived before any forward packet was mapped
-                self.sessions[packet.session_id] = SessionTrace(
-                    master_chain=None, slave_chain=chain
-                )
+                self.sessions.append(session)
+            elif chain != session.master_chain:
+                self.result.divergences += 1
+                self.record("divergence", now, session=session.session_id,
+                            master_chain=session.master_chain.forward_tag,
+                            slave_chain=chain.forward_tag)
         reclaims = self.result.reclaims
         if chain in reclaims and now > reclaims[chain]:
-            self.violation(f"session mapped to reclaimed chain {chain}", packet.session_id, now)
+            self.violation(f"session mapped to reclaimed chain {chain}", session.session_id, now)
 
     def note_reconcile(self, packet: PlannedPacket, old: ChainId, new: ChainId, now: float):
-        trace = self.sessions.get(packet.session_id)
-        if trace is not None:
-            trace.reconciled = True
-            trace.master_chain = new
-        self.record("reconcile", now, session=packet.session_id,
+        """Trace the master's reconcile of a session the slave mapped."""
+        session = packet.session
+        session.reconciled = True
+        session.master_chain = new
+        self.record("reconcile", now, session=session.session_id,
                     old_chain=old.forward_tag, new_chain=new.forward_tag)
 
     def _flag_crossings(self, chain: ChainId, reclaim: float, leaves):
@@ -860,20 +855,21 @@ class NetSim:
         """Judge the sessions and fill in the facts known only at the end;
         `arrived` planned arrivals ran."""
         result = self.result
-        for sid, trace in self.sessions.items():
-            if trace.reconciled:
+        for session in self.sessions:
+            sid = session.session_id
+            if session.reconciled:
                 result.reconciled_sessions += 1
-            if len(trace.nf_chains) > 1 and not trace.reconciled and not trace.expiry_gap:
+            if len(session.nf_chains) > 1 and not session.reconciled and not session.expiry_gap:
                 result.anomalies.append(
                     {"event": "anomaly", "reason": "session crossed multiple chains",
                      "session": sid,
-                     "chains": sorted(c.forward_tag for c in trace.nf_chains)}
+                     "chains": sorted(c.forward_tag for c in session.nf_chains)}
                 )
             if (
-                trace.slave_chain is not None
-                and trace.master_chain is not None
-                and trace.slave_chain != trace.master_chain
-                and not trace.reconciled
+                session.slave_chain is not None
+                and session.master_chain is not None
+                and session.slave_chain != session.master_chain
+                and not session.reconciled
             ):
                 result.anomalies.append(
                     {"event": "anomaly", "reason": "unresolved master/slave divergence",

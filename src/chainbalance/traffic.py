@@ -6,8 +6,10 @@ duration after the session started. Everything is derived from one seed so
 a profile always expands to the identical packet schedule. Every session
 carries the profile's byte counts, cut into packets once per plan, and
 draws only its client and its duration. A client's key is packed when it
-is first drawn and shared by all packets of its sessions, in both
-directions.
+is first drawn. Each session is one `Session` record, made when it is
+planned: its id, its client's key and the key's `hash_key`, computed there
+once for both balancers. All packets of the session carry that record, in
+both directions, and the simulator keeps the session's trace on it.
 
 The schedule is never held whole: `generate_traffic` returns a plan that
 knows its length and plans the sessions as it is iterated, in session_id
@@ -25,12 +27,14 @@ gives. The rest of a direction's packets wait in its cursor, filed under
 the window its next packet falls in, so a window visits only the sessions
 it takes packets from. What outlives the windows is one cursor per
 direction of each unfinished session, and the key of every client drawn,
-which keeps the clients distinct.
+which keeps the clients distinct; a session's record lives as long as its
+packets and whatever the consumer keeps of it.
 
 A planned packet costs no Python frame: it is built by `tuple.__new__` on
 `PlannedPacket`, in C, where the NamedTuple's own constructor is a Python
 function (it also checks the field count, which the one call site fixes at
-five). The RNG's methods are bound once per iteration; the draws, their order
+four). A session costs two: its `Session` constructor and the `hash_key`
+call in it. The RNG's methods are bound once per iteration; the draws, their order
 and every float expression are those of a plan built one call at a time.
 
 A client costs no Python frame either. Its address 10.0.a.b and its port are
@@ -56,6 +60,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
+from . import hashing
 from .hashing import Endpoint
 
 SERVER = Endpoint.parse("10.99.0.1", 80)
@@ -117,12 +122,42 @@ class TrafficProfile:
         return self.sessions * (-(-request // self.packet_size) - (-response // self.packet_size))
 
 
+class Session:
+    """One planned session, from the plan to the end of the run.
+
+    The plan sets its id, its key and the key's `hash_key`, computed here
+    once, so that no balancer hashes the key again. The rest is its trace,
+    which the simulator writes as the run goes: the chain each balancer
+    mapped it to, each chain whose NF it crossed (first crossing first),
+    whether the master reconciled it, and whether the master re-mapped it
+    after its record expired (`expiry_gap`). Sessions that share a key
+    (`collide_fraction`) share the balancers' table entry, never a record.
+    """
+
+    __slots__ = ("session_id", "key", "key_hash", "master_chain", "slave_chain", "nf_chains",
+                 "reconciled", "expiry_gap", "last_master_seen")
+
+    def __init__(self, session_id: int, key: bytes):
+        self.session_id = session_id
+        self.key = key  # the session's canonical key
+        # looked up in `hashing` at the call, so that a wrapper put there counts it
+        self.key_hash = hashing.hash_key(key)
+        self.master_chain = None
+        self.slave_chain = None
+        self.nf_chains = ()
+        self.reconciled = False
+        self.expiry_gap = False
+        self.last_master_seen = 0.0
+
+    def __repr__(self):
+        return f"Session(session_id={self.session_id!r}, key={self.key!r})"
+
+
 class PlannedPacket(NamedTuple):
     """A packet the generator will inject: which session, when, how big."""
 
     time: float
-    session_id: int
-    key: bytes  # the session's canonical key
+    session: Session
     size: int
     reverse: bool
 
@@ -178,7 +213,7 @@ class TrafficPlan:
         last = (sessions - 1) // WINDOW_SESSIONS  # the last window, which has no edge
         # due[j]: a cursor per direction of each session whose next packet
         # falls in window j, [plan order, time of step 0, spacing, next
-        # packet, (step, size) of each packet, session_id, key, reverse]
+        # packet, (step, size) of each packet, session, reverse]
         due: list[list[list]] = [[] for _ in range(last + 1)]
         for j in range(last + 1):
             begin, stop = j * WINDOW_SESSIONS, (j + 1) * WINDOW_SESSIONS
@@ -220,18 +255,19 @@ class TrafficPlan:
                 duration = p.duration + (low + span * draw())
                 start = sid / rate
                 spacing = (duration - p.response_delay) / len(reverse)
-                cursors.append([2 * sid, start, 1e-4, 0, forward, sid, key, False])
-                cursors.append([2 * sid + 1, start + p.response_delay, spacing, 0, reverse, sid,
-                                key, True])
+                session = Session(sid, key)
+                cursors.append([2 * sid, start, 1e-4, 0, forward, session, False])
+                cursors.append([2 * sid + 1, start + p.response_delay, spacing, 0, reverse,
+                                session, True])
             for cursor in cursors:
-                _, first, spacing, i, steps, session_id, key, backward = cursor
+                _, first, spacing, i, steps, session, backward = cursor
                 n = len(steps)
                 while i < n:
                     k, size = steps[i]
                     at = first + k * spacing
                     if at >= edge:
                         break
-                    append(new(PlannedPacket, (at, session_id, key, size, backward)))
+                    append(new(PlannedPacket, (at, session, size, backward)))
                     i += 1
                 if i == n:
                     continue

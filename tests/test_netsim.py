@@ -27,18 +27,21 @@ from chainbalance.netsim import (
     route,
 )
 from chainbalance.scenario import Action, Scenario, parse_scenario
-from chainbalance.traffic import PlannedPacket, TrafficProfile, generate_traffic
+from chainbalance.traffic import PlannedPacket, Session, TrafficProfile, generate_traffic
 
 C1 = ChainId(2, 3)
 C2 = ChainId(4, 5)
 C3 = ChainId(6, 7)
 
 
-def packet():
+def packet(session_id=0):
+    """A forward packet of a new session, with a record of its own."""
     return PlannedPacket(
         time=0.0,
-        session_id=0,
-        key=canonical_key(Endpoint.parse("10.0.0.1", 5000), Endpoint.parse("10.9.9.9", 80)),
+        session=Session(
+            session_id,
+            canonical_key(Endpoint.parse("10.0.0.1", 5000), Endpoint.parse("10.9.9.9", 80)),
+        ),
         size=100,
         reverse=False,
     )
@@ -154,7 +157,6 @@ def test_nf_passthrough_zero_delay():
         sim = netsim.NetSim(small_scenario(link_latency=0.0013))
         assert sim.nodes["nf1"].chain == C1 and sim.nodes["nf1"].mode == "passthrough"
         sent = packet()
-        sim.sessions[sent.session_id] = netsim.SessionTrace(master_chain=C1)
         sim.loop.now = 3.5
         send(sim, node, 1, sent, tags)
         if node == "lb2":
@@ -167,7 +169,7 @@ def test_nf_passthrough_zero_delay():
             assert sim.result.delivered_bytes == sent.size
         assert sim.result.series.buckets == {C1: {3: 100}}
         assert sim.result.last_packet_on == {C1: at_nf}
-        assert sim.sessions[sent.session_id].nf_chains == (C1,)
+        assert sent.session.nf_chains == (C1,)
 
 
 def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
@@ -186,10 +188,10 @@ def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
     sim = netsim.NetSim(small_scenario(link_latency=0.001))
     master = sim.master_agent.balancer = Balancer("master", HashParams(7, 256), 6.0)
     sent = packet()._replace(reverse=True)
-    master.reconcile(sent.key, C1, 1.0)
+    master.reconcile(sent.session.key, C1, 1.0)
     sim.loop.now, sim.horizon = 1.0, 1.0079999999999991
     send(sim, "lb2", 1, sent, (C1.reverse_tag,))
-    assert master.table[sent.key].last_timestamp == 1.0059999999999993
+    assert master.table[sent.session.key].last_timestamp == 1.0059999999999993
     assert sim.loop._heap == [] and sim.result.delivered_bytes == sent.size
     # a planned packet sent from the client at 1.0 reaches the master two
     # additions later (not 1.002)
@@ -217,7 +219,7 @@ def test_master_arrival_is_booked_at_the_slave_send_only_when_settled(case, sett
     sent = packet()._replace(reverse=True)
     if case != "no record":
         chain = C2 if case == "the record holds another chain" else C1
-        master.reconcile(sent.key, chain, -2.5 if case == "the record is inactive on arrival" else 3.5)
+        master.reconcile(sent.session.key, chain, -2.5 if case == "the record is inactive on arrival" else 3.5)
     if case == "a long trip is still pending":
         sim._late = 3.5
     sim.loop.now = 3.5
@@ -227,7 +229,7 @@ def test_master_arrival_is_booked_at_the_slave_send_only_when_settled(case, sett
         arrival += 0.0013
     if settled:
         assert sim.loop._heap == []
-        assert master.table[sent.key].last_timestamp == arrival
+        assert master.table[sent.session.key].last_timestamp == arrival
         assert sim.result.delivered_bytes == sent.size
     else:
         assert [entry[0] for entry in sim.loop._heap] == [arrival]
@@ -790,7 +792,7 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
     # counter, so it ties with a scheduled callback exactly as two scheduled
     # callbacks would. The master holds no record of the stray's session, so
     # its arrival is not settled at the slave's send: it takes an entry
-    stray = packet()._replace(session_id=10_000, reverse=True)
+    stray = packet(10_000)._replace(reverse=True)
     order = []
 
     def seen(node, p, port, tags, now):
@@ -804,7 +806,7 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
 
         def send_stray():
             sim.result.injected_bytes += stray.size
-            assert stray.key not in sim.master_agent.balancer.table
+            assert stray.session.key not in sim.master_agent.balancer.table
             arrival = sim.loop.now
             for _ in range(6):  # lb2 -> es2 -> cs1 -> nf1 -> cs1 -> es1 -> lb1
                 arrival += 0.0013
@@ -896,7 +898,7 @@ def test_packets_planned_before_the_handshake_ends_arrive_two_links_after_it(mon
     start = starts[0]
     assert start == 0.004
     early = [(p, now) for p, now in arrivals if p.time < start]
-    assert [p.session_id for p, _ in early] == [0, 1, 2, 3]
+    assert [p.session.session_id for p, _ in early] == [0, 1, 2, 3]
     assert {now for _, now in early} == {(start + 0.0013) + 0.0013}
     assert result.clean
 
@@ -914,10 +916,10 @@ def test_planned_packets_at_the_horizon(with_traffic, monkeypatch):
     arrivals = first_hop_arrivals(monkeypatch)
     sim = netsim.NetSim(scenario)
     times = (14.5, 14.75, 15.0, math.nextafter(15.0, math.inf))[0 if with_traffic else 1:]
-    late = [packet()._replace(time=t, session_id=10_000 + i) for i, t in enumerate(times)]
+    late = [packet(10_000 + i)._replace(time=t) for i, t in enumerate(times)]
     with_plan(monkeypatch, sim, lambda packets, start: (packets if with_traffic else []) + late)
     result = sim.run()
-    handled = [p for p, _ in arrivals if p.session_id >= 10_000]
+    handled = [p for p, _ in arrivals if p.session.session_id >= 10_000]
     assert handled == (late[:1] if with_traffic else [])
     sent = len(times) - 1
     assert result.packets == base_packets + sent
@@ -1033,7 +1035,7 @@ def test_leave_booked_after_the_reclaim_is_caught_at_its_departure(monkeypatch):
     scenario = small_scenario(actions=(Action(at=1.0, op="remove", pair=C2),), horizon=20.0)
     reclaim = netsim.run(scenario).reclaims[C2]
     sim = netsim.NetSim(scenario)
-    stray = packet()._replace(session_id=10_000)
+    stray = packet(10_000)
     sent_at = math.ceil(reclaim) + 1.0
 
     def send_stray():
@@ -1063,7 +1065,7 @@ def test_nf_crossing_at_the_horizon(sent_at, booked, monkeypatch):
     # pop to the server
     for node, tag in (("lb2", C1.reverse_tag), ("lb1", C1.forward_tag)):
         sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
-        stray = packet()._replace(session_id=10_000)
+        stray = packet(10_000)
         pushed = []
 
         def send_stray():
@@ -1297,6 +1299,34 @@ def test_static_1_canonical_key_gate(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, sessions", [
+    ("static-1", 800), ("short-flows", 6_000), ("long-flows", 1_800), ("capacity-drain", 2_000),
+])
+def test_hash_key_runs_once_per_session_gate(name, sessions, monkeypatch):
+    # work counter: a run calls hash_key once per session planned, whichever
+    # module calls it. The plan hashes each session's key into its record,
+    # and a balancer's table miss maps by that hash. Both balancers hashing
+    # the key on their miss took two calls per session: static-1 1,600,
+    # short-flows 12,000, long-flows 3,600 and capacity-drain 4,000
+    calls = []
+    original = hashing.hash_key
+
+    def counted(key):
+        calls.append(None)
+        return original(key)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("chainbalance") and getattr(module, "hash_key", None) is original:
+            monkeypatch.setattr(module, "hash_key", counted)
+    if name == "static-1":
+        scenario = cli.bundled_scenario(name)
+    else:
+        scenario = parse_scenario(WORKLOADS / f"{name}.yaml")
+    result = netsim.run(scenario.with_seed(1))
+    assert len(result.session_starts) == scenario.traffic.sessions == sessions
+    assert len(calls) == sessions
+
+
 def profiled_run(scenario):
     """Run the scenario with every Python-level function call counted.
 
@@ -1347,7 +1377,10 @@ def test_static_1_python_calls_per_packet_gate():
     # packet in C, with no Python-level PlannedPacket constructor, 4.93.
     # Drawing each client with getrandbits and packing its key from the
     # draws (no randrange, Endpoint or canonical_key call), and hash_key
-    # with its finalizer inlined, make it 4.43.
+    # with its finalizer inlined, made it 4.43; one session record that
+    # carries its key's hash from the plan (hash_key once per session, no
+    # SessionTrace constructor) and a table record built with no __init__
+    # call, 4.32.
     result, calls = profiled_run(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -1358,7 +1391,7 @@ def test_static_1_python_calls_per_packet_gate():
     assert {chain_code[code]: n for code, n in calls.items() if code in chain_code} == {
         "__new__": 14
     }
-    assert calls.total() <= 4.5 * result.packets
+    assert calls.total() <= 4.35 * result.packets
 
 
 def test_short_flows_python_calls_per_packet_gate():
@@ -1368,20 +1401,25 @@ def test_short_flows_python_calls_per_packet_gate():
     # __le__, canonical_key, uniform), and hashing its key twice, at the
     # master and the slave, 4 (hash_key and _fmix64 each): 12.50 calls per
     # packet. Drawing with getrandbits, and hash_key with its finalizer
-    # inlined (2 calls per session), make it 7.73
+    # inlined (2 calls per session), made it 7.73. Hashing once, in the
+    # plan, into the session's record, which replaces the SessionTrace and
+    # its constructor, and building each balancer's table record with no
+    # __init__ call (the Session constructor is one call per session) make
+    # it 6.73
     result, calls = profiled_run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
     assert result.packets == 18_000
-    assert calls.total() <= 7.8 * result.packets
+    assert calls.total() <= 6.75 * result.packets
 
 
 def test_long_flows_python_calls_per_packet_gate():
     # work counter: Balancer.path_active's any() over a generator resumed
     # it 44,373 times on the drain polls, 1.54 calls per packet of the 7.20;
     # with a plain loop, the client draw and hash_key with its finalizer
-    # inlined, it reads 4.85
+    # inlined, it read 4.85, and with one hash and one record per session
+    # (no SessionTrace or SessionRecord constructor), 4.66
     result, calls = profiled_run(parse_scenario(WORKLOADS / "long-flows.yaml").with_seed(1))
     assert result.packets == 28_800
-    assert calls.total() <= 4.9 * result.packets
+    assert calls.total() <= 4.7 * result.packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

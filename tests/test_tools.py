@@ -24,7 +24,8 @@ def run_microbench(*args):
 
 
 FIGURES = {
-    "python", "missing", "map_packet_hit_us", "map_packet_miss_us", "build_buckets_ms",
+    "python", "missing", "map_packet_hit_us", "map_packet_miss_us", "map_by_hash_hit_us",
+    "map_by_hash_miss_us", "build_buckets_ms",
     "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
     "arrival_dispatch_us", "transmit_us", "crossing_us", "booked_crossing_us",
     "capacity_crossing_us", "chain_counter_ns", "generate_traffic_ms", "client_draw_us",
@@ -40,6 +41,7 @@ def test_microbench_runs_and_reports_every_figure():
         assert set(figures[name]) == {"1024", "65536"}
     assert set(figures["codec_round_trip_us"]) == {"allocation_commit_prepare", "stats_ack"}
     assert figures["map_packet_hit_us"] > 0 and figures["map_packet_miss_us"] > 0
+    assert figures["map_by_hash_hit_us"] > 0 and figures["map_by_hash_miss_us"] > 0
     assert figures["event_dispatch_us"] > 0 and figures["chain_counter_ns"] > 0
     assert figures["transmit_us"] > 0 and figures["arrival_dispatch_us"] > 0
     assert figures["crossing_us"] > 0 and figures["capacity_crossing_us"] > 0
@@ -76,6 +78,10 @@ def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
     assert figures["missing"] == {
         "map_packet_hit_us": ["balancer.Balancer.map_packet(key, size, now)"],
         "map_packet_miss_us": ["balancer.Balancer.map_packet(key, size, now)"],
+        **dict.fromkeys(("map_by_hash_hit_us", "map_by_hash_miss_us"), [
+            "balancer.Balancer.map_packet(key, size, now, key_hash)",
+            "balancer.Balancer.map_packet(key, size, now)",
+        ]),
         "client_draw_us": ["traffic.SERVER"],
     }
     assert all(figures[name] is None for name in figures["missing"])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -10,19 +11,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance import netsim, traffic
-from chainbalance.hashing import Endpoint, canonical_key
+from chainbalance.hashing import Endpoint, canonical_key, hash_key
 from chainbalance.scenario import parse_scenario
 from chainbalance.traffic import (
-    SERVER, WINDOW_SESSIONS, PlannedPacket, TrafficProfile, generate_traffic,
+    SERVER, WINDOW_SESSIONS, PlannedPacket, Session, TrafficProfile, generate_traffic,
 )
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
 
 
+# a planned packet's five facts, flat: its time, session id, key, size and
+# direction. Named as the planned packet was when it held them flat, so that
+# a list of them has that packet's repr, the one the pinned plans hash
+Flat = namedtuple("PlannedPacket", "time session_id key size reverse")
+
+
+def flat(p):
+    return Flat(p.time, p.session.session_id, p.session.key, p.size, p.reverse)
+
+
 def plan(profile, seed):
-    """The whole schedule, iterated into a list."""
-    return list(generate_traffic(profile, seed))
+    """The whole schedule, iterated into a list of flat packets."""
+    return list(map(flat, generate_traffic(profile, seed)))
 
 
 def sessions(packets):
@@ -182,10 +193,11 @@ PINNED_PROFILES = {
     "tied": TIED,
     "short-flows": parse_scenario(WORKLOADS / "short-flows.yaml").traffic,
 }
-# sha256 of repr(list(generate_traffic(profile, seed))), taken from the
-# two-stage builder (a per-session record expanded into packets) that the
-# one-pass plan replaced: every packet's time, session, key, size and
-# direction
+# sha256 of repr(plan(profile, seed)), taken from the two-stage builder (a
+# per-session record expanded into packets) that the one-pass plan replaced:
+# every packet's time, session id, key, size and direction. The packets
+# held those five flat until they carried their session's record; the
+# digest is read over the same five fields since
 PINNED_PLANS = {
     ("collide-half", 0): "8662f07360eac5786ad51f0f7137adc15274cdbc3f8f6f63d7b5824ac3657099",
     ("collide-half", 1): "08e762eb3230bc9bf04f0705701e70eef17f0faa88f981a160036325237cedaf",
@@ -318,10 +330,10 @@ def reference_plan(profile, seed):
             pool.append(key)
         duration = p.duration + rng.uniform(-p.duration_jitter, p.duration_jitter)
         start = sid / p.rate
-        packets += [PlannedPacket(start + i * 1e-4, sid, key, size, False) for i, size in forward]
+        packets += [Flat(start + i * 1e-4, sid, key, size, False) for i, size in forward]
         spacing = (duration - p.response_delay) / len(reverse)
         first = start + p.response_delay
-        packets += [PlannedPacket(first + k * spacing, sid, key, size, True) for k, size in reverse]
+        packets += [Flat(first + k * spacing, sid, key, size, True) for k, size in reverse]
     packets.sort(key=lambda packet: packet.time)
     return packets
 
@@ -348,7 +360,24 @@ def test_every_packet_is_a_whole_planned_packet():
                 for name in ("long-flows", "short-flows", "capacity-drain")]
     for profile in profiles + [TIED, EDGE]:
         for p in generate_traffic(profile, 1):
-            assert type(p) is PlannedPacket and len(p) == 5 and p == PlannedPacket(*p), p
+            assert type(p) is PlannedPacket and len(p) == 4 and p == PlannedPacket(*p), p
+            assert type(p.session) is Session
+
+
+def test_a_session_is_one_record_hashed_once():
+    # every packet of a session, in both directions, carries the one record
+    # made when it was planned, which holds its key's hash; sessions that
+    # share a key each have their own
+    for profile in (PINNED_PROFILES["collide-half"], TIED):
+        records = {}
+        for p in generate_traffic(profile, 1):
+            assert records.setdefault(p.session.session_id, p.session) is p.session
+        assert sorted(records) == list(range(profile.sessions))
+        for session in records.values():
+            assert session.key_hash == hash_key(session.key)
+            assert (session.master_chain, session.slave_chain, session.nf_chains) == (None, None, ())
+        keys = [session.key for session in records.values()]
+        assert (len(set(keys)) < len(keys)) == (profile.collide_fraction > 0)
 
 
 # 0.5 s windows: session 0's responses (1.25, 1.5, 1.75, 2.0) come due in

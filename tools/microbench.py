@@ -6,8 +6,11 @@ Prints one JSON object of best-of-N timings:
 
 - ``map_packet_hit_us`` / ``map_packet_miss_us``: one ``Balancer.map_packet``
   call for a session already in the table / a new session (L=1024). Each
-  call passes a session key packed beforehand, as the simulator's balancer
-  nodes do.
+  call passes a session key packed beforehand, and the balancer hashes the
+  key of a new session, as a library caller's does.
+- ``map_by_hash_hit_us`` / ``map_by_hash_miss_us``: the same calls passing
+  the key's ``hash_key`` too, computed beforehand, as the simulator passes
+  the hash its traffic plan computed once per session; a miss maps by it.
 - ``build_buckets_ms[L]``: one ``build_buckets`` call for a 3-chain allocation
   at a generation not built before, which fills and shuffles the slots, and
   ``build_buckets_again_ms[L]`` for a second build of the same generation, as
@@ -60,7 +63,7 @@ Prints one JSON object of best-of-N timings:
 two versions can be timed by the same script on the same host. Before a
 figure is timed, the names it calls are looked up (``ROWS``): each class and
 function, and the leading parameter names of those whose signature has
-changed, such as ``Balancer.map_packet(key, size, now)``,
+changed, such as ``Balancer.map_packet(key, size, now, key_hash)``,
 ``EventLoop.run(until, arrivals)`` and ``NetSim.transmit(walk, packet,
 now)``. A figure whose names the other checkout lacks prints ``null``, and
 ``missing`` maps its name to those names; without ``--src`` the script exits
@@ -109,12 +112,15 @@ def session_keys(count, third_octet=0):
             for i in range(count)]
 
 
-def map_packet_figures(repeat):
+def map_packet_figures(repeat, by_hash=False):
     from chainbalance.balancer import Balancer
-    from chainbalance.hashing import ChainId, HashParams
+    from chainbalance.hashing import ChainId, HashParams, hash_key
 
     chains = [ChainId(*chain) for chain in CHAINS]
     keys = session_keys(CALLS)
+    # each call's arguments after the key's, hashed beforehand if by_hash
+    rest = [(100, 1.0, hash_key(key)) if by_hash else (100, 1.0) for key in keys]
+    calls = list(zip(keys, rest))
 
     def balancer():
         params = HashParams(seed=7, bucket_count=1024)
@@ -123,19 +129,19 @@ def map_packet_figures(repeat):
         return b
 
     warm = balancer()
-    for key in keys:
-        warm.map_packet(key, 100, 1.0)
+    for key, args in calls:
+        warm.map_packet(key, *args)
 
     def hits():
-        for key in keys:
-            warm.map_packet(key, 100, 1.0)
+        for key, args in calls:
+            warm.map_packet(key, *args)
 
     fresh = []
 
     def misses():
         b = fresh.pop()
-        for key in keys:
-            b.map_packet(key, 100, 1.0)
+        for key, args in calls:
+            b.map_packet(key, *args)
 
     hit_s = min(seconds(hits) for _ in range(repeat))
     fresh.extend(balancer() for _ in range(repeat))
@@ -231,9 +237,14 @@ def arrival_dispatch_us(repeat):
 
 
 def planned_packet():
-    from chainbalance.traffic import PlannedPacket
+    """A forward packet of one session, in the shape the imported checkout
+    plans: carrying its session's record, or its id and key flat."""
+    from chainbalance import traffic
 
-    return PlannedPacket(0.0, 0, session_keys(1)[0], 100, False)
+    key = session_keys(1)[0]
+    if "session" in traffic.PlannedPacket._fields:
+        return traffic.PlannedPacket(0.0, traffic.Session(0, key), 100, False)
+    return traffic.PlannedPacket(0.0, 0, key, 100, False)
 
 
 def transmit_us(repeat):
@@ -287,7 +298,7 @@ def booked_sim():
     s = sim.scenario
     master = sim.master_agent.balancer = Balancer(
         "master", HashParams(s.hash_seed, s.bucket_count), s.session_timeout)
-    master.reconcile(planned_packet().key, walk.nf.chain, 0.0)  # the record the master holds
+    master.reconcile(session_keys(1)[0], walk.nf.chain, 0.0)  # the record the master holds
     return sim, walk
 
 
@@ -386,6 +397,9 @@ SIM = ("netsim.NetSim.transmit(walk, packet, now)", "netsim.NetSim.compile_walk"
 CROSSING = (*SIM, "netsim.BalancerNode", "netsim.Walk.onward", "netsim.Walk.nf")
 ROWS = (
     (("map_packet_hit_us", "map_packet_miss_us"), BALANCER, map_packet_figures),
+    (("map_by_hash_hit_us", "map_by_hash_miss_us"),
+     ("balancer.Balancer.map_packet(key, size, now, key_hash)", "hashing.hash_key", *BALANCER),
+     lambda repeat: map_packet_figures(repeat, by_hash=True)),
     (("build_buckets_ms", "build_buckets_again_ms"),
      ("hashing.build_buckets(alloc, params, generation)", "hashing.HashParams", "hashing.ChainId"),
      build_buckets_figures),
