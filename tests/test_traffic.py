@@ -195,9 +195,7 @@ PINNED_PROFILES = {
 }
 # sha256 of repr(plan(profile, seed)), taken from the two-stage builder (a
 # per-session record expanded into packets) that the one-pass plan replaced:
-# every packet's time, session id, key, size and direction. The packets
-# held those five flat until they carried their session's record; the
-# digest is read over the same five fields since
+# every packet's time, session id, key, size and direction, flat
 PINNED_PLANS = {
     ("collide-half", 0): "8662f07360eac5786ad51f0f7137adc15274cdbc3f8f6f63d7b5824ac3657099",
     ("collide-half", 1): "08e762eb3230bc9bf04f0705701e70eef17f0faa88f981a160036325237cedaf",
