@@ -174,6 +174,19 @@ def _print_report(report: dict, elapsed: float):
     )
 
 
+def _make_out_dirs(paths) -> bool:
+    """Create each output directory before anything is simulated; False,
+    with the error printed, when one cannot be created."""
+    for path in paths:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {path}: {exc.strerror}",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         scenario = parse_scenario(args.scenario)
@@ -183,6 +196,8 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scenario.name}-seed{scenario.seed}"
+    if not _make_out_dirs([out_dir]):
+        return 2
     started = time.monotonic()
     result = netsim.run(scenario)
     report = write_outputs(result, out_dir)
@@ -253,6 +268,9 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
 
 def cmd_replicate(args) -> int:
     out_root = Path(args.out) if args.out else Path("out") / "replicate"
+    if not _make_out_dirs([out_root / name / f"seed-{seed}"
+                           for name in SCENARIO_ORDER for seed in REPLICATE_SEEDS]):
+        return 2
     summaries = []
     worst = 0
     for name in SCENARIO_ORDER:

@@ -19,6 +19,9 @@ make one each.
 The second is the stream of planned arrivals that the simulator hands to
 `run`, already in time order; it never enters the heap. An arrival runs
 before every heap entry of its instant, and arrivals run in stream order.
+`run(until)` takes no arrival after the first one later than `until`, and
+returns that one unrun, so that the caller can read the rest of the stream
+itself; it returns None when the stream ran out.
 
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`
@@ -49,11 +52,14 @@ class EventLoop:
         """Dispatch every entry due by `until` (no limit when None), merged
         with `arrivals`: `(at, fn, args)` in time order, each run before the
         heap's entries at its `at`. The first arrival after `until` ends the
-        stream; it and the ones after it do not run."""
+        stream; it and the ones after it do not run. Returns that arrival,
+        or None when the stream ran out."""
         heap, pop = self._heap, heapq.heappop
         limit = math.inf if until is None else until
+        late = None
         for at, fn, args in arrivals:
             if at > limit:
+                late = at, fn, args
                 break
             while heap and heap[0][0] < at:
                 due, _, call, params = pop(heap)
@@ -67,3 +73,4 @@ class EventLoop:
             at, _, fn, args = pop(heap)
             self.now = at
             fn(*args)
+        return late

@@ -40,10 +40,10 @@ that changes with time:
   Both host walks cross as many links (the build refuses others), so the
   arrivals rise in plan order, and each runs first at its instant. The
   traffic plan is a stream planned as it is iterated (`traffic`), so a run
-  holds one window of it, never the whole plan, and iterates it once. An
-  arrival after the horizon ends the stream; the packets planned by the
-  horizon from there on, read from the rest of the same stream, were sent
-  but never received, and are left over.
+  holds one window of it, never the whole plan, and iterates it once. The
+  loop returns the first arrival after the horizon, which ends the stream;
+  its packet and those planned by the horizon after it, read from the rest
+  of the same iterator, were sent but never received, and are left over.
 - A packet that reaches a host with no tag left is counted delivered when
   it is sent, if it arrives by the horizon (the test the loop's run applies
   to every event). So is one that reaches the slave with a forward tag: the
@@ -106,7 +106,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import NamedTuple
@@ -637,34 +636,27 @@ class NetSim:
             self.note_mapped(node, packet, chain, at)
         self.transmit(node.sends[chain], packet, at)
 
-    def _arrivals(self, plan, start: float):
+    def _arrivals(self, packets, start: float):
         """The event loop's arrival stream: each planned packet's `inject`
         at its arrival at its first balancer, sent at its planned time or at
         `start`, when the handshake ended, if that is later, then one latency
         per link of the client's walk (never a link count * latency, so the
-        time has the float bits of a send from the host).
-
-        The loop stops taking arrivals at the first one after the horizon,
-        and this generator waits at that packet's yield. `run` then sends it
-        True: the packet and the rest of the plan go to `_sent_after_horizon`,
-        from the same iterator, so the plan is iterated once."""
+        time has the float bits of a send from the host)."""
         inject, latencies = self.inject, self._host_latencies
-        packets = iter(plan)
         for packet in packets:
             at = packet.time
             if at < start:
                 at = start
             for latency in latencies:
                 at += latency
-            if (yield at, inject, (packet, at)):
-                self._sent_after_horizon(itertools.chain((packet,), packets))
-                return
+            yield at, inject, (packet, at)
 
     def _sent_after_horizon(self, packets):
         """The first of `packets` reached its balancer after the horizon, and
         so did every later one: none was injected. Those planned by the
         horizon were sent within the run, so they count as injected, and
-        are left over."""
+        are left over. `run` passes the arrival the event loop returned and
+        the rest of the plan's iterator, so the plan is iterated once."""
         result = self.result
         for p in packets:
             if p.time > self.horizon:
@@ -772,20 +764,20 @@ class NetSim:
 
         # no packet is sent, and nothing scheduled, before the handshake ends
         start = self.loop.now
-        plan = generate_traffic(s.traffic, s.seed)
+        packets = iter(generate_traffic(s.traffic, s.seed))
         for action in s.actions:
             self.loop.schedule(max(action.at, start), self._fire_action, action)
         self.loop.schedule(max(SWEEP_PERIOD, start), self._sweep)
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
         self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
-        arrivals = self._arrivals(plan, start)
-        self.loop.run(until=s.horizon, arrivals=arrivals)
+        late = self.loop.run(until=s.horizon, arrivals=self._arrivals(packets, start))
         arrived = self.result.packets
-        # ends the stream; where it stopped at the horizon, counts what was
-        # sent but not received
-        with suppress(StopIteration):
-            arrivals.send(True)
+        if late is not None:
+            # an arrival after the horizon ended the stream: its packet and
+            # the rest of the plan were sent but never received
+            _, _, (packet, _) = late
+            self._sent_after_horizon(itertools.chain((packet,), packets))
         return self._finalize(arrived)
 
     def _stats_poll(self):

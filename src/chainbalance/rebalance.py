@@ -76,6 +76,16 @@ def _check(profile: WeightProfile, window: TrafficWindow):
             raise ZeroProbability(f"live chain {chain} has zero probability")
 
 
+def _counts_and_norm(profile: WeightProfile, window: TrafficWindow,
+                     left_out: ChainId | None = None) -> tuple[dict[ChainId, float], float]:
+    """Check the window, then its clamped counts and S = sum_j p_j / t_j over
+    every chain but `left_out`."""
+    _check(profile, window)
+    counts = _clamped_counts(profile, window)
+    norm = sum(p / counts[chain] for chain, p in profile.probs.items() if chain != left_out)
+    return counts, norm
+
+
 def bias(profile: WeightProfile, window: TrafficWindow) -> dict[ChainId, float]:
     """Session bias per chain: observed over assigned traffic, 1.0 on target."""
     _check(profile, window)
@@ -86,9 +96,7 @@ def bias(profile: WeightProfile, window: TrafficWindow) -> dict[ChainId, float]:
 
 def redistribute(profile: WeightProfile, window: TrafficWindow) -> WeightProfile:
     """Correct the probabilities so next-window traffic splits evenly."""
-    _check(profile, window)
-    counts = _clamped_counts(profile, window)
-    norm = sum(p / counts[chain] for chain, p in profile.probs.items())
+    counts, norm = _counts_and_norm(profile, window)
     return WeightProfile(
         {chain: p / (counts[chain] * norm) for chain, p in profile.probs.items()}
     )
@@ -98,11 +106,9 @@ def add_chain(profile: WeightProfile, window: TrafficWindow, new_id: ChainId) ->
     """Admit a new chain at probability 1/(N+1), scaling the rest to fit."""
     if new_id in profile.probs:
         raise DuplicateChain(f"chain {new_id} already present")
-    _check(profile, window)
-    counts = _clamped_counts(profile, window)
+    counts, norm = _counts_and_norm(profile, window)
     n = profile.size
     scale = n / (n + 1)
-    norm = sum(p / counts[chain] for chain, p in profile.probs.items())
     probs = {
         chain: scale * p / (counts[chain] * norm) for chain, p in profile.probs.items()
     }
@@ -116,9 +122,7 @@ def remove_chain(profile: WeightProfile, window: TrafficWindow, victim: ChainId)
         raise UnknownChain(f"chain {victim} not present")
     if profile.size < 2:
         raise LastChain("cannot remove the only chain")
-    _check(profile, window)
-    counts = _clamped_counts(profile, window)
-    norm = sum(p / counts[chain] for chain, p in profile.probs.items() if chain != victim)
+    counts, norm = _counts_and_norm(profile, window, victim)
     probs = {}
     for chain, p in profile.probs.items():
         probs[chain] = 0.0 if chain == victim else p / (counts[chain] * norm)

@@ -13,19 +13,25 @@ both directions, and the simulator keeps the session's trace on it.
 
 The schedule is never held whole: `generate_traffic` returns a plan that
 knows its length and plans the sessions as it is iterated, in session_id
-order, one window of WINDOW_SESSIONS session starts at a time. A window's
-edge is the start of the next window's first session (no edge after the
-last session). Session i starts at i / rate and none of its packets is
-earlier, so no packet of a later window is earlier than the edge. Each
-window plans its sessions, then takes from every session with a packet due
-in it, in session_id order, its request packets and then its response
+order, one window at a time. The windows' edges are one list, made up
+front: window k's edge is (k + 1) * WINDOW_SESSIONS / rate, the start of
+session (k + 1) * WINDOW_SESSIONS. The first windows each plan the
+WINDOW_SESSIONS sessions that start from the previous edge (the last of
+them what is left). Session i starts at i / rate and none of its packets is
+earlier, so no packet of a later window is earlier than an edge. As many
+windows again plan no session and split the packets still due after the
+last session start, and a last window, with no edge, takes what remains.
+Each window plans its sessions, then takes from every session with a packet
+due in it, in session_id order, its request packets and then its response
 packets that fall before the edge, and sorts them stably on time. A window
 so holds, in plan order, exactly the packets of the whole plan that fall
-between the last edge and its own, and its stable sort puts them in the
+between the previous edge and its own, and its stable sort puts them in the
 (time, session_id, reverse) order that a stable sort of the whole plan
-gives. The rest of a direction's packets wait in its cursor, filed under
-the window its next packet falls in, so a window visits only the sessions
-it takes packets from. What outlives the windows is one cursor per
+gives. Any rising edges would, as long as none is later than the next
+window's first session start. The rest of a direction's packets wait in its
+cursor, filed by one `bisect_right` on the edges under the window its next
+packet falls in, so a window visits only the sessions it takes packets
+from. What outlives the windows is one cursor per
 direction of each unfinished session, and the key of every client drawn,
 which keeps the clients distinct; a session's record lives as long as its
 packets and whatever the consumer keeps of it.
@@ -56,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -70,8 +77,9 @@ _SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
 # the plan is never allocated whole, but every packet is one run's work, so
 # a larger plan is refused, never run
 MAX_PLAN_PACKETS = 2**21
-# session starts per window of the plan's stream; a window holds the packets
-# due before its edge, a few per unfinished session
+# session starts per window of the plan's stream, and the spacing of the
+# windows after the last session start; a window holds the packets due
+# before its edge, a few per unfinished session
 WINDOW_SESSIONS = 256
 
 
@@ -179,7 +187,8 @@ class TrafficPlan:
     `len()` is the number of packets, known from the profile alone. Each
     iteration plans the sessions afresh, in session_id order with the same
     draws, and yields the packets in (time, session_id, reverse) order, one
-    window of WINDOW_SESSIONS session starts at a time (see the module
+    window at a time: a window of WINDOW_SESSIONS session starts, or one of
+    the same length after the last session start (see the module
     docstring)."""
 
     __slots__ = ("profile", "seed")
@@ -210,25 +219,24 @@ class TrafficPlan:
         # table takes about twice the memory, and this outlives the windows
         used: dict[bytes, None] = {}
         pool: list[bytes] = []  # the same keys, in draw order
-        last = (sessions - 1) // WINDOW_SESSIONS  # the last window, which has no edge
+        # each window's edge: one per window that plans sessions, as many
+        # again at the same spacing for the packets still due after the last
+        # session start, and no edge (infinity) for the last window
+        count = -(-sessions // WINDOW_SESSIONS)
+        edges = [(k + 1) * WINDOW_SESSIONS / rate for k in range(2 * count)] + [math.inf]
         # due[j]: a cursor per direction of each session whose next packet
         # falls in window j, [plan order, time of step 0, spacing, next
         # packet, (step, size) of each packet, session, reverse]
-        due: list[list[list]] = [[] for _ in range(last + 1)]
-        for j in range(last + 1):
-            begin, stop = j * WINDOW_SESSIONS, (j + 1) * WINDOW_SESSIONS
-            # the start of the next window's first session: no packet of a
-            # later session is earlier
-            edge = stop / rate if j < last else math.inf
-            following = (stop + WINDOW_SESSIONS) / rate if j + 1 < last else math.inf
+        due: list[list[list]] = [[] for _ in edges]
+        for j, edge in enumerate(edges):
             # filed from different windows, they are taken in plan order,
             # before the sessions planned now
             cursors, due[j] = due[j], None
             cursors.sort(key=_PLAN_ORDER)
-            # a new list frees the last window's packets before any is planned
+            # a new list frees the previous window's packets before any is planned
             window: list[PlannedPacket] = []
             append = window.append
-            for sid in range(begin, min(stop, sessions)):
+            for sid in range(j * WINDOW_SESSIONS, min((j + 1) * WINDOW_SESSIONS, sessions)):
                 if pool and draw() < p.collide_fraction:
                     key = choice(pool)
                 else:
@@ -272,20 +280,9 @@ class TrafficPlan:
                 if i == n:
                     continue
                 # file it under the first window whose edge is above its next
-                # packet: most often the next one; else estimated from the
-                # session it starts with, then checked against the edges
+                # packet, a later one than this
                 cursor[3] = i
-                if at < following:
-                    due[j + 1].append(cursor)
-                    continue
-                due_in = last
-                if at * rate < sessions:
-                    due_in = max(j + 2, min(int(at * rate) // WINDOW_SESSIONS, last))
-                while due_in < last and at >= (due_in + 1) * WINDOW_SESSIONS / rate:
-                    due_in += 1
-                while due_in > j + 2 and at < due_in * WINDOW_SESSIONS / rate:
-                    due_in -= 1
-                due[due_in].append(cursor)
+                due[bisect_right(edges, at, j + 1)].append(cursor)
             window.sort(key=_INJECTION_ORDER)
             yield window
 

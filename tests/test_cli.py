@@ -129,6 +129,38 @@ def test_run_missing_file_exits_two(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.yaml")]) == 2
 
 
+def unusable_out(tmp_path, under):
+    """An --out that cannot be a directory: an existing file, or a path
+    under one."""
+    taken = write(tmp_path, "", name="taken")
+    return taken / "sub" if under else taken
+
+
+def refuse_to_simulate(scenario):
+    raise AssertionError("simulated before the output directory was made")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_run_with_an_unusable_out_exits_two_before_simulating(tmp_path, capsys, monkeypatch,
+                                                               under):
+    scn = write(tmp_path, MINIMAL)
+    out = unusable_out(tmp_path, under)
+    monkeypatch.setattr(cli.netsim, "run", refuse_to_simulate)
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_replicate_with_an_unusable_out_exits_two_before_simulating(tmp_path, capsys,
+                                                                     monkeypatch, under):
+    out = unusable_out(tmp_path, under)
+    monkeypatch.setattr(cli.netsim, "run", refuse_to_simulate)
+    assert cli.main(["replicate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_bundled_scenarios_all_parse():
     for name in cli.SCENARIO_ORDER:
         scenario = cli.bundled_scenario(name)

@@ -32,12 +32,15 @@ def test_run_refuses_arrivals_out_of_time_order():
 def reference_order(arrivals, scheduled, until):
     """The order the merged loop must run entries in, by brute force: each
     step runs the least pending entry by (time, arrivals first, plan order
-    or push order). An arrival after `until` ends the stream."""
+    or push order). An arrival after `until` ends the stream; the index of
+    that one, or None, comes back with the order."""
     limit = math.inf if until is None else until
     pushes = itertools.count()
     pending = []
+    late = None
     for i, (at, delays) in enumerate(arrivals):
         if at > limit:
+            late = i
             break
         pending.append((at, 0, i, ("arrival", i), delays))
     pending += [(at, 1, next(pushes), ("scheduled", i), delays)
@@ -46,7 +49,7 @@ def reference_order(arrivals, scheduled, until):
     while True:
         due = [entry for entry in pending if entry[0] <= limit]
         if not due:
-            return ran
+            return ran, late
         entry = min(due, key=lambda e: e[:3])
         pending.remove(entry)
         at, _, _, label, delays = entry
@@ -81,8 +84,15 @@ def test_merged_loop_runs_entries_in_reference_order(arrivals, scheduled, until)
     for i, (at, delays) in enumerate(scheduled):
         loop.schedule(at, call, ("scheduled", i), delays)
     stream = ((at, call, (("arrival", i), delays)) for i, (at, delays) in enumerate(arrivals))
-    loop.run(until, arrivals=stream)
-    assert ran == reference_order(arrivals, scheduled, until)
+    returned = loop.run(until, arrivals=stream)
+    expected, late = reference_order(arrivals, scheduled, until)
+    assert ran == expected
+    # the arrival that ended the stream comes back unrun, or None
+    if late is None:
+        assert returned is None
+    else:
+        at, delays = arrivals[late]
+        assert returned == (at, call, (("arrival", late), delays))
     # what stays is exactly what falls after the limit
     limit = math.inf if until is None else until
     assert all(at > limit for at, *_ in loop._heap)

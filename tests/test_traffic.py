@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import tracemalloc
 from collections import namedtuple
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance import netsim, traffic
+from chainbalance.cli import bundled_scenario
 from chainbalance.hashing import Endpoint, canonical_key, hash_key
 from chainbalance.scenario import parse_scenario
 from chainbalance.traffic import (
@@ -415,6 +417,31 @@ def windowed_profiles(draw):
 @example(REFILED, 1)
 def test_stream_matches_the_whole_plan_sorted(profile, seed):
     assert plan(profile, seed) == reference_plan(profile, seed)
+    # the windows split the stream at rising edges: every packet of a window
+    # is earlier than every packet of the next window that holds any, and
+    # there is one window per WINDOW_SESSIONS sessions, as many again after
+    # the last session start, and one with no edge
+    windows = list(generate_traffic(profile, seed)._windows())
+    assert len(windows) <= 2 * math.ceil(profile.sessions / WINDOW_SESSIONS) + 1
+    held = [window for window in windows if window]
+    for window, following in zip(held, held[1:]):
+        assert max(p.time for p in window) < min(p.time for p in following)
+
+
+@pytest.mark.parametrize("name", ["static-1", "warmup-1to2", "combined-add-add", "long-flows",
+                                  "short-flows", "capacity-drain"])
+def test_no_window_from_the_last_session_start_on_outgrows_the_earlier_ones(name):
+    # the window that plans the last sessions, and every one after it, holds
+    # no more packets than the largest window before it. With no edge after
+    # the last session start, that window held every packet still due then:
+    # at seed 1, 14,578 of capacity-drain's packets against at most 4,072
+    # before it, and 7,341 of long-flows' against 4,111
+    path = WORKLOADS / f"{name}.yaml"
+    profile = (parse_scenario(path) if path.exists() else bundled_scenario(name)).traffic
+    last = (profile.sessions - 1) // WINDOW_SESSIONS
+    for seed in (1, 2, 3):
+        sizes = [len(window) for window in generate_traffic(profile, seed)._windows()]
+        assert max(sizes[last:]) <= max(sizes[:last]), (seed, sizes)
 
 
 def traced_peak(fn) -> int:
@@ -442,6 +469,9 @@ def test_longer_plan_streams_in_the_same_memory():
 
 
 def test_long_flows_run_never_holds_the_whole_plan():
-    # with the plan built whole before the first packet moved, it peaked at 5.3 MB
-    sim = netsim.NetSim(parse_scenario(WORKLOADS / "long-flows.yaml"))
-    assert traced_peak(sim.run) <= 3_000_000
+    # with the plan built whole before the first packet moved, long-flows
+    # peaked at 5.3 MB; with no window edge after the last session start,
+    # capacity-drain peaked at 4.0 MB
+    for name in ("long-flows", "capacity-drain"):
+        sim = netsim.NetSim(parse_scenario(WORKLOADS / f"{name}.yaml"))
+        assert traced_peak(sim.run) <= 3_000_000, name
