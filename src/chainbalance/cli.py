@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -139,6 +140,10 @@ def build_report(result: RunResult, band: float = CRITERIA["band"]) -> dict:
     }
 
 
+# the files `write_outputs` writes into a run's output directory
+OUTPUT_FILES = ("series.csv", "events.jsonl", "report.json")
+
+
 def write_outputs(result: RunResult, out_dir: Path, band: float = CRITERIA["band"]) -> dict:
     """Write series.csv, events.jsonl and report.json; returns the report."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,6 +192,22 @@ def _make_out_dirs(paths) -> bool:
     return True
 
 
+def _usable_out_files(paths) -> bool:
+    """Check each output file path before anything is simulated: one that
+    exists must be a file that can be written. False, with the error
+    printed, for the first that is not."""
+    for path in paths:
+        if path.is_dir():
+            problem = "it is a directory"
+        elif path.exists() and not os.access(path, os.W_OK):
+            problem = "it is not writable"
+        else:
+            continue
+        print(f"error: cannot write output file {path}: {problem}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         scenario = parse_scenario(args.scenario)
@@ -196,7 +217,8 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scenario.name}-seed{scenario.seed}"
-    if not _make_out_dirs([out_dir]):
+    if not (_make_out_dirs([out_dir])
+            and _usable_out_files([out_dir / name for name in OUTPUT_FILES])):
         return 2
     started = time.monotonic()
     result = netsim.run(scenario)
@@ -268,8 +290,10 @@ def _aggregate(name: str, reports: list[dict]) -> dict:
 
 def cmd_replicate(args) -> int:
     out_root = Path(args.out) if args.out else Path("out") / "replicate"
-    if not _make_out_dirs([out_root / name / f"seed-{seed}"
-                           for name in SCENARIO_ORDER for seed in REPLICATE_SEEDS]):
+    out_dirs = [out_root / name / f"seed-{seed}"
+                for name in SCENARIO_ORDER for seed in REPLICATE_SEEDS]
+    files = [out_dir / name for out_dir in out_dirs for name in OUTPUT_FILES]
+    if not (_make_out_dirs(out_dirs) and _usable_out_files([*files, out_root / "summary.json"])):
         return 2
     summaries = []
     worst = 0

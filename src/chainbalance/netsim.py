@@ -34,21 +34,21 @@ If no queue drops it, a forward packet makes no heap entry, and a reverse
 packet one only if its arrival at the master is not settled at the slave's
 send (below). The walks are compiled through every hop that reads no state
 that changes with time:
-- A planned packet's arrival at its first balancer is an entry of the event
-  loop's arrival stream (`NetSim._arrivals`), not of its heap: its planned
-  time, or the handshake's end if that is later, plus one latency per link.
-  Both host walks cross as many links (the build refuses others), so the
-  arrivals rise in plan order, and each runs first at its instant. The
-  traffic plan is a stream planned as it is iterated (`traffic`), so a run
-  holds one window of it, never the whole plan, and iterates it once. The
-  loop returns the first arrival after the horizon, which ends the stream;
-  its packet and those planned by the horizon after it, read from the rest
-  of the same iterator, were sent but never received, and are left over.
+- A planned packet's arrival at its first balancer is no heap entry: `run`
+  reads the plan itself (`_run_arrivals`), times each packet at its planned
+  time, or the handshake's end if later, plus one latency per link, and
+  runs the heap entries due strictly earlier before it. Both host walks
+  cross as many links (the build refuses others), so the arrivals rise in
+  plan order, and each runs first at its instant. The plan is a stream
+  planned as it is iterated (`traffic`), so a run holds one window of it
+  and iterates it once. The first packet that arrives after the horizon
+  ends the stream; it and those planned by the horizon after it were sent
+  but never received, and are left over.
 - A packet that reaches a host with no tag left is counted delivered when
-  it is sent, if it arrives by the horizon (the test the loop's run applies
-  to every event). So is one that reaches the slave with a forward tag: the
-  slave's pop is part of the walk to the server. The master's send to the
-  client is the compiled walk `to_client`.
+  it is sent, if it arrives by the horizon (the test the event loop's run
+  applies to every entry). So is one that reaches the slave with a forward
+  tag: the slave's pop is part of the walk to the server. The master's send
+  to the client is the compiled walk `to_client`.
 - An NF is crossed at the balancer's send, in either mode. Every walk into
   an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
   ones), so an NF gets packets in send order. A capacity NF's `admit` gives
@@ -83,13 +83,17 @@ event had. The master's unsettled arrival beyond an NF stands for an entry
 pushed at the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
-the traffic plan builds each packet in C (`traffic`); `inject` maps each
-planned packet at its first balancer, by the hash its session's record
-carries, and sends it in one call; `transmit` pushes its heap entries
-itself, with the loop's one sequence counter, instead of calling
-`EventLoop.schedule`, and walks each compiled walk's `links` with no
-`range()` built per segment; a mapping balancer finds its send's walk by
-chain; and chain identities (`ChainId`) hash and compare in C.
+the traffic plan builds each packet in C (`traffic`); the arrival loop calls
+`inject` directly, and the event loop only when a heap entry is due;
+`inject` maps each planned packet at its first balancer, by the hash its
+session's record carries, and sends it in one call; `transmit` pushes its
+heap entries itself, with the loop's one sequence counter, instead of
+calling `EventLoop.schedule`; a mapping balancer finds its send's walk by
+chain; and chain identities (`ChainId`) hash and compare in C. What every
+packet reads is bound once: the first balancers' `map_packet` and the
+master's table whenever a balancer is set (`_bind`), and an NF's series
+at its first leave. The cyclic collector is paused for the data loop,
+which makes no reference cycle.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -97,12 +101,14 @@ hooks add to its counters and series directly, and every `events.jsonl` entry
 goes through the one writer, `NetSim.record`. At the end the simulator judges
 the sessions, fills in what is known only then, and returns that same object.
 
-The event loop (`engine.EventLoop`) is single threaded; all randomness lives in the traffic
-generator, so a (scenario, seed) pair always produces the same run.
+The event loop (`engine.EventLoop`) is single threaded and is the one place
+that dispatches heap entries; all randomness lives in the traffic generator,
+so a (scenario, seed) pair always produces the same run.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from collections import deque
@@ -265,6 +271,10 @@ class NfInstance:
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.in_flight = in_flight  # NetSim's, on a chain a remove action names
+        # the chain's per-second byte series, bound at the first leave, and
+        # the `Session.nf_chains` shared by every session first crossing here
+        self.seconds: dict[int, int] | None = None
+        self.alone = (chain,)
         self._busy_until = 0.0
         self._queued = deque()  # departure times of the packets queued, in order
 
@@ -401,6 +411,11 @@ class NetSim:
         self._build_control()
         self._build_topology(pairs)
         self._compile_walks(pairs)
+        # the master's session table, for `transmit`, bound by `_bind`
+        # whenever a balancer is set on an agent (by the handshake or by hand)
+        self._master_table = None
+        for agent in (self.master_agent, self.slave_agent):
+            agent.on_balancer = self._bind
 
     # -- construction
 
@@ -486,9 +501,23 @@ class NetSim:
         lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
         lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
         lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
-        # the balancer a planned packet reaches first, by PlannedPacket.reverse
-        self._first_balancer = (lb1, lb2)
+        # per PlannedPacket.reverse, the balancer a planned packet reaches
+        # first, its bound map_packet (None until `_bind` sets it) and its sends
+        self._first_balancer = [(lb1, None, lb1.sends), (lb2, None, lb2.sends)]
         self.to_client = walks[("lb1", 1, ())]  # the master's send to the client
+        self._client_links = self.to_client.links
+
+    def _bind(self, agent):
+        """Bind what every packet reads off the balancer just set on `agent`:
+        its `map_packet`, for `inject`, and the master's session table, for
+        `transmit`."""
+        balancer = agent.balancer
+        master = agent is self.master_agent
+        index = 0 if master else 1
+        node, _, sends = self._first_balancer[index]
+        self._first_balancer[index] = (node, balancer.map_packet, sends)
+        if master:
+            self._master_table = balancer.table
 
     # -- data plane plumbing
 
@@ -524,15 +553,16 @@ class NetSim:
                 return
             # the NF's leave, booked at its departure time
             chain, result = nf.chain, self.result
-            seconds = result.series.buckets.get(chain)
+            seconds = nf.seconds
             if seconds is None:
-                seconds = result.series.buckets[chain] = {}
+                seconds = nf.seconds = result.series.buckets.setdefault(chain, {})
             second = int(at)
             seconds[second] = seconds.get(second, 0) + packet.size
             result.last_packet_on[chain] = at
             session = packet.session
-            if chain not in session.nf_chains:
-                session.nf_chains += (chain,)
+            crossed = session.nf_chains
+            if chain not in crossed:
+                session.nf_chains = crossed + (chain,) if crossed else nf.alone
             in_flight = nf.in_flight
             if in_flight is not None:
                 # kept for the reclaim check, pruned to the leaves after this
@@ -557,14 +587,15 @@ class NetSim:
                     if at > self._late:
                         self._late = at
                 elif self._late < now:
-                    balancer = self.master_agent.balancer  # None before run()
-                    record = None if balancer is None else balancer.table.get(session.key)
+                    table = self._master_table  # None until the master's balancer is set
+                    record = None if table is None else table.get(session.key)
                     if (record is not None and record.assigned == chain
                             and record.last_timestamp + timeout > at):
                         if at > record.last_timestamp:
                             record.last_timestamp = at
-                        handle, in_port, tags, links, _, _, _ = self.to_client
-                        for latency in links:
+                        # on to the client, a host: `to_client`
+                        handle = None
+                        for latency in self._client_links:
                             at += latency
         if handle is None:
             # what run(until=horizon) would have dispatched
@@ -621,41 +652,57 @@ class NetSim:
 
     def inject(self, packet: PlannedPacket, at: float):
         """A planned packet arrives at its first balancer at `at`: count it
-        injected, map it by its session's key and hash, and send it on. `run`
-        calls it once per planned packet, as an entry of the event loop's
-        arrival stream. The slave's map is noted only where `note_mapped` has
-        something to record: a session's first map there, or a map to a
-        reclaimed chain."""
+        injected, map it by its session's key and hash, and send it on. The
+        arrival loop (`_run_arrivals`) calls it once per planned packet,
+        with no heap entry. The slave's map is noted only where
+        `note_mapped` has something to record: a session's first map there,
+        or a map to a reclaimed chain."""
         result = self.result
         result.injected_bytes += packet.size
         result.packets += 1
         session = packet.session
-        node = self._first_balancer[packet.reverse]
-        chain = node.agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
+        node, map_packet, sends = self._first_balancer[packet.reverse]
+        chain = map_packet(session.key, packet.size, at, session.key_hash)
         if node.is_master or session.slave_chain is None or chain in result.reclaims:
             self.note_mapped(node, packet, chain, at)
-        self.transmit(node.sends[chain], packet, at)
+        self.transmit(sends[chain], packet, at)
 
-    def _arrivals(self, packets, start: float):
-        """The event loop's arrival stream: each planned packet's `inject`
-        at its arrival at its first balancer, sent at its planned time or at
-        `start`, when the handshake ended, if that is later, then one latency
-        per link of the client's walk (never a link count * latency, so the
-        time has the float bits of a send from the host)."""
-        inject, latencies = self.inject, self._host_latencies
+    def _run_arrivals(self, packets, start: float):
+        """Inject each planned packet at its arrival, merged with the heap,
+        then run the heap's entries due by the horizon. A packet is sent at
+        its planned time, or at `start` (the handshake's end) if later, and
+        arrives one latency per link of the client's walk later (never a
+        link count * latency: the float bits of a send from the host). The
+        entries due strictly before it run first; one that arrives before
+        `now` raises ValueError. Returns the first packet that arrives after
+        the horizon, unrun, or None when the plan ran out."""
+        loop = self.loop
+        heap, run, inject = loop._heap, loop.run, self.inject
+        latencies, horizon = self._host_latencies, self.horizon
+        late = None
         for packet in packets:
             at = packet.time
             if at < start:
                 at = start
             for latency in latencies:
                 at += latency
-            yield at, inject, (packet, at)
+            if at > horizon:
+                late = packet
+                break
+            if heap and heap[0][0] < at:
+                run(at, strict=True)
+            if at < loop.now:
+                raise ValueError(f"arrival at {at} is out of time order (now {loop.now})")
+            loop.now = at
+            inject(packet, at)
+        run(horizon)
+        return late
 
     def _sent_after_horizon(self, packets):
         """The first of `packets` reached its balancer after the horizon, and
         so did every later one: none was injected. Those planned by the
         horizon were sent within the run, so they count as injected, and
-        are left over. `run` passes the arrival the event loop returned and
+        are left over. `run` passes the packet `_run_arrivals` returned and
         the rest of the plan's iterator, so the plan is iterated once."""
         result = self.result
         for p in packets:
@@ -771,13 +818,20 @@ class NetSim:
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
         self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
-        late = self.loop.run(until=s.horizon, arrivals=self._arrivals(packets, start))
+        # the data loop makes no reference cycle: a collection would only
+        # walk the objects the run holds
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            late = self._run_arrivals(packets, start)
+        finally:
+            if collecting:
+                gc.enable()
         arrived = self.result.packets
         if late is not None:
             # an arrival after the horizon ended the stream: its packet and
             # the rest of the plan were sent but never received
-            _, _, (packet, _) = late
-            self._sent_after_horizon(itertools.chain((packet,), packets))
+            self._sent_after_horizon(itertools.chain((late,), packets))
         return self._finalize(arrived)
 
     def _stats_poll(self):

@@ -161,6 +161,42 @@ def test_replicate_with_an_unusable_out_exits_two_before_simulating(tmp_path, ca
     assert err.startswith("error: ") and str(out) in err
 
 
+def unusable_out_file(tmp_path, monkeypatch, how):
+    """An --out directory whose `series.csv` cannot be written: a directory
+    of that name, or a file that os.access reports as not writable."""
+    out = tmp_path / "out"
+    if how == "directory":
+        (out / "series.csv").mkdir(parents=True)
+    else:
+        out.mkdir()
+        (out / "series.csv").write_text("")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    return out
+
+
+@pytest.mark.parametrize("how", ["directory", "read-only"])
+def test_run_with_an_unusable_out_file_exits_two_before_simulating(tmp_path, capsys,
+                                                                   monkeypatch, how):
+    scn = write(tmp_path, MINIMAL)
+    out = unusable_out_file(tmp_path, monkeypatch, how)
+    monkeypatch.setattr(cli.netsim, "run", refuse_to_simulate)
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "series.csv") in err
+
+
+@pytest.mark.parametrize("file", ["seed-3/events.jsonl", "summary.json"])
+def test_replicate_with_an_unusable_out_file_exits_two_before_simulating(tmp_path, capsys,
+                                                                         monkeypatch, file):
+    out = tmp_path / "out"
+    taken = out / file.replace("seed-3", f"{cli.SCENARIO_ORDER[-1]}/seed-3")
+    taken.mkdir(parents=True)
+    monkeypatch.setattr(cli.netsim, "run", refuse_to_simulate)
+    assert cli.main(["replicate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+
+
 def test_bundled_scenarios_all_parse():
     for name in cli.SCENARIO_ORDER:
         scenario = cli.bundled_scenario(name)

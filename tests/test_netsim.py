@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -840,6 +841,94 @@ def first_hop_arrivals(monkeypatch):
     return arrivals
 
 
+def test_run_refuses_planned_arrivals_out_of_time_order(monkeypatch):
+    arrivals = first_hop_arrivals(monkeypatch)
+    sim = netsim.NetSim(small_scenario(link_latency=0.0013))
+    first, second = packet(0)._replace(time=1.0), packet(1)._replace(time=0.5)
+    with_plan(monkeypatch, sim, lambda packets, start: [first, second])
+    with pytest.raises(ValueError, match="out of time order"):
+        sim.run()
+    assert [p for p, _ in arrivals] == [first]
+
+
+def reference_order(arrivals, scheduled, until):
+    """The order the merged loop must run entries in, by brute force: each
+    step runs the least pending entry by (time, arrivals first, plan order
+    or push order). An arrival after `until` ends the stream; the index of
+    that one, or None, comes back with the order."""
+    limit = math.inf if until is None else until
+    pushes = itertools.count()
+    pending = []
+    late = None
+    for i, (at, delays) in enumerate(arrivals):
+        if at > limit:
+            late = i
+            break
+        pending.append((at, 0, i, ("arrival", i), delays))
+    pending += [(at, 1, next(pushes), ("scheduled", i), delays)
+                for i, (at, delays) in enumerate(scheduled)]
+    ran = []
+    while True:
+        due = [entry for entry in pending if entry[0] <= limit]
+        if not due:
+            return ran, late
+        entry = min(due, key=lambda e: e[:3])
+        pending.remove(entry)
+        at, _, _, label, delays = entry
+        ran.append((label, at))
+        pending += [(at + d, 1, next(pushes), (label, j), ()) for j, d in enumerate(delays)]
+
+
+# few distinct times, so that ties are common; delays of 0 push an entry at
+# the instant that is running, as a zero link latency does. A planned
+# packet arrives two 0.25 s links after it is sent, exactly TRIP later
+TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+TRIP = 0.5
+CALLBACKS = st.tuples(TIMES, st.lists(st.sampled_from([0.0, 0.25, 0.5]), max_size=3))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    arrivals=st.lists(CALLBACKS, max_size=8),
+    scheduled=st.lists(CALLBACKS, max_size=8),
+    until=st.sampled_from([None, 0.0, 0.25, 0.5, 1.0]),
+    start=st.sampled_from([0.0, 0.25]),
+)
+def test_planned_arrivals_run_merged_with_the_heap_in_reference_order(arrivals, scheduled,
+                                                                      until, start):
+    # each callback, a planned packet's inject or a scheduled entry, pushes
+    # one entry per delay when it runs; the plan is sorted by time, stably,
+    # so ties keep plan order. The packets are sent at their planned time or
+    # at `start`, if that is later, and the scheduled entries and the
+    # horizon are at arrival times
+    arrivals = sorted(arrivals, key=lambda a: a[0])
+    sim = netsim.NetSim(small_scenario(link_latency=0.25))
+    loop = sim.loop
+    ran = []
+
+    def call(label, delays):
+        ran.append((label, loop.now))
+        for j, d in enumerate(delays):
+            loop.schedule(loop.now + d, call, (label, j), ())
+
+    plan = [packet(i)._replace(time=at) for i, (at, _) in enumerate(arrivals)]
+    sim.inject = lambda p, at: call(("arrival", p.session.session_id),
+                                    arrivals[p.session.session_id][1])
+    scheduled = [(at + TRIP, delays) for at, delays in scheduled]
+    for i, (at, delays) in enumerate(scheduled):
+        loop.schedule(at, call, ("scheduled", i), delays)
+    until = None if until is None else until + TRIP
+    sim.horizon = math.inf if until is None else until
+    returned = sim._run_arrivals(iter(plan), start)
+    expected, late = reference_order(
+        [(max(at, start) + TRIP, delays) for at, delays in arrivals], scheduled, until)
+    assert ran == expected
+    # the packet that ended the stream comes back unrun, or None
+    assert returned is (None if late is None else plan[late])
+    # what stays is exactly what falls after the limit
+    assert all(at > sim.horizon for at, *_ in loop._heap)
+
+
 def test_planned_arrival_runs_before_a_callback_at_its_instant(monkeypatch):
     # the callback is pushed before the run sends any packet, and the planned
     # packet's arrival only when the packet planned before it arrives; the
@@ -1380,7 +1469,10 @@ def test_static_1_python_calls_per_packet_gate():
     # with its finalizer inlined, made it 4.43; one session record that
     # carries its key's hash from the plan (hash_key once per session, no
     # SessionTrace constructor) and a table record built with no __init__
-    # call, 4.32.
+    # call, 4.32. NetSim.run reading the plan itself, with no generator
+    # resumed per packet to reach `inject`, made it 3.32: one call fewer per
+    # packet, less one `EventLoop.run` call per batch of heap entries due
+    # between two arrivals (31 here, all of the control plane).
     result, calls = profiled_run(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -1391,7 +1483,7 @@ def test_static_1_python_calls_per_packet_gate():
     assert {chain_code[code]: n for code, n in calls.items() if code in chain_code} == {
         "__new__": 14
     }
-    assert calls.total() <= 4.35 * result.packets
+    assert calls.total() <= 3.35 * result.packets
 
 
 def test_short_flows_python_calls_per_packet_gate():
@@ -1405,10 +1497,13 @@ def test_short_flows_python_calls_per_packet_gate():
     # plan, into the session's record, which replaces the SessionTrace and
     # its constructor, and building each balancer's table record with no
     # __init__ call (the Session constructor is one call per session) make
-    # it 6.73
+    # it 6.73. NetSim.run reading the plan itself, with no generator resumed
+    # per packet, made it 5.76: 18,000 calls fewer, and 593 `EventLoop.run`
+    # calls for the batches of heap entries due between two arrivals, most
+    # of them the master's unsettled arrivals
     result, calls = profiled_run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
     assert result.packets == 18_000
-    assert calls.total() <= 6.75 * result.packets
+    assert calls.total() <= 5.77 * result.packets
 
 
 def test_long_flows_python_calls_per_packet_gate():
@@ -1416,10 +1511,44 @@ def test_long_flows_python_calls_per_packet_gate():
     # it 44,373 times on the drain polls, 1.54 calls per packet of the 7.20;
     # with a plain loop, the client draw and hash_key with its finalizer
     # inlined, it read 4.85, and with one hash and one record per session
-    # (no SessionTrace or SessionRecord constructor), 4.66
+    # (no SessionTrace or SessionRecord constructor), 4.66. NetSim.run
+    # reading the plan itself, with no generator resumed per packet, made it
+    # 3.67 (260 `EventLoop.run` calls for the heap entries due between two
+    # arrivals)
     result, calls = profiled_run(parse_scenario(WORKLOADS / "long-flows.yaml").with_seed(1))
     assert result.packets == 28_800
-    assert calls.total() <= 4.7 * result.packets
+    assert calls.total() <= 3.7 * result.packets
+
+
+def test_capacity_drain_python_calls_per_packet_gate():
+    # work counter: every packet is admitted by a capacity NF (one `admit`
+    # call), and 1,218 queue drops each take a heap entry and a `drop` call.
+    # With the arrival stream a generator resumed per packet it read 5.72;
+    # NetSim.run reading the plan itself made it 4.76, with 1,141
+    # `EventLoop.run` calls for the batches of heap entries due between two
+    # arrivals
+    result, calls = profiled_run(parse_scenario(WORKLOADS / "capacity-drain.yaml").with_seed(1))
+    assert result.packets == 32_000
+    assert calls.total() <= 4.77 * result.packets
+
+
+@pytest.mark.parametrize("workload", ["long-flows", "short-flows", "capacity-drain"])
+def test_a_run_leaves_no_cyclic_garbage(workload):
+    # NetSim.run pauses the cyclic collector for its data loop; that is sound
+    # only while a run makes no reference cycle, which a collection after a
+    # run with the collector paused throughout shows: it finds nothing
+    scenario = parse_scenario(WORKLOADS / f"{workload}.yaml").with_seed(1)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = netsim.NetSim(scenario)
+        result = sim.run()
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+    assert result.packets == scenario.traffic.planned_packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

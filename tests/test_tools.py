@@ -65,13 +65,15 @@ def copied_src(tmp_path, **appended):
 
 def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
     # a checkout from before the packed session key, whose map_packet takes a
-    # packet, and without traffic.SERVER: the figures that call either print
-    # null and name what the checkout lacks, and every other figure is timed
+    # packet, without traffic.SERVER, and whose NetSim has no arrival loop of
+    # its own: the figures that call any of them print null and name what
+    # the checkout lacks, and every other figure is timed
     src = copied_src(
         tmp_path,
         balancer="def map_packet(self, packet):\n    return None\n\n\n"
                  "Balancer.map_packet = map_packet",
         traffic="del SERVER",
+        netsim="del NetSim._run_arrivals",
     )
     figures = run_microbench("--src", src)
     assert set(figures) == FIGURES
@@ -83,6 +85,7 @@ def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
             "balancer.Balancer.map_packet(key, size, now)",
         ]),
         "client_draw_us": ["traffic.SERVER"],
+        "arrival_dispatch_us": ["netsim.NetSim._run_arrivals(packets, start)"],
     }
     assert all(figures[name] is None for name in figures["missing"])
     assert all(figures[name] is not None for name in FIGURES - set(figures["missing"]))

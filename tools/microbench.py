@@ -22,10 +22,11 @@ Prints one JSON object of best-of-N timings:
   traffic window.
 - ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
   no-op callback, with at most 64 events pending, as in the simulator.
-- ``arrival_dispatch_us``: one entry of the arrival stream that
-  ``EventLoop.run`` merges with its heap, dispatched to a no-op callback,
-  in streams of 64 with one heap entry pending beyond them; this is how
-  the loop brings in each planned packet (``NetSim.inject``).
+- ``arrival_dispatch_us``: one planned packet's arrival in the simulator's
+  arrival loop (``NetSim._run_arrivals``), which times it off the plan and
+  merges it with the event loop's heap, injected to a no-op in place of
+  ``NetSim.inject``, in plans of 64 with one heap entry pending beyond the
+  horizon; this is how a run brings in each planned packet.
 - ``transmit_us``: one data-path send, ``NetSim.transmit`` along the
   client's compiled two-link walk to a no-op handler, plus the dispatch of
   the arrival it pushes, with at most 64 sends pending. It times the push
@@ -64,7 +65,7 @@ two versions can be timed by the same script on the same host. Before a
 figure is timed, the names it calls are looked up (``ROWS``): each class and
 function, and the leading parameter names of those whose signature has
 changed, such as ``Balancer.map_packet(key, size, now, key_hash)``,
-``EventLoop.run(until, arrivals)`` and ``NetSim.transmit(walk, packet,
+``NetSim._run_arrivals(packets, start)`` and ``NetSim.transmit(walk, packet,
 now)``. A figure whose names the other checkout lacks prints ``null``, and
 ``missing`` maps its name to those names; without ``--src`` the script exits
 naming them. An error raised while a figure is timed is raised, so a fault
@@ -220,18 +221,25 @@ def noop(*args):
 
 
 def arrival_dispatch_us(repeat):
-    from chainbalance.engine import EventLoop
+    from chainbalance import cli, netsim
 
-    def arrival_dispatches(streams):
-        loop = EventLoop()
-        loop.schedule(math.inf, noop)  # one entry pending, as the merge meets it
-        for stream in streams:
-            loop.run(until=1.0, arrivals=stream)
+    planned = planned_packet()
 
-    # a fresh loop and prebuilt streams per repetition: 64 no-op arrivals a
-    # stream, 1 us apart, each stream after the one before
-    best = min(seconds(functools.partial(arrival_dispatches, [
-        [((b * PENDING + i) * 1e-6, noop, ()) for i in range(PENDING)] for b in range(BATCHES)
+    def arrival_sim():
+        sim = netsim.NetSim(cli.bundled_scenario("static-1"))
+        sim.inject = noop
+        sim.loop.schedule(math.inf, noop)  # one entry pending, as the merge meets it
+        return sim
+
+    def arrival_dispatches(sim, plans):
+        for plan in plans:
+            sim._run_arrivals(iter(plan), 0.0)
+
+    # a fresh simulator and prebuilt plans per repetition: 64 packets a plan,
+    # planned 1 us apart, each plan after the one before
+    best = min(seconds(functools.partial(arrival_dispatches, arrival_sim(), [
+        [planned._replace(time=(b * PENDING + i) * 1e-6) for i in range(PENDING)]
+        for b in range(BATCHES)
     ])) for _ in range(repeat))
     return round(1e6 * best / (BATCHES * PENDING), 3)
 
@@ -410,7 +418,8 @@ ROWS = (
      codec_round_trip_us),
     (("event_dispatch_us",), ("engine.EventLoop.schedule(at, fn)", "engine.EventLoop.run"),
      event_dispatch_us),
-    (("arrival_dispatch_us",), ("engine.EventLoop.run(until, arrivals)",), arrival_dispatch_us),
+    (("arrival_dispatch_us",), ("netsim.NetSim._run_arrivals(packets, start)", *SIM),
+     arrival_dispatch_us),
     (("transmit_us",), SIM, transmit_us),
     (("crossing_us",), CROSSING, lambda repeat: crossings_us(repeat, crossing_sim)),
     (("booked_crossing_us",),
