@@ -194,13 +194,18 @@ def _make_out_dirs(paths) -> bool:
 
 def _usable_out_files(paths) -> bool:
     """Check each output file path before anything is simulated: one that
-    exists must be a file that can be written. False, with the error
+    exists must be a file that can be written, and one that does not must
+    be in a directory where a file can be made. False, with the error
     printed, for the first that is not."""
     for path in paths:
         if path.is_dir():
             problem = "it is a directory"
-        elif path.exists() and not os.access(path, os.W_OK):
+        elif path.exists():
+            if os.access(path, os.W_OK):
+                continue
             problem = "it is not writable"
+        elif not os.access(path.parent, os.W_OK | os.X_OK):
+            problem = "its directory is not writable"
         else:
             continue
         print(f"error: cannot write output file {path}: {problem}", file=sys.stderr)

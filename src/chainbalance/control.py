@@ -235,27 +235,11 @@ class _Endpoint:
 # -- balancer agents -----------------------------------------------------------
 
 
-class _Installed:
-    """`_BalancerAgent.balancer`: each assignment also calls the agent's
-    `on_balancer` hook, if one is set, so that a caller such as the
-    simulator binds what it reads off the balancer once. Reading it costs
-    no Python call: a data descriptor with no `__get__` leaves reads to the
-    agent's own `__dict__`."""
-
-    def __set__(self, agent, balancer):
-        agent.__dict__["balancer"] = balancer
-        if agent.on_balancer is not None:
-            agent.on_balancer(agent)
-
-
 class _BalancerAgent(_Endpoint):
     """One balancer in the `role` a subclass sets: configured by the
     handshake, it stages a generation's vector, then installs (commits) or
     unstages (drops) it. `_on_request` takes the role's other requests.
     """
-
-    balancer = _Installed()
-    on_balancer = None  # called with the agent whenever its balancer is set
 
     def __init__(self, name: str, transport: Transport):
         super().__init__(name, transport)

@@ -18,9 +18,9 @@ make one each.
 
 The simulator's planned arrivals never enter the heap: `NetSim.run` reads
 them off the traffic plan itself, in time order, and before each one has
-`run(at, strict=True)` dispatch the entries due strictly before it, so an
-arrival runs before every heap entry of its instant. This `run` is the one
-place that pops and dispatches heap entries.
+`run` dispatch the entries due strictly before it (by the float just below
+its time), so an arrival runs before every heap entry of its instant. This
+`run` is the one place that pops and dispatches heap entries.
 
 Nothing is cancelled: a stale callback, such as a barrier timer whose
 prepare was acked in time, fires and returns. So after `run()` drains, `now`
@@ -47,14 +47,10 @@ class EventLoop:
         heapq.heappush(self._heap, (at, self._seq, fn, args))
         self._seq += 1
 
-    def run(self, until: float | None = None, strict: bool = False):
-        """Dispatch every entry due by `until` (no limit when None), or, if
-        `strict`, only those due strictly before it."""
+    def run(self, until: float | None = None):
+        """Dispatch every entry due by `until` (no limit when None)."""
         heap, pop = self._heap, heapq.heappop
         limit = math.inf if until is None else until
-        if strict:
-            # the float just below: due before `until` is due by it
-            limit = math.nextafter(limit, -math.inf)
         while heap and heap[0][0] <= limit:
             at, _, fn, args = pop(heap)
             self.now = at

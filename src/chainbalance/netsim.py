@@ -89,11 +89,8 @@ the traffic plan builds each packet in C (`traffic`); the arrival loop calls
 session's record carries, and sends it in one call; `transmit` pushes its
 heap entries itself, with the loop's one sequence counter, instead of
 calling `EventLoop.schedule`; a mapping balancer finds its send's walk by
-chain; and chain identities (`ChainId`) hash and compare in C. What every
-packet reads is bound once: the first balancers' `map_packet` and the
-master's table whenever a balancer is set (`_bind`), and an NF's series
-at its first leave. The cyclic collector is paused for the data loop,
-which makes no reference cycle.
+chain; and chain identities (`ChainId`) hash and compare in C. The
+client walk's links are bound once, and an NF's series at its first leave.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -108,7 +105,6 @@ so a (scenario, seed) pair always produces the same run.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 from collections import deque
@@ -411,11 +407,6 @@ class NetSim:
         self._build_control()
         self._build_topology(pairs)
         self._compile_walks(pairs)
-        # the master's session table, for `transmit`, bound by `_bind`
-        # whenever a balancer is set on an agent (by the handshake or by hand)
-        self._master_table = None
-        for agent in (self.master_agent, self.slave_agent):
-            agent.on_balancer = self._bind
 
     # -- construction
 
@@ -501,23 +492,10 @@ class NetSim:
         lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
         lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
         lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
-        # per PlannedPacket.reverse, the balancer a planned packet reaches
-        # first, its bound map_packet (None until `_bind` sets it) and its sends
-        self._first_balancer = [(lb1, None, lb1.sends), (lb2, None, lb2.sends)]
+        # the balancer a planned packet reaches first, by PlannedPacket.reverse
+        self._first_balancer = (lb1, lb2)
         self.to_client = walks[("lb1", 1, ())]  # the master's send to the client
         self._client_links = self.to_client.links
-
-    def _bind(self, agent):
-        """Bind what every packet reads off the balancer just set on `agent`:
-        its `map_packet`, for `inject`, and the master's session table, for
-        `transmit`."""
-        balancer = agent.balancer
-        master = agent is self.master_agent
-        index = 0 if master else 1
-        node, _, sends = self._first_balancer[index]
-        self._first_balancer[index] = (node, balancer.map_packet, sends)
-        if master:
-            self._master_table = balancer.table
 
     # -- data plane plumbing
 
@@ -587,8 +565,8 @@ class NetSim:
                     if at > self._late:
                         self._late = at
                 elif self._late < now:
-                    table = self._master_table  # None until the master's balancer is set
-                    record = None if table is None else table.get(session.key)
+                    balancer = self.master_agent.balancer  # None before run()
+                    record = None if balancer is None else balancer.table.get(session.key)
                     if (record is not None and record.assigned == chain
                             and record.last_timestamp + timeout > at):
                         if at > record.last_timestamp:
@@ -661,11 +639,11 @@ class NetSim:
         result.injected_bytes += packet.size
         result.packets += 1
         session = packet.session
-        node, map_packet, sends = self._first_balancer[packet.reverse]
-        chain = map_packet(session.key, packet.size, at, session.key_hash)
+        node = self._first_balancer[packet.reverse]
+        chain = node.agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
         if node.is_master or session.slave_chain is None or chain in result.reclaims:
             self.note_mapped(node, packet, chain, at)
-        self.transmit(sends[chain], packet, at)
+        self.transmit(node.sends[chain], packet, at)
 
     def _run_arrivals(self, packets, start: float):
         """Inject each planned packet at its arrival, merged with the heap,
@@ -673,12 +651,14 @@ class NetSim:
         its planned time, or at `start` (the handshake's end) if later, and
         arrives one latency per link of the client's walk later (never a
         link count * latency: the float bits of a send from the host). The
-        entries due strictly before it run first; one that arrives before
-        `now` raises ValueError. Returns the first packet that arrives after
-        the horizon, unrun, or None when the plan ran out."""
+        entries due strictly before it (by the float just below its time)
+        run first; one that arrives before `now` raises ValueError. Returns
+        the first packet that arrives after the horizon, unrun, or None when
+        the plan ran out."""
         loop = self.loop
         heap, run, inject = loop._heap, loop.run, self.inject
         latencies, horizon = self._host_latencies, self.horizon
+        nextafter, below = math.nextafter, -math.inf
         late = None
         for packet in packets:
             at = packet.time
@@ -690,7 +670,7 @@ class NetSim:
                 late = packet
                 break
             if heap and heap[0][0] < at:
-                run(at, strict=True)
+                run(nextafter(at, below))
             if at < loop.now:
                 raise ValueError(f"arrival at {at} is out of time order (now {loop.now})")
             loop.now = at
@@ -818,15 +798,7 @@ class NetSim:
         # monitoring poll every window keeps op-time windows at most one
         # window long, so rebalancing math never sees stale transients
         self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
-        # the data loop makes no reference cycle: a collection would only
-        # walk the objects the run holds
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            late = self._run_arrivals(packets, start)
-        finally:
-            if collecting:
-                gc.enable()
+        late = self._run_arrivals(packets, start)
         arrived = self.result.packets
         if late is not None:
             # an arrival after the horizon ended the stream: its packet and

@@ -163,18 +163,22 @@ def test_replicate_with_an_unusable_out_exits_two_before_simulating(tmp_path, ca
 
 def unusable_out_file(tmp_path, monkeypatch, how):
     """An --out directory whose `series.csv` cannot be written: a directory
-    of that name, or a file that os.access reports as not writable."""
+    of that name, a file that os.access reports as not writable, or no file
+    in a directory that os.access reports as not writable."""
     out = tmp_path / "out"
     if how == "directory":
         (out / "series.csv").mkdir(parents=True)
-    else:
+    elif how == "read-only":
         out.mkdir()
         (out / "series.csv").write_text("")
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    else:
+        out.mkdir()
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != out)
     return out
 
 
-@pytest.mark.parametrize("how", ["directory", "read-only"])
+@pytest.mark.parametrize("how", ["directory", "read-only", "read-only-directory"])
 def test_run_with_an_unusable_out_file_exits_two_before_simulating(tmp_path, capsys,
                                                                    monkeypatch, how):
     scn = write(tmp_path, MINIMAL)

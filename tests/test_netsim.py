@@ -1532,25 +1532,6 @@ def test_capacity_drain_python_calls_per_packet_gate():
     assert calls.total() <= 4.77 * result.packets
 
 
-@pytest.mark.parametrize("workload", ["long-flows", "short-flows", "capacity-drain"])
-def test_a_run_leaves_no_cyclic_garbage(workload):
-    # NetSim.run pauses the cyclic collector for its data loop; that is sound
-    # only while a run makes no reference cycle, which a collection after a
-    # run with the collector paused throughout shows: it finds nothing
-    scenario = parse_scenario(WORKLOADS / f"{workload}.yaml").with_seed(1)
-    collecting = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        sim = netsim.NetSim(scenario)
-        result = sim.run()
-        assert gc.collect() == 0
-    finally:
-        if collecting:
-            gc.enable()
-    assert result.packets == scenario.traffic.planned_packets
-
-
 # events.jsonl key order per kind; `*` stands for the action's op
 EVENT_KEYS = {
     "session_start": ("t", "event", "session", "chain"),
