@@ -15,16 +15,16 @@ if the two sides ever diverged. The packet in flight is the traffic plan's
 so neither balancer derives the session key from addresses or hashes it:
 both map a new session by the hash the plan computed once. The simulator
 keeps the session's trace on that same record, read off the packet with no
-lookup. A packet's stack of routing tags is an immutable tuple handed along
-with it from event to event, outermost tag last.
+lookup.
 
 Switches hold no state: a packet's path through them depends only on where
-it leaves a stateful node (host, balancer or NF) and on its tag stack. Those
-walks form a finite set known when the topology is wired: a balancer only
-pushes the tag of a declared chain. So `NetSim` compiles every one of them
-when it is built, by following the switches' `TagRouter` rules with
-`route()`, and refuses a miswired topology there (`NoRoute`): a missing
-rule, or a walk that ends still tagged at a host or an NF. A compiled walk
+it leaves a stateful node (host, balancer or NF) and on its stack of routing
+tags. Those walks form a finite set known when the topology is wired: a
+balancer only pushes the tag of a declared chain. So `NetSim` compiles every
+one of them when it is built, by following the switches' `TagRouter` rules
+with `route()`, and refuses a miswired topology there (`NoRoute`): a missing
+rule, or a walk that ends still tagged at a host or an NF. Tags and ports
+exist only there: a packet carries no tag stack at run time. A compiled walk
 carries the latency of each link it crosses (`Walk.links`), and a send adds
 them once per link, in order, so timestamps keep their float bits. Among
 events with the same timestamp, a packet's arrival at a stateful node is
@@ -67,8 +67,11 @@ that changes with time:
   longer than the timeout, so that one the slave sent earlier on another
   chain arrives after `a`; while such an arrival is pending (`_late`),
   none is settled. An unsettled arrival, such as a session's divergent
-  first response, takes a heap entry, where `BalancerNode.handle`
-  reconciles; one after the horizon takes none.
+  first response, takes one heap entry, `NetSim._master_arrival` with the
+  chain of the NF the walk crossed, which reconciles; one after the
+  horizon takes none. That chain is the one the tag named: es1 lets a
+  packet into the master only by the rule of a chain's reverse tag on
+  that chain's port.
 
 No packet may leave a chain's NF after its reclaim. An NF whose chain a
 remove action names keeps the leaves it has booked in `in_flight`. When
@@ -293,12 +296,6 @@ class NfInstance:
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    # the handler pushed at the walk's end: a balancer's bound `handle`;
-    # None for a host, whose arrival needs no event, and for an NF, which
-    # the walk crosses and goes on by `onward`
-    handle: object
-    port: int  # the target's ingress port
-    tags: tuple[int, ...]  # the tag stack on arrival
     # the latency of each link crossed, in order: a send adds them one at a
     # time, so timestamps keep the float bits of one event per link
     links: tuple[float, ...]
@@ -306,34 +303,7 @@ class Walk(NamedTuple):
     nf: NfInstance | None = None
     onward: Walk | None = None
     admit: object = None  # a capacity NF's bound `admit`, called at the send
-
-
-class BalancerNode:
-    """Network adapter around one balancer.
-
-    `NetSim.inject` maps each planned packet at its first balancer and sends
-    it along the walk of the chain's tag (`sends`, compiled by `NetSim`).
-    The one event a balancer handles is the master's arrival of a reverse
-    packet the slave mapped that `NetSim.transmit` could not settle at the
-    slave's send (the slave's pop of a forward tag is compiled into the
-    walks): the master reconciles its table with the observed chain and
-    sends the packet to the client.
-    """
-
-    def __init__(self, name, agent, sim, is_master: bool):
-        self.name = name
-        self.agent = agent
-        self.sim = sim
-        self.is_master = is_master
-        self.sends: dict[ChainId, Walk] = {}
-
-    def handle(self, packet: PlannedPacket, port: int, tags: tuple[int, ...], now: float):
-        sim = self.sim
-        chain = sim.chain_by_reverse[tags[-1]]
-        held = self.agent.balancer.reconcile(packet.session.key, chain, now)
-        if held is not None and held != chain:
-            sim.note_reconcile(packet, held, chain, now)
-        sim.transmit(sim.to_client, packet, now)
+    master: bool = False  # the walk ends at the master
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -390,10 +360,11 @@ class NetSim:
         self.session_timeout = scenario.session_timeout
 
         pairs = scenario.all_pairs()
-        self.chain_by_reverse = {c.reverse_tag: c for c in pairs}
         # per chain a remove action names, (departure, session_id) of the
         # leaves its NF has booked and not yet made, for the reclaim check
         self.in_flight = {a.pair: deque() for a in scenario.actions if a.op == "remove"}
+        # the scenario's actions not yet acked, committed or failed
+        self._unacked = list(scenario.actions)
 
         self.result = RunResult(scenario, ThroughputSeries(pairs))
         # every session a balancer mapped, in the order first mapped, which
@@ -436,8 +407,8 @@ class NetSim:
 
         self.nodes["es1"] = es1
         self.nodes["es2"] = es2
-        self.nodes["lb1"] = BalancerNode("lb1", self.master_agent, self, is_master=True)
-        self.nodes["lb2"] = BalancerNode("lb2", self.slave_agent, self, is_master=False)
+        self.nodes["lb1"] = self.master_agent
+        self.nodes["lb2"] = self.slave_agent
 
         self._cable("client", 1, "es1", 1)
         self._wire("es1", 3, "lb1", 1)
@@ -489,24 +460,25 @@ class NetSim:
                 f"{len(server.links)}; planned arrivals keep plan order only if both cross as many"
             )
         self._host_latencies = client.links
-        lb1, lb2 = self.nodes["lb1"], self.nodes["lb2"]
-        lb1.sends = {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}
-        lb2.sends = {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}
-        # the balancer a planned packet reaches first, by PlannedPacket.reverse
-        self._first_balancer = (lb1, lb2)
+        # the balancer a planned packet reaches first, by PlannedPacket.reverse,
+        # and its send by the chain it maps to
+        self._first_balancer = (
+            (self.master_agent, {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}),
+            (self.slave_agent, {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}),
+        )
         self.to_client = walks[("lb1", 1, ())]  # the master's send to the client
         self._client_links = self.to_client.links
 
     # -- data plane plumbing
 
     def transmit(self, walk: Walk, packet: PlannedPacket, now: float):
-        """Send a packet out of a stateful node at `now` along a compiled walk:
-        push its arrival at the next stateful node, or count it delivered if
-        that is a host. An NF reached untagged is crossed here: a capacity NF
-        admits the packet now, then the leave is booked inline and the walk
-        goes on. The master's arrival beyond it is booked here too if it is
-        settled (see the module docstring)."""
-        handle, in_port, tags, links, nf, onward, admit = walk
+        """Send a packet out of a balancer at `now` along a compiled walk, and
+        count it delivered where it reaches a host. An NF reached untagged is
+        crossed here: a capacity NF admits the packet now, then the leave is
+        booked inline and the walk goes on. The master's arrival beyond it is
+        booked here if it is settled (see the module docstring), and pushed
+        otherwise."""
+        links, nf, onward, admit, _ = walk
         # one addition per link, as one event per link made, so that
         # timestamps keep their float bits (never a link count * latency)
         at = now
@@ -552,39 +524,39 @@ class NetSim:
                     in_flight.append((at, session.session_id))
                 else:
                     self._flag_crossings(chain, reclaim, ((at, session.session_id),))
-            handle, in_port, tags, links, _, _, _ = onward
+            links, _, _, _, master = onward
             for latency in links:
                 at += latency
-            if handle is not None:
+            if master:
                 # the master's arrival, which run(until=horizon) would not
                 # dispatch after the horizon
                 if at > self.horizon:
                     return
                 timeout = self.session_timeout
+                settled = False
                 if now + timeout <= at:
                     if at > self._late:
                         self._late = at
                 elif self._late < now:
                     balancer = self.master_agent.balancer  # None before run()
                     record = None if balancer is None else balancer.table.get(session.key)
-                    if (record is not None and record.assigned == chain
-                            and record.last_timestamp + timeout > at):
-                        if at > record.last_timestamp:
-                            record.last_timestamp = at
-                        # on to the client, a host: `to_client`
-                        handle = None
-                        for latency in self._client_links:
-                            at += latency
-        if handle is None:
-            # what run(until=horizon) would have dispatched
-            if at <= self.horizon:
-                self.result.delivered_bytes += packet.size
-            return
-        # EventLoop.schedule inline: the same entry and the same counter
-        loop = self.loop
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(loop._heap, (at, seq, handle, (packet, in_port, tags, at)))
+                    settled = (record is not None and record.assigned == chain
+                               and record.last_timestamp + timeout > at)
+                if not settled:
+                    # EventLoop.schedule inline: the same entry and the same counter
+                    loop = self.loop
+                    seq = loop._seq
+                    loop._seq = seq + 1
+                    heappush(loop._heap, (at, seq, self._master_arrival, (packet, chain, at)))
+                    return
+                if at > record.last_timestamp:
+                    record.last_timestamp = at
+                # on to the client, a host: `to_client`
+                for latency in self._client_links:
+                    at += latency
+        # what run(until=horizon) would have dispatched
+        if at <= self.horizon:
+            self.result.delivered_bytes += packet.size
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port.
@@ -592,7 +564,9 @@ class NetSim:
         Raises NoRoute, naming the walk's start, where no rule matches and
         where the walk ends still tagged at a host or an NF. A walk that
         reaches the slave with a forward tag goes on from the slave's egress
-        without it: the pop reads no state. Only a balancer's walk reaches an
+        without it: the pop reads no state. A walk ends at a host or at a
+        balancer's control agent (`Walk.master` at the master's), whatever
+        tag it arrives with. Only a balancer's walk reaches an
         NF, and it goes on through the NF. Every walk into one NF must cross
         the same number of links (3 from a balancer: its edge switch, the
         chain's switch, the NF), so the NF gets packets in the order the
@@ -609,15 +583,15 @@ class NetSim:
                 except NoRoute as exc:
                     raise NoRoute(f"switch {node}: {exc}, on {start}") from None
                 continue
-            if isinstance(reached, BalancerNode):
-                if tags and not reached.is_master:
-                    port, tags = 1, tags[:-1]  # the slave pops: on from its egress
-                    continue
-                return Walk(reached.handle, port, tags, (self.latency,) * hops)
+            if reached is self.slave_agent and tags:
+                port, tags = 1, tags[:-1]  # the slave pops: on from its egress
+                continue
+            if reached is self.master_agent or reached is self.slave_agent:
+                return Walk((self.latency,) * hops, master=reached is self.master_agent)
             if tags:
                 raise NoRoute(f"{start} ends at {node} with tags {list(tags)} left")
             if reached is None:
-                return Walk(None, port, tags, (self.latency,) * hops)
+                return Walk((self.latency,) * hops)
             known = self.nf_hops.setdefault(node, hops)
             if hops != known:
                 raise RuntimeError(
@@ -626,7 +600,7 @@ class NetSim:
                 )
             admit = None if reached.mode == "passthrough" else reached.admit
             onward = self.compile_walk(node, far_port(port), tags)
-            return Walk(None, port, tags, (self.latency,) * hops, reached, onward, admit)
+            return Walk((self.latency,) * hops, reached, onward, admit)
 
     def inject(self, packet: PlannedPacket, at: float):
         """A planned packet arrives at its first balancer at `at`: count it
@@ -639,11 +613,11 @@ class NetSim:
         result.injected_bytes += packet.size
         result.packets += 1
         session = packet.session
-        node = self._first_balancer[packet.reverse]
-        chain = node.agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
-        if node.is_master or session.slave_chain is None or chain in result.reclaims:
-            self.note_mapped(node, packet, chain, at)
-        self.transmit(node.sends[chain], packet, at)
+        agent, sends = self._first_balancer[packet.reverse]
+        chain = agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
+        if not packet.reverse or session.slave_chain is None or chain in result.reclaims:
+            self.note_mapped(packet, chain, at)
+        self.transmit(sends[chain], packet, at)
 
     def _run_arrivals(self, packets, start: float):
         """Inject each planned packet at its arrival, merged with the heap,
@@ -709,12 +683,22 @@ class NetSim:
 
     # -- bookkeeping hooks
 
-    def note_mapped(self, node: BalancerNode, packet: PlannedPacket, chain: ChainId, now: float):
-        """Trace a balancer's map of the packet's session. A session no
-        balancer mapped yet holds neither chain; its first map adds it to
-        `sessions`."""
+    def _master_arrival(self, packet: PlannedPacket, chain: ChainId, now: float):
+        """The master gets a reverse packet the slave sent on `chain` that
+        `transmit` could not settle at the send: it reconciles its table with
+        the chain and sends the packet to the client."""
+        held = self.master_agent.balancer.reconcile(packet.session.key, chain, now)
+        if held is not None and held != chain:
+            self.note_reconcile(packet, held, chain, now)
+        self.transmit(self.to_client, packet, now)
+
+    def note_mapped(self, packet: PlannedPacket, chain: ChainId, now: float):
+        """Trace the map of the packet's session at its first balancer: the
+        master's for a forward packet, the slave's for a reverse one. A
+        session no balancer mapped yet holds neither chain; its first map
+        adds it to `sessions`."""
         session = packet.session
-        if node.is_master:
+        if not packet.reverse:
             if session.master_chain is None and session.slave_chain is None:
                 session.master_chain = chain
                 session.last_master_seen = now
@@ -841,6 +825,7 @@ class NetSim:
             self.ms.request_rebalance(now=now, on_done=done)
 
     def _action_done(self, action, reply):
+        self._unacked.remove(action)
         now = self.loop.now
         ok = reply.payload.get("ok", False)
         if not ok:
@@ -870,8 +855,8 @@ class NetSim:
         self.ms.poll_path_active(pair, now=now, on_done=_answer)
 
     def _finalize(self, arrived: int) -> RunResult:
-        """Judge the sessions and fill in the facts known only at the end;
-        `arrived` planned arrivals ran."""
+        """Judge the sessions and the actions, and fill in the facts known
+        only at the end; `arrived` planned arrivals ran."""
         result = self.result
         for session in self.sessions:
             sid = session.session_id
@@ -893,6 +878,12 @@ class NetSim:
                     {"event": "anomaly", "reason": "unresolved master/slave divergence",
                      "session": sid}
                 )
+        for action in self._unacked:
+            # fired too late to finish, or not at all, by the horizon
+            result.anomalies.append(
+                {"event": "anomaly", "reason": f"action {action.op} at t={action.at} "
+                 "got no ack by the horizon", "session": -1}
+            )
         result.message_trace = self.transport.trace
         result.scheduled_events = self.loop._seq + arrived
         return result

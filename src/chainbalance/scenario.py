@@ -182,6 +182,10 @@ def scenario_from_mapping(obj: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(obj, dict):
         raise ValidationError("scenario document must be a mapping", location=name_hint)
     name = _field(obj, "name", TOP["name"]._replace(default=name_hint), name_hint)
+    # `run` names its output directory after it, under out/
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(f"field 'name' must be one plain path component, got {name!r}",
+                              location=name_hint)
     top = _read(obj, TOP, name)
     horizon = top["horizon"]
     for key, period in (("horizon", SWEEP_PERIOD), ("window", top["window"]),

@@ -120,6 +120,26 @@ def test_run_seed_override_changes_output(tmp_path):
     assert (out1 / "series.csv").read_bytes() != (out2 / "series.csv").read_bytes()
 
 
+@pytest.mark.parametrize("at, horizon", [
+    # fired, and acked after the horizon: the run recorded action_add and no
+    # commit, and reported "clean"
+    (4.999, 5.0),
+    # delayed to the handshake's end (4 ms), past the horizon: never fired
+    (0.001, 0.003),
+])
+def test_run_with_an_action_unfinished_at_the_horizon_exits_one(tmp_path, at, horizon):
+    text = MINIMAL.replace("horizon: 10.0\n", f"horizon: {horizon}\nactions:\n"
+                           f"  - {{at: {at}, op: add, pair: [4, 5]}}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["anomalies"] == [{"event": "anomaly", "session": -1,
+                                    "reason": f"action add at t={at} got no ack by the horizon"}]
+    fired = [e for e in map(json.loads, (out / "events.jsonl").read_text().splitlines())
+             if e["event"].endswith("_add")]
+    assert [e["event"] for e in fired] == (["action_add"] if at == 4.999 else [])
+
+
 def test_run_invalid_file_exits_two(tmp_path):
     bad = write(tmp_path, MINIMAL.replace("buckets: 256", "buckets: 32"))
     assert cli.main(["run", str(bad)]) == 2
@@ -311,6 +331,15 @@ MALFORMED_FIELDS = [  # (location, field, line of MINIMAL, its replacement)
     ("mini", "actions", "horizon: 10.0\n", "horizon: 10.0\nactions: 5\n"),
     ("mini", "actions", "horizon: 10.0\n", "horizon: 10.0\nactions: true\n"),
     ("scn", "name", "name: mini\n", "name: [a, b]\n"),
+    # run writes to out/<name>-seed<seed>: a name with a separator wrote
+    # outside out/, and a NUL exited 1 with a ValueError traceback
+    ("scn", "name", "name: mini\n", "name: /some/dir/evil\n"),
+    ("scn", "name", "name: mini\n", "name: ../escaped\n"),
+    ("scn", "name", "name: mini\n", "name: 'a\\b'\n"),
+    ("scn", "name", "name: mini\n", 'name: "a\\x00b"\n'),
+    ("scn", "name", "name: mini\n", "name: ''\n"),
+    ("scn", "name", "name: mini\n", "name: .\n"),
+    ("scn", "name", "name: mini\n", "name: '..'\n"),
     # an int beyond the float range used to raise OverflowError
     ("mini.traffic", "rate", "  rate: 75.0\n", f"  rate: {10**400}\n"),
     # a rebalance ran and reported "clean" with its pair, even an undeclared

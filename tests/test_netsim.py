@@ -162,8 +162,7 @@ def test_nf_passthrough_zero_delay():
         send(sim, node, 1, sent, tags)
         if node == "lb2":
             [(at, _, handle, args)] = sim.loop._heap
-            assert (at, handle, args) == (beyond, sim.nodes["lb1"].handle,
-                                          (sent, 1, (C1.reverse_tag,), beyond))
+            assert (at, handle, args) == (beyond, sim._master_arrival, (sent, C1, beyond))
             assert sim.result.delivered_bytes == 0
         else:
             assert sim.loop._heap == []
@@ -521,16 +520,17 @@ def test_stats_polls_conserve_mapped_bytes():
 def hop_by_hop(sim, node, port, tags):
     """Reference walk: one link and one route() call at a time, as a packet
     crossing the switches would see it, and on through the slave when it
-    gets a tag, which it pops. Returns the node reached (None for a host),
-    its name, ingress port, tag stack and links crossed, or the reason a
-    miswired topology is refused."""
+    gets a tag, which it pops. Returns the node reached (None for a host, a
+    control agent for a balancer), its name, ingress port, tag stack and
+    links crossed, or the reason a miswired topology is refused."""
     start = f"the walk from {node} port {port} with tags {list(tags)}"
     hops = 0
+    agents = (sim.master_agent, sim.slave_agent)
     while True:
         node, port = sim.links[(node, port)]
         hops += 1
         switch = sim.nodes.get(node)
-        if isinstance(switch, netsim.BalancerNode) and not switch.is_master and tags:
+        if switch is sim.slave_agent and tags:
             port, tags = 1, tags[:-1]
             continue
         if not isinstance(switch, TagRouter):
@@ -539,7 +539,7 @@ def hop_by_hop(sim, node, port, tags):
             port, tags = route(switch, port, tags)
         except NoRoute as exc:
             return f"switch {node}: {exc}, on {start}"
-    if tags and not isinstance(switch, netsim.BalancerNode):
+    if tags and switch not in agents:
         return f"{start} ends at {node} with tags {list(tags)} left"
     return switch, node, port, tags, hops
 
@@ -559,20 +559,20 @@ def walk_keys(sim):
 
 def assert_walk_matches_hop_by_hop(sim, key, walk):
     target, name, port, tags, hops = hop_by_hop(sim, *key)
-    if target is None:
-        assert (walk.handle, walk.port) == (None, port), key  # a host: no event
-    elif isinstance(target, NfInstance):
+    # only a walk into the master ends in an event there
+    assert walk.master == (target is sim.master_agent), key
+    if isinstance(target, NfInstance):
         # the NF is crossed: a capacity NF admits at the send, the leave is
-        # booked inline, and the walk goes on from the NF's far port
+        # booked inline, and the walk goes on from the NF's far port, the
+        # one across from the ingress port the reference walk reached
         admit = None if target.mode == "passthrough" else target.admit
         assert (walk.nf, walk.admit) == (target, admit), key
-        assert (walk.handle, walk.port) == (None, port), key
         assert_walk_matches_hop_by_hop(sim, (name, far_port(port), ()), walk.onward)
     else:
-        assert (walk.handle, walk.port) == (target.handle, port), key
-    if walk.nf is None:
-        assert (walk.onward, walk.admit) == (None, None), key
-    assert (walk.tags, walk.links) == (tags, (sim.latency,) * hops), key
+        # a host, or a balancer's agent, which any tag left names the
+        # chain of: the walk keeps no tag
+        assert (walk.nf, walk.onward, walk.admit) == (None, None, None), key
+    assert walk.links == (sim.latency,) * hops, key
 
 
 class ReadKeys(dict):
@@ -606,9 +606,10 @@ def test_compiled_walks_match_hop_by_hop_route():
         # send to the client, and each balancer's send, which it holds by chain
         assert sim.walks == compiled
         assert sim.walks.read == set()
-        lb1, lb2 = sim.nodes["lb1"], sim.nodes["lb2"]
-        assert lb1.sends == {c: compiled[("lb1", 1, (c.forward_tag,))] for c in (C1, C2)}
-        assert lb2.sends == {c: compiled[("lb2", 1, (c.reverse_tag,))] for c in (C1, C2)}
+        assert sim._first_balancer == (
+            (sim.master_agent, {c: compiled[("lb1", 1, (c.forward_tag,))] for c in (C1, C2)}),
+            (sim.slave_agent, {c: compiled[("lb2", 1, (c.reverse_tag,))] for c in (C1, C2)}),
+        )
         assert sim.to_client is compiled[("lb1", 1, ())]
         crossed = set()
         for key in walk_keys(sim):
@@ -669,7 +670,10 @@ def test_every_compiled_walk_carries_one_latency_per_link_crossed():
             *_, hops = hop_by_hop(sim, *key)
             assert walk.links == (scenario.link_latency,) * hops, (scenario.name, key)
             if walk.nf is not None:
-                pending.append(((walk.nf.name, far_port(walk.port), ()), walk.onward))
+                # the NF's walk on leaves by the port across from where
+                # the reference walk reached it
+                _, _, port, _, _ = hop_by_hop(sim, *key)
+                pending.append(((walk.nf.name, far_port(port), ()), walk.onward))
         assert sim._host_latencies == sim.walks[("client", 1, ())].links
 
 
@@ -742,22 +746,21 @@ def test_miswired_topology_is_refused_at_build(name, monkeypatch):
 
 def test_forward_walks_reach_every_stateful_hop():
     sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    lb1, nf1 = sim.nodes["lb1"], sim.nodes["nf1"]
+    nf1 = sim.nodes["nf1"]
     two, three, five = ((0.0013,) * n for n in (2, 3, 5))  # a walk's links
-    assert sim.compile_walk("client", 1, ()) == (lb1.handle, 1, (), two, None, None, None)
-    # the master's send crosses the NF without a handler there and goes on
-    # by the NF's own walk, through the slave's pop, to the server: counted
-    # when sent, no handler
+    assert sim.compile_walk("client", 1, ()) == (two, None, None, None, True)
+    # the master's send crosses the NF with no event there and goes on by
+    # the NF's own walk, through the slave's pop, to the server: counted
+    # when sent, no event
     onward = sim.compile_walk("nf1", 2, ())
-    assert onward == (None, 1, (), five, None, None, None)
-    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (
-        None, 1, (), three, nf1, onward, None)
-    assert sim.compile_walk("lb2", 1, ()) == (None, 1, (), two, None, None, None)
-    # the slave's send reaches the master tagged: its one handler on the way
+    assert onward == (five, None, None, None, False)
+    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (three, nf1, onward, None, False)
+    assert sim.compile_walk("lb2", 1, ()) == (two, None, None, None, False)
+    # the slave's send reaches the master, through the NF's port 1: its one
+    # event on the way
     back = sim.compile_walk("nf1", 1, ())
-    assert back == (lb1.handle, 1, (C1.reverse_tag,), three, None, None, None)
-    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (
-        None, 2, (), three, nf1, back, None)
+    assert back == (three, None, None, None, True)
+    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (three, nf1, back, None, False)
 
 
 def with_plan(monkeypatch, sim, plan_for):
@@ -775,17 +778,16 @@ def schedule_after_handshake(monkeypatch, sim, at, fn):
 
 
 def watch_balancers(monkeypatch, seen):
-    """Call seen(node, packet, port, tags, now) at every arrival a balancer
+    """Call seen(sim, packet, chain, now) at every arrival a balancer
     handles (the master's, when not settled at the slave's send), before
-    it does. It patches the class, so install it before the simulator is
-    built: the walks bind the handler then."""
-    handle = netsim.BalancerNode.handle
+    it does. It patches the class, so it watches every simulator."""
+    arrive = netsim.NetSim._master_arrival
 
-    def watched(node, p, port, tags, now):
-        seen(node, p, port, tags, now)
-        handle(node, p, port, tags, now)
+    def watched(sim, p, chain, now):
+        seen(sim, p, chain, now)
+        arrive(sim, p, chain, now)
 
-    monkeypatch.setattr(netsim.BalancerNode, "handle", watched)
+    monkeypatch.setattr(netsim.NetSim, "_master_arrival", watched)
 
 
 def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(monkeypatch):
@@ -796,7 +798,7 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
     stray = packet(10_000)._replace(reverse=True)
     order = []
 
-    def seen(node, p, port, tags, now):
+    def seen(sim, p, chain, now):
         if p is stray:
             order.append(("packet", now))
 
@@ -1043,7 +1045,7 @@ def test_clean_host_arrival_after_the_horizon_is_left_over(monkeypatch):
     assert result.leftover_bytes == stray.size
 
 
-def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain():
+def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain(monkeypatch):
     # C2 is removed at 2.0 and C1 kept: either NF is crossed at the
     # balancer's send and its leave booked inline. The only entry a crossing
     # pushes is the master's arrival beyond the NF, on a slave's send whose
@@ -1051,7 +1053,10 @@ def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain():
     # settled at the send: here, each session's first response on a chain
     # the master did not map, which the master reconciles. In both modes; a
     # capacity NF with no queue limit drops nothing.
+    arrivals = []
+    watch_balancers(monkeypatch, lambda sim, p, chain, now: arrivals.append(chain))
     for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6)):
+        arrivals.clear()
         sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),), **nf))
         assert sim.nodes["nf1"].in_flight is None
         assert sim.nodes["nf2"].in_flight is sim.in_flight[C2]
@@ -1067,7 +1072,7 @@ def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain():
             booked = series.total_for(chain) - total
             assert booked in (0, p.size)
             pushed = sim.loop._seq - before
-            assert pushed <= (1 if booked and walk.onward.handle is not None else 0), nf
+            assert pushed <= (1 if booked and walk.onward.master else 0), nf
             crossed[chain] += booked
             pushes[chain] += pushed
 
@@ -1079,6 +1084,8 @@ def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain():
         assert crossed[C1] == result.series.total_for(C1) > 0, nf
         reconciles = [e for e in result.events if e["event"] == "reconcile"]
         assert pushes.total() == len(reconciles) == result.divergences > 0, nf
+        # each entry is one master arrival, on the chain whose NF it crossed
+        assert Counter(arrivals) == pushes, nf
         assert result.clean, nf
 
 
@@ -1295,7 +1302,7 @@ def test_static_1_event_count_gate():
 CAPACITY_DRAIN = WORKLOADS / "capacity-drain.yaml"
 
 
-def test_capacity_drain_event_count_gate():
+def test_capacity_drain_event_count_gate(monkeypatch):
     # heap entries on the one workload with capacity NFs (scale-in 3 -> 2 -> 1):
     # each packet's arrival at its first balancer, the master's arrival of
     # each of the 120 responses it cannot settle at the slave's send (each a
@@ -1308,14 +1315,16 @@ def test_capacity_drain_event_count_gate():
     # 74,455, an arrival at the slave per forward packet too 76,431, an
     # injection event per packet 108,431, and an arrival and a departure
     # event per crossing 157,906.
+    unsettled = []
+    watch_balancers(monkeypatch, lambda sim, p, chain, now: unsettled.append(p))
     result = netsim.run(parse_scenario(CAPACITY_DRAIN).with_seed(1))
     assert result.packets == 32_000
     assert sum(1 for e in result.events if e["event"] == "drop") == 1_218
-    assert result.divergences == 120
+    assert result.divergences == len(unsettled) == 120
     assert result.scheduled_events == 32_000 + 120 + 1_218 + 342 == 33_680
 
 
-def test_short_flows_event_count_gate():
+def test_short_flows_event_count_gate(monkeypatch):
     # planned arrivals plus heap entries on the workload of 3-packet
     # sessions (one request, two responses): each packet's arrival at its
     # first balancer, the master's arrival of each of the 645 responses it
@@ -1324,10 +1333,12 @@ def test_short_flows_event_count_gate():
     # response's arrival at the master made 30,122, a leave event per
     # crossing of the removed chain too 32,937, and an arrival at the slave
     # per request too 38,937.
+    unsettled = []
+    watch_balancers(monkeypatch, lambda sim, p, chain, now: unsettled.append(p))
     result = netsim.run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
     assert result.packets == 18_000
     assert len(result.session_starts) == 6_000
-    assert result.divergences == 645
+    assert result.divergences == len(unsettled) == 645
     assert result.scheduled_events == 18_000 + 645 + 122 == 18_767
 
 
@@ -1350,11 +1361,11 @@ def test_long_flows_event_count_gate():
 
 def test_long_flows_booked_arrival_gate(monkeypatch):
     # work counter: the master's arrivals booked at the slave's send, each
-    # one heap entry and one BalancerNode.handle call fewer than in the same
+    # one heap entry and one NetSim._master_arrival call fewer than in the same
     # run with every arrival pushed to the heap. All 27,000 responses reach
     # the master by the horizon; the 120 not booked are the divergent ones
     handled = []
-    watch_balancers(monkeypatch, lambda node, p, port, tags, now: handled.append(p))
+    watch_balancers(monkeypatch, lambda sim, p, chain, now: handled.append(p))
     scenario = parse_scenario(WORKLOADS / "long-flows.yaml").with_seed(1)
     built = netsim.run(scenario)
     unsettled = len(handled)
@@ -1362,6 +1373,7 @@ def test_long_flows_booked_arrival_gate(monkeypatch):
     held = netsim.NetSim(scenario)
     monkeypatch.setattr(held, "_late", math.inf)  # as if an arrival were pending for ever
     held = held.run()
+    assert unsettled == built.divergences == 120
     assert len(handled) == 15 * 1_800
     assert held.scheduled_events - built.scheduled_events == len(handled) - unsettled == 26_880
 

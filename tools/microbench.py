@@ -28,16 +28,16 @@ Prints one JSON object of best-of-N timings:
   ``NetSim.inject``, in plans of 64 with one heap entry pending beyond the
   horizon; this is how a run brings in each planned packet.
 - ``transmit_us``: one data-path send, ``NetSim.transmit`` along the
-  client's compiled two-link walk to a no-op handler, plus the dispatch of
-  the arrival it pushes, with at most 64 sends pending. It times the push
-  and dispatch of a send that ends in an event.
+  master's compiled two-link walk to the client, which counts the packet
+  delivered: the least a send costs, with no NF and no event.
 - ``crossing_us``: one send from the slave with a chain's reverse tag,
   ``NetSim.transmit`` along the slave's compiled walk through a passthrough
-  NF, until the master gets the packet (a no-op handler), dispatches
-  included, with at most 64 sends pending. The simulator is not run, so
-  the master holds no session record and its arrival takes a heap entry:
-  this is the way from one balancer through an NF to the other that a
-  reverse packet the master cannot settle at the send takes.
+  NF, until the master gets the packet (a no-op in place of the master's
+  handler), dispatches included, with at most 64 sends pending. The
+  simulator is not run, so the master holds no session record and its
+  arrival takes a heap entry: this is the way from one balancer through an
+  NF to the other that a reverse packet the master cannot settle at the
+  send takes.
 - ``booked_crossing_us``: the same send when the master's record of the
   session holds the chain: the master's arrival is booked at the send and
   the packet counted delivered to the client, with no heap entry, as for
@@ -260,14 +260,11 @@ def transmit_us(repeat):
 
     sim = netsim.NetSim(cli.bundled_scenario("static-1"))
     planned = planned_packet()
-    # the compiled walk with a no-op at its end: the send's push and dispatch only
-    to_noop = sim.walks[("client", 1, ())]._replace(handle=noop)
+    to_client = sim.compile_walk("lb1", 1, ())
 
     def sends():
-        for _ in range(BATCHES):
-            for _ in range(PENDING):
-                sim.transmit(to_noop, planned, sim.loop.now)
-            sim.loop.run()
+        for _ in range(BATCHES * PENDING):
+            sim.transmit(to_client, planned, 0.0)
 
     best = min(seconds(sends) for _ in range(repeat))
     return round(1e6 * best / (BATCHES * PENDING), 3)
@@ -280,8 +277,11 @@ def crossing_sim(**nf):
 
     # a fresh run per repetition keeps the sends' times within the horizon
     sim = netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
-    walk = sim.nodes["lb2"].sends[sim.scenario.chains[0]]
-    return sim, walk._replace(onward=walk.onward._replace(handle=noop))
+    walk = sim.compile_walk("lb2", 1, (sim.scenario.chains[0].reverse_tag,))
+    if "handle" in netsim.Walk._fields:  # a checkout whose walks end in a handler
+        return sim, walk._replace(onward=walk.onward._replace(handle=noop))
+    sim._master_arrival = noop
+    return sim, walk
 
 
 def crossings_us(repeat, make_sim):
@@ -401,8 +401,8 @@ KEYS = ("hashing.canonical_key", "hashing.Endpoint")
 BALANCER = ("balancer.Balancer.map_packet(key, size, now)", "balancer.Balancer.stage_allocation",
             "balancer.Balancer.install", "hashing.HashParams", "hashing.ChainId", *KEYS)
 SIM = ("netsim.NetSim.transmit(walk, packet, now)", "netsim.NetSim.compile_walk",
-       "netsim.Walk.handle", "traffic.PlannedPacket", "cli.bundled_scenario", *KEYS)
-CROSSING = (*SIM, "netsim.BalancerNode", "netsim.Walk.onward", "netsim.Walk.nf")
+       "traffic.PlannedPacket", "cli.bundled_scenario", *KEYS)
+CROSSING = (*SIM, "netsim.Walk.onward", "netsim.Walk.nf")
 ROWS = (
     (("map_packet_hit_us", "map_packet_miss_us"), BALANCER, map_packet_figures),
     (("map_by_hash_hit_us", "map_by_hash_miss_us"),
