@@ -25,8 +25,9 @@ one of them when it is built, by following the switches' `TagRouter` rules
 with `route()`, and refuses a miswired topology there (`NoRoute`): a missing
 rule, or a walk that ends still tagged at a host or an NF. Tags and ports
 exist only there: a packet carries no tag stack at run time. A compiled walk
-carries the latency of each link it crosses (`Walk.links`), and a send adds
-them once per link, in order, so timestamps keep their float bits. Among
+carries the latency of each link it crosses (`Walk.links`), as many as its
+kind fixes (`WALK_LINKS`; the build refuses others), and a send adds them in
+one expression, in order, so timestamps keep their float bits. Among
 events with the same timestamp, a packet's arrival at a stateful node is
 ordered by when it was sent.
 
@@ -38,24 +39,23 @@ that changes with time:
   reads the plan itself (`_run_arrivals`), times each packet at its planned
   time, or the handshake's end if later, plus one latency per link, and
   runs the heap entries due strictly earlier before it. Both host walks
-  cross as many links (the build refuses others), so the arrivals rise in
-  plan order, and each runs first at its instant. The plan is a stream
-  planned as it is iterated (`traffic`), so a run holds one window of it
-  and iterates it once. The first packet that arrives after the horizon
-  ends the stream; it and those planned by the horizon after it were sent
-  but never received, and are left over.
+  cross 2 links, so the arrivals rise in plan order, and each runs first
+  at its instant. The plan is a stream planned as it is iterated
+  (`traffic`), so a run holds one window of it and iterates it once. The
+  first packet that arrives after the horizon ends the stream; it and
+  those planned by the horizon after it were sent but never received, and
+  are left over.
 - A packet that reaches a host with no tag left is counted delivered when
   it is sent, if it arrives by the horizon (the test the event loop's run
   applies to every entry). So is one that reaches the slave with a forward
   tag: the slave's pop is part of the walk to the server. The master's send
   to the client is the compiled walk `to_client`.
 - An NF is crossed at the balancer's send, in either mode. Every walk into
-  an NF crosses 3 links from a balancer (`compile_walk` refuses unequal
-  ones), so an NF gets packets in send order. A capacity NF's `admit` gives
-  the departure, or a drop by an event at the arrival time, pushed at the
-  send in the arrival's place. The leave (series second, last packet, the
-  session's chains) is booked inline at the departure time, and the walk
-  goes on.
+  an NF crosses 3 links from a balancer, so an NF gets packets in send
+  order. A capacity NF's `admit` gives the departure, or a drop by an
+  event at the arrival time, pushed at the send in the arrival's place.
+  The leave (series second, last packet, the session's chains) is booked
+  inline at the departure time, and the walk goes on.
 - The master's arrival at `m` of a reverse packet the slave sent on chain
   c at `a` is settled at the send when its reconcile could change only
   the timestamp: the master's record holds c and is active at `m`, and
@@ -86,14 +86,13 @@ event had. The master's unsettled arrival beyond an NF stands for an entry
 pushed at the leave, so only on an exact time tie can it run earlier.
 
 The per-packet path is kept to as few Python-level calls as it can be:
-the traffic plan builds each packet in C (`traffic`); the arrival loop calls
-`inject` directly, and the event loop only when a heap entry is due;
-`inject` maps each planned packet at its first balancer, by the hash its
-session's record carries, and sends it in one call; `transmit` pushes its
-heap entries itself, with the loop's one sequence counter, instead of
-calling `EventLoop.schedule`; a mapping balancer finds its send's walk by
-chain; and chain identities (`ChainId`) hash and compare in C. The
-client walk's links are bound once, and an NF's series at its first leave.
+the traffic plan builds each packet in C (`traffic`); the arrival loop maps
+each planned packet at its first balancer, by the hash its session's record
+carries, and calls `transmit` once and the event loop only when a heap
+entry is due; `transmit` pushes its heap entries itself, with the loop's
+one sequence counter; a mapping balancer finds its send's walk by chain;
+and chain identities (`ChainId`) hash and compare in C. The host and client
+walks' links are bound once, and an NF's series at its first leave.
 
 The run's record is one `RunResult`, created empty when the simulator is
 built and written in place as the run goes: the nodes and the bookkeeping
@@ -127,6 +126,16 @@ from .traffic import PlannedPacket, Session, generate_traffic
 # the traffic endpoints, in PlannedPacket.reverse order; no node object
 # stands for them, since their arrivals are counted at the send
 HOSTS = ("client", "server")
+
+# the links each kind of walk crosses, as `NetSim._build_topology` wires
+# them: the data path unpacks a walk's latencies at this arity
+WALK_LINKS = {
+    "a host's walk to its balancer": 2,
+    "a balancer's send into an NF": 3,
+    "an NF's walk on to the master": 3,
+    "an NF's walk on to the server, through the slave's pop": 5,
+    "the master's send to the client": 2,
+}
 
 # -- tag routing ----------------------------------------------------------------
 
@@ -296,14 +305,27 @@ class NfInstance:
 class Walk(NamedTuple):
     """A compiled path from a stateful node's egress port through the switches."""
 
-    # the latency of each link crossed, in order: a send adds them one at a
-    # time, so timestamps keep the float bits of one event per link
+    # the latency of each link crossed, in order, as many as `WALK_LINKS`
+    # fixes for the walk's kind: a send adds them in one expression, left
+    # to right, so timestamps keep the float bits of one event per link
     links: tuple[float, ...]
     # the NF this walk reaches untagged, and the NF's own walk on
     nf: NfInstance | None = None
     onward: Walk | None = None
     admit: object = None  # a capacity NF's bound `admit`, called at the send
     master: bool = False  # the walk ends at the master
+
+
+def walk_name(node: str, port: int, tags) -> str:
+    """How a refusal names the walk from a stateful node's egress port."""
+    return f"the walk from {node} port {port} with tags {list(tags)}"
+
+
+def fixed_links(walk: Walk, kind: str, name: str):
+    """Refuse the named walk if it crosses other than its kind's links."""
+    links = WALK_LINKS[kind]
+    if len(walk.links) != links:
+        raise RuntimeError(f"{name} crosses {len(walk.links)} links, but {kind} crosses {links}")
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -354,7 +376,6 @@ class NetSim:
         self.loop = EventLoop()
         self.nodes: dict[str, object] = {}
         self.links: dict[tuple[str, int], tuple[str, int]] = {}
-        self.nf_hops: dict[str, int] = {}  # links crossed by every walk into each NF
         self.latency = scenario.link_latency
         self.horizon = scenario.horizon
         self.session_timeout = scenario.session_timeout
@@ -449,17 +470,25 @@ class NetSim:
         that maps pushes a tag of a chain in `pairs`. An NF sends nothing by
         itself: a balancer's walk goes on through it.
         """
-        keys = [(node, 1, ()) for node in (*HOSTS, "lb1")]
-        keys += [("lb1", 1, (c.forward_tag,)) for c in pairs]
-        keys += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
+        sends = [("lb1", 1, (c.forward_tag,)) for c in pairs]
+        sends += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
+        keys = [(node, 1, ()) for node in (*HOSTS, "lb1")] + sends
         walks = self.walks = {key: self.compile_walk(*key) for key in keys}
-        client, server = (walks[(host, 1, ())] for host in HOSTS)
-        if len(client.links) != len(server.links):
-            raise RuntimeError(
-                f"the client's walk crosses {len(client.links)} links and the server's "
-                f"{len(server.links)}; planned arrivals keep plan order only if both cross as many"
-            )
-        self._host_latencies = client.links
+        # so both hosts' arrivals keep plan order, and an NF gets packets in
+        # the order the balancers send them
+        for host in HOSTS:
+            key = (host, 1, ())
+            fixed_links(walks[key], "a host's walk to its balancer", walk_name(*key))
+        key = ("lb1", 1, ())
+        fixed_links(walks[key], "the master's send to the client", walk_name(*key))
+        for key in sends:
+            walk, name = walks[key], walk_name(*key)
+            fixed_links(walk, "a balancer's send into an NF", name)
+            onward = walk.onward
+            fixed_links(onward, "an NF's walk on to the master" if onward.master
+                        else "an NF's walk on to the server, through the slave's pop",
+                        f"the walk on from {walk.nf.name}, after {name}")
+        self._host_latencies = walks[("client", 1, ())].links
         # the balancer a planned packet reaches first, by PlannedPacket.reverse,
         # and its send by the chain it maps to
         self._first_balancer = (
@@ -472,22 +501,19 @@ class NetSim:
     # -- data plane plumbing
 
     def transmit(self, walk: Walk, packet: PlannedPacket, now: float):
-        """Send a packet out of a balancer at `now` along a compiled walk, and
-        count it delivered where it reaches a host. An NF reached untagged is
+        """Send a packet out of a balancer at `now` along a compiled walk into
+        an NF, and count it delivered where it reaches a host. The NF is
         crossed here: a capacity NF admits the packet now, then the leave is
         booked inline and the walk goes on. The master's arrival beyond it is
         booked here if it is settled (see the module docstring), and pushed
         otherwise."""
-        links, nf, onward, admit, _ = walk
-        # one addition per link, as one event per link made, so that
-        # timestamps keep their float bits (never a link count * latency)
-        at = now
-        for latency in links:
-            at += latency
+        (a, b, c), nf, onward, admit, _ = walk
+        # one addition per link, in order, never a link count * latency
+        at = now + a + b + c
+        horizon = self.horizon
+        if at > horizon:  # run(until=horizon) would not dispatch the arrival
+            return
         if admit is not None:
-            # run(until=horizon) would not have dispatched the arrival
-            if at > self.horizon:
-                return
             departure = admit(packet, at)
             if departure is None:
                 # recorded at the arrival's time, in the place the arrival
@@ -498,65 +524,65 @@ class NetSim:
                 heappush(loop._heap, (at, seq, self.drop, (packet, nf.name, at)))
                 return
             at = departure
-        if nf is not None:
-            if at > self.horizon:
+            if at > horizon:
                 return
-            # the NF's leave, booked at its departure time
-            chain, result = nf.chain, self.result
-            seconds = nf.seconds
-            if seconds is None:
-                seconds = nf.seconds = result.series.buckets.setdefault(chain, {})
-            second = int(at)
-            seconds[second] = seconds.get(second, 0) + packet.size
-            result.last_packet_on[chain] = at
-            session = packet.session
-            crossed = session.nf_chains
-            if chain not in crossed:
-                session.nf_chains = crossed + (chain,) if crossed else nf.alone
-            in_flight = nf.in_flight
-            if in_flight is not None:
-                # kept for the reclaim check, pruned to the leaves after this
-                # send (a reclaim still to come is no earlier), or checked now
-                reclaim = result.reclaims.get(chain)
-                if reclaim is None:
-                    while in_flight and in_flight[0][0] <= now:
-                        in_flight.popleft()
-                    in_flight.append((at, session.session_id))
-                else:
-                    self._flag_crossings(chain, reclaim, ((at, session.session_id),))
-            links, _, _, _, master = onward
-            for latency in links:
-                at += latency
-            if master:
-                # the master's arrival, which run(until=horizon) would not
-                # dispatch after the horizon
-                if at > self.horizon:
-                    return
-                timeout = self.session_timeout
-                settled = False
-                if now + timeout <= at:
-                    if at > self._late:
-                        self._late = at
-                elif self._late < now:
-                    balancer = self.master_agent.balancer  # None before run()
-                    record = None if balancer is None else balancer.table.get(session.key)
-                    settled = (record is not None and record.assigned == chain
-                               and record.last_timestamp + timeout > at)
-                if not settled:
-                    # EventLoop.schedule inline: the same entry and the same counter
-                    loop = self.loop
-                    seq = loop._seq
-                    loop._seq = seq + 1
-                    heappush(loop._heap, (at, seq, self._master_arrival, (packet, chain, at)))
-                    return
-                if at > record.last_timestamp:
-                    record.last_timestamp = at
-                # on to the client, a host: `to_client`
-                for latency in self._client_links:
-                    at += latency
-        # what run(until=horizon) would have dispatched
-        if at <= self.horizon:
-            self.result.delivered_bytes += packet.size
+        # the NF's leave, booked at its departure time
+        chain, result = nf.chain, self.result
+        seconds = nf.seconds
+        if seconds is None:
+            seconds = nf.seconds = result.series.buckets.setdefault(chain, {})
+        second = int(at)
+        seconds[second] = seconds.get(second, 0) + packet.size
+        result.last_packet_on[chain] = at
+        session = packet.session
+        crossed = session.nf_chains
+        if chain not in crossed:
+            session.nf_chains = crossed + (chain,) if crossed else nf.alone
+        in_flight = nf.in_flight
+        if in_flight is not None:
+            # kept for the reclaim check, pruned to the leaves after this
+            # send (a reclaim still to come is no earlier), or checked now
+            reclaim = result.reclaims.get(chain)
+            if reclaim is None:
+                while in_flight and in_flight[0][0] <= now:
+                    in_flight.popleft()
+                in_flight.append((at, session.session_id))
+            else:
+                self._flag_crossings(chain, reclaim, ((at, session.session_id),))
+        links, _, _, _, master = onward
+        if not master:
+            # on through the slave's pop to the server, a host
+            a, b, c, d, e = links
+            if at + a + b + c + d + e <= horizon:
+                result.delivered_bytes += packet.size
+            return
+        # the master's arrival, not dispatched after the horizon
+        a, b, c = links
+        at = at + a + b + c
+        if at > horizon:
+            return
+        timeout = self.session_timeout
+        settled = False
+        if now + timeout <= at:
+            if at > self._late:
+                self._late = at
+        elif self._late < now:
+            balancer = self.master_agent.balancer  # None before run()
+            record = None if balancer is None else balancer.table.get(session.key)
+            settled = (record is not None and record.assigned == chain
+                       and record.last_timestamp + timeout > at)
+        if not settled:
+            # EventLoop.schedule inline: the same entry and the same counter
+            loop = self.loop
+            seq = loop._seq
+            loop._seq = seq + 1
+            heappush(loop._heap, (at, seq, self._master_arrival, (packet, chain, at)))
+            return
+        if at > record.last_timestamp:
+            record.last_timestamp = at
+        a, b = self._client_links  # on to the client: `to_client`
+        if at + a + b <= horizon:
+            result.delivered_bytes += packet.size
 
     def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
         """Follow the switch rules from a stateful node's egress port.
@@ -566,13 +592,11 @@ class NetSim:
         reaches the slave with a forward tag goes on from the slave's egress
         without it: the pop reads no state. A walk ends at a host or at a
         balancer's control agent (`Walk.master` at the master's), whatever
-        tag it arrives with. Only a balancer's walk reaches an
-        NF, and it goes on through the NF. Every walk into one NF must cross
-        the same number of links (3 from a balancer: its edge switch, the
-        chain's switch, the NF), so the NF gets packets in the order the
-        balancers send them, and a capacity NF can admit each at its send.
+        tag it arrives with. Only a balancer's walk reaches an NF, and it
+        goes on through the NF; the build checks each walk's link count
+        (`WALK_LINKS`).
         """
-        start, hops = f"the walk from {node} port {port} with tags {list(tags)}", 0
+        start, hops = walk_name(node, port, tags), 0
         while True:
             node, port = self.links[(node, port)]
             hops += 1
@@ -592,54 +616,34 @@ class NetSim:
                 raise NoRoute(f"{start} ends at {node} with tags {list(tags)} left")
             if reached is None:
                 return Walk((self.latency,) * hops)
-            known = self.nf_hops.setdefault(node, hops)
-            if hops != known:
-                raise RuntimeError(
-                    f"walks into {node} cross {known} and {hops} links; "
-                    "an NF admits in send order only if all cross the same number"
-                )
             admit = None if reached.mode == "passthrough" else reached.admit
             onward = self.compile_walk(node, far_port(port), tags)
             return Walk((self.latency,) * hops, reached, onward, admit)
 
-    def inject(self, packet: PlannedPacket, at: float):
-        """A planned packet arrives at its first balancer at `at`: count it
-        injected, map it by its session's key and hash, and send it on. The
-        arrival loop (`_run_arrivals`) calls it once per planned packet,
-        with no heap entry. The slave's map is noted only where
-        `note_mapped` has something to record: a session's first map there,
-        or a map to a reclaimed chain."""
-        result = self.result
-        result.injected_bytes += packet.size
-        result.packets += 1
-        session = packet.session
-        agent, sends = self._first_balancer[packet.reverse]
-        chain = agent.balancer.map_packet(session.key, packet.size, at, session.key_hash)
-        if not packet.reverse or session.slave_chain is None or chain in result.reclaims:
-            self.note_mapped(packet, chain, at)
-        self.transmit(sends[chain], packet, at)
-
     def _run_arrivals(self, packets, start: float):
-        """Inject each planned packet at its arrival, merged with the heap,
-        then run the heap's entries due by the horizon. A packet is sent at
-        its planned time, or at `start` (the handshake's end) if later, and
-        arrives one latency per link of the client's walk later (never a
-        link count * latency: the float bits of a send from the host). The
-        entries due strictly before it (by the float just below its time)
-        run first; one that arrives before `now` raises ValueError. Returns
-        the first packet that arrives after the horizon, unrun, or None when
-        the plan ran out."""
+        """Run each planned packet's arrival at its first balancer, merged
+        with the heap, then the heap's entries due by the horizon. A packet
+        is sent at its planned time, or at `start` (the handshake's end) if
+        later, and arrives the host walk's links later. The entries due
+        strictly before it (by the float just below its time) run first;
+        one that arrives before `now` raises ValueError. The arrival is
+        counted injected, mapped by its session's key and hash, and sent on.
+        The slave's map is noted only where `note_mapped` records something:
+        a session's first map there, or a map to a reclaimed chain. Returns
+        the first packet that arrives after the horizon, unrun, or None."""
         loop = self.loop
-        heap, run, inject = loop._heap, loop.run, self.inject
-        latencies, horizon = self._host_latencies, self.horizon
+        heap, run, transmit, note_mapped = loop._heap, loop.run, self.transmit, self.note_mapped
+        first_balancer, reclaims = self._first_balancer, self.result.reclaims
+        a, b = self._host_latencies
+        horizon = self.horizon
         nextafter, below = math.nextafter, -math.inf
         late = None
+        injected = arrived = 0
         for packet in packets:
-            at = packet.time
+            at, session, size, reverse = packet
             if at < start:
                 at = start
-            for latency in latencies:
-                at += latency
+            at = at + a + b
             if at > horizon:
                 late = packet
                 break
@@ -648,8 +652,17 @@ class NetSim:
             if at < loop.now:
                 raise ValueError(f"arrival at {at} is out of time order (now {loop.now})")
             loop.now = at
-            inject(packet, at)
+            injected += size
+            arrived += 1
+            agent, sends = first_balancer[reverse]
+            chain = agent.balancer.map_packet(session.key, size, at, session.key_hash)
+            if not reverse or session.slave_chain is None or chain in reclaims:
+                note_mapped(packet, chain, at)
+            transmit(sends[chain], packet, at)
         run(horizon)
+        result = self.result
+        result.injected_bytes += injected
+        result.packets += arrived
         return late
 
     def _sent_after_horizon(self, packets):
@@ -690,7 +703,9 @@ class NetSim:
         held = self.master_agent.balancer.reconcile(packet.session.key, chain, now)
         if held is not None and held != chain:
             self.note_reconcile(packet, held, chain, now)
-        self.transmit(self.to_client, packet, now)
+        a, b = self._client_links  # on to the client: `to_client`
+        if now + a + b <= self.horizon:
+            self.result.delivered_bytes += packet.size
 
     def note_mapped(self, packet: PlannedPacket, chain: ChainId, now: float):
         """Trace the map of the packet's session at its first balancer: the
@@ -747,6 +762,27 @@ class NetSim:
     # -- run orchestration
 
     def run(self) -> RunResult:
+        self._handshake()
+        # no packet is sent, and nothing scheduled, before the handshake ends
+        s = self.scenario
+        start = self.loop.now
+        packets = iter(generate_traffic(s.traffic, s.seed))
+        for action in s.actions:
+            self.loop.schedule(max(action.at, start), self._fire_action, action)
+        self.loop.schedule(max(SWEEP_PERIOD, start), self._sweep)
+        # monitoring poll every window keeps op-time windows at most one
+        # window long, so rebalancing math never sees stale transients
+        self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
+        late = self._run_arrivals(packets, start)
+        arrived = self.result.packets
+        if late is not None:
+            # an arrival after the horizon ended the stream: its packet and
+            # the rest of the plan were sent but never received
+            self._sent_after_horizon(itertools.chain((late,), packets))
+        return self._finalize(arrived)
+
+    def _handshake(self):
+        """Run the balancers' handshake to its end; `run` starts with it."""
         if self.loop._heap:
             # the handshake drains the loop with no time limit, so an entry
             # pushed before run() would run during it and move `now` ahead
@@ -772,23 +808,6 @@ class NetSim:
             raise RuntimeError("handshake did not complete")
         if not state["ok"]:
             raise RuntimeError(f"handshake failed: {state['error']}")
-
-        # no packet is sent, and nothing scheduled, before the handshake ends
-        start = self.loop.now
-        packets = iter(generate_traffic(s.traffic, s.seed))
-        for action in s.actions:
-            self.loop.schedule(max(action.at, start), self._fire_action, action)
-        self.loop.schedule(max(SWEEP_PERIOD, start), self._sweep)
-        # monitoring poll every window keeps op-time windows at most one
-        # window long, so rebalancing math never sees stale transients
-        self.loop.schedule(max(0.5 * s.window_length, start), self._stats_poll)
-        late = self._run_arrivals(packets, start)
-        arrived = self.result.packets
-        if late is not None:
-            # an arrival after the horizon ended the stream: its packet and
-            # the rest of the plan were sent but never received
-            self._sent_after_horizon(itertools.chain((late,), packets))
-        return self._finalize(arrived)
 
     def _stats_poll(self):
         now = self.loop.now

@@ -137,9 +137,12 @@ def test_nf_token_bucket_timing():
     assert departures[0] == pytest.approx(1.0)
 
 
-def send(sim, node, port, p, tags):
-    """Send a packet out of a stateful node now, along its compiled walk."""
-    sim.transmit(sim.compile_walk(node, port, tags), p, sim.loop.now)
+def send(sim, balancer, p, tag):
+    """Send a packet out of a balancer now, along its compiled walk into the
+    NF of the chain whose tag it pushes: the only walk `transmit` takes."""
+    walk = sim.walks[(balancer, 1, (tag,))]
+    assert walk.nf is not None
+    sim.transmit(walk, p, sim.loop.now)
 
 
 def test_nf_passthrough_zero_delay():
@@ -154,12 +157,12 @@ def test_nf_passthrough_zero_delay():
     beyond = at_nf
     for _ in range(3):  # nf1 -> cs1 -> es -> lb
         beyond += 0.0013
-    for node, tags in (("lb2", (C1.reverse_tag,)), ("lb1", (C1.forward_tag,))):
+    for node, tag in (("lb2", C1.reverse_tag), ("lb1", C1.forward_tag)):
         sim = netsim.NetSim(small_scenario(link_latency=0.0013))
         assert sim.nodes["nf1"].chain == C1 and sim.nodes["nf1"].mode == "passthrough"
         sent = packet()
         sim.loop.now = 3.5
-        send(sim, node, 1, sent, tags)
+        send(sim, node, sent, tag)
         if node == "lb2":
             [(at, _, handle, args)] = sim.loop._heap
             assert (at, handle, args) == (beyond, sim._master_arrival, (sent, C1, beyond))
@@ -178,7 +181,7 @@ def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
     # 1.0 + 0.001 + 0.001 + 0.001, never at 1.0 + 3 * 0.001 = 1.003
     sim = netsim.NetSim(small_scenario(link_latency=0.001))
     sim.loop.now = 1.0
-    send(sim, "lb1", 1, packet(), (C1.forward_tag,))
+    send(sim, "lb1", packet(), C1.forward_tag)
     leave = sim.result.last_packet_on[C1]
     assert leave == 1.0029999999999997
     assert leave != 1.0 + 3 * 0.001  # 1.003
@@ -190,7 +193,7 @@ def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
     sent = packet()._replace(reverse=True)
     master.reconcile(sent.session.key, C1, 1.0)
     sim.loop.now, sim.horizon = 1.0, 1.0079999999999991
-    send(sim, "lb2", 1, sent, (C1.reverse_tag,))
+    send(sim, "lb2", sent, C1.reverse_tag)
     assert master.table[sent.session.key].last_timestamp == 1.0059999999999993
     assert sim.loop._heap == [] and sim.result.delivered_bytes == sent.size
     # a planned packet sent from the client at 1.0 reaches the master two
@@ -223,7 +226,7 @@ def test_master_arrival_is_booked_at_the_slave_send_only_when_settled(case, sett
     if case == "a long trip is still pending":
         sim._late = 3.5
     sim.loop.now = 3.5
-    send(sim, "lb2", 1, sent, (C1.reverse_tag,))
+    send(sim, "lb2", sent, C1.reverse_tag)
     arrival = 3.5
     for _ in range(6):  # lb2 -> es2 -> cs1 -> nf1 -> cs1 -> es1 -> lb1
         arrival += 0.0013
@@ -629,7 +632,8 @@ def test_compiled_walks_match_hop_by_hop_route():
             if key in compiled:
                 assert compiled[key] == walk
         assert crossed == {("lb1", C2), ("lb2", C2), ("lb1", C1), ("lb2", C1)}, mode
-        assert sim.nf_hops == {"nf1": 3, "nf2": 3}
+        # every walk into an NF crosses 3 links, so an NF admits in send order
+        assert {len(sim.walks[key].links) for key in compiled if key[2]} == {3}
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
@@ -677,31 +681,50 @@ def test_every_compiled_walk_carries_one_latency_per_link_crossed():
         assert sim._host_latencies == sim.walks[("client", 1, ())].links
 
 
-def test_compile_walk_refuses_walks_of_unequal_length_into_an_nf():
-    # the NF admits in send order only if every walk into it is as long
-    sim = netsim.NetSim(small_scenario())
-    assert sim.nf_hops == {"nf1": 3, "nf2": 3}  # compiled when built
-    with pytest.raises(RuntimeError, match="walks into nf1 cross 3 and 1 links"):
-        sim.compile_walk("cs1", 2, ())
+# for each kind of walk (a key of netsim.WALK_LINKS), the switch rule
+# (switch, ingress port, tag) on it that a spliced switch lengthens by one
+# link, and the walk the build names; C1's tags are 2 and 3, and es1
+# reaches C1 by its port 5
+SPLICES = {
+    "host_walk": ("a host's walk to its balancer",
+                  ("es1", 1, None), "the walk from client port 1 with tags []"),
+    "balancer_send": ("a balancer's send into an NF",
+                      ("es1", 4, 2), "the walk from lb1 port 1 with tags [2]"),
+    "on_to_master": ("an NF's walk on to the master", ("es1", 5, 3),
+                     "the walk on from nf1, after the walk from lb2 port 1 with tags [3]"),
+    "on_to_server": ("an NF's walk on to the server, through the slave's pop", ("es2", 4, None),
+                     "the walk on from nf1, after the walk from lb1 port 1 with tags [2]"),
+    "to_client": ("the master's send to the client",
+                  ("es1", 4, None), "the walk from lb1 port 1 with tags []"),
+}
 
 
-def test_build_refuses_host_walks_of_unequal_length(monkeypatch):
-    # planned arrivals rise in plan order only if both hosts' walks to their
-    # balancers cross as many links: a switch spliced in before es1 makes the
-    # client's 3 links against the server's 2
+@pytest.mark.parametrize("name", SPLICES)
+def test_build_refuses_a_walk_of_another_link_count(name, monkeypatch):
+    # the data path adds each walk's links at the arity its kind fixes, so a
+    # switch spliced into one walk, which makes it one link longer, is
+    # refused when the simulator is built, naming the walk and both counts.
+    # The fixed counts keep both hosts' arrivals in plan order and every
+    # walk into an NF as long, so that it admits in send order
+    kind, (switch, in_port, tag), walk = SPLICES[name]
+    links = netsim.WALK_LINKS[kind]
     build = netsim.NetSim._build_topology
 
     def build_then_splice(sim, pairs):
         build(sim, pairs)
+        router = sim.nodes[switch]
+        rule = router.rules[(in_port, tag)]
         splice = sim.nodes["xs"] = TagRouter()
-        splice.add(1, None, 2)
-        splice.add(2, None, 1)
-        sim._cable("client", 1, "xs", 1)
-        sim._cable("xs", 2, "es1", 1)
+        splice.add(1, tag, 2)
+        sim._wire(switch, 99, "xs", 1)
+        sim._wire("xs", 2, *sim.links[(switch, rule.out_port)])
+        router.add(in_port, tag, 99)
 
+    netsim.NetSim(small_scenario())  # unspliced, every walk has its count
     monkeypatch.setattr(netsim.NetSim, "_build_topology", build_then_splice)
-    with pytest.raises(RuntimeError, match="client's walk crosses 3 links and the server's 2"):
+    with pytest.raises(RuntimeError) as refused:
         netsim.NetSim(small_scenario())
+    assert str(refused.value) == f"{walk} crosses {links + 1} links, but {kind} crosses {links}"
 
 
 # (switch, ingress port, tag, out port, action or None to delete the rule),
@@ -815,11 +838,11 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
                 arrival += 0.0013
             control = lambda: order.append(("control", sim.loop.now))
             if packet_first:
-                send(sim, "lb2", 1, stray, (C1.reverse_tag,))
+                send(sim, "lb2", stray, C1.reverse_tag)
                 sim.loop.schedule(arrival, control)
             else:
                 sim.loop.schedule(arrival, control)
-                send(sim, "lb2", 1, stray, (C1.reverse_tag,))
+                send(sim, "lb2", stray, C1.reverse_tag)
 
         schedule_after_handshake(monkeypatch, sim, 0.3, send_stray)
         result = sim.run()
@@ -831,15 +854,16 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
 
 def first_hop_arrivals(monkeypatch):
     """(packet, time) of every planned packet's arrival at its first
-    balancer, in order, of the simulators run after this call."""
+    balancer, in order, of the simulators run after this call: the arrival
+    loop sends each one on with one `transmit` call at its arrival time."""
     arrivals = []
-    inject = netsim.NetSim.inject
+    transmit = netsim.NetSim.transmit
 
-    def watched(sim, p, at):
+    def watched(sim, walk, p, at):
         arrivals.append((p, at))
-        inject(sim, p, at)
+        transmit(sim, walk, p, at)
 
-    monkeypatch.setattr(netsim.NetSim, "inject", watched)
+    monkeypatch.setattr(netsim.NetSim, "transmit", watched)
     return arrivals
 
 
@@ -898,13 +922,15 @@ CALLBACKS = st.tuples(TIMES, st.lists(st.sampled_from([0.0, 0.25, 0.5]), max_siz
 )
 def test_planned_arrivals_run_merged_with_the_heap_in_reference_order(arrivals, scheduled,
                                                                       until, start):
-    # each callback, a planned packet's inject or a scheduled entry, pushes
-    # one entry per delay when it runs; the plan is sorted by time, stably,
-    # so ties keep plan order. The packets are sent at their planned time or
-    # at `start`, if that is later, and the scheduled entries and the
-    # horizon are at arrival times
+    # each callback, a planned packet's send on from its first balancer or
+    # a scheduled entry, pushes one entry per delay when it runs; the plan
+    # is sorted by time, stably, so ties keep plan order. The packets are
+    # sent at their planned time or at `start`, if that is later, and the
+    # scheduled entries and the horizon are at arrival times. The handshake
+    # runs first, so that the balancers map the arrivals
     arrivals = sorted(arrivals, key=lambda a: a[0])
     sim = netsim.NetSim(small_scenario(link_latency=0.25))
+    sim._handshake()
     loop = sim.loop
     ran = []
 
@@ -914,8 +940,8 @@ def test_planned_arrivals_run_merged_with_the_heap_in_reference_order(arrivals, 
             loop.schedule(loop.now + d, call, (label, j), ())
 
     plan = [packet(i)._replace(time=at) for i, (at, _) in enumerate(arrivals)]
-    sim.inject = lambda p, at: call(("arrival", p.session.session_id),
-                                    arrivals[p.session.session_id][1])
+    sim.transmit = lambda walk, p, at: call(("arrival", p.session.session_id),
+                                            arrivals[p.session.session_id][1])
     scheduled = [(at + TRIP, delays) for at, delays in scheduled]
     for i, (at, delays) in enumerate(scheduled):
         loop.schedule(at, call, ("scheduled", i), delays)
@@ -1020,27 +1046,27 @@ def test_planned_packets_at_the_horizon(with_traffic, monkeypatch):
 
 
 def horizon_run(monkeypatch, sent_at):
-    """A run that sends one stray packet from the slave to the server at
-    sent_at, over two 0.25 s links, with a 15 s horizon."""
+    """A run that sends one stray packet from the master through C1's NF to
+    the server at sent_at, over eight 0.25 s links, with a 15 s horizon."""
     sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
     stray = packet()
 
     def send_stray():
         sim.result.injected_bytes += stray.size
-        send(sim, "lb2", 1, stray, ())
+        send(sim, "lb1", stray, C1.forward_tag)
 
     schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
     return sim.run(), stray
 
 
 def test_clean_host_arrival_at_the_horizon_is_delivered(monkeypatch):
-    result, _ = horizon_run(monkeypatch, 14.5)  # 14.5 + 0.25 + 0.25 == 15.0, exactly
+    result, _ = horizon_run(monkeypatch, 13.0)  # 13.0 + 8 * 0.25 == 15.0, exactly
     assert result.clean
     assert result.leftover_bytes == 0
 
 
 def test_clean_host_arrival_after_the_horizon_is_left_over(monkeypatch):
-    result, stray = horizon_run(monkeypatch, 14.75)  # arrives at 15.25
+    result, stray = horizon_run(monkeypatch, 13.25)  # arrives at 15.25
     assert not result.anomalies
     assert result.leftover_bytes == stray.size
 
@@ -1064,8 +1090,6 @@ def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain(monkeypatch):
         crossed, pushes = Counter(), Counter()
 
         def counted(walk, p, now):
-            if walk.nf is None:
-                return transmit(walk, p, now)
             chain = walk.nf.chain
             before, total = sim.loop._seq, series.total_for(chain)
             transmit(walk, p, now)
@@ -1136,7 +1160,7 @@ def test_leave_booked_after_the_reclaim_is_caught_at_its_departure(monkeypatch):
 
     def send_stray():
         sim.result.injected_bytes += stray.size
-        send(sim, "lb1", 1, stray, (C2.forward_tag,))
+        send(sim, "lb1", stray, C2.forward_tag)
 
     schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
     result = sim.run()
@@ -1167,7 +1191,7 @@ def test_nf_crossing_at_the_horizon(sent_at, booked, monkeypatch):
         def send_stray():
             sim.result.injected_bytes += stray.size
             before = sim.loop._seq
-            send(sim, node, 1, stray, (tag,))
+            send(sim, node, stray, tag)
             pushed.append(sim.loop._seq - before)
 
         schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
@@ -1484,7 +1508,8 @@ def test_static_1_python_calls_per_packet_gate():
     # call, 4.32. NetSim.run reading the plan itself, with no generator
     # resumed per packet to reach `inject`, made it 3.32: one call fewer per
     # packet, less one `EventLoop.run` call per batch of heap entries due
-    # between two arrivals (31 here, all of the control plane).
+    # between two arrivals (31 here, all of the control plane). The arrival
+    # loop mapping each packet itself, with no `inject` call, made it 2.32.
     result, calls = profiled_run(cli.bundled_scenario("static-1").with_seed(1))
     chain_code = {
         getattr(attr, "__func__", attr).__code__: name
@@ -1495,7 +1520,7 @@ def test_static_1_python_calls_per_packet_gate():
     assert {chain_code[code]: n for code, n in calls.items() if code in chain_code} == {
         "__new__": 14
     }
-    assert calls.total() <= 3.35 * result.packets
+    assert calls.total() <= 2.35 * result.packets
 
 
 def test_short_flows_python_calls_per_packet_gate():
@@ -1512,10 +1537,13 @@ def test_short_flows_python_calls_per_packet_gate():
     # it 6.73. NetSim.run reading the plan itself, with no generator resumed
     # per packet, made it 5.76: 18,000 calls fewer, and 593 `EventLoop.run`
     # calls for the batches of heap entries due between two arrivals, most
-    # of them the master's unsettled arrivals
+    # of them the master's unsettled arrivals. The arrival loop mapping each
+    # packet itself, with no `inject` call, and the master's 645 unsettled
+    # arrivals booking the send to the client with no `transmit` call, made
+    # it 4.725
     result, calls = profiled_run(parse_scenario(WORKLOADS / "short-flows.yaml").with_seed(1))
     assert result.packets == 18_000
-    assert calls.total() <= 5.77 * result.packets
+    assert calls.total() <= 4.74 * result.packets
 
 
 def test_long_flows_python_calls_per_packet_gate():
@@ -1526,10 +1554,12 @@ def test_long_flows_python_calls_per_packet_gate():
     # (no SessionTrace or SessionRecord constructor), 4.66. NetSim.run
     # reading the plan itself, with no generator resumed per packet, made it
     # 3.67 (260 `EventLoop.run` calls for the heap entries due between two
-    # arrivals)
+    # arrivals). The arrival loop mapping each packet itself, with no
+    # `inject` call, and the master's 120 unsettled arrivals booking the
+    # send to the client with no `transmit` call, made it 2.663
     result, calls = profiled_run(parse_scenario(WORKLOADS / "long-flows.yaml").with_seed(1))
     assert result.packets == 28_800
-    assert calls.total() <= 3.7 * result.packets
+    assert calls.total() <= 2.7 * result.packets
 
 
 def test_capacity_drain_python_calls_per_packet_gate():
@@ -1538,10 +1568,12 @@ def test_capacity_drain_python_calls_per_packet_gate():
     # With the arrival stream a generator resumed per packet it read 5.72;
     # NetSim.run reading the plan itself made it 4.76, with 1,141
     # `EventLoop.run` calls for the batches of heap entries due between two
-    # arrivals
+    # arrivals. The arrival loop mapping each packet itself, with no
+    # `inject` call, and the master's 120 unsettled arrivals booking the
+    # send to the client with no `transmit` call, made it 3.755
     result, calls = profiled_run(parse_scenario(WORKLOADS / "capacity-drain.yaml").with_seed(1))
     assert result.packets == 32_000
-    assert calls.total() <= 4.77 * result.packets
+    assert calls.total() <= 3.77 * result.packets
 
 
 # events.jsonl key order per kind; `*` stands for the action's op

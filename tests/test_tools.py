@@ -67,7 +67,8 @@ def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
     # a checkout from before the packed session key, whose map_packet takes a
     # packet, without traffic.SERVER, and whose NetSim has no arrival loop of
     # its own: the figures that call any of them print null and name what
-    # the checkout lacks, and every other figure is timed
+    # the checkout lacks, and every other figure is timed. The arrival loop's
+    # figure maps each arrival by its key's hash, so it lacks that map too
     src = copied_src(
         tmp_path,
         balancer="def map_packet(self, packet):\n    return None\n\n\n"
@@ -85,7 +86,10 @@ def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
             "balancer.Balancer.map_packet(key, size, now)",
         ]),
         "client_draw_us": ["traffic.SERVER"],
-        "arrival_dispatch_us": ["netsim.NetSim._run_arrivals(packets, start)"],
+        "arrival_dispatch_us": [
+            "netsim.NetSim._run_arrivals(packets, start)",
+            "balancer.Balancer.map_packet(key, size, now, key_hash)",
+        ],
     }
     assert all(figures[name] is None for name in figures["missing"])
     assert all(figures[name] is not None for name in FIGURES - set(figures["missing"]))
@@ -126,15 +130,17 @@ def test_digests_prints_every_output_of_every_seed(tmp_path):
     ]
 
 
-# the eleven SPANS targets the program no longer has (ROADMAP item 1); any
+# the twelve SPANS targets the program no longer has (ROADMAP item 1); any
 # other name here means a change broke a name bench/tracing.py wraps. The
 # balancer node's handler went when the master's one data-path event became
-# NetSim._master_arrival
+# NetSim._master_arrival, and `inject` when the arrival loop took over its
+# map and send
 DEAD_SPANS = {
     "netsim.NetSim._arrive", "netsim.SwitchNode.handle", "netsim.canonical_key",
     "balancer.canonical_key", "netsim.encode_message", "netsim.decode_message",
     "netsim.HostNode.handle", "netsim.NfInstance.handle",
     "netsim.NfInstance._depart", "netsim.NetSim.note_nf", "netsim.BalancerNode.handle",
+    "netsim.NetSim.inject",
 }
 
 

@@ -23,13 +23,16 @@ Prints one JSON object of best-of-N timings:
 - ``event_dispatch_us``: one ``EventLoop.schedule`` plus the dispatch of a
   no-op callback, with at most 64 events pending, as in the simulator.
 - ``arrival_dispatch_us``: one planned packet's arrival in the simulator's
-  arrival loop (``NetSim._run_arrivals``), which times it off the plan and
-  merges it with the event loop's heap, injected to a no-op in place of
-  ``NetSim.inject``, in plans of 64 with one heap entry pending beyond the
-  horizon; this is how a run brings in each planned packet.
-- ``transmit_us``: one data-path send, ``NetSim.transmit`` along the
-  master's compiled two-link walk to the client, which counts the packet
-  delivered: the least a send costs, with no NF and no event.
+  arrival loop (``NetSim._run_arrivals``), which times it off the plan,
+  merges it with the event loop's heap and maps it at its first balancer,
+  the master, by a table hit, after the balancers' handshake; the send on
+  is a no-op in place of ``NetSim.transmit``. Plans of 64 forward packets
+  of one session, with one heap entry pending beyond the horizon: this is
+  how a run brings in each planned packet.
+- ``transmit_us``: one data-path send from the master with a chain's
+  forward tag, ``NetSim.transmit`` along its compiled walk through a
+  passthrough NF and on through the slave's pop to the server, which
+  counts the packet delivered: the least a send costs, with no event.
 - ``crossing_us``: one send from the slave with a chain's reverse tag,
   ``NetSim.transmit`` along the slave's compiled walk through a passthrough
   NF, until the master gets the packet (a no-op in place of the master's
@@ -222,12 +225,22 @@ def noop(*args):
 
 def arrival_dispatch_us(repeat):
     from chainbalance import cli, netsim
+    from chainbalance.control import ClusterConfig
 
     planned = planned_packet()
 
     def arrival_sim():
         sim = netsim.NetSim(cli.bundled_scenario("static-1"))
-        sim.inject = noop
+        s = sim.scenario
+        # the handshake as NetSim.run makes it first, through the management
+        # system, which installs both balancers' first bucket vector
+        sim.ms.handshake(ClusterConfig(s.hash_seed, s.bucket_count, s.session_timeout,
+                                       s.chains), on_done=noop)
+        sim.loop.run()
+        session = planned.session
+        # the session's record, so that every timed map is a table hit
+        sim.master_agent.balancer.map_packet(session.key, planned.size, 0.0, session.key_hash)
+        sim.transmit = noop
         sim.loop.schedule(math.inf, noop)  # one entry pending, as the merge meets it
         return sim
 
@@ -236,9 +249,10 @@ def arrival_dispatch_us(repeat):
             sim._run_arrivals(iter(plan), 0.0)
 
     # a fresh simulator and prebuilt plans per repetition: 64 packets a plan,
-    # planned 1 us apart, each plan after the one before
+    # planned 1 us apart from the handshake's end on, each plan after the
+    # one before
     best = min(seconds(functools.partial(arrival_dispatches, arrival_sim(), [
-        [planned._replace(time=(b * PENDING + i) * 1e-6) for i in range(PENDING)]
+        [planned._replace(time=0.01 + (b * PENDING + i) * 1e-6) for i in range(PENDING)]
         for b in range(BATCHES)
     ])) for _ in range(repeat))
     return round(1e6 * best / (BATCHES * PENDING), 3)
@@ -260,11 +274,11 @@ def transmit_us(repeat):
 
     sim = netsim.NetSim(cli.bundled_scenario("static-1"))
     planned = planned_packet()
-    to_client = sim.compile_walk("lb1", 1, ())
+    to_server = sim.compile_walk("lb1", 1, (sim.scenario.chains[0].forward_tag,))
 
     def sends():
         for _ in range(BATCHES * PENDING):
-            sim.transmit(to_client, planned, 0.0)
+            sim.transmit(to_server, planned, 0.0)
 
     best = min(seconds(sends) for _ in range(repeat))
     return round(1e6 * best / (BATCHES * PENDING), 3)
@@ -418,7 +432,10 @@ ROWS = (
      codec_round_trip_us),
     (("event_dispatch_us",), ("engine.EventLoop.schedule(at, fn)", "engine.EventLoop.run"),
      event_dispatch_us),
-    (("arrival_dispatch_us",), ("netsim.NetSim._run_arrivals(packets, start)", *SIM),
+    (("arrival_dispatch_us",),
+     ("netsim.NetSim._run_arrivals(packets, start)", "control.ClusterConfig",
+      "control.ManagementSystem.handshake(cfg, on_done)",
+      "balancer.Balancer.map_packet(key, size, now, key_hash)", *SIM),
      arrival_dispatch_us),
     (("transmit_us",), SIM, transmit_us),
     (("crossing_us",), CROSSING, lambda repeat: crossings_us(repeat, crossing_sim)),
