@@ -41,10 +41,6 @@ class DuplicateTags(ChainBalanceError):
     """A tag of the new chain is already in use."""
 
 
-class NoRoute(ChainBalanceError):
-    """No rule matches this (ingress port, tag) combination."""
-
-
 class ScenarioError(ChainBalanceError):
     """Scenario file is syntactically or semantically invalid."""
 

@@ -18,23 +18,22 @@ keeps the session's trace on that same record, read off the packet with no
 lookup.
 
 Switches hold no state: a packet's path through them depends only on where
-it leaves a stateful node (host, balancer or NF) and on its stack of routing
-tags. Those walks form a finite set known when the topology is wired: a
-balancer only pushes the tag of a declared chain. So `NetSim` compiles every
-one of them when it is built, by following the switches' `TagRouter` rules
-with `route()`, and refuses a miswired topology there (`NoRoute`): a missing
-rule, or a walk that ends still tagged at a host or an NF. Tags and ports
-exist only there: a packet carries no tag stack at run time. A compiled walk
-carries the latency of each link it crosses (`Walk.links`), as many as its
-kind fixes (`WALK_LINKS`; the build refuses others), and a send adds them in
-one expression, in order, so timestamps keep their float bits. Among
-events with the same timestamp, a packet's arrival at a stateful node is
-ordered by when it was sent.
+it leaves a stateful node (host, balancer or NF) and on the chain its
+balancer picked. So every walk a run takes is known when `NetSim` is built,
+and it builds them then (`_build_walks`): each kind of walk crosses the
+number of links the testbed's cabling fixes (`WALK_LINKS`), and no packet
+carries a tag or meets a switch at run time. The switches' OpenFlow rules,
+push and pop by tag, are kept in the tests (`tests/topology.py`) as the
+model every built walk is checked against. A walk carries the latency of
+each link it crosses (`Walk.links`), and a send adds them in one
+expression, in order, so timestamps keep their float bits. Among events
+with the same timestamp, a packet's arrival at a stateful node is ordered
+by when it was sent.
 
 If no queue drops it, a forward packet makes no heap entry, and a reverse
 packet one only if its arrival at the master is not settled at the slave's
-send (below). The walks are compiled through every hop that reads no state
-that changes with time:
+send (below). The walks run through every hop that reads no state that
+changes with time:
 - A planned packet's arrival at its first balancer is no heap entry: `run`
   reads the plan itself (`_run_arrivals`), times each packet at its planned
   time, or the handshake's end if later, plus one latency per link, and
@@ -49,7 +48,7 @@ that changes with time:
   it is sent, if it arrives by the horizon (the test the event loop's run
   applies to every entry). So is one that reaches the slave with a forward
   tag: the slave's pop is part of the walk to the server. The master's send
-  to the client is the compiled walk `to_client`.
+  to the client is the walk `to_client`.
 - An NF is crossed at the balancer's send, in either mode. Every walk into
   an NF crosses 3 links from a balancer, so an NF gets packets in send
   order. A capacity NF's `admit` gives the departure, or a drop by an
@@ -69,9 +68,9 @@ that changes with time:
   none is settled. An unsettled arrival, such as a session's divergent
   first response, takes one heap entry, `NetSim._master_arrival` with the
   chain of the NF the walk crossed, which reconciles; one after the
-  horizon takes none. That chain is the one the tag named: es1 lets a
-  packet into the master only by the rule of a chain's reverse tag on
-  that chain's port.
+  horizon takes none. In the testbed that chain is the one the tag named:
+  es1 lets a packet into the master only by the rule of a chain's reverse
+  tag on that chain's port.
 
 No packet may leave a chain's NF after its reclaim. An NF whose chain a
 remove action names keeps the leaves it has booked in `in_flight`. When
@@ -118,17 +117,14 @@ from .control import (
     ClusterConfig, ManagementSystem, MasterAgent, SlaveAgent, Transport, alloc_to_wire,
 )
 from .engine import EventLoop
-from .errors import NeverConverged, NoRoute
+from .errors import NeverConverged
 from .hashing import ChainId
 from .scenario import SWEEP_PERIOD, Scenario
 from .traffic import PlannedPacket, Session, generate_traffic
 
-# the traffic endpoints, in PlannedPacket.reverse order; no node object
-# stands for them, since their arrivals are counted at the send
-HOSTS = ("client", "server")
-
-# the links each kind of walk crosses, as `NetSim._build_topology` wires
-# them: the data path unpacks a walk's latencies at this arity
+# the links each kind of walk crosses in the testbed, whose switches
+# `tests/topology.py` models: `NetSim._build_walks` builds each walk with
+# this many, and the data path unpacks a walk's latencies at this arity
 WALK_LINKS = {
     "a host's walk to its balancer": 2,
     "a balancer's send into an NF": 3,
@@ -136,45 +132,6 @@ WALK_LINKS = {
     "an NF's walk on to the server, through the slave's pop": 5,
     "the master's send to the client": 2,
 }
-
-# -- tag routing ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TagRule:
-    out_port: int
-    action: str = "none"  # none | push | pop
-    tag: int | None = None
-
-
-class TagRouter:
-    """OpenFlow-style switch: (ingress port, outer tag) -> (egress port, tag action).
-
-    It never handles packets itself; `NetSim` compiles walks through its rules.
-    """
-
-    def __init__(self):
-        self.rules: dict[tuple[int, int | None], TagRule] = {}
-
-    def add(self, in_port: int, tag: int | None, out_port: int, action: str = "none",
-            action_tag: int | None = None):
-        if action == "pop" and tag is None:
-            # the only rule that could pop an empty stack
-            raise ValueError(f"pop rule on ingress {in_port} must match a tag")
-        self.rules[(in_port, tag)] = TagRule(out_port, action, action_tag)
-
-
-def route(router: TagRouter, port: int, tags: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Apply the matching rule to a tag stack; raises NoRoute when none exists."""
-    top = tags[-1] if tags else None
-    rule = router.rules.get((port, top))
-    if rule is None:
-        raise NoRoute(f"no rule for ingress {port}, tag {top}")
-    if rule.action == "pop":
-        tags = tags[:-1]
-    elif rule.action == "push":
-        tags = tags + (rule.tag,)
-    return rule.out_port, tags
 
 
 # -- measurement ----------------------------------------------------------------
@@ -257,11 +214,6 @@ def measure_drain(series: ThroughputSeries, victim: ChainId, event_time: float) 
 # -- network nodes ----------------------------------------------------------------
 
 
-def far_port(port: int) -> int:
-    """An NF's other port: what comes in on one side leaves by the other."""
-    return 2 if port == 1 else 1
-
-
 class NfInstance:
     """A chain's network function: pass traffic through, optionally rate-limited.
 
@@ -303,7 +255,7 @@ class NfInstance:
 
 
 class Walk(NamedTuple):
-    """A compiled path from a stateful node's egress port through the switches."""
+    """A path from a stateful node's egress port through the switches."""
 
     # the latency of each link crossed, in order, as many as `WALK_LINKS`
     # fixes for the walk's kind: a send adds them in one expression, left
@@ -314,18 +266,6 @@ class Walk(NamedTuple):
     onward: Walk | None = None
     admit: object = None  # a capacity NF's bound `admit`, called at the send
     master: bool = False  # the walk ends at the master
-
-
-def walk_name(node: str, port: int, tags) -> str:
-    """How a refusal names the walk from a stateful node's egress port."""
-    return f"the walk from {node} port {port} with tags {list(tags)}"
-
-
-def fixed_links(walk: Walk, kind: str, name: str):
-    """Refuse the named walk if it crosses other than its kind's links."""
-    links = WALK_LINKS[kind]
-    if len(walk.links) != links:
-        raise RuntimeError(f"{name} crosses {len(walk.links)} links, but {kind} crosses {links}")
 
 
 # -- the simulation ----------------------------------------------------------------
@@ -374,8 +314,6 @@ class NetSim:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.loop = EventLoop()
-        self.nodes: dict[str, object] = {}
-        self.links: dict[tuple[str, int], tuple[str, int]] = {}
         self.latency = scenario.link_latency
         self.horizon = scenario.horizon
         self.session_timeout = scenario.session_timeout
@@ -397,8 +335,7 @@ class NetSim:
         self._late = -math.inf
 
         self._build_control()
-        self._build_topology(pairs)
-        self._compile_walks(pairs)
+        self._build_walks(pairs)
 
     # -- construction
 
@@ -410,98 +347,39 @@ class NetSim:
         self.ms = ManagementSystem("ms", self.transport, "master", "slave")
         self.master_agent.on_commit = self._on_commit
 
-    def _build_topology(self, pairs):
+    def _build_walks(self, pairs):
+        """Build every walk a run takes, with its kind's links (`WALK_LINKS`),
+        and each chain's NF, which both balancers' sends on the chain cross:
+        the master's goes on to the server, the slave's to the master."""
         s = self.scenario
-        es1, es2 = TagRouter(), TagRouter()
-        # edge switch 1: ports 1/2 clients, 3 -> master, 4 <- master, 4+i -> chain i
-        es1.add(1, None, 3)
-        es1.add(2, None, 3)
-        es1.add(4, None, 1)
-        # edge switch 2: port 1 server, 3 -> slave, 4 <- slave, 4+i -> chain i
-        es2.add(1, None, 3)
-        es2.add(4, None, 1)
+
+        def links(kind):
+            return (self.latency,) * WALK_LINKS[kind]
+
+        to_server = Walk(links("an NF's walk on to the server, through the slave's pop"))
+        to_master = Walk(links("an NF's walk on to the master"), master=True)
+        into_nf = links("a balancer's send into an NF")
+        forward, reverse = {}, {}
         for i, chain in enumerate(pairs, start=1):
-            es1.add(4, chain.forward_tag, 4 + i)
-            es1.add(4 + i, chain.reverse_tag, 3)
-            es2.add(4, chain.reverse_tag, 4 + i)
-            es2.add(4 + i, chain.forward_tag, 3)
-
-        self.nodes["es1"] = es1
-        self.nodes["es2"] = es2
-        self.nodes["lb1"] = self.master_agent
-        self.nodes["lb2"] = self.slave_agent
-
-        self._cable("client", 1, "es1", 1)
-        self._wire("es1", 3, "lb1", 1)
-        self._wire("lb1", 1, "es1", 4)
-        self._wire("es2", 3, "lb2", 1)
-        self._wire("lb2", 1, "es2", 4)
-        self._cable("es2", 1, "server", 1)
-
-        for i, chain in enumerate(pairs, start=1):
-            cs = TagRouter()
-            cs.add(1, chain.forward_tag, 2, "pop")
-            cs.add(2, None, 1, "push", chain.reverse_tag)
-            cs.add(3, None, 4, "push", chain.forward_tag)
-            cs.add(4, chain.reverse_tag, 3, "pop")
-            cs_name, nf_name = f"cs{i}", f"nf{i}"
-            self.nodes[cs_name] = cs
-            self.nodes[nf_name] = NfInstance(
-                nf_name, chain,
+            nf = NfInstance(
+                f"nf{i}", chain,
                 mode=s.nf_mode, capacity=s.nf_capacity, queue_limit=s.nf_queue_limit,
                 in_flight=self.in_flight.get(chain),
             )
-            self._cable("es1", 4 + i, cs_name, 1)
-            self._cable(cs_name, 2, nf_name, 1)
-            self._cable(cs_name, 3, nf_name, 2)
-            self._cable(cs_name, 4, "es2", 4 + i)
-
-    def _wire(self, a, pa, b, pb):
-        self.links[(a, pa)] = (b, pb)
-
-    def _cable(self, a, pa, b, pb):
-        self._wire(a, pa, b, pb)
-        self._wire(b, pb, a, pa)
-
-    def _compile_walks(self, pairs):
-        """Compile every walk a run looks up; a miswired topology raises here.
-
-        A host and the master, once it reconciled, send untagged; a balancer
-        that maps pushes a tag of a chain in `pairs`. An NF sends nothing by
-        itself: a balancer's walk goes on through it.
-        """
-        sends = [("lb1", 1, (c.forward_tag,)) for c in pairs]
-        sends += [("lb2", 1, (c.reverse_tag,)) for c in pairs]
-        keys = [(node, 1, ()) for node in (*HOSTS, "lb1")] + sends
-        walks = self.walks = {key: self.compile_walk(*key) for key in keys}
-        # so both hosts' arrivals keep plan order, and an NF gets packets in
-        # the order the balancers send them
-        for host in HOSTS:
-            key = (host, 1, ())
-            fixed_links(walks[key], "a host's walk to its balancer", walk_name(*key))
-        key = ("lb1", 1, ())
-        fixed_links(walks[key], "the master's send to the client", walk_name(*key))
-        for key in sends:
-            walk, name = walks[key], walk_name(*key)
-            fixed_links(walk, "a balancer's send into an NF", name)
-            onward = walk.onward
-            fixed_links(onward, "an NF's walk on to the master" if onward.master
-                        else "an NF's walk on to the server, through the slave's pop",
-                        f"the walk on from {walk.nf.name}, after {name}")
-        self._host_latencies = walks[("client", 1, ())].links
+            admit = None if nf.mode == "passthrough" else nf.admit
+            forward[chain] = Walk(into_nf, nf, to_server, admit)
+            reverse[chain] = Walk(into_nf, nf, to_master, admit)
+        self._host_latencies = links("a host's walk to its balancer")
         # the balancer a planned packet reaches first, by PlannedPacket.reverse,
         # and its send by the chain it maps to
-        self._first_balancer = (
-            (self.master_agent, {c: walks[("lb1", 1, (c.forward_tag,))] for c in pairs}),
-            (self.slave_agent, {c: walks[("lb2", 1, (c.reverse_tag,))] for c in pairs}),
-        )
-        self.to_client = walks[("lb1", 1, ())]  # the master's send to the client
+        self._first_balancer = ((self.master_agent, forward), (self.slave_agent, reverse))
+        self.to_client = Walk(links("the master's send to the client"))
         self._client_links = self.to_client.links
 
     # -- data plane plumbing
 
     def transmit(self, walk: Walk, packet: PlannedPacket, now: float):
-        """Send a packet out of a balancer at `now` along a compiled walk into
+        """Send a packet out of a balancer at `now` along its walk into
         an NF, and count it delivered where it reaches a host. The NF is
         crossed here: a capacity NF admits the packet now, then the leave is
         booked inline and the walk goes on. The master's arrival beyond it is
@@ -583,42 +461,6 @@ class NetSim:
         a, b = self._client_links  # on to the client: `to_client`
         if at + a + b <= horizon:
             result.delivered_bytes += packet.size
-
-    def compile_walk(self, node: str, port: int, tags: tuple[int, ...]) -> Walk:
-        """Follow the switch rules from a stateful node's egress port.
-
-        Raises NoRoute, naming the walk's start, where no rule matches and
-        where the walk ends still tagged at a host or an NF. A walk that
-        reaches the slave with a forward tag goes on from the slave's egress
-        without it: the pop reads no state. A walk ends at a host or at a
-        balancer's control agent (`Walk.master` at the master's), whatever
-        tag it arrives with. Only a balancer's walk reaches an NF, and it
-        goes on through the NF; the build checks each walk's link count
-        (`WALK_LINKS`).
-        """
-        start, hops = walk_name(node, port, tags), 0
-        while True:
-            node, port = self.links[(node, port)]
-            hops += 1
-            reached = self.nodes.get(node)  # None for a host
-            if isinstance(reached, TagRouter):
-                try:
-                    port, tags = route(reached, port, tags)
-                except NoRoute as exc:
-                    raise NoRoute(f"switch {node}: {exc}, on {start}") from None
-                continue
-            if reached is self.slave_agent and tags:
-                port, tags = 1, tags[:-1]  # the slave pops: on from its egress
-                continue
-            if reached is self.master_agent or reached is self.slave_agent:
-                return Walk((self.latency,) * hops, master=reached is self.master_agent)
-            if tags:
-                raise NoRoute(f"{start} ends at {node} with tags {list(tags)} left")
-            if reached is None:
-                return Walk((self.latency,) * hops)
-            admit = None if reached.mode == "passthrough" else reached.admit
-            onward = self.compile_walk(node, far_port(port), tags)
-            return Walk((self.latency,) * hops, reached, onward, admit)
 
     def _run_arrivals(self, packets, start: float):
         """Run each planned packet's arrival at its first balancer, merged

@@ -15,20 +15,19 @@ from hypothesis import strategies as st
 
 from chainbalance import cli, hashing, netsim
 from chainbalance.balancer import Balancer
-from chainbalance.errors import NeverConverged, NoRoute
+from chainbalance.errors import NeverConverged
 from chainbalance.hashing import ChainId, Endpoint, HashParams, canonical_key
 from chainbalance.netsim import (
     EventLoop,
     NfInstance,
-    TagRouter,
-    far_port,
     ThroughputSeries,
     measure_convergence,
     measure_drain,
-    route,
 )
 from chainbalance.scenario import Action, Scenario, parse_scenario
 from chainbalance.traffic import PlannedPacket, Session, TrafficProfile, generate_traffic
+
+from topology import NoRoute, TagRouter, Topology, far_port, hop_by_hop, route
 
 C1 = ChainId(2, 3)
 C2 = ChainId(4, 5)
@@ -137,12 +136,19 @@ def test_nf_token_bucket_timing():
     assert departures[0] == pytest.approx(1.0)
 
 
-def send(sim, balancer, p, tag):
-    """Send a packet out of a balancer now, along its compiled walk into the
-    NF of the chain whose tag it pushes: the only walk `transmit` takes."""
-    walk = sim.walks[(balancer, 1, (tag,))]
-    assert walk.nf is not None
-    sim.transmit(walk, p, sim.loop.now)
+BALANCERS = ("lb1", "lb2")  # the master and the slave, in PlannedPacket.reverse order
+
+
+def send(sim, balancer, p, chain):
+    """Send a packet out of a balancer now, along its walk into the NF of
+    `chain`: the only walk `transmit` takes."""
+    _, sends = sim._first_balancer[BALANCERS.index(balancer)]
+    sim.transmit(sends[chain], p, sim.loop.now)
+
+
+def nf_of(sim, chain):
+    """The NF of `chain`, which both balancers' sends on it cross."""
+    return sim._first_balancer[0][1][chain].nf
 
 
 def test_nf_passthrough_zero_delay():
@@ -157,12 +163,13 @@ def test_nf_passthrough_zero_delay():
     beyond = at_nf
     for _ in range(3):  # nf1 -> cs1 -> es -> lb
         beyond += 0.0013
-    for node, tag in (("lb2", C1.reverse_tag), ("lb1", C1.forward_tag)):
+    for node in ("lb2", "lb1"):
         sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-        assert sim.nodes["nf1"].chain == C1 and sim.nodes["nf1"].mode == "passthrough"
+        nf1 = nf_of(sim, C1)
+        assert (nf1.name, nf1.mode) == ("nf1", "passthrough")
         sent = packet()
         sim.loop.now = 3.5
-        send(sim, node, sent, tag)
+        send(sim, node, sent, C1)
         if node == "lb2":
             [(at, _, handle, args)] = sim.loop._heap
             assert (at, handle, args) == (beyond, sim._master_arrival, (sent, C1, beyond))
@@ -181,7 +188,7 @@ def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
     # 1.0 + 0.001 + 0.001 + 0.001, never at 1.0 + 3 * 0.001 = 1.003
     sim = netsim.NetSim(small_scenario(link_latency=0.001))
     sim.loop.now = 1.0
-    send(sim, "lb1", packet(), C1.forward_tag)
+    send(sim, "lb1", packet(), C1)
     leave = sim.result.last_packet_on[C1]
     assert leave == 1.0029999999999997
     assert leave != 1.0 + 3 * 0.001  # 1.003
@@ -193,7 +200,7 @@ def test_every_send_adds_the_link_latency_once_per_link(monkeypatch):
     sent = packet()._replace(reverse=True)
     master.reconcile(sent.session.key, C1, 1.0)
     sim.loop.now, sim.horizon = 1.0, 1.0079999999999991
-    send(sim, "lb2", sent, C1.reverse_tag)
+    send(sim, "lb2", sent, C1)
     assert master.table[sent.session.key].last_timestamp == 1.0059999999999993
     assert sim.loop._heap == [] and sim.result.delivered_bytes == sent.size
     # a planned packet sent from the client at 1.0 reaches the master two
@@ -226,7 +233,7 @@ def test_master_arrival_is_booked_at_the_slave_send_only_when_settled(case, sett
     if case == "a long trip is still pending":
         sim._late = 3.5
     sim.loop.now = 3.5
-    send(sim, "lb2", sent, C1.reverse_tag)
+    send(sim, "lb2", sent, C1)
     arrival = 3.5
     for _ in range(6):  # lb2 -> es2 -> cs1 -> nf1 -> cs1 -> es1 -> lb1
         arrival += 0.0013
@@ -517,273 +524,107 @@ def test_stats_polls_conserve_mapped_bytes():
     assert polled == result.injected_bytes
 
 
-# -- compiled switch walks
+# -- walks
 
 
-def hop_by_hop(sim, node, port, tags):
-    """Reference walk: one link and one route() call at a time, as a packet
-    crossing the switches would see it, and on through the slave when it
-    gets a tag, which it pops. Returns the node reached (None for a host, a
-    control agent for a balancer), its name, ingress port, tag stack and
-    links crossed, or the reason a miswired topology is refused."""
-    start = f"the walk from {node} port {port} with tags {list(tags)}"
-    hops = 0
-    agents = (sim.master_agent, sim.slave_agent)
-    while True:
-        node, port = sim.links[(node, port)]
-        hops += 1
-        switch = sim.nodes.get(node)
-        if switch is sim.slave_agent and tags:
-            port, tags = 1, tags[:-1]
-            continue
-        if not isinstance(switch, TagRouter):
-            break
-        try:
-            port, tags = route(switch, port, tags)
-        except NoRoute as exc:
-            return f"switch {node}: {exc}, on {start}"
-    if tags and switch not in agents:
-        return f"{start} ends at {node} with tags {list(tags)} left"
-    return switch, node, port, tags, hops
-
-
-def walk_keys(sim):
-    """Every (stateful node, egress port, tag stack) a packet could leave by,
-    including tags no rule knows."""
-    tags = [()] + [(t,) for c in sim.scenario.all_pairs()
-                   for t in (c.forward_tag, c.reverse_tag)] + [(99,)]
-    return {
-        (node, port, t)
-        for (node, port) in sim.links
-        if not isinstance(sim.nodes.get(node), TagRouter)
-        for t in tags
-    }
-
-
-def assert_walk_matches_hop_by_hop(sim, key, walk):
-    target, name, port, tags, hops = hop_by_hop(sim, *key)
-    # only a walk into the master ends in an event there
-    assert walk.master == (target is sim.master_agent), key
-    if isinstance(target, NfInstance):
-        # the NF is crossed: a capacity NF admits at the send, the leave is
-        # booked inline, and the walk goes on from the NF's far port, the
-        # one across from the ingress port the reference walk reached
-        admit = None if target.mode == "passthrough" else target.admit
-        assert (walk.nf, walk.admit) == (target, admit), key
-        assert_walk_matches_hop_by_hop(sim, (name, far_port(port), ()), walk.onward)
-    else:
-        # a host, or a balancer's agent, which any tag left names the
-        # chain of: the walk keeps no tag
-        assert (walk.nf, walk.onward, walk.admit) == (None, None, None), key
+def walk_end(sim, topology, walk, key):
+    """Check a walk the build made to leave by `key` (stateful node, egress
+    port, tags) against the route the testbed's rules give from there, one
+    link at a time, and return the name of the node the route ends at: the
+    walk crosses as many links, each of the scenario's latency, and reaches
+    the same NF (by chain) or the same end. A walk into an NF goes on from
+    the NF's port across from the one the route reached it by."""
+    end, port, hops = hop_by_hop(topology, *key)
     assert walk.links == (sim.latency,) * hops, key
+    if walk.nf is None:
+        # a host, or a balancer's agent, which any tag left names the chain
+        # of: the walk keeps no tag, and only a walk into the master ends in
+        # an event there
+        assert (walk.onward, walk.admit, walk.master) == (None, None, end == "lb1"), key
+        return end
+    # the NF is crossed: a capacity NF admits at the send, and the leave is
+    # booked inline
+    admit = None if walk.nf.mode == "passthrough" else walk.nf.admit
+    assert (walk.nf.name, walk.nf.chain, walk.admit, walk.master) == (
+        end, topology.chains[end], admit, False), key
+    return walk_end(sim, topology, walk.onward, (end, far_port(port), ()))
 
 
-class ReadKeys(dict):
-    """A walk table that notes every key read from it."""
-
-    def __init__(self, walks):
-        super().__init__(walks)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+def assert_walks_match_topology(sim):
+    """Every walk `sim` built is the route through the testbed's rules
+    (`tests/topology.py`): each balancer's send on each chain, into the
+    chain's NF and on to the server from the master, to the master from the
+    slave; the master's send to the client; and both hosts' walks."""
+    pairs = sim.scenario.all_pairs()
+    topology = Topology(pairs)
+    (_, forward), (_, reverse) = sim._first_balancer
+    for chain in pairs:
+        assert walk_end(sim, topology, forward[chain], ("lb1", 1, (chain.forward_tag,))) == "server"
+        assert walk_end(sim, topology, reverse[chain], ("lb2", 1, (chain.reverse_tag,))) == "lb1"
+    assert walk_end(sim, topology, sim.to_client, ("lb1", 1, ())) == "client"
+    assert sim._client_links == sim.to_client.links
+    for host, balancer in (("client", "lb1"), ("server", "lb2")):
+        end, _, hops = hop_by_hop(topology, host, 1, ())
+        assert (end, sim._host_latencies) == (balancer, (sim.latency,) * hops), host
 
 
 def test_compiled_walks_match_hop_by_hop_route():
-    # C2 is added and C1 later removed: both NFs are crossed the same way,
-    # in both modes
+    # for 1 to 8 chains, in both NF modes
     for mode in ("passthrough", "capacity"):
         nf = {} if mode == "passthrough" else dict(nf_capacity=2e6, nf_queue_limit=8)
-        scenario = small_scenario(chains=(C1,), nf_mode=mode, **nf,
-                                  actions=(Action(at=1.0, op="add", pair=C2),
-                                           Action(at=3.0, op="remove", pair=C1)))
-        sim = netsim.NetSim(scenario)
-        compiled = dict(sim.walks)
-        sim.walks = ReadKeys(compiled)
-        result = sim.run()
-        assert [e["event"] for e in result.events if e["event"].startswith("committed")] == [
-            "committed_add", "committed_remove"]
-        # the run adds no walk and reads none by key: all were read when the
-        # simulator was built: the hosts' (for their length), the master's
-        # send to the client, and each balancer's send, which it holds by chain
-        assert sim.walks == compiled
-        assert sim.walks.read == set()
-        assert sim._first_balancer == (
-            (sim.master_agent, {c: compiled[("lb1", 1, (c.forward_tag,))] for c in (C1, C2)}),
-            (sim.slave_agent, {c: compiled[("lb2", 1, (c.reverse_tag,))] for c in (C1, C2)}),
-        )
-        assert sim.to_client is compiled[("lb1", 1, ())]
-        crossed = set()
-        for key in walk_keys(sim):
-            reference = hop_by_hop(sim, *key)
-            if isinstance(reference, str):
-                # a stray no run makes: no rule, or a tag left at a host or
-                # an NF; the build refuses such a walk
-                assert key not in compiled, key
-                with pytest.raises(NoRoute) as refused:
-                    sim.compile_walk(*key)
-                assert str(refused.value) == reference, key
-                continue
-            walk = sim.compile_walk(*key)
-            assert_walk_matches_hop_by_hop(sim, key, walk)
-            if walk.nf is not None:
-                crossed.add((key[0], walk.nf.chain))
-            if key in compiled:
-                assert compiled[key] == walk
-        assert crossed == {("lb1", C2), ("lb2", C2), ("lb1", C1), ("lb2", C1)}, mode
-        # every walk into an NF crosses 3 links, so an NF admits in send order
-        assert {len(sim.walks[key].links) for key in compiled if key[2]} == {3}
+        for count in range(1, 9):
+            chains = tuple(ChainId(2 * k, 2 * k + 1) for k in range(1, count + 1))
+            assert_walks_match_topology(
+                netsim.NetSim(small_scenario(chains=chains, nf_mode=mode, **nf)))
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
-def test_build_compiles_exactly_the_walks_a_run_can_take():
-    # a host and the master after its reconcile send untagged (the slave's
-    # pop is part of the walks that reach it); the master pushes a forward
-    # tag and the slave a reverse tag of a declared or added chain; an NF
-    # sends nothing by itself, even on a chain a remove action names.
-    # Construction only, on every bundled scenario and workload.
+def bundled_scenarios():
+    """Every bundled scenario and bench workload."""
     scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
     scenarios += [parse_scenario(path) for path in sorted(WORKLOADS.glob("*.yaml"))]
     assert len(scenarios) == 12
-    for scenario in scenarios:
-        sim = netsim.NetSim(scenario)
+    return scenarios
+
+
+def test_build_compiles_exactly_the_walks_a_run_can_take():
+    # a balancer that maps sends on a declared or an added chain, even one a
+    # remove action names: the build makes each balancer one send per chain,
+    # and both sends on a chain cross its one NF, named in chain order (a
+    # drop's events.jsonl entry names it). Construction only, on every
+    # bundled scenario and workload
+    for scenario in bundled_scenarios():
+        (_, forward), (_, reverse) = netsim.NetSim(scenario)._first_balancer
         pairs = scenario.all_pairs()
-        assert set(sim.walks) == (
-            {(node, 1, ()) for node in ("client", "server", "lb1")}
-            | {("lb1", 1, (c.forward_tag,)) for c in pairs}
-            | {("lb2", 1, (c.reverse_tag,)) for c in pairs}
-        ), scenario.name
+        assert list(forward) == list(reverse) == list(pairs), scenario.name
+        assert [forward[c].nf.name for c in pairs] == [f"nf{i}" for i in range(1, len(pairs) + 1)]
+        assert all(forward[c].nf is reverse[c].nf for c in pairs), scenario.name
 
 
 def test_every_compiled_walk_carries_one_latency_per_link_crossed():
     # construction only, on every bundled scenario and workload: each walk
-    # the build compiles, and the NF's walk on from each one that crosses an
-    # NF, holds the scenario's link latency once per link the reference
-    # walk crosses
-    scenarios = [cli.bundled_scenario(name) for name in cli.SCENARIO_ORDER]
-    scenarios += [parse_scenario(path) for path in sorted(WORKLOADS.glob("*.yaml"))]
-    scenarios.append(small_scenario(link_latency=0.0013))
-    for scenario in scenarios:
-        sim = netsim.NetSim(scenario)
-        pending = list(sim.walks.items())
-        while pending:
-            key, walk = pending.pop()
-            *_, hops = hop_by_hop(sim, *key)
-            assert walk.links == (scenario.link_latency,) * hops, (scenario.name, key)
-            if walk.nf is not None:
-                # the NF's walk on leaves by the port across from where
-                # the reference walk reached it
-                _, _, port, _, _ = hop_by_hop(sim, *key)
-                pending.append(((walk.nf.name, far_port(port), ()), walk.onward))
-        assert sim._host_latencies == sim.walks[("client", 1, ())].links
-
-
-# for each kind of walk (a key of netsim.WALK_LINKS), the switch rule
-# (switch, ingress port, tag) on it that a spliced switch lengthens by one
-# link, and the walk the build names; C1's tags are 2 and 3, and es1
-# reaches C1 by its port 5
-SPLICES = {
-    "host_walk": ("a host's walk to its balancer",
-                  ("es1", 1, None), "the walk from client port 1 with tags []"),
-    "balancer_send": ("a balancer's send into an NF",
-                      ("es1", 4, 2), "the walk from lb1 port 1 with tags [2]"),
-    "on_to_master": ("an NF's walk on to the master", ("es1", 5, 3),
-                     "the walk on from nf1, after the walk from lb2 port 1 with tags [3]"),
-    "on_to_server": ("an NF's walk on to the server, through the slave's pop", ("es2", 4, None),
-                     "the walk on from nf1, after the walk from lb1 port 1 with tags [2]"),
-    "to_client": ("the master's send to the client",
-                  ("es1", 4, None), "the walk from lb1 port 1 with tags []"),
-}
-
-
-@pytest.mark.parametrize("name", SPLICES)
-def test_build_refuses_a_walk_of_another_link_count(name, monkeypatch):
-    # the data path adds each walk's links at the arity its kind fixes, so a
-    # switch spliced into one walk, which makes it one link longer, is
-    # refused when the simulator is built, naming the walk and both counts.
-    # The fixed counts keep both hosts' arrivals in plan order and every
-    # walk into an NF as long, so that it admits in send order
-    kind, (switch, in_port, tag), walk = SPLICES[name]
-    links = netsim.WALK_LINKS[kind]
-    build = netsim.NetSim._build_topology
-
-    def build_then_splice(sim, pairs):
-        build(sim, pairs)
-        router = sim.nodes[switch]
-        rule = router.rules[(in_port, tag)]
-        splice = sim.nodes["xs"] = TagRouter()
-        splice.add(1, tag, 2)
-        sim._wire(switch, 99, "xs", 1)
-        sim._wire("xs", 2, *sim.links[(switch, rule.out_port)])
-        router.add(in_port, tag, 99)
-
-    netsim.NetSim(small_scenario())  # unspliced, every walk has its count
-    monkeypatch.setattr(netsim.NetSim, "_build_topology", build_then_splice)
-    with pytest.raises(RuntimeError) as refused:
-        netsim.NetSim(small_scenario())
-    assert str(refused.value) == f"{walk} crosses {links + 1} links, but {kind} crosses {links}"
-
-
-# (switch, ingress port, tag, out port, action or None to delete the rule),
-# and the refusal, which names the switch and the walk's start; C1's tags
-# are 2 and 3, C2's 4 and 5
-MISWIRINGS = {
-    # the master pushes C2's tag, but es1 has no rule for it
-    "edge_switch_lacks_a_chain_rule": (
-        ("es1", 4, 4, None, None),
-        "switch es1: no rule for ingress 4, tag 4, on the walk from lb1 port 1 with tags [4]"),
-    "chain_switch_lacks_its_pop_rule": (
-        ("cs1", 1, 2, None, None),
-        "switch cs1: no rule for ingress 1, tag 2, on the walk from lb1 port 1 with tags [2]"),
-    # forwarded without the pop, the packet would reach the NF tagged
-    "chain_switch_leaves_the_tag_on": (
-        ("cs1", 1, 2, 2, "none"),
-        "the walk from lb1 port 1 with tags [2] ends at nf1 with tags [2] left"),
-    "a_tag_reaches_the_server": (
-        ("es2", 4, 3, 1, "none"),
-        "the walk from lb2 port 1 with tags [3] ends at server with tags [3] left"),
-}
-
-
-@pytest.mark.parametrize("name", MISWIRINGS)
-def test_miswired_topology_is_refused_at_build(name, monkeypatch):
-    (switch, in_port, tag, out_port, action), refusal = MISWIRINGS[name]
-    build = netsim.NetSim._build_topology
-
-    def build_then_rewire(sim, pairs):
-        build(sim, pairs)
-        router = sim.nodes[switch]
-        if action is None:
-            del router.rules[(in_port, tag)]
-        else:
-            router.add(in_port, tag, out_port, action)
-
-    monkeypatch.setattr(netsim.NetSim, "_build_topology", build_then_rewire)
-    with pytest.raises(NoRoute) as refused:
-        netsim.NetSim(small_scenario())
-    assert str(refused.value) == refusal
+    # the build makes, and the NF's walk on from each one into an NF, holds
+    # the scenario's link latency once per link the route crosses
+    for scenario in [*bundled_scenarios(), small_scenario(link_latency=0.0013)]:
+        assert_walks_match_topology(netsim.NetSim(scenario))
 
 
 def test_forward_walks_reach_every_stateful_hop():
     sim = netsim.NetSim(small_scenario(link_latency=0.0013))
-    nf1 = sim.nodes["nf1"]
+    (_, forward), (_, reverse) = sim._first_balancer
+    nf1 = nf_of(sim, C1)
     two, three, five = ((0.0013,) * n for n in (2, 3, 5))  # a walk's links
-    assert sim.compile_walk("client", 1, ()) == (two, None, None, None, True)
+    assert sim._host_latencies == two
     # the master's send crosses the NF with no event there and goes on by
     # the NF's own walk, through the slave's pop, to the server: counted
     # when sent, no event
-    onward = sim.compile_walk("nf1", 2, ())
-    assert onward == (five, None, None, None, False)
-    assert sim.compile_walk("lb1", 1, (C1.forward_tag,)) == (three, nf1, onward, None, False)
-    assert sim.compile_walk("lb2", 1, ()) == (two, None, None, None, False)
+    assert forward[C1] == (three, nf1, (five, None, None, None, False), None, False)
+    assert sim.to_client == (two, None, None, None, False)
     # the slave's send reaches the master, through the NF's port 1: its one
     # event on the way
-    back = sim.compile_walk("nf1", 1, ())
-    assert back == (three, None, None, None, True)
-    assert sim.compile_walk("lb2", 1, (C1.reverse_tag,)) == (three, nf1, back, None, False)
+    assert reverse[C1] == (three, nf1, (three, None, None, None, True), None, False)
 
 
 def with_plan(monkeypatch, sim, plan_for):
@@ -838,11 +679,11 @@ def test_packet_arrival_and_control_callback_at_one_time_run_in_creation_order(m
                 arrival += 0.0013
             control = lambda: order.append(("control", sim.loop.now))
             if packet_first:
-                send(sim, "lb2", stray, C1.reverse_tag)
+                send(sim, "lb2", stray, C1)
                 sim.loop.schedule(arrival, control)
             else:
                 sim.loop.schedule(arrival, control)
-                send(sim, "lb2", stray, C1.reverse_tag)
+                send(sim, "lb2", stray, C1)
 
         schedule_after_handshake(monkeypatch, sim, 0.3, send_stray)
         result = sim.run()
@@ -1053,7 +894,7 @@ def horizon_run(monkeypatch, sent_at):
 
     def send_stray():
         sim.result.injected_bytes += stray.size
-        send(sim, "lb1", stray, C1.forward_tag)
+        send(sim, "lb1", stray, C1)
 
     schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
     return sim.run(), stray
@@ -1084,8 +925,8 @@ def test_nf_crossing_pushes_no_entry_on_a_kept_or_a_removed_chain(monkeypatch):
     for nf in ({}, dict(nf_mode="capacity", nf_capacity=2e6)):
         arrivals.clear()
         sim = netsim.NetSim(small_scenario(actions=(Action(at=2.0, op="remove", pair=C2),), **nf))
-        assert sim.nodes["nf1"].in_flight is None
-        assert sim.nodes["nf2"].in_flight is sim.in_flight[C2]
+        assert nf_of(sim, C1).in_flight is None
+        assert nf_of(sim, C2).in_flight is sim.in_flight[C2]
         transmit, series = sim.transmit, sim.result.series
         crossed, pushes = Counter(), Counter()
 
@@ -1160,7 +1001,7 @@ def test_leave_booked_after_the_reclaim_is_caught_at_its_departure(monkeypatch):
 
     def send_stray():
         sim.result.injected_bytes += stray.size
-        send(sim, "lb1", stray, C2.forward_tag)
+        send(sim, "lb1", stray, C2)
 
     schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)
     result = sim.run()
@@ -1183,7 +1024,7 @@ def test_nf_crossing_at_the_horizon(sent_at, booked, monkeypatch):
     # gets the packet after the horizon, so the slave's send pushes no
     # arrival at the master, and the master's goes on through the slave's
     # pop to the server
-    for node, tag in (("lb2", C1.reverse_tag), ("lb1", C1.forward_tag)):
+    for node in ("lb2", "lb1"):
         sim = netsim.NetSim(small_scenario(link_latency=0.25, horizon=15.0))
         stray = packet(10_000)
         pushed = []
@@ -1191,7 +1032,7 @@ def test_nf_crossing_at_the_horizon(sent_at, booked, monkeypatch):
         def send_stray():
             sim.result.injected_bytes += stray.size
             before = sim.loop._seq
-            send(sim, node, stray, tag)
+            send(sim, node, stray, C1)
             pushed.append(sim.loop._seq - before)
 
         schedule_after_handshake(monkeypatch, sim, sent_at, send_stray)

@@ -130,17 +130,18 @@ def test_digests_prints_every_output_of_every_seed(tmp_path):
     ]
 
 
-# the twelve SPANS targets the program no longer has (ROADMAP item 1); any
+# the thirteen SPANS targets the program no longer has (ROADMAP item 1); any
 # other name here means a change broke a name bench/tracing.py wraps. The
 # balancer node's handler went when the master's one data-path event became
-# NetSim._master_arrival, and `inject` when the arrival loop took over its
-# map and send
+# NetSim._master_arrival, `inject` when the arrival loop took over its map
+# and send, and `route` when the switch rules moved into the tests' model of
+# the testbed (tests/topology.py)
 DEAD_SPANS = {
     "netsim.NetSim._arrive", "netsim.SwitchNode.handle", "netsim.canonical_key",
     "balancer.canonical_key", "netsim.encode_message", "netsim.decode_message",
     "netsim.HostNode.handle", "netsim.NfInstance.handle",
     "netsim.NfInstance._depart", "netsim.NetSim.note_nf", "netsim.BalancerNode.handle",
-    "netsim.NetSim.inject",
+    "netsim.NetSim.inject", "netsim.route",
 }
 
 

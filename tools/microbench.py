@@ -29,18 +29,18 @@ Prints one JSON object of best-of-N timings:
   is a no-op in place of ``NetSim.transmit``. Plans of 64 forward packets
   of one session, with one heap entry pending beyond the horizon: this is
   how a run brings in each planned packet.
-- ``transmit_us``: one data-path send from the master with a chain's
-  forward tag, ``NetSim.transmit`` along its compiled walk through a
-  passthrough NF and on through the slave's pop to the server, which
-  counts the packet delivered: the least a send costs, with no event.
-- ``crossing_us``: one send from the slave with a chain's reverse tag,
-  ``NetSim.transmit`` along the slave's compiled walk through a passthrough
-  NF, until the master gets the packet (a no-op in place of the master's
-  handler), dispatches included, with at most 64 sends pending. The
-  simulator is not run, so the master holds no session record and its
-  arrival takes a heap entry: this is the way from one balancer through an
-  NF to the other that a reverse packet the master cannot settle at the
-  send takes.
+- ``transmit_us``: one data-path send from the master on a chain,
+  ``NetSim.transmit`` along the master's walk for it (the one a run takes,
+  from ``NetSim._first_balancer``) through a passthrough NF and on through
+  the slave's pop to the server, which counts the packet delivered: the
+  least a send costs, with no event.
+- ``crossing_us``: one send from the slave on a chain, ``NetSim.transmit``
+  along the slave's walk for it through a passthrough NF, until the master
+  gets the packet (a no-op in place of the master's handler), dispatches
+  included, with at most 64 sends pending. The simulator is not run, so
+  the master holds no session record and its arrival takes a heap entry:
+  this is the way from one balancer through an NF to the other that a
+  reverse packet the master cannot settle at the send takes.
 - ``booked_crossing_us``: the same send when the master's record of the
   session holds the chain: the master's arrival is booked at the send and
   the packet counted delivered to the client, with no heap entry, as for
@@ -274,7 +274,7 @@ def transmit_us(repeat):
 
     sim = netsim.NetSim(cli.bundled_scenario("static-1"))
     planned = planned_packet()
-    to_server = sim.compile_walk("lb1", 1, (sim.scenario.chains[0].forward_tag,))
+    to_server = sim._first_balancer[0][1][sim.scenario.chains[0]]  # the master's send
 
     def sends():
         for _ in range(BATCHES * PENDING):
@@ -291,11 +291,8 @@ def crossing_sim(**nf):
 
     # a fresh run per repetition keeps the sends' times within the horizon
     sim = netsim.NetSim(dataclasses.replace(cli.bundled_scenario("static-1"), **nf))
-    walk = sim.compile_walk("lb2", 1, (sim.scenario.chains[0].reverse_tag,))
-    if "handle" in netsim.Walk._fields:  # a checkout whose walks end in a handler
-        return sim, walk._replace(onward=walk.onward._replace(handle=noop))
     sim._master_arrival = noop
-    return sim, walk
+    return sim, sim._first_balancer[1][1][sim.scenario.chains[0]]  # the slave's send
 
 
 def crossings_us(repeat, make_sim):
@@ -414,7 +411,9 @@ def hash_key_us(repeat):
 KEYS = ("hashing.canonical_key", "hashing.Endpoint")
 BALANCER = ("balancer.Balancer.map_packet(key, size, now)", "balancer.Balancer.stage_allocation",
             "balancer.Balancer.install", "hashing.HashParams", "hashing.ChainId", *KEYS)
-SIM = ("netsim.NetSim.transmit(walk, packet, now)", "netsim.NetSim.compile_walk",
+# `Walk.master` marks a checkout whose `NetSim._first_balancer` holds each
+# balancer's sends by chain, the walks these figures time
+SIM = ("netsim.NetSim.transmit(walk, packet, now)", "netsim.Walk.master",
        "traffic.PlannedPacket", "cli.bundled_scenario", *KEYS)
 CROSSING = (*SIM, "netsim.Walk.onward", "netsim.Walk.nf")
 ROWS = (
