@@ -79,9 +79,14 @@ class Balancer:
                 record.last_timestamp = now
             chain = record.assigned
         else:
-            if self.buckets is None:
+            buckets = self.buckets
+            if buckets is None:
                 raise NoLiveChains("no bucket vector installed")
-            chain = self.buckets.lookup(key, key_hash)
+            if key_hash is None:
+                chain = buckets.lookup(key)
+            else:
+                # BucketVector.lookup inline: no method call per new session
+                chain = buckets.table[buckets.index[key_hash % len(buckets.index)]]
             record = self.table[key] = _new_record(SessionRecord)
             record.last_timestamp = now
             record.assigned = chain

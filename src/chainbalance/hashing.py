@@ -7,6 +7,8 @@ hosts: no per-process hash randomization, no library RNG.
 Primitives:
     canonical_key       — pack the two endpoints of a flow into one `bytes` key
     hash_key            — FNV-1a over the key bytes, finished with a 64-bit mixer
+    fnv_fixed_parts     — FNV-1a's state after a fixed prefix, and a fixed
+                          suffix's FNV-1a as one multiply-add and a table read
     build_buckets       — fill slots per allocation, Fisher-Yates shuffle (SplitMix64)
     BucketVector.lookup — table[index[h mod L]], h = hash_key(k) unless passed in
 
@@ -14,8 +16,10 @@ A session key is one `bytes` value: the flow's lo endpoint then its hi
 endpoint by `Endpoint` order, each as address bytes plus a 2-byte big-endian
 port, so 12 bytes for IPv4 and 36 for IPv6. The traffic plan packs each
 client's key once, and hashes it once per session, into the session's
-record (`traffic.Session`). Both balancers key their tables with the key and
-map a new session by the carried hash.
+record (`traffic.Session`): a new client's key from the fixed parts of
+`fnv_fixed_parts` and its four drawn bytes, a reused one with `hash_key`.
+Both balancers key their tables with the key and map a new session by the
+carried hash.
 
 A chain is a `ChainId`, a tuple of (forward tag, reverse tag), so the
 per-chain dicts, sets and comparisons of the packet path run in C.
@@ -51,8 +55,11 @@ from .errors import AllocationMismatch
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 # FNV-1a 64-bit constants
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+# the multipliers of the 64-bit finalizer (fmix64)
+FMIX64_M1 = 0xFF51AFD7ED558CCD
+FMIX64_M2 = 0xC4CEB9FE1A85EC53
 
 TAG_MIN = 2
 TAG_MAX = 4094  # 12-bit field, 0/1 reserved, 4095 reserved
@@ -156,15 +163,39 @@ def canonical_key(a: Endpoint, b: Endpoint) -> bytes:
 
 def hash_key(key: bytes) -> int:
     """Map a session key to a 64-bit integer, identically on every host."""
-    h = _FNV_OFFSET
+    h = FNV_OFFSET
     for byte in key:
-        h = ((h ^ byte) * _FNV_PRIME) & MASK64
+        h = ((h ^ byte) * FNV_PRIME) & MASK64
     # 64-bit finalizer (fmix64); keeps low bits well distributed for mod-L indexing
     h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & MASK64
+    h = (h * FMIX64_M1) & MASK64
     h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & MASK64
+    h = (h * FMIX64_M2) & MASK64
     return h ^ (h >> 33)
+
+
+def fnv_fixed_parts(prefix: bytes, suffix: bytes) -> tuple[int, int, tuple[int, ...]]:
+    """FNV-1a's state after `prefix`, and `suffix`'s FNV-1a as (power, table).
+
+    FNV-1a over `suffix` takes any state h to
+    (h * power + table[h & 0xFF]) & MASK64, with power = FNV_PRIME **
+    len(suffix) mod 2**64: a step's xor changes only the low byte of h, and
+    the low byte of its product depends only on that byte, so whatever the
+    steps add beyond h * power is fixed by h's low byte. A key made of
+    `prefix`, a drawn middle and `suffix` so hashes as hash_key does, with
+    only the middle's bytes stepped one at a time.
+    """
+    state = FNV_OFFSET
+    for byte in prefix:
+        state = ((state ^ byte) * FNV_PRIME) & MASK64
+    power = pow(FNV_PRIME, len(suffix), 1 << 64)
+    table = []
+    for low in range(256):
+        h = low
+        for byte in suffix:
+            h = ((h ^ byte) * FNV_PRIME) & MASK64
+        table.append((h - low * power) & MASK64)
+    return state, power, tuple(table)
 
 
 @dataclass(frozen=True)

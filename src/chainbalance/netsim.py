@@ -76,7 +76,10 @@ No packet may leave a chain's NF after its reclaim. An NF whose chain a
 remove action names keeps the leaves it has booked in `in_flight`. When
 `_poll_path` records the reclaim, it pushes a `violation` at the departure
 time of each later one; a leave booked after the reclaim is read against
-`result.reclaims` and pushes its own.
+`result.reclaims` and pushes its own. Only an answer that the chain is idle
+reclaims it: a refused path poll (the management system answers None)
+records an anomaly and polls again after `poll_interval`, and a refused
+stats poll records an anomaly in place of its stats line.
 
 Same-instant rule: a departure at exactly an arrival's instant frees its
 queue slot first. Entries pushed at the send take that moment's place among
@@ -655,6 +658,9 @@ class NetSim:
         now = self.loop.now
 
         def _got(window):
+            if window is None:
+                self.violation("stats poll refused", -1, self.loop.now)
+                return
             rows = sorted(
                 (c.forward_tag, int(n)) for c, n in window.bytes.items()
             )
@@ -704,7 +710,10 @@ class NetSim:
         now = self.loop.now
 
         def _answer(active):
-            if active:
+            # a refusal says nothing of the chain's sessions: poll again
+            if active is None:
+                self.violation(f"path poll for {pair} refused", -1, self.loop.now)
+            if active is None or active:
                 self.loop.schedule(
                     self.loop.now + self.scenario.poll_interval, self._poll_path, pair
                 )

@@ -7,9 +7,9 @@ a profile always expands to the identical packet schedule. Every session
 carries the profile's byte counts, cut into packets once per plan, and
 draws only its client and its duration. A client's key is packed when it
 is first drawn. Each session is one `Session` record, made when it is
-planned: its id, its client's key and the key's `hash_key`, computed there
-once for both balancers. All packets of the session carry that record, in
-both directions, and the simulator keeps the session's trace on it.
+planned: its id, its client's key and the key's `hash_key`, computed once
+for both balancers. All packets of the session carry that record, in both
+directions, and the simulator keeps the session's trace on it.
 
 The schedule is never held whole: `generate_traffic` returns a plan that
 knows its length and plans the sessions as it is iterated, in session_id
@@ -39,9 +39,9 @@ packets and whatever the consumer keeps of it.
 A planned packet costs no Python frame: it is built by `tuple.__new__` on
 `PlannedPacket`, in C, where the NamedTuple's own constructor is a Python
 function (it also checks the field count, which the one call site fixes at
-four). A session costs two: its `Session` constructor and the `hash_key`
-call in it. The RNG's methods are bound once per iteration; the draws, their order
-and every float expression are those of a plan built one call at a time.
+four). A session costs one, its `Session` constructor. The RNG's methods are
+bound once per iteration; the draws, their order and every float expression
+are those of a plan built one call at a time.
 
 A client costs no Python frame either. Its address 10.0.a.b and its port are
 `randrange(256)`, `1 + randrange(254)` and `randrange(1024, 65536)` as
@@ -52,9 +52,15 @@ The plan so fixes that algorithm: a CPython that draws `randrange` otherwise
 fails a named test in `tests/test_traffic.py` rather than moving the plan. Its
 key is packed straight from the draws: every 10.0.a.b client sorts below
 SERVER (10.99.0.1:80), so the key is the client's address and big-endian port
-followed by SERVER's, which is `hashing.canonical_key` of the two. A
-session's duration is `uniform(-jitter, jitter)` written out as its
-documented expression, `a + (b - a) * random()`.
+followed by SERVER's, which is `hashing.canonical_key` of the two. Its hash
+is computed inline from the same draws, as `hashing.hash_key` of the key: the
+FNV-1a state after the fixed `10.0` prefix, four steps over the bytes a,
+b + 1, port >> 8 and port & 0xFF, then SERVER's six bytes as one multiply-add
+and a table read (`hashing.fnv_fixed_parts`, built once at import), then the
+fmix64 finalizer. A session that reuses a drawn key (`collide_fraction`)
+hashes it with `hash_key`: no hash is kept per drawn key. A session's
+duration is `uniform(-jitter, jitter)` written out as its documented
+expression, `a + (b - a) * random()`.
 """
 
 from __future__ import annotations
@@ -73,6 +79,10 @@ from .hashing import Endpoint
 SERVER = Endpoint.parse("10.99.0.1", 80)
 # SERVER as the hi half of a client's key: every 10.0.x.y client is below it
 _SERVER_BYTES = SERVER.address + SERVER.port.to_bytes(2, "big")
+# FNV-1a's fixed parts of every drawn client's key: the state after its
+# 10.0 prefix, and SERVER's bytes as (power, table) (see the module docstring)
+_CLIENT_PREFIX_STATE, _SERVER_POWER, _SERVER_TABLE = hashing.fnv_fixed_parts(
+    b"\x0a\x00", _SERVER_BYTES)
 # about 10 times the largest bundled plan (13,500 sessions of 16 packets):
 # the plan is never allocated whole, but every packet is one run's work, so
 # a larger plan is refused, never run
@@ -133,8 +143,9 @@ class TrafficProfile:
 class Session:
     """One planned session, from the plan to the end of the run.
 
-    The plan sets its id, its key and the key's `hash_key`, computed here
-    once, so that no balancer hashes the key again. The rest is its trace,
+    The plan sets its id, its key and the key's `hash_key`, computed once,
+    so that no balancer hashes the key again: passed in as `key_hash`, or
+    computed here when none is passed. The rest is its trace,
     which the simulator writes as the run goes: the chain each balancer
     mapped it to, each chain whose NF it crossed (first crossing first),
     whether the master reconciled it, and whether the master re-mapped it
@@ -145,11 +156,10 @@ class Session:
     __slots__ = ("session_id", "key", "key_hash", "master_chain", "slave_chain", "nf_chains",
                  "reconciled", "expiry_gap", "last_master_seen")
 
-    def __init__(self, session_id: int, key: bytes):
+    def __init__(self, session_id: int, key: bytes, key_hash: int | None = None):
         self.session_id = session_id
         self.key = key  # the session's canonical key
-        # looked up in `hashing` at the call, so that a wrapper put there counts it
-        self.key_hash = hashing.hash_key(key)
+        self.key_hash = hashing.hash_key(key) if key_hash is None else key_hash
         self.master_chain = None
         self.slave_chain = None
         self.nf_chains = ()
@@ -210,6 +220,9 @@ class TrafficPlan:
         p, rng = self.profile, random.Random(self.seed)
         draw, getrandbits, choice = rng.random, rng.getrandbits, rng.choice
         server = _SERVER_BYTES
+        prime, mask = hashing.FNV_PRIME, hashing.MASK64
+        mix1, mix2 = hashing.FMIX64_M1, hashing.FMIX64_M2
+        prefix_state, power, table = _CLIENT_PREFIX_STATE, _SERVER_POWER, _SERVER_TABLE
         low, span = -p.duration_jitter, p.duration_jitter - -p.duration_jitter
         new = tuple.__new__  # builds a PlannedPacket in C (see the module docstring)
         rate, sessions = p.rate, p.sessions
@@ -239,6 +252,7 @@ class TrafficPlan:
             for sid in range(j * WINDOW_SESSIONS, min((j + 1) * WINDOW_SESSIONS, sessions)):
                 if pool and draw() < p.collide_fraction:
                     key = choice(pool)
+                    key_hash = None  # hashed by the Session
                 else:
                     # randrange(256), 1 + randrange(254) and randrange(1024,
                     # 65536), drawn as CPython draws them (see the module
@@ -259,11 +273,21 @@ class TrafficPlan:
                             break
                     used[key] = None
                     pool.append(key)
+                    # hash_key(key) from its fixed parts (see the module
+                    # docstring), masked only after SERVER's bytes: bits
+                    # above the 64th never reach the low 64 of an xor or a
+                    # product
+                    h = ((((prefix_state ^ a) * prime ^ (b + 1)) * prime
+                          ^ (port >> 8)) * prime ^ (port & 0xFF)) * prime
+                    h = (h * power + table[h & 0xFF]) & mask
+                    h = ((h ^ (h >> 33)) * mix1) & mask
+                    h = ((h ^ (h >> 33)) * mix2) & mask
+                    key_hash = h ^ (h >> 33)
                 # uniform(-jitter, jitter)
                 duration = p.duration + (low + span * draw())
                 start = sid / rate
                 spacing = (duration - p.response_delay) / len(reverse)
-                session = Session(sid, key)
+                session = Session(sid, key, key_hash)
                 cursors.append([2 * sid, start, 1e-4, 0, forward, session, False])
                 cursors.append([2 * sid + 1, start + p.response_delay, spacing, 0, reverse,
                                 session, True])

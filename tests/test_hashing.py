@@ -7,7 +7,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbalance import netsim
@@ -17,6 +17,9 @@ from chainbalance.hashing import (
     _GAMMA,
     _LANES,
     _LOW_WORDS,
+    FMIX64_M1,
+    FMIX64_M2,
+    FNV_PRIME,
     MASK64,
     TAG_MAX,
     TAG_MIN,
@@ -28,6 +31,7 @@ from chainbalance.hashing import (
     _splitmix_block,
     build_buckets,
     canonical_key,
+    fnv_fixed_parts,
     hash_key,
 )
 from chainbalance.scenario import scenario_from_mapping
@@ -127,6 +131,38 @@ def test_packed_key_hash_matches_field_by_field_reference(pair):
     key = canonical_key(a, b)
     assert key == canonical_key(b, a)
     assert hash_key(key) == reference_hash(a, b)
+
+
+def fixed_parts_hash(prefix, middle, suffix):
+    """hash_key(prefix + middle + suffix) as the traffic plan computes a
+    client's: the fixed parts from fnv_fixed_parts, the middle stepped one
+    byte at a time, then fmix64."""
+    h, power, table = fnv_fixed_parts(prefix, suffix)
+    for byte in middle:
+        h = ((h ^ byte) * FNV_PRIME) & MASK64
+    h = (h * power + table[h & 0xFF]) & MASK64
+    h = ((h ^ (h >> 33)) * FMIX64_M1) & MASK64
+    h = ((h ^ (h >> 33)) * FMIX64_M2) & MASK64
+    return h ^ (h >> 33)
+
+
+# keys split into fixed prefix, drawn middle and fixed suffix: any bytes, the
+# plan's IPv4 client (10.0, then a.b and the port, then the server's six
+# bytes), the 36-byte IPv6 key of a client whose last 4 address bytes and
+# port are drawn, and keys with no middle
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.binary(max_size=40), st.binary(max_size=40), st.binary(max_size=40)),
+    st.tuples(st.binary(min_size=2, max_size=2), st.binary(min_size=4, max_size=4),
+              st.binary(min_size=6, max_size=6)),
+    st.tuples(st.binary(min_size=12, max_size=12), st.binary(min_size=6, max_size=6),
+              st.binary(min_size=18, max_size=18)),
+    st.tuples(st.binary(max_size=36), st.just(b""), st.binary(max_size=36)),
+))
+@example((b"", b"", b""))
+def test_fixed_parts_hash_matches_hash_key(parts):
+    prefix, middle, suffix = parts
+    assert fixed_parts_hash(prefix, middle, suffix) == hash_key(prefix + middle + suffix)
 
 
 def test_chain_id_validation():

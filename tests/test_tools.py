@@ -29,7 +29,7 @@ FIGURES = {
     "build_buckets_again_ms", "codec_round_trip_us", "event_dispatch_us",
     "arrival_dispatch_us", "transmit_us", "crossing_us", "booked_crossing_us",
     "capacity_crossing_us", "chain_counter_ns", "generate_traffic_ms", "client_draw_us",
-    "hash_key_us",
+    "hash_key_us", "client_hash_us",
 }
 
 
@@ -50,7 +50,7 @@ def test_microbench_runs_and_reports_every_figure():
     assert all(ms > 0 for ms in figures["generate_traffic_ms"].values())
     assert set(figures["client_draw_us"]) == {"randrange", "getrandbits"}
     assert all(us > 0 for us in figures["client_draw_us"].values())
-    assert figures["hash_key_us"] > 0
+    assert figures["hash_key_us"] > 0 and figures["client_hash_us"] > 0
 
 
 def copied_src(tmp_path, **appended):
@@ -86,6 +86,7 @@ def test_microbench_prints_null_for_an_api_another_checkout_lacks(tmp_path):
             "balancer.Balancer.map_packet(key, size, now)",
         ]),
         "client_draw_us": ["traffic.SERVER"],
+        "client_hash_us": ["traffic.SERVER"],
         "arrival_dispatch_us": [
             "netsim.NetSim._run_arrivals(packets, start)",
             "balancer.Balancer.map_packet(key, size, now, key_hash)",

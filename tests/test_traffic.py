@@ -366,9 +366,13 @@ def test_every_packet_is_a_whole_planned_packet():
 
 def test_a_session_is_one_record_hashed_once():
     # every packet of a session, in both directions, carries the one record
-    # made when it was planned, which holds its key's hash; sessions that
-    # share a key each have their own
-    for profile in (PINNED_PROFILES["collide-half"], TIED):
+    # made when it was planned, which holds its key's hash: computed inline
+    # from the key's fixed parts for a new client, by hash_key for a reused
+    # key. Sessions that share a key each have their own
+    bench = [parse_scenario(WORKLOADS / f"{name}.yaml").traffic
+             for name in ("long-flows", "short-flows", "capacity-drain")]
+    profiles = [*bench, PINNED_PROFILES["collide-half"], PINNED_PROFILES["collide-all"], TIED]
+    for profile in profiles:
         records = {}
         for p in generate_traffic(profile, 1):
             assert records.setdefault(p.session.session_id, p.session) is p.session

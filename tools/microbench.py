@@ -62,6 +62,11 @@ Prints one JSON object of best-of-N timings:
   ``getrandbits`` and rejection, packed straight into bytes
   (``getrandbits``, timing a copy of ``traffic.TrafficPlan``'s inlined draw).
 - ``hash_key_us``: one ``hash_key`` call on a session key.
+- ``client_hash_us``: the same hash of a planned client's key, 10.0.a.b and
+  its port with ``SERVER``, as the traffic plan computes it from the key's
+  fixed parts (``hashing.fnv_fixed_parts``): four FNV-1a steps over the
+  drawn bytes, one multiply-add and table read for ``SERVER``'s bytes, and
+  fmix64, timing a copy of ``traffic.TrafficPlan``'s inlined hash.
 
 ``--src`` imports chainbalance from another checkout's ``src`` directory, so
 two versions can be timed by the same script on the same host. Before a
@@ -405,6 +410,31 @@ def hash_key_us(repeat):
     return round(1e6 * best / CALLS, 3)
 
 
+def client_hash_us(repeat):
+    from chainbalance.hashing import FMIX64_M1, FMIX64_M2, FNV_PRIME, MASK64, fnv_fixed_parts
+    from chainbalance.traffic import SERVER
+
+    server = SERVER.address + SERVER.port.to_bytes(2, "big")
+    prefix_state, power, table = fnv_fixed_parts(b"\x0a\x00", server)
+    rng = random.Random(1)
+    draws = [(rng.randrange(256), rng.randrange(254), rng.randrange(1024, 65536))
+             for _ in range(CALLS)]
+
+    def hashes():
+        # a copy of traffic.TrafficPlan._windows' hash, which is inlined
+        # there; tests/test_traffic.py checks that one against hash_key
+        for a, b, port in draws:
+            h = ((((prefix_state ^ a) * FNV_PRIME ^ (b + 1)) * FNV_PRIME
+                  ^ (port >> 8)) * FNV_PRIME ^ (port & 0xFF)) * FNV_PRIME
+            h = (h * power + table[h & 0xFF]) & MASK64
+            h = ((h ^ (h >> 33)) * FMIX64_M1) & MASK64
+            h = ((h ^ (h >> 33)) * FMIX64_M2) & MASK64
+            h ^ (h >> 33)
+
+    best = min(seconds(hashes) for _ in range(repeat))
+    return round(1e6 * best / CALLS, 3)
+
+
 # each row: the names of a timing function's figures, which it returns in
 # this order (one figure, or a tuple of them), the API it needs (see
 # `lacking`), and the function
@@ -447,6 +477,10 @@ ROWS = (
      generate_traffic_ms),
     (("client_draw_us",), ("traffic.SERVER", *KEYS), client_draw_us),
     (("hash_key_us",), ("hashing.hash_key(key)", *KEYS), hash_key_us),
+    (("client_hash_us",),
+     ("hashing.fnv_fixed_parts(prefix, suffix)", "hashing.FNV_PRIME", "hashing.FMIX64_M1",
+      "hashing.FMIX64_M2", "traffic.SERVER"),
+     client_hash_us),
 )
 
 
